@@ -15,7 +15,12 @@ Two propagators are provided and cross-validate each other:
 * integrate_flow: fixed-step RK4 on the commutator vector field;
 * flow_via_spectral / exact_propagate: diagonalize once, evolve the
   spectral weights exactly as mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with
-  F(theta) = 2 Re[z f'(z)], then invert the spectral map.
+  F(theta) = 2 Re[z f'(z)], then invert the spectral map;
+* spectral_trajectory: flow_via_spectral at every time of a trajectory,
+  with one diagonalization for all of them.
+
+integrate_flow and spectral_trajectory emit states on the same time grid
+and read their diagnostics through Trajectory.from_states.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), i.e. like the exact
@@ -30,6 +35,7 @@ safe to run in parallel.  Trajectories are immutable once returned.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +179,14 @@ def al_vector_field(v: VerblunskySet, m: int = 1, part: str = "re") -> np.ndarra
     Computed as the commutator [C, P] with the Lax partner, then read off
     the matrix entries; the boundary coefficient does not move.
     """
-    C = build_cmv(v)
+    return _lax_field(build_cmv(v), m, part)
+
+
+def _lax_field(C: CMVMatrix, m: int, part: str) -> np.ndarray:
+    """al_vector_field at C.source, reusing its already built matrix."""
     P = lax_partner(C, m, part)
     cdot = C.entries @ P - P @ C.entries
-    return _extract_alpha_dot(v, cdot)
+    return _extract_alpha_dot(C.source, cdot)
 
 
 def al_closed_form_field(v: VerblunskySet, left_boundary: complex = 1.0) -> np.ndarray:
@@ -258,6 +268,25 @@ class Trajectory:
         """(len(times), n) array of coefficients along the trajectory."""
         return np.array([s.alpha for s in self.states])
 
+    @classmethod
+    def from_states(cls, times, matrices: Iterable[CMVMatrix]) -> "Trajectory":
+        """Trajectory of the states matrices[i].source at times[i].
+
+        Each state comes with its CMV matrix, from which its diagnostics
+        are read; the matrices are consumed one at a time and not kept.
+        """
+        states, drift, unit = [], [], []
+        base_angles = None
+        for C in matrices:
+            c = C.entries
+            angles = _angles(c)
+            if base_angles is None:
+                base_angles = angles
+            states.append(C.source)
+            drift.append(_circular_drift(base_angles, angles))
+            unit.append(float(np.abs(c.conj().T @ c - np.eye(C.n)).max()))
+        return cls(times, tuple(states), np.asarray(drift), np.asarray(unit))
+
 
 def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
     mods = np.abs(interior)
@@ -275,44 +304,58 @@ def _circular_drift(t0: np.ndarray, t1: np.ndarray) -> float:
     return float(np.minimum(d, 2.0 * math.pi - d).max())
 
 
+def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
+    """Times of both trajectory functions, and their step.
+
+    ceil(t_final/dt) equal steps from 0 to t_final, with a 1e-12
+    allowance for t_final/dt landing just above an integer.  Raises
+    InvalidParams unless dt > 0 and t_final >= 0 are finite.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParams(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise InvalidParams(f"t_final must be nonnegative and finite, got {t_final!r}")
+    steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
+    h = t_final / steps if steps else 0.0
+    return np.linspace(0.0, t_final, steps + 1), h
+
+
 def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration of the (m, part) commutator flow.
 
-    The step is adjusted to divide t_final exactly; the boundary
+    The step is dt shortened to divide t_final exactly; the boundary
     coefficient is held fixed.  Raises RhoTooSmall if any intermediate
     coefficient modulus exceeds 1 - 1e-8.
     """
-    if dt <= 0.0:
-        raise InvalidParams("dt must be positive")
-    if t_final < 0.0:
-        raise InvalidParams("t_final must be nonnegative")
-    part = _check_part(part)
+    times, h = _flow_grid(t_final, dt)
+    return Trajectory.from_states(times, _rk4_matrices(v0, m, _check_part(part), h, times.size - 1))
+
+
+def _rk4_matrices(v0: VerblunskySet, m: int, part: str, h: float, steps: int):
+    """CMV matrices of the RK4 states; each one also serves the next step's k1."""
     boundary = v0.alpha[-1]
 
     def field(interior: np.ndarray) -> np.ndarray:
         return al_vector_field(_flow_state(interior, boundary), m, part)
 
-    steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
-    h = t_final / steps if steps else 0.0
-    times = np.linspace(0.0, t_final, steps + 1)
-    states = [v0]
-    c0 = np.asarray(build_cmv(v0).entries)
-    base_angles = _angles(c0)
-    drift = [0.0]
-    unit = [float(np.abs(c0.conj().T @ c0 - np.eye(v0.n)).max())]
+    C = build_cmv(v0)
+    yield C
+    if not steps:
+        return
     y = v0.interior.astype(complex)
+    start = _flow_state(y, boundary)
+    # Flow states pass v0's boundary through VerblunskySet's renormalization
+    # once more, which can move its last bit; k1 must see the flow state.
+    if not np.array_equal(start.alpha, v0.alpha):
+        C = build_cmv(start)
     for _ in range(steps):
-        k1 = field(y)
+        k1 = _lax_field(C, m, part)
         k2 = field(y + 0.5 * h * k1)
         k3 = field(y + 0.5 * h * k2)
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state = _flow_state(y, boundary)
-        states.append(state)
-        c = build_cmv(state).entries
-        drift.append(_circular_drift(base_angles, _angles(c)))
-        unit.append(float(np.abs(c.conj().T @ c - np.eye(state.n)).max()))
-    return Trajectory(times, tuple(states), np.asarray(drift), np.asarray(unit))
+        C = build_cmv(_flow_state(y, boundary))
+        yield C
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:
@@ -331,6 +374,24 @@ def flow_via_spectral(v0: VerblunskySet, ham: FlowHamiltonian, t: float) -> Verb
     """Propagate coefficients by diagonalizing, evolving weights, inverting."""
     mu = exact_propagate(unitary_eigensystem(build_cmv(v0)), ham, t)
     return verblunsky_from_measure(mu)
+
+
+def spectral_trajectory(v0: VerblunskySet, ham: FlowHamiltonian, t_final: float, dt: float) -> Trajectory:
+    """flow_via_spectral at the times integrate_flow(v0, ..., t_final, dt) uses.
+
+    v0 is diagonalized once for the whole trajectory; the state at time 0
+    is v0 itself.
+    """
+    times, _ = _flow_grid(t_final, dt)
+    C0 = build_cmv(v0)
+    mu0 = unitary_eigensystem(C0)
+
+    def matrices():
+        yield C0
+        for t in times[1:]:
+            yield build_cmv(verblunsky_from_measure(exact_propagate(mu0, ham, t)))
+
+    return Trajectory.from_states(times, matrices())
 
 
 def gauge_transform(traj: Trajectory) -> np.ndarray:
@@ -377,9 +438,13 @@ def _ordered_spectrum(mu: SpectralMeasureCircle, ham: FlowHamiltonian):
 
 def predicted_asymptotics(v0: VerblunskySet, ham: FlowHamiltonian, k: int):
     """(limit, rate, xi) for coefficient k-1 under the flow of ham, k in 1..n-1."""
-    if not 1 <= k <= v0.n - 1:
-        raise InvalidParams(f"k must lie in 1..{v0.n - 1}")
-    mu = unitary_eigensystem(build_cmv(v0))
+    return _predicted_asymptotics(unitary_eigensystem(build_cmv(v0)), ham, k)
+
+
+def _predicted_asymptotics(mu: SpectralMeasureCircle, ham: FlowHamiltonian, k: int):
+    """predicted_asymptotics from the spectral measure of v0."""
+    if not 1 <= k <= mu.n - 1:
+        raise InvalidParams(f"k must lie in 1..{mu.n - 1}")
     z, w, lam = _ordered_spectrum(mu, ham)
     limit = (-1.0) ** (k - 1) * np.conj(np.prod(z[:k]))
     rate = lam[k - 1] - lam[k]
@@ -408,8 +473,8 @@ def asymptotic_report(
         raise InvalidParams("need at least four grid times")
     if np.any(np.diff(t) <= 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
-    limit, rate, xi = predicted_asymptotics(v0, ham, k)
     mu0 = unitary_eigensystem(build_cmv(v0))
+    limit, rate, xi = _predicted_asymptotics(mu0, ham, k)
     alpha_t = np.empty(t.size, dtype=complex)
     for i, ti in enumerate(t):
         alpha_t[i] = szego_coefficients(exact_propagate(mu0, ham, ti), k)[k - 1]

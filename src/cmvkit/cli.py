@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import serialize
-from .alflows import FlowHamiltonian, Trajectory, flow_via_spectral, integrate_flow
+from .alflows import FlowHamiltonian, integrate_flow, spectral_trajectory
 from .core import build_cmv
 from .ensembles import (
     EnsembleSpec,
@@ -105,23 +105,7 @@ def cmd_flow(args) -> int:
         traj = integrate_flow(v0, args.m, args.part, args.t, args.dt)
     else:
         ham = FlowHamiltonian.matching_lax_flow(args.m, args.part)
-        steps = max(int(round(args.t / args.dt)), 0) if args.t > 0 else 0
-        times = np.linspace(0.0, args.t, steps + 1)
-        states = []
-        drift = []
-        unit = []
-        base_angles = None
-        for t in times:
-            state = flow_via_spectral(v0, ham, float(t)) if t > 0 else v0
-            states.append(state)
-            c = build_cmv(state).entries
-            angles = np.sort(np.angle(np.linalg.eigvals(c)))
-            if base_angles is None:
-                base_angles = angles
-            d = np.abs(angles - base_angles)
-            drift.append(float(np.minimum(d, 2 * np.pi - d).max()))
-            unit.append(float(np.abs(c.conj().T @ c - np.eye(state.n)).max()))
-        traj = Trajectory(times, tuple(states), np.asarray(drift), np.asarray(unit))
+        traj = spectral_trajectory(v0, ham, args.t, args.dt)
     serialize.dump_json(serialize.trajectory_to_obj(traj), args.out)
     _progress(
         args.quiet,

@@ -102,6 +102,41 @@ def verblunsky_block(alpha_k: complex) -> np.ndarray:
     return np.array([[np.conj(a), rho], [rho, -a]], dtype=complex)
 
 
+def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """L and M factors of every coefficient vector in a (..., n) array.
+
+    Returns two (..., n, n) arrays laid out as in lm_factors, with the
+    entries verblunsky_block computes (the same rho, bit for bit).  The
+    last coefficient of each vector is taken as given, not renormalized.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    n = a.shape[-1]
+    inner = a[..., :-1]
+    mod2 = inner.real * inner.real + inner.imag * inner.imag
+    if mod2.size and mod2.max() > 1.0 + 1e-12:
+        raise OutOfRange(f"|alpha| = {math.sqrt(mod2.max()):.17g} exceeds 1")
+    rho = np.sqrt(np.maximum(1.0 - mod2, 0.0))
+    conj, neg = a.conj(), -inner
+    LM = np.zeros(a.shape[:-1] + (2, n * n), dtype=complex)
+    L, M = LM[..., 0, :], LM[..., 1, :]
+    M[..., 0] = 1.0
+    # In a flattened n x n matrix, entry (k + i, k + j) sits at
+    # k (n + 1) + i n + j, so a stride of 2 (n + 1) visits the same entry
+    # of every other 2x2 block: those at even k in L, odd k in M.  Each
+    # stride runs past the end of the matrix exactly where the blocks
+    # stop, and the diagonal strides also reach the boundary 1x1 block
+    # [conj(alpha_{n-1})] in the factor it belongs to.
+    step = 2 * (n + 1)
+    L[..., ::step] = conj[..., ::2]
+    L[..., 1::step] = L[..., n::step] = rho[..., ::2]
+    L[..., n + 1 :: step] = neg[..., ::2]
+    M[..., n + 1 :: step] = conj[..., 1::2]
+    M[..., n + 2 :: step] = M[..., 2 * n + 1 :: step] = rho[..., 1::2]
+    M[..., 2 * n + 2 :: step] = neg[..., 1::2]
+    shape = a.shape + (n,)
+    return L.reshape(shape), M.reshape(shape)
+
+
 def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal unitary factors of the CMV matrix.
 
@@ -111,19 +146,7 @@ def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
     factor the parity of n-1 assigns it (including n = 1, where L itself
     degenerates to that block).
     """
-    n = v.n
-    L = np.zeros((n, n), dtype=complex)
-    M = np.zeros((n, n), dtype=complex)
-    M[0, 0] = 1.0
-    for k in range(0, n - 1, 2):
-        L[k : k + 2, k : k + 2] = verblunsky_block(v.alpha[k])
-    for k in range(1, n - 1, 2):
-        M[k : k + 2, k : k + 2] = verblunsky_block(v.alpha[k])
-    if (n - 1) % 2 == 0:
-        L[n - 1, n - 1] = np.conj(v.alpha[n - 1])
-    else:
-        M[n - 1, n - 1] = np.conj(v.alpha[n - 1])
-    return L, M
+    return batched_lm_factors(v.alpha)
 
 
 @dataclass(frozen=True, eq=False)

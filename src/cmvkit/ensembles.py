@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiMatrix, VerblunskySet, build_jacobi, lm_factors
+from .core import JacobiMatrix, VerblunskySet, batched_lm_factors, build_jacobi, lm_factors
 from .errors import (
     DomainViolation,
     EmptySample,
@@ -249,33 +249,6 @@ def ks_statistic(samples, cdf) -> float:
 # --- batched eigenvalue draws (used by the CLI and the statistical tests) ---
 
 
-def _batched_cmv(alpha: np.ndarray) -> np.ndarray:
-    """Stack of CMV matrices from a (count, n) coefficient array."""
-    count, n = alpha.shape
-    rho = np.sqrt(np.clip(1.0 - np.abs(alpha[:, :-1]) ** 2, 0.0, None))
-
-    def block(k):
-        out = np.empty((count, 2, 2), dtype=complex)
-        out[:, 0, 0] = np.conj(alpha[:, k])
-        out[:, 0, 1] = rho[:, k]
-        out[:, 1, 0] = rho[:, k]
-        out[:, 1, 1] = -alpha[:, k]
-        return out
-
-    L = np.zeros((count, n, n), dtype=complex)
-    M = np.zeros((count, n, n), dtype=complex)
-    M[:, 0, 0] = 1.0
-    for k in range(0, n - 1, 2):
-        L[:, k : k + 2, k : k + 2] = block(k)
-    for k in range(1, n - 1, 2):
-        M[:, k : k + 2, k : k + 2] = block(k)
-    if (n - 1) % 2 == 0:
-        L[:, n - 1, n - 1] = np.conj(alpha[:, n - 1])
-    else:
-        M[:, n - 1, n - 1] = np.conj(alpha[:, n - 1])
-    return L @ M
-
-
 def _batched_tridiagonal(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     count, n = b.shape
     m = np.zeros((count, n, n))
@@ -303,7 +276,8 @@ def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
         alpha = np.empty((count, n), dtype=complex)
         for k, nu in enumerate(_circular_nus(n, spec.beta)):
             alpha[:, k] = _disk_samples(nu, count, gen)
-        lam = np.linalg.eigvals(_batched_cmv(alpha))
+        L, M = batched_lm_factors(alpha)
+        lam = np.linalg.eigvals(L @ M)
         return np.sort(np.angle(lam), axis=1)
     if spec.family == "jacobi":
         al = np.empty((count, 2 * n))

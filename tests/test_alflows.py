@@ -14,6 +14,7 @@ from cmvkit.alflows import (
     plus_projection,
     predicted_asymptotics,
     schur_vector_field,
+    spectral_trajectory,
     toda_vector_field,
     trace_hamiltonian,
 )
@@ -22,7 +23,7 @@ from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import unitary_eigensystem
 
-from reference import fit_hamiltonian_with_rates
+from reference import fit_hamiltonian_with_rates, rk4_trajectory
 
 
 class TestTraceHamiltonian:
@@ -189,7 +190,52 @@ class TestToda:
         assert np.abs(lam1 - lam0).max() <= 1e-10
 
 
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.alpha_matrix(), b.alpha_matrix())
+    assert np.array_equal(a.eig_drift, b.eig_drift)
+    assert np.array_equal(a.unitarity, b.unitarity)
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return unitary_eigensystem(C)
+
+    monkeypatch.setattr("cmvkit.alflows.unitary_eigensystem", counted)
+    return calls
+
+
 class TestIntegrateFlow:
+    @pytest.mark.parametrize("n, m, part, t_final", [(6, 1, "re", 0.05), (6, 2, "im", 0.05), (64, 1, "im", 0.004)])
+    def test_bit_identical_to_plain_rk4(self, n, m, part, t_final):
+        v = random_verblunsky(n, RngStream(n + m), radius=0.6)
+        traj = integrate_flow(v, m, part, t_final, 1e-3)
+        assert_same_trajectory(traj, rk4_trajectory(v, m, part, t_final, 1e-3))
+
+    def test_bit_identical_when_boundary_renormalization_moves(self):
+        # flow states renormalize v0's boundary once more; find a v0 where
+        # that moves the last bit, so the first step cannot reuse v0's
+        # matrix.  Long steps let a last-bit change in k1 reach the states.
+        gen = RngStream(20).generator()
+        for _ in range(200):
+            v = random_verblunsky(6, gen, radius=0.6)
+            if VerblunskySet(v.alpha).alpha[-1] != v.alpha[-1]:
+                break
+        else:
+            pytest.fail("no coefficient set with a moving boundary bit found")
+        assert_same_trajectory(integrate_flow(v, 2, "re", 0.5, 0.25), rk4_trajectory(v, 2, "re", 0.5, 0.25))
+
+    @pytest.mark.parametrize(
+        "t_final, dt", [(1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (float("nan"), 0.1), (1.0, float("inf"))]
+    )
+    def test_invalid_grid_rejected(self, t_final, dt):
+        v = random_verblunsky(3, RngStream(1))
+        with pytest.raises(InvalidParams):
+            integrate_flow(v, 1, "re", t_final, dt)
+
     def test_zero_time(self):
         v = random_verblunsky(4, RngStream(5))
         traj = integrate_flow(v, 1, "re", 0.0, 1e-2)
@@ -301,6 +347,36 @@ class TestExactPropagation:
         assert np.abs(t0 - t1).max() <= 1e-9
 
 
+class TestSpectralTrajectory:
+    def test_bit_identical_to_flow_via_spectral(self):
+        v = random_verblunsky(6, RngStream(17), radius=0.6)
+        ham = FlowHamiltonian.matching_lax_flow(2, "re")
+        traj = spectral_trajectory(v, ham, 0.05, 1e-2)
+        assert traj.states[0] is v
+        for t, state in zip(traj.times[1:], traj.states[1:]):
+            assert np.array_equal(state.alpha, flow_via_spectral(v, ham, t).alpha)
+
+    def test_one_eigensolve_per_trajectory(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        v = random_verblunsky(5, RngStream(18), radius=0.6)
+        spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.1, 1e-2)
+        assert len(calls) == 1
+
+    def test_same_grid_and_diagnostics_as_rk4(self):
+        v = random_verblunsky(5, RngStream(19), radius=0.6, min_separation=0.25)
+        rk4 = integrate_flow(v, 1, "re", 1.0, 0.3)
+        spectral = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 1.0, 0.3)
+        assert np.array_equal(rk4.times, spectral.times) and rk4.times.size == 5
+        assert spectral.eig_drift[0] == 0.0 and spectral.eig_drift.max() <= 1e-10
+        assert spectral.unitarity.max() <= 1e-12
+
+    @pytest.mark.parametrize("t_final, dt", [(1.0, 0.0), (1.0, -0.1), (-1.0, 0.1)])
+    def test_invalid_grid_rejected(self, t_final, dt):
+        v = random_verblunsky(3, RngStream(1))
+        with pytest.raises(InvalidParams):
+            spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, dt)
+
+
 class TestGauge:
     def test_initial_state_unchanged(self):
         v = random_verblunsky(4, RngStream(17), radius=0.5)
@@ -379,6 +455,12 @@ class TestAsymptotics:
         assert abs(rep.fitted_rate - rep.predicted_rate) <= 0.01 * rep.predicted_rate
         assert abs(np.angle(rep.fitted_xi / rep.xi)) <= 0.01
         assert abs(abs(rep.fitted_limit) - 1.0) < 1e-12
+
+    def test_report_diagonalizes_once(self, monkeypatch):
+        v, ham = self._instance(2, 3)
+        calls = count_eigensolves(monkeypatch)
+        asymptotic_report(v, ham, 3, np.linspace(5.0, 20.0, 8), fit_window=(0.5, 0.88))
+        assert len(calls) == 1
 
     def test_mass_slope(self):
         v, ham = self._instance(3, 2)

@@ -101,6 +101,26 @@ class TestFlow:
         code = run("flow", "--init", init, "--t", 1, "--dt", "1e-2", "--out", tmp_path / "t.json", "--quiet")
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_grid_shared_by_methods(self, tmp_path, method):
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", 4, "--seed", 3, "--t", 1, "--dt", 0.3,
+                   "--method", method, "--out", out, "--quiet") == 0
+        times = serialize.load_json(out)["times"]
+        assert len(times) == 5 and times[-1] == 1.0
+
+    @pytest.mark.parametrize("method, t, dt", [
+        ("spectral", -1, 1e-3),
+        ("spectral", 1, 0),
+        ("rk4", 1, -0.1),
+        ("spectral", 1, -0.1),
+    ])
+    def test_invalid_grid_exit_2(self, tmp_path, method, t, dt):
+        out = tmp_path / "t.json"
+        code = run("flow", "--random", "--n", 4, "--seed", 3, "--t", t, "--dt", dt,
+                   "--method", method, "--out", out, "--quiet")
+        assert code == 2 and not out.exists()
+
     def test_random_without_seed_exit_2(self, tmp_path):
         code = run("flow", "--random", "--n", 3, "--t", 0.1, "--out", tmp_path / "t.json", "--quiet")
         assert code == 2

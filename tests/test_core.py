@@ -7,6 +7,7 @@ from cmvkit.core import (
     SpectralMeasureCircle,
     SpectralMeasureLine,
     VerblunskySet,
+    batched_lm_factors,
     build_cmv,
     build_jacobi,
     lm_factors,
@@ -14,7 +15,7 @@ from cmvkit.core import (
 )
 from cmvkit.errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 
-from reference import cmv_pattern
+from reference import cmv_pattern, lm_factors_loop
 from strategies import verblunsky_sets
 
 
@@ -94,6 +95,29 @@ class TestLMFactors:
         expected_M[1:, 1:] = [[0, 1], [1, 0]]
         assert np.array_equal(L, expected_L)
         assert np.array_equal(M, expected_M)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 64])
+    def test_bit_identical_to_block_loop(self, n):
+        v = random_set(np.random.default_rng(n), n)
+        L, M = lm_factors(v)
+        L0, M0 = lm_factors_loop(v)
+        assert np.array_equal(L, L0) and np.array_equal(M, M0)
+        assert np.array_equal(build_cmv(v).entries, L0 @ M0)
+        assert np.abs(L @ M - cmv_pattern(v)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_stack_matches_block_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        sets = [random_set(rng, n) for _ in range(7)]
+        L, M = batched_lm_factors(np.array([v.alpha for v in sets]))
+        assert L.shape == M.shape == (7, n, n)
+        for i, v in enumerate(sets):
+            L0, M0 = lm_factors_loop(v)
+            assert np.array_equal(L[i], L0) and np.array_equal(M[i], M0)
+
+    def test_stack_rejects_coefficient_outside_disk(self):
+        with pytest.raises(OutOfRange):
+            batched_lm_factors(np.array([[0.1, 1.0], [1.1j, 1.0]]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(verblunsky_sets(max_n=9))
