@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import CMVMatrix, JacobiMatrix, SpectralMeasureCircle, VerblunskySet, build_cmv
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
-from .opuc import szego_coefficients, unitary_eigensystem, verblunsky_from_measure
+from .opuc import gap_rotation, szego_coefficients, unitary_angles, unitary_eigensystem, verblunsky_from_measure
 
 RHO_FLOOR = 1e-10           # extraction divides by rho
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
@@ -274,17 +274,21 @@ class Trajectory:
 
         Each state comes with its CMV matrix, from which its diagnostics
         are read; the matrices are consumed one at a time and not kept.
+        The flow is isospectral, so every later state's angles are taken
+        with the Cayley pole of unitary_angles in the largest gap of the
+        first state's spectrum, which costs one pass per state.
         """
         states, drift, unit = [], [], []
         base_angles = None
         for C in matrices:
-            c = C.entries
-            angles = _angles(c)
             if base_angles is None:
-                base_angles = angles
+                angles = base_angles = unitary_angles(C.entries)
+                phi = float(gap_rotation(base_angles))
+            else:
+                angles = unitary_angles(C.entries, phi)
             states.append(C.source)
             drift.append(_circular_drift(base_angles, angles))
-            unit.append(float(np.abs(c.conj().T @ c - np.eye(C.n)).max()))
+            unit.append(C.unitarity)
         return cls(times, tuple(states), np.asarray(drift), np.asarray(unit))
 
 
@@ -293,10 +297,6 @@ def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
     if mods.size and mods.max() > MODULUS_CEILING:
         raise RhoTooSmall(f"coefficient modulus {mods.max():.12g} reached the circle")
     return VerblunskySet(np.concatenate([interior, [boundary]]))
-
-
-def _angles(entries: np.ndarray) -> np.ndarray:
-    return np.sort(np.angle(np.linalg.eigvals(entries)))
 
 
 def _circular_drift(t0: np.ndarray, t1: np.ndarray) -> float:

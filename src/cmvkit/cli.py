@@ -138,6 +138,8 @@ def cmd_verify(args) -> int:
             f"[{status}] {item['name']}: max residual {item['max_residual']:.3e}"
             f" (tolerance {item['tolerance']:g})"
         )
+    if report["skipped"]:
+        print(f"skipped {report['skipped']} of {report['trials']} trials")
     return 0 if report["pass"] else VERIFY_EXIT
 
 

@@ -40,7 +40,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def principal_angle(theta):
     """Map angles to the principal branch (-pi, pi]."""
     t = np.angle(np.exp(1j * np.asarray(theta, dtype=float)))
-    return t + 0.0  # normalize -0.0
+    # np.angle returns -pi for a point on the negative real axis with a
+    # negative zero or tiny negative imaginary part
+    return np.where(t == -math.pi, math.pi, t) + 0.0  # + 0.0 normalizes -0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +159,12 @@ class CMVMatrix:
     determinant identities
         tr C  = conj(alpha_0) - sum_{k>=1} alpha_{k-1} conj(alpha_k)
         det C = (-1)^(n-1) conj(alpha_{n-1}).
+    The unitarity residual max|C*C - I| it computes is kept as unitarity.
     """
 
     entries: np.ndarray
     source: VerblunskySet
+    unitarity: float = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.array(self.entries, dtype=complex)
@@ -181,6 +185,7 @@ class CMVMatrix:
         if abs(np.linalg.det(c) - det_expected) > DET_TOL:
             raise OutOfRange("determinant identity violated")
         object.__setattr__(self, "entries", _frozen(c))
+        object.__setattr__(self, "unitarity", float(resid))
 
     @property
     def n(self) -> int:

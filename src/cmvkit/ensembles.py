@@ -29,7 +29,7 @@ from .errors import (
     InvalidNu,
     InvalidParams,
 )
-from .opuc import geronimus
+from .opuc import geronimus, unitary_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,8 +277,7 @@ def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
         for k, nu in enumerate(_circular_nus(n, spec.beta)):
             alpha[:, k] = _disk_samples(nu, count, gen)
         L, M = batched_lm_factors(alpha)
-        lam = np.linalg.eigvals(L @ M)
-        return np.sort(np.angle(lam), axis=1)
+        return unitary_angles(L @ M)
     if spec.family == "jacobi":
         al = np.empty((count, 2 * n))
         for k, (s, t) in enumerate(_jacobi_shapes(n, spec.beta, spec.a, spec.b)):
@@ -320,7 +319,7 @@ def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | 
         if min_separation is None:
             return v
         L, M = lm_factors(v)
-        theta = np.sort(np.angle(np.linalg.eigvals(L @ M)))
+        theta = unitary_angles(L @ M)
         gaps = np.diff(theta)
         wrap = theta[0] + TWO_PI - theta[-1]
         if n == 1 or min(gaps.min(initial=np.inf), wrap) > min_separation:

@@ -1,9 +1,12 @@
 """Spectral transforms for orthogonal polynomials on the unit circle.
 
 Forward direction: eigensolve a CMV or Jacobi matrix and read off the
-spectral measure attached to the first coordinate vector.  Inverse
-direction: run the Szego recursion on a finitely supported circle
-measure to recover the Verblunsky coefficients.  The circle and the
+spectral measure attached to the first coordinate vector.  When only the
+eigenvalue angles of a unitary matrix are needed (ensemble draws, flow
+diagnostics), unitary_angles gets them from a Hermitian eigensolver
+through a rotated Cayley transform instead of a general complex one.
+Inverse direction: run the Szego recursion on a finitely supported
+circle measure to recover the Verblunsky coefficients.  The circle and the
 interval [-2, 2] are connected by the pushforward of z + 1/z and, on the
 coefficient side, by the Geronimus relations.
 
@@ -18,12 +21,14 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    TWO_PI,
     CMVMatrix,
     JacobiMatrix,
     SpectralMeasureCircle,
     SpectralMeasureLine,
     VerblunskySet,
     build_jacobi,
+    principal_angle,
 )
 from .errors import IllConditioned, InvalidBoundary, NotSymmetric, OutOfRange, SupportAtRealAxis, SupportTooSmall
 
@@ -31,6 +36,9 @@ NORM_FLOOR = 1e-13          # squared-norm floor for the Szego recursion
 BOUNDARY_RECOVERY_TOL = 1e-6  # how far the recovered boundary coefficient may sit off the circle
 AXIS_TOL = 1e-8             # support this close to angle 0 or pi blocks the circle->interval map
 PAIR_TOL = 1e-10            # conjugate pairs must match within this angular tolerance
+POLE_LIMIT = 64.0           # a Cayley pass with max|eig H| above this is redone with the pole in a gap
+GAP_TRUST = 1e8             # above this max|eig H|, a pass's angles are too coarse to locate a gap
+ANGLE_BLOCK = 4096          # complex entries per block of a stacked unitary_angles call
 
 
 def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
@@ -46,6 +54,78 @@ def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
     theta = np.angle(lam)
     weights = np.abs(q[0, :]) ** 2
     return SpectralMeasureCircle(theta, weights)
+
+
+def unitary_angles(U, phi: float = 0.0) -> np.ndarray:
+    """Sorted eigenvalue angles in (-pi, pi] of a unitary matrix or (..., n, n) stack.
+
+    Eigendecomposes the Hermitian Cayley transform of the rotated matrix
+    R = e^{-i phi} U,
+        H = i (I - R)(I + R)^{-1} = i (2 (I + R)^{-1} - I),
+    whose eigenvalues lambda give the angles phi + 2 arctan(lambda).  The
+    error grows with max|lambda|, that is as an eigenvalue nears the pole
+    -e^{i phi}.  A matrix with max|lambda| > 64 is redone once with the
+    pole in the middle of the largest gap of its first-pass angles, where
+    max|lambda| <= cot(pi / 2n).  A first pass too coarse to locate that
+    gap (max|lambda| > 1e8, or I + R exactly singular) is redone instead at
+    the best of n evenly spaced further poles; with the first one they are
+    n + 1 poles, so one of them lies pi / (n + 1) from every eigenvalue.
+    Stacks are processed in blocks of about 4096 entries, and each
+    matrix's angles do not depend on the rest of the stack.
+    """
+    U = np.asarray(U, dtype=complex)
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2] or U.shape[-1] < 1:
+        raise OutOfRange(f"expected a nonempty square matrix or stack, got shape {U.shape}")
+    n = U.shape[-1]
+    stack = U.reshape(-1, n, n)
+    out = np.empty(stack.shape[:2])
+    per = max(ANGLE_BLOCK // (n * n), 1)
+    for s in range(0, stack.shape[0], per):
+        out[s : s + per] = _block_angles(stack[s : s + per], float(phi))
+    return out.reshape(U.shape[:-1])
+
+
+def gap_rotation(theta) -> np.ndarray:
+    """The phi that puts the Cayley pole -e^{i phi} of unitary_angles in the
+    middle of the largest circular gap of sorted angles theta (..., n)."""
+    t = np.asarray(theta, dtype=float)
+    gaps = np.diff(t, axis=-1, append=t[..., :1] + TWO_PI)
+    k = np.argmax(gaps, axis=-1)[..., None]
+    return np.take_along_axis(t + 0.5 * gaps, k, axis=-1)[..., 0] - np.pi
+
+
+def _block_angles(U: np.ndarray, phi: float) -> np.ndarray:
+    n = U.shape[-1]
+    theta, lam_max = _cayley_pass(U, np.full(U.shape[0], phi))
+    fine = np.flatnonzero((lam_max > POLE_LIMIT) & (lam_max <= GAP_TRUST))
+    if fine.size:
+        theta[fine] = _cayley_pass(U[fine], gap_rotation(theta[fine]))[0]
+    for i in np.flatnonzero(lam_max > GAP_TRUST):
+        poles = phi + TWO_PI * np.arange(1, n + 1) / (n + 1)
+        sweep, sweep_max = _cayley_pass(np.broadcast_to(U[i], (n, n, n)), poles)
+        theta[i] = sweep[np.argmin(sweep_max)]
+    return theta
+
+
+def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted angles and max|eig H| of each matrix U[j] rotated by phi[j];
+    max|eig H| is inf where I + R is exactly singular."""
+    eye = np.eye(U.shape[-1])
+    A = eye + np.exp(-1j * phi)[:, None, None] * U
+    singular = np.zeros(A.shape[0], dtype=bool)
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(A)
+        for j, a in enumerate(A):
+            try:
+                inv[j] = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                inv[j], singular[j] = eye, True
+    lam = np.linalg.eigvalsh(1j * (2.0 * inv - eye))
+    lam_max = np.where(singular, np.inf, np.abs(lam).max(axis=-1))
+    theta = np.sort(principal_angle(phi[:, None] + 2.0 * np.arctan(lam)), axis=-1)
+    return theta, lam_max
 
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:

@@ -2,7 +2,9 @@
 
 Each suite sweeps seeded random probe points, evaluates a family of
 bracket/Jacobian identities numerically, and reports the worst residual
-against its tolerance.  Suites return a plain dict ready for JSON.
+against its tolerance.  Suites return a plain dict ready for JSON.  A
+suite needs at least one trial, and an identity that no trial evaluated
+(every probe skipped) fails rather than passing with residual 0.
 """
 
 from __future__ import annotations
@@ -32,20 +34,28 @@ COTANGENT_TOL = 1e-5
 JACOBIAN_TOL = 1e-6
 
 
-def _result(name: str, residual: float, tolerance: float) -> dict:
+def _probes(trials: int, seed: int) -> np.random.Generator:
+    """The generator of a suite's probe points; rejects a suite with no trials."""
+    if trials < 1:
+        raise InvalidParams(f"need at least one trial, got {trials}")
+    return RngStream(seed).generator()
+
+
+def _result(name: str, residual: float, tolerance: float, evaluated: bool = True) -> dict:
     return {
         "name": name,
         "max_residual": float(residual),
         "tolerance": float(tolerance),
-        "pass": bool(residual <= tolerance),
+        "pass": bool(evaluated and residual <= tolerance),
     }
 
 
-def _finish(suite: str, n: int, trials: int, seed: int, identities: list[dict]) -> dict:
+def _finish(suite: str, n: int, trials: int, seed: int, identities: list[dict], skipped: int = 0) -> dict:
     return {
         "suite": suite,
         "n": n,
         "trials": trials,
+        "skipped": skipped,
         "seed": seed,
         "identities": identities,
         "pass": all(item["pass"] for item in identities),
@@ -61,7 +71,7 @@ def suite_brackets(n: int = 4, trials: int = 20, seed: int = 0) -> dict:
       * antisymmetry of the numeric bracket;
       * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
     """
-    gen = RngStream(seed).generator()
+    gen = _probes(trials, seed)
     worst_pair = 0.0
     worst_anti = 0.0
     worst_ham = 0.0
@@ -124,7 +134,7 @@ def suite_canonical(n: int = 4, trials: int = 10, seed: int = 0) -> dict:
     {theta_j, theta_k} should vanish and the matrix
     {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
     """
-    gen = RngStream(seed).generator()
+    gen = _probes(trials, seed)
     worst_theta = 0.0
     worst_matrix = 0.0
     for _ in range(trials):
@@ -159,7 +169,7 @@ def suite_canonical(n: int = 4, trials: int = 10, seed: int = 0) -> dict:
 
 def suite_cotangent(n: int = 4, trials: int = 25, seed: int = 0) -> dict:
     """Mass-ratio bracket against the cotangent sum on well separated spectra."""
-    gen = RngStream(seed).generator()
+    gen = _probes(trials, seed)
     worst = 0.0
     if n < 3:
         raise InvalidParams("cotangent suite needs n >= 3")
@@ -193,13 +203,15 @@ def random_measure(n: int, gen, margin: float = 0.35) -> SpectralMeasureCircle:
 
 def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
     """Numeric spectral-to-coefficient Jacobian against its closed form."""
-    gen = RngStream(seed).generator()
+    gen = _probes(trials, seed)
     worst = 0.0
+    skipped = 0
     for _ in range(trials):
         mu = random_measure(n, gen)
         try:
             numeric = spectral_to_verblunsky_jacobian(mu)
         except BranchProximity:
+            skipped += 1
             continue
         predicted = jacobian_prediction(mu)
         worst = max(worst, abs(numeric - predicted) / max(abs(predicted), 1e-12))
@@ -208,7 +220,8 @@ def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
         n,
         trials,
         seed,
-        [_result("spectral jacobian determinant", worst, JACOBIAN_TOL)],
+        [_result("spectral jacobian determinant", worst, JACOBIAN_TOL, evaluated=skipped < trials)],
+        skipped,
     )
 
 

@@ -18,12 +18,12 @@ from cmvkit.alflows import (
     toda_vector_field,
     trace_hamiltonian,
 )
-from cmvkit.core import VerblunskySet, build_cmv, build_jacobi
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
-from cmvkit.opuc import unitary_eigensystem
+from cmvkit.opuc import gap_rotation, unitary_eigensystem, verblunsky_from_measure
 
-from reference import fit_hamiltonian_with_rates, rk4_trajectory
+from reference import eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
 
 
 class TestTraceHamiltonian:
@@ -190,11 +190,13 @@ class TestToda:
         assert np.abs(lam1 - lam0).max() <= 1e-10
 
 
-def assert_same_trajectory(a, b):
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.alpha_matrix(), b.alpha_matrix())
-    assert np.array_equal(a.eig_drift, b.eig_drift)
-    assert np.array_equal(a.unitarity, b.unitarity)
+def assert_same_trajectory(a, oracle):
+    # the package takes eigenvalue angles from its Cayley kernel, the
+    # oracle from eigvals; everything else must match bit for bit
+    assert np.array_equal(a.times, oracle.times)
+    assert np.array_equal(a.alpha_matrix(), oracle.alpha_matrix())
+    assert np.abs(a.eig_drift - oracle.eig_drift).max() <= 1e-13
+    assert np.array_equal(a.unitarity, oracle.unitarity)
 
 
 def count_eigensolves(monkeypatch):
@@ -248,6 +250,25 @@ class TestIntegrateFlow:
         b = VerblunskySet([0.1, -1.0])
         with pytest.raises(InvalidParams):
             Trajectory(np.array([0.0, 1.0]), (a, b), np.zeros(2), np.zeros(2))
+
+    def test_trajectory_reports_drift_between_spectra(self):
+        # the second spectrum moves one angle onto the Cayley pole that the
+        # first spectrum's largest gap fixes, keeping the angle sum (and so
+        # the boundary coefficient)
+        from cmvkit.alflows import Trajectory
+
+        base = np.array([-2.5, -1.0, 0.2, 1.0, 2.0])
+        moved = base.copy()
+        moved[-1] = float(gap_rotation(base)) + np.pi
+        moved[1] -= moved[-1] - base[-1]
+        weights = np.full(5, 0.2)
+        matrices = [build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights))) for t in (base, moved)]
+        traj = Trajectory.from_states([0.0, 1.0], matrices)
+        a, b = (eigvals_angles(C.entries) for C in matrices)
+        d = np.abs(b - a)
+        expected = np.minimum(d, 2.0 * np.pi - d).max()
+        assert traj.eig_drift[0] == 0.0 and abs(traj.eig_drift[1] - expected) <= 1e-12
+        assert expected > 0.5
 
     def test_single_site_constant(self):
         v = VerblunskySet([np.exp(0.3j)])

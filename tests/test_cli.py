@@ -150,6 +150,21 @@ class TestVerify:
     def test_canonical_suite_small(self):
         assert run("verify", "--suite", "canonical", "--n", 3, "--trials", 2, "--seed", 1) == 0
 
+    @pytest.mark.parametrize("suite", ["brackets", "jacobian"])
+    def test_zero_trials_exit_2(self, suite, capsys):
+        assert run("verify", "--suite", suite, "--n", 4, "--trials", 0) == 2
+        assert "[pass]" not in capsys.readouterr().out
+
+    def test_all_trials_skipped_exit_4(self, monkeypatch, capsys):
+        from cmvkit.errors import BranchProximity
+
+        def always_near_branch(mu):
+            raise BranchProximity("forced")
+
+        monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
+        assert run("verify", "--suite", "jacobian", "--n", 3, "--trials", 2) == 4
+        assert "skipped 2 of 2 trials" in capsys.readouterr().out
+
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as err:
             run("verify", "--suite", "bogus")

@@ -11,6 +11,7 @@ from cmvkit.core import (
     build_cmv,
     build_jacobi,
     lm_factors,
+    principal_angle,
     verblunsky_block,
 )
 from cmvkit.errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
@@ -164,6 +165,11 @@ class TestBuildCMV:
             det = np.linalg.det(entries)
             assert abs(det - (-1.0) ** (n - 1) * np.conj(v.alpha[-1])) <= 1e-10
 
+    def test_unitarity_residual_kept(self):
+        c = build_cmv(random_set(np.random.default_rng(5), 7))
+        e = c.entries
+        assert c.unitarity == float(np.abs(e.conj().T @ e - np.eye(7)).max())
+
     def test_invalid_entries_rejected(self):
         v = VerblunskySet([0.0, 1.0])
         with pytest.raises(OutOfRange):
@@ -199,6 +205,21 @@ class TestMeasures:
     def test_circle_wraps_to_principal_branch(self):
         mu = SpectralMeasureCircle([np.pi + 0.5], [1.0])
         assert -np.pi < mu.theta[0] <= np.pi
+
+    @pytest.mark.parametrize("theta", [np.pi, -np.pi])
+    def test_pi_and_minus_pi_map_to_pi(self, theta):
+        assert principal_angle(theta) == np.pi
+        assert np.array_equal(principal_angle(np.array([theta, 0.5])), [np.pi, 0.5])
+
+    @pytest.mark.parametrize("theta", [3 * np.pi, -3 * np.pi])
+    def test_odd_multiples_of_pi_stay_in_branch(self, theta):
+        # 3 pi is not a float; its nearest double lands within an ulp of +-pi
+        t = principal_angle(theta)
+        assert -np.pi < t <= np.pi and np.pi - abs(t) <= 1e-15
+
+    def test_circle_point_at_minus_pi_stored_as_pi(self):
+        mu = SpectralMeasureCircle([-np.pi, 0.5], [0.5, 0.5])
+        assert np.array_equal(mu.theta, [0.5, np.pi])
 
     def test_circle_degenerate(self):
         with pytest.raises(DegenerateSpectrum):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, batched_lm_factors, build_cmv, build_jacobi
+from cmvkit.ensembles import RngStream, sample_circular_beta
 from cmvkit.errors import (
     IllConditioned,
     InvalidBoundary,
     NotSymmetric,
+    OutOfRange,
     SupportAtRealAxis,
     SupportTooSmall,
 )
@@ -18,10 +20,12 @@ from cmvkit.opuc import (
     reversed_poly,
     szego_coefficients,
     szego_project,
+    unitary_angles,
     unitary_eigensystem,
     verblunsky_from_measure,
 )
 
+from reference import eigvals_angles
 from strategies import verblunsky_sets
 from test_core import random_set
 
@@ -70,6 +74,65 @@ class TestEigensystems:
         nu = jacobi_eigensystem(j)
         assert nu.weights.min() > 0.0
         assert abs(nu.weights.sum() - 1.0) <= 1e-15
+
+
+def circular_stack(n, beta, count, seed):
+    gen = RngStream(seed).generator()
+    alpha = np.array([sample_circular_beta(n, beta, gen).alpha for _ in range(count)])
+    L, M = batched_lm_factors(alpha)
+    return L @ M
+
+
+def circular_distance(a, b):
+    d = np.abs(a - b)
+    return np.minimum(d, 2.0 * np.pi - d).max()
+
+
+class TestUnitaryAngles:
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
+    def test_agrees_with_eigvals(self, n, beta):
+        U = circular_stack(n, beta, 20 if n == 64 else 300, n + int(beta))
+        theta = unitary_angles(U)
+        assert circular_distance(theta, eigvals_angles(U)) <= 1e-12
+        assert np.all(theta > -np.pi) and np.all(theta <= np.pi)
+        assert np.all(np.diff(theta, axis=-1) >= 0.0)
+
+    @pytest.mark.parametrize("n, count", [(2, 3000), (6, 400), (64, 12)])
+    def test_stack_equals_single_matrices(self, n, count):
+        # (2, 3000) spans several blocks; every size includes matrices
+        # that need the second pass
+        U = circular_stack(n, 2.0, count, 40 + n)
+        theta = unitary_angles(U)
+        assert np.array_equal(theta, np.array([unitary_angles(u) for u in U]))
+        assert np.array_equal(unitary_angles(U.reshape(2, count // 2, n, n)), theta.reshape(2, count // 2, n))
+
+    @pytest.mark.parametrize("alpha", [[-1.0], [0.0, 0.0, 0.0, 1.0]])
+    def test_eigenvalue_at_pole(self, alpha):
+        # I + C is exactly singular for both
+        C = build_cmv(VerblunskySet(alpha)).entries
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.eye(len(alpha)) + C)
+        theta = unitary_angles(C)
+        assert circular_distance(theta, eigvals_angles(C)) <= 1e-12
+        assert theta[-1] == np.pi
+
+    def test_never_returns_minus_pi(self):
+        # exp(-i pi) has a tiny negative imaginary part, so np.angle gives -pi
+        U = np.diag(np.exp(1j * np.array([-np.pi, 0.5])))
+        assert eigvals_angles(U)[0] == -np.pi
+        theta = unitary_angles(U)
+        assert theta[0] > -np.pi and np.abs(theta - [0.5, np.pi]).max() <= 1e-15
+
+    @pytest.mark.parametrize("phi", [0.7, -2.0, np.pi, 5.0])
+    def test_rotation_does_not_change_angles(self, phi):
+        U = circular_stack(6, 1.0, 50, 9)
+        assert circular_distance(unitary_angles(U, phi), eigvals_angles(U)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(OutOfRange):
+            unitary_angles(np.zeros(shape))
 
 
 class TestMonicPolynomials:

@@ -1,7 +1,7 @@
 import pytest
 
-from cmvkit.errors import InvalidParams
-from cmvkit.verify import run_suite, suite_brackets, suite_canonical, suite_cotangent, suite_jacobian
+from cmvkit.errors import BranchProximity, InvalidParams
+from cmvkit.verify import SUITES, run_suite, suite_brackets, suite_canonical, suite_cotangent, suite_jacobian
 
 
 class TestSuites:
@@ -29,3 +29,21 @@ class TestSuites:
         import json
 
         json.dumps(suite_jacobian(n=2, trials=2, seed=5))
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, suite, trials):
+        with pytest.raises(InvalidParams):
+            run_suite(suite, 4, trials, 0)
+
+    def test_skipped_trials_counted_and_fail(self, monkeypatch):
+        def always_near_branch(mu):
+            raise BranchProximity("forced")
+
+        monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
+        report = suite_jacobian(n=3, trials=4, seed=4)
+        assert report["skipped"] == 4
+        assert report["identities"][0]["pass"] is False and report["pass"] is False
+
+    def test_no_skips_reported(self):
+        assert suite_jacobian(n=2, trials=3, seed=4)["skipped"] == 0
