@@ -12,24 +12,14 @@ failures, 4 for a failed verification suite.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import serialize
 from .alflows import FlowHamiltonian, integrate_flow, spectral_trajectory
-from .core import build_cmv
-from .ensembles import (
-    EnsembleSpec,
-    RngStream,
-    eigenvalue_samples,
-    random_verblunsky,
-    sample_circular_beta,
-    sample_hermite_beta,
-    sample_jacobi_beta,
-)
+from .core import VerblunskySet, build_cmv
+from .ensembles import EnsembleSpec, RngStream, coefficient_samples, eigenvalue_samples, random_verblunsky
 from .errors import CmvError, InvalidParams
 from .opuc import unitary_eigensystem, verblunsky_from_measure
 from .verify import SUITES, run_suite
@@ -38,7 +28,7 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 3
 VERIFY_EXIT = 4
 
-SAMPLE_CHUNK = 8192  # draws per stream id; fixed so output never depends on thread count
+SAMPLE_CHUNK = 8192  # draws per stream id: part of the seed-to-output mapping
 
 
 def _progress(quiet: bool, msg: str) -> None:
@@ -46,50 +36,34 @@ def _progress(quiet: bool, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CMV_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+def _coefficient_objs(spec: EnsembleSpec, coeffs) -> list[dict]:
+    """JSON objects of coefficient_samples output, one per draw."""
+    if spec.family == "circular":
+        return [serialize.verblunsky_to_obj(VerblunskySet(alpha)) for alpha in coeffs]
+    return [{"b": b.tolist(), "a": a.tolist()} for b, a in zip(*coeffs)]
 
 
 def cmd_sample(args) -> int:
     spec = EnsembleSpec(args.family, args.n, args.beta, args.a, args.b)
+    if args.count < 1:
+        raise InvalidParams(f"--count must be at least 1, got {args.count}")
     chunks = [
-        (i, min(SAMPLE_CHUNK, args.count - i * SAMPLE_CHUNK))
+        (RngStream(args.seed, i), min(SAMPLE_CHUNK, args.count - i * SAMPLE_CHUNK))
         for i in range((args.count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
     ]
-
-    def draw(chunk):
-        idx, size = chunk
-        return eigenvalue_samples(spec, size, RngStream(args.seed, idx))
-
-    workers = _thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(draw, chunks))
-    else:
-        pieces = []
-        for chunk in chunks:
-            pieces.append(draw(chunk))
-            _progress(args.quiet, f"sampled {sum(len(p) for p in pieces)}/{args.count}")
+    pieces = []
+    for stream, size in chunks:
+        pieces.append(eigenvalue_samples(spec, size, stream))
+        _progress(args.quiet, f"sampled {sum(len(p) for p in pieces)}/{args.count}")
     rows = np.vstack(pieces)
+    objs = []
+    if args.coeffs_out:
+        # the same streams again give the coefficients the rows came from
+        for stream, size in chunks:
+            objs += _coefficient_objs(spec, coefficient_samples(spec, size, stream))
     serialize.write_samples_csv(args.out, rows)
     _progress(args.quiet, f"wrote {rows.shape[0]} rows to {args.out}")
     if args.coeffs_out:
-        objs = []
-        for idx, size in chunks:
-            gen = RngStream(args.seed, idx).generator()
-            for _ in range(size):
-                if spec.family == "circular":
-                    objs.append(serialize.verblunsky_to_obj(sample_circular_beta(spec.n, spec.beta, gen)))
-                elif spec.family == "jacobi":
-                    j = sample_jacobi_beta(spec.n, spec.beta, spec.a, spec.b, gen)
-                    objs.append({"b": list(map(float, j.b)), "a": list(map(float, j.a))})
-                else:
-                    j = sample_hermite_beta(spec.n, spec.beta, gen)
-                    objs.append({"b": list(map(float, j.b)), "a": list(map(float, j.a))})
         serialize.dump_json(objs, args.coeffs_out)
     return 0
 

@@ -11,8 +11,9 @@ Coefficient distributions:
 * Hermite ensemble: Gaussian diagonal, chi off-diagonal over sqrt(2) with
   beta*(n-k) degrees of freedom (the bottom row gets beta).
 
-Samplers are pure given a generator; Monte Carlo batches parallelize
-across independent stream ids with no cross-talk.
+coefficient_samples is the one place that draws these coefficients; the
+per-draw samplers and eigenvalue_samples are views of it.  Samplers are
+pure given a generator, and (seed, stream_id) pins a stream.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .errors import (
     InvalidNu,
     InvalidParams,
 )
-from .opuc import geronimus, unitary_angles
+from .opuc import geronimus_entries, unitary_angles
 
 TWO_PI = 2.0 * math.pi
+MAX_DRAWS = 256           # draws a rejection loop may make before it gives up
+SPECTRA_BLOCK = 2**20     # matrix entries per block of eigenvalue_samples
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,10 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise InvalidParams(f"seed and stream id must be nonnegative, got ({self.seed}, {self.stream_id})")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -98,6 +105,20 @@ def sample_theta(nu: float, rng) -> complex:
     return complex(_disk_samples(float(nu), None, as_generator(rng)))
 
 
+def _redrawn(shape, draw, valid, what: str) -> np.ndarray:
+    """Array of the given shape whose entries draw(mask) fills where mask is
+    set, redrawing the entries that fail valid.  Raises InvalidParams when
+    entries still fail after MAX_DRAWS draws."""
+    x = np.empty(shape)
+    bad = np.ones(shape, dtype=bool)
+    for _ in range(MAX_DRAWS):
+        x[bad] = draw(bad)
+        bad = ~valid(x)
+        if not bad.any():
+            return x
+    raise InvalidParams(f"{what} still rejected after {MAX_DRAWS} draws; beta is too small")
+
+
 def _beta_interval_samples(s: float, t: float, size, rng: np.random.Generator) -> np.ndarray:
     """Variates on (-1, 1) with density ~ (1-x)^(s-1) (1+x)^(t-1).
 
@@ -107,19 +128,16 @@ def _beta_interval_samples(s: float, t: float, size, rng: np.random.Generator) -
     """
     if not (s > 0.0 and t > 0.0):
         raise InvalidParams(f"beta parameters must be positive, got ({s}, {t})")
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    g1 = rng.gamma(s, size=m)
-    g2 = rng.gamma(t, size=m)
-    x = 1.0 - 2.0 * g1 / (g1 + g2)
-    bad = ~(np.abs(x) < 1.0)
-    while np.any(bad):
+
+    def draw(bad):
         k = int(np.count_nonzero(bad))
-        r1 = rng.gamma(s, size=k)
-        r2 = rng.gamma(t, size=k)
-        x[bad] = 1.0 - 2.0 * r1 / (r1 + r2)
-        bad = ~(np.abs(x) < 1.0)
-    return x[0] if scalar else x
+        g1 = rng.gamma(s, size=k)
+        g2 = rng.gamma(t, size=k)
+        return 1.0 - 2.0 * g1 / (g1 + g2)
+
+    x = _redrawn(1 if size is None else int(size), draw, lambda x: np.abs(x) < 1.0,
+                 f"interval variates with shapes ({s:g}, {t:g})")
+    return x[0] if size is None else x
 
 
 def sample_beta_interval(s: float, t: float, rng) -> float:
@@ -129,17 +147,6 @@ def sample_beta_interval(s: float, t: float, rng) -> float:
 
 def _circular_nus(n: int, beta: float) -> np.ndarray:
     return beta * (n - 1.0 - np.arange(n)) + 1.0
-
-
-def sample_circular_beta(n: int, beta: float, rng) -> VerblunskySet:
-    """Coefficient draw whose CMV eigenvalues follow the circular beta ensemble."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
-    if not beta > 0.0:
-        raise InvalidParams("beta must be positive")
-    gen = as_generator(rng)
-    alphas = np.array([_disk_samples(nu, None, gen) for nu in _circular_nus(n, beta)])
-    return VerblunskySet(alphas)
 
 
 def _jacobi_shapes(n: int, beta: float, a: float, b: float) -> list[tuple[float, float]]:
@@ -155,15 +162,43 @@ def _jacobi_shapes(n: int, beta: float, a: float, b: float) -> list[tuple[float,
     return shapes
 
 
+def coefficient_samples(spec: EnsembleSpec, count: int, rng):
+    """count independent coefficient draws of the ensemble's matrix model.
+
+    Circular: complex Verblunsky coefficients alpha of shape (count, n).
+    Jacobi and Hermite: Jacobi matrix entries (b, a) of shapes (count, n)
+    and (count, n - 1).  Draws are column by column: all count values of
+    one coefficient, then the next, each column followed by its redraws.
+    Jacobi coefficients are redrawn until strictly inside (-1, 1), so every
+    a > 0; Hermite off-diagonals that underflow to 0 are redrawn after the
+    last column.  A redraw loop that has not finished after MAX_DRAWS
+    draws raises InvalidParams: beta is too small for the sampler.
+    """
+    if count < 1:
+        raise InvalidParams("need count >= 1")
+    gen = as_generator(rng)
+    n = spec.n
+    if spec.family == "circular":
+        return np.stack([_disk_samples(nu, count, gen) for nu in _circular_nus(n, spec.beta)], axis=1)
+    if spec.family == "jacobi":
+        cols = [_beta_interval_samples(s, t, count, gen) for s, t in _jacobi_shapes(n, spec.beta, spec.a, spec.b)]
+        return geronimus_entries(np.stack([*cols, np.full(count, -1.0)], axis=1))
+    diag = gen.standard_normal((count, n))
+    half_dof = np.broadcast_to(spec.beta * (n - np.arange(1, n)) / 2.0, (count, n - 1))
+    off = _redrawn((count, n - 1), lambda bad: np.sqrt(gen.gamma(half_dof[bad])), lambda x: x > 0.0,
+                   "hermite off-diagonals")
+    return diag, off
+
+
+def sample_circular_beta(n: int, beta: float, rng) -> VerblunskySet:
+    """Coefficient draw whose CMV eigenvalues follow the circular beta ensemble."""
+    return VerblunskySet(coefficient_samples(EnsembleSpec("circular", n, beta), 1, rng)[0])
+
+
 def sample_jacobi_beta(n: int, beta: float, a: float, b: float, rng) -> JacobiMatrix:
     """Tridiagonal draw whose eigenvalues follow the Jacobi beta ensemble on [-2, 2]."""
-    spec = EnsembleSpec("jacobi", n, beta, a, b)  # validates parameters
-    gen = as_generator(rng)
-    al = np.empty(2 * n)
-    for k, (s, t) in enumerate(_jacobi_shapes(spec.n, spec.beta, spec.a, spec.b)):
-        al[k] = _beta_interval_samples(s, t, None, gen)
-    al[2 * n - 1] = -1.0
-    return geronimus(VerblunskySet(al.astype(complex)))
+    diag, off = coefficient_samples(EnsembleSpec("jacobi", n, beta, a, b), 1, rng)
+    return build_jacobi(diag[0], off[0])
 
 
 def sample_hermite_beta(n: int, beta: float, rng) -> JacobiMatrix:
@@ -174,20 +209,8 @@ def sample_hermite_beta(n: int, beta: float, rng) -> JacobiMatrix:
     degrees of freedom shrink toward the bottom row.  chi_nu / sqrt(2) is
     realized exactly as sqrt(Gamma(nu/2, scale=1)).
     """
-    if n < 1:
-        raise InvalidParams("need n >= 1")
-    if not beta > 0.0:
-        raise InvalidParams("beta must be positive")
-    gen = as_generator(rng)
-    diag = gen.standard_normal(n)
-    if n == 1:
-        return build_jacobi(diag, np.empty(0))
-    dof = beta * (n - np.arange(1, n))
-    off = np.sqrt(gen.gamma(dof / 2.0))
-    while np.any(off <= 0.0):
-        k = off <= 0.0
-        off[k] = np.sqrt(gen.gamma(dof[k] / 2.0))
-    return build_jacobi(diag, off)
+    diag, off = coefficient_samples(EnsembleSpec("hermite", n, beta), 1, rng)
+    return build_jacobi(diag[0], off[0])
 
 
 def gibbs_log_density(spec: EnsembleSpec, points) -> float:
@@ -264,41 +287,24 @@ def _batched_tridiagonal(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
     """(count, n) array of sorted eigenvalue draws for the given ensemble.
 
+    The spectra of coefficient_samples(spec, count, rng), row by row.
     Circular draws are angles in (-pi, pi]; the real-line families return
     plain reals.  Each row is one independent matrix draw, columns sorted
-    ascending.
+    ascending.  The dense matrices are built SPECTRA_BLOCK entries at a
+    time, and no row depends on the block it falls in.
     """
-    if count < 1:
-        raise InvalidParams("need count >= 1")
-    gen = as_generator(rng)
+    coeffs = coefficient_samples(spec, count, rng)
     n = spec.n
-    if spec.family == "circular":
-        alpha = np.empty((count, n), dtype=complex)
-        for k, nu in enumerate(_circular_nus(n, spec.beta)):
-            alpha[:, k] = _disk_samples(nu, count, gen)
-        L, M = batched_lm_factors(alpha)
-        return unitary_angles(L @ M)
-    if spec.family == "jacobi":
-        al = np.empty((count, 2 * n))
-        for k, (s, t) in enumerate(_jacobi_shapes(n, spec.beta, spec.a, spec.b)):
-            al[:, k] = _beta_interval_samples(s, t, count, gen)
-        al[:, 2 * n - 1] = -1.0
-        b = np.empty((count, n))
-        a = np.empty((count, n - 1))
-        for k in range(n):
-            prev_odd = al[:, 2 * k - 1] if k > 0 else -1.0
-            b[:, k] = (1.0 - prev_odd) * al[:, 2 * k]
-            if k > 0:
-                b[:, k] -= (1.0 + prev_odd) * al[:, 2 * k - 2]
-            if k < n - 1:
-                a[:, k] = np.sqrt((1.0 - prev_odd) * (1.0 - al[:, 2 * k] ** 2) * (1.0 + al[:, 2 * k + 1]))
-        return np.sort(np.linalg.eigvalsh(_batched_tridiagonal(b, a)), axis=1)
-    diag = gen.standard_normal((count, n))
-    if n == 1:
-        return np.sort(diag, axis=1)
-    dof = spec.beta * (n - np.arange(1, n))
-    off = np.sqrt(gen.gamma(np.broadcast_to(dof / 2.0, (count, n - 1))))
-    return np.sort(np.linalg.eigvalsh(_batched_tridiagonal(diag, off)), axis=1)
+    out = np.empty((count, n))
+    per = max(SPECTRA_BLOCK // (n * n), 1)
+    for s in range(0, count, per):
+        if spec.family == "circular":
+            L, M = batched_lm_factors(coeffs[s : s + per])
+            out[s : s + per] = unitary_angles(L @ M)
+        else:
+            b, a = (c[s : s + per] for c in coeffs)
+            out[s : s + per] = np.linalg.eigvalsh(_batched_tridiagonal(b, a))
+    return out
 
 
 def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | None = None) -> VerblunskySet:
@@ -310,7 +316,7 @@ def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | 
     gen = as_generator(rng)
     if not 0.0 < radius < 1.0:
         raise InvalidParams("radius must lie in (0, 1)")
-    for _ in range(256):
+    for _ in range(MAX_DRAWS):
         mod = radius * np.sqrt(gen.random(n - 1))
         arg = TWO_PI * gen.random(n - 1)
         interior = mod * np.exp(1j * arg)

@@ -262,21 +262,28 @@ def geronimus(v: VerblunskySet) -> JacobiMatrix:
         raise InvalidBoundary(f"need an even number of coefficients, got {v.n}")
     if np.abs(v.alpha.imag).max() > 1e-12:
         raise InvalidBoundary("coefficients must be real")
-    al = v.alpha.real.copy()
+    al = v.alpha.real
     if abs(al[-1] + 1.0) > 1e-12:
         raise InvalidBoundary(f"last coefficient must be -1, got {al[-1]:.17g}")
-    al[-1] = -1.0
-    m = v.n // 2
-    b = np.empty(m)
-    a = np.empty(m - 1)
-    for k in range(m):
-        prev_odd = al[2 * k - 1] if k > 0 else -1.0
-        b[k] = (1.0 - prev_odd) * al[2 * k]
-        if k > 0:
-            b[k] -= (1.0 + prev_odd) * al[2 * k - 2]
-        if k < m - 1:
-            a[k] = np.sqrt((1.0 - prev_odd) * (1.0 - al[2 * k] ** 2) * (1.0 + al[2 * k + 1]))
-    return build_jacobi(b, a)
+    return build_jacobi(*geronimus_entries(al))
+
+
+def geronimus_entries(al) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi entries (b, a) of the Geronimus relations for real (..., 2n) coefficients.
+
+    The array core of geronimus, without its checks: the last coefficient
+    is taken to be -1 and is never read, and a is positive exactly when
+    every other coefficient lies strictly inside (-1, 1).  Returns b of
+    shape (..., n) and a of shape (..., n - 1).
+    """
+    al = np.asarray(al, dtype=float)
+    even, odd = al[..., 0::2], al[..., 1::2]
+    # alpha_{2k-1} for k = 0..n-1, with the boundary convention alpha_{-1} = -1
+    prev_odd = np.concatenate([np.full(al.shape[:-1] + (1,), -1.0), odd[..., :-1]], axis=-1)
+    b = (1.0 - prev_odd) * even
+    b[..., 1:] -= (1.0 + prev_odd[..., 1:]) * even[..., :-1]
+    a = np.sqrt((1.0 - prev_odd[..., :-1]) * (1.0 - even[..., :-1] ** 2) * (1.0 + odd[..., :-1]))
+    return b, a
 
 
 def szego_project(mu: SpectralMeasureCircle) -> SpectralMeasureLine:

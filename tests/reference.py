@@ -2,12 +2,14 @@
 
 Everything here is computed from first principles (entrywise matrix
 patterns, quadrature of densities, closed-form integrals) so that the
-package code under test never checks itself against itself.  The two
+package code under test never checks itself against itself.  The
 exceptions are plain loop versions of package code that was vectorized
-or made to reuse intermediate results (lm_factors_loop, rk4_trajectory);
-tests require the package to match them bit for bit, except for the
-eigenvalue angles, which rk4_trajectory takes from the general eigensolver
-(eigvals_angles) and the package from its Cayley-transform kernel.
+or made to reuse intermediate results (lm_factors_loop, rk4_trajectory,
+geronimus_loop, ensemble_samples_loop); tests require the package to match them bit for
+bit, except for the eigenvalue angles, which rk4_trajectory takes from
+the general eigensolver (eigvals_angles) and the package from its
+Cayley-transform kernel.  ensemble_samples_loop takes circular angles
+from that kernel too, one matrix at a time.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 
 from cmvkit.alflows import Trajectory, al_vector_field
 from cmvkit.core import VerblunskySet, build_cmv, verblunsky_block
+from cmvkit.opuc import unitary_angles
 
 
 def cmv_pattern(v) -> np.ndarray:
@@ -56,21 +59,99 @@ def cmv_pattern(v) -> np.ndarray:
     return C
 
 
-def lm_factors_loop(v):
-    """L and M factors placed one 2x2 verblunsky_block at a time."""
-    n = v.n
+def lm_factors_loop(alpha):
+    """L and M factors of a coefficient vector, placed one 2x2
+    verblunsky_block at a time; the last coefficient is taken as given."""
+    n = len(alpha)
     L = np.zeros((n, n), dtype=complex)
     M = np.zeros((n, n), dtype=complex)
     M[0, 0] = 1.0
     for k in range(0, n - 1, 2):
-        L[k : k + 2, k : k + 2] = verblunsky_block(v.alpha[k])
+        L[k : k + 2, k : k + 2] = verblunsky_block(alpha[k])
     for k in range(1, n - 1, 2):
-        M[k : k + 2, k : k + 2] = verblunsky_block(v.alpha[k])
+        M[k : k + 2, k : k + 2] = verblunsky_block(alpha[k])
     if (n - 1) % 2 == 0:
-        L[n - 1, n - 1] = np.conj(v.alpha[n - 1])
+        L[n - 1, n - 1] = np.conj(alpha[n - 1])
     else:
-        M[n - 1, n - 1] = np.conj(v.alpha[n - 1])
+        M[n - 1, n - 1] = np.conj(alpha[n - 1])
     return L, M
+
+
+def geronimus_loop(al):
+    """Jacobi entries (b, a) of 2n real coefficients by the Geronimus
+    relations, one entry at a time, with alpha_{-1} = -1."""
+    n = len(al) // 2
+    b, a = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        prev_odd = al[2 * k - 1] if k > 0 else -1.0
+        b[k] = (1.0 - prev_odd) * al[2 * k]
+        if k > 0:
+            b[k] -= (1.0 + prev_odd) * al[2 * k - 2]
+        if k < n - 1:
+            a[k] = np.sqrt((1.0 - prev_odd) * (1.0 - al[2 * k] ** 2) * (1.0 + al[2 * k + 1]))
+    return b, a
+
+
+def ensemble_samples_loop(spec, count, gen):
+    """Sorted eigenvalue rows of count ensemble draws, written out with loops.
+
+    The stream layout: coefficients are drawn one column at a time, count
+    values each, and each column's rejected entries are redrawn before the
+    next column.  Circular column k takes count phases, then (unless
+    nu = 1) count moduli.  Jacobi column k takes count gamma(s) and then
+    count gamma(t) variates.  Hermite takes the count x n Gaussian
+    diagonal, then the chi off-diagonals row by row, then redraws of the
+    off-diagonals that underflowed to 0, in row-major order.  Each row's
+    matrix is then built and diagonalized on its own.
+    """
+    n, beta = spec.n, spec.beta
+    rows = []
+    if spec.family == "circular":
+        two_pi = 2.0 * math.pi
+        alpha = np.empty((count, n), dtype=complex)
+        for k in range(n):
+            nu = beta * (n - 1.0 - k) + 1.0
+            phase = np.exp(1j * two_pi * gen.random(count))
+            if nu == 1.0:
+                alpha[:, k] = phase
+            else:
+                u = 1.0 - gen.random(count)
+                alpha[:, k] = np.sqrt(1.0 - u ** (2.0 / (nu - 1.0))) * phase
+        for row in alpha:
+            L, M = lm_factors_loop(row)
+            rows.append(unitary_angles(L @ M))
+        return np.array(rows)
+    if spec.family == "jacobi":
+        al = np.empty((count, 2 * n))
+        for k in range(2 * n - 1):
+            if k % 2 == 0:
+                s = (2 * n - k - 2) * beta / 4.0 + spec.a + 1.0
+                t = (2 * n - k - 2) * beta / 4.0 + spec.b + 1.0
+            else:
+                s = (2 * n - k - 3) * beta / 4.0 + spec.a + spec.b + 2.0
+                t = (2 * n - k - 1) * beta / 4.0
+            x = np.full(count, np.nan)
+            while True:
+                bad = ~(np.abs(x) < 1.0)
+                if not bad.any():
+                    break
+                g1 = gen.gamma(s, size=int(bad.sum()))
+                g2 = gen.gamma(t, size=int(bad.sum()))
+                x[bad] = 1.0 - 2.0 * g1 / (g1 + g2)
+            al[:, k] = x
+        for r in al:
+            b, a = geronimus_loop(r)
+            rows.append(np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1)))
+        return np.array(rows)
+    diag = gen.standard_normal((count, n))
+    half_dof = beta * (n - np.arange(1, n)) / 2.0
+    off = np.array([np.sqrt(gen.gamma(half_dof)) for _ in range(count)]).reshape(count, n - 1)
+    while (off <= 0.0).any():
+        for i, k in zip(*np.nonzero(off <= 0.0)):
+            off[i, k] = np.sqrt(gen.gamma(half_dof[k]))
+    for b, a in zip(diag, off):
+        rows.append(np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1)))
+    return np.array(rows)
 
 
 def eigvals_angles(U) -> np.ndarray:

@@ -1,15 +1,39 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cmvkit
 from cmvkit import serialize
-from cmvkit.cli import main
+from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.ensembles import RngStream, random_verblunsky
+
+from reference import cmv_pattern, eigvals_angles
+
+SRC = pathlib.Path(cmvkit.__file__).resolve().parents[1]
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_subprocess(*argv, timeout=60):
+    """The cmv command in a fresh interpreter, killed after timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "cmvkit.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def rebuilt_spectrum(family, obj):
+    """Sorted eigenvalues of the matrix a --coeffs-out row describes."""
+    if family == "circular":
+        return eigvals_angles(cmv_pattern(serialize.verblunsky_from_obj(obj)))
+    b, a = np.array(obj["b"]), np.array(obj["a"])
+    return np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1))
 
 
 class TestSample:
@@ -66,6 +90,52 @@ class TestSample:
         assert len(objs) == 4
         assert all(o["n"] == 3 for o in objs)
 
+    @pytest.mark.parametrize("n, count", [(1, 25), (6, 25), (2, SAMPLE_CHUNK + 8)])
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
+    def test_coefficient_json_reproduces_rows(self, tmp_path, family, n, count):
+        out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
+        assert run("sample", "--family", family, "--n", n, "--beta", 2, "--a", 0.5, "--count", count,
+                   "--seed", 1, "--out", out, "--coeffs-out", coeffs, "--quiet") == 0
+        rows, objs = serialize.read_samples_csv(out), serialize.load_json(coeffs)
+        assert len(objs) == rows.shape[0] == count
+        for row, obj in zip(rows, objs):
+            d = np.abs(rebuilt_spectrum(family, obj) - row)
+            if family == "circular":
+                d = np.minimum(d, 2.0 * np.pi - d)
+            assert d.max() <= 1e-12
+
+    def test_jacobi_small_beta_coefficient_json(self, tmp_path):
+        # interval draws within 1e-12 of 1 used to fail the JSON with exit 3
+        assert run("sample", "--family", "jacobi", "--n", 6, "--beta", 0.01, "--count", 10, "--seed", 1,
+                   "--out", tmp_path / "s.csv", "--coeffs-out", tmp_path / "c.json", "--quiet") == 0
+
+    def test_circular_coefficient_domain_checked_before_writing(self, tmp_path):
+        out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
+        assert run("sample", "--family", "circular", "--n", 6, "--beta", 1e-9, "--count", 5, "--seed", 1,
+                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 3
+        assert not out.exists() and not coeffs.exists()
+
+    @pytest.mark.parametrize("family", ["jacobi", "hermite"])
+    @pytest.mark.parametrize("coeffs", [False, True])
+    def test_tiny_beta_exit_2_in_bounded_time(self, tmp_path, family, coeffs):
+        out = tmp_path / "s.csv"
+        extra = ["--coeffs-out", tmp_path / "c.json"] if coeffs else []
+        proc = run_subprocess("sample", "--family", family, "--n", 6, "--beta", 1e-9, "--count", 10,
+                              "--seed", 1, "--out", out, "--quiet", *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "256 draws" in proc.stderr and not out.exists()
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_exit_2(self, tmp_path, count):
+        out = tmp_path / "s.csv"
+        assert run("sample", "--family", "circular", "--n", 2, "--beta", 2, "--count", count,
+                   "--seed", 1, "--out", out, "--quiet") == 2
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        assert run("sample", "--family", "circular", "--n", 2, "--beta", 2, "--count", 5,
+                   "--seed", -1, "--out", tmp_path / "s.csv", "--quiet") == 2
+
 
 class TestFlow:
     def test_zero_time_single_state(self, tmp_path):
@@ -121,6 +191,11 @@ class TestFlow:
                    "--method", method, "--out", out, "--quiet")
         assert code == 2 and not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", 3, "--seed", -4, "--t", 0.1, "--out", out, "--quiet") == 2
+        assert not out.exists()
+
     def test_random_without_seed_exit_2(self, tmp_path):
         code = run("flow", "--random", "--n", 3, "--t", 0.1, "--out", tmp_path / "t.json", "--quiet")
         assert code == 2
@@ -165,6 +240,10 @@ class TestVerify:
         assert run("verify", "--suite", "jacobian", "--n", 3, "--trials", 2) == 4
         assert "skipped 2 of 2 trials" in capsys.readouterr().out
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 1, "--seed", -1) == 2
+        assert "[pass]" not in capsys.readouterr().out
+
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as err:
             run("verify", "--suite", "bogus")
@@ -207,16 +286,3 @@ class TestHistogram:
         assert counts.sum() == count
         sigma = np.sqrt(count * 0.25 * 0.75)
         assert np.abs(counts - count / 4).max() <= 5 * sigma
-
-
-class TestThreading:
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CMV_THREADS", "2")
-        a = tmp_path / "a.csv"
-        assert run("sample", "--family", "circular", "--n", 2, "--beta", 1,
-                   "--count", 200, "--seed", 11, "--out", a, "--quiet") == 0
-        monkeypatch.setenv("CMV_THREADS", "1")
-        b = tmp_path / "b.csv"
-        assert run("sample", "--family", "circular", "--n", 2, "--beta", 1,
-                   "--count", 200, "--seed", 11, "--out", b, "--quiet") == 0
-        assert a.read_bytes() == b.read_bytes()

@@ -101,7 +101,7 @@ class TestLMFactors:
     def test_bit_identical_to_block_loop(self, n):
         v = random_set(np.random.default_rng(n), n)
         L, M = lm_factors(v)
-        L0, M0 = lm_factors_loop(v)
+        L0, M0 = lm_factors_loop(v.alpha)
         assert np.array_equal(L, L0) and np.array_equal(M, M0)
         assert np.array_equal(build_cmv(v).entries, L0 @ M0)
         assert np.abs(L @ M - cmv_pattern(v)).max() <= 1e-15
@@ -113,7 +113,7 @@ class TestLMFactors:
         L, M = batched_lm_factors(np.array([v.alpha for v in sets]))
         assert L.shape == M.shape == (7, n, n)
         for i, v in enumerate(sets):
-            L0, M0 = lm_factors_loop(v)
+            L0, M0 = lm_factors_loop(v.alpha)
             assert np.array_equal(L[i], L0) and np.array_equal(M[i], M0)
 
     def test_stack_rejects_coefficient_outside_disk(self):

@@ -6,6 +6,7 @@ from cmvkit.core import VerblunskySet
 from cmvkit.ensembles import (
     EnsembleSpec,
     RngStream,
+    coefficient_samples,
     eigenvalue_samples,
     gibbs_log_density,
     ks_statistic,
@@ -18,7 +19,11 @@ from cmvkit.ensembles import (
 )
 from cmvkit.errors import DomainViolation, EmptySample, InvalidNu, InvalidParams
 
-from reference import cdf_from_density
+from reference import cdf_from_density, ensemble_samples_loop
+
+
+def make_spec(family, n, beta):
+    return EnsembleSpec(family, n, beta, 0.5, 1.0) if family == "jacobi" else EnsembleSpec(family, n, beta)
 
 
 class TestRngStream:
@@ -31,6 +36,11 @@ class TestRngStream:
         a = RngStream(123, 0).generator().random(8)
         b = RngStream(123, 1).generator().random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (3, -2)])
+    def test_negative_rejected(self, seed, stream_id):
+        with pytest.raises(InvalidParams):
+            RngStream(seed, stream_id)
 
 
 class TestThetaSampler:
@@ -150,6 +160,60 @@ class TestCoefficientModels:
             sample_jacobi_beta(2, 2.0, -1.5, 0.0, RngStream(0))
         with pytest.raises(InvalidParams):
             sample_hermite_beta(2, 0.0, RngStream(0))
+
+
+class TestCoefficientSamples:
+    @pytest.mark.parametrize("family, n, beta", [
+        *[(f, n, beta) for f in ("circular", "jacobi", "hermite") for n in (1, 2, 6) for beta in (0.5, 2.0)],
+        ("circular", 64, 2.0), ("jacobi", 64, 1.0), ("hermite", 64, 4.0),
+        ("jacobi", 3, 0.01),   # interval draws at +-1 are redrawn
+        ("hermite", 3, 1e-3),  # off-diagonals that underflow to 0 are redrawn
+    ])
+    def test_eigenvalue_samples_pinned_to_loop(self, family, n, beta):
+        spec = make_spec(family, n, beta)
+        count = 5 if n == 64 else 40
+        rows = eigenvalue_samples(spec, count, RngStream(n, 3))
+        assert np.array_equal(rows, ensemble_samples_loop(spec, count, RngStream(n, 3).generator()))
+
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
+    def test_shapes(self, family):
+        out = coefficient_samples(make_spec(family, 5, 2.0), 7, RngStream(1))
+        if family == "circular":
+            assert out.shape == (7, 5) and out.dtype == complex
+        else:
+            b, a = out
+            assert b.shape == (7, 5) and a.shape == (7, 4) and a.min() > 0.0
+
+    def test_per_draw_samplers_are_count_one_views(self):
+        alpha = coefficient_samples(EnsembleSpec("circular", 6, 1.0), 1, RngStream(5))[0]
+        assert np.abs(sample_circular_beta(6, 1.0, RngStream(5)).alpha - alpha).max() <= 1e-15
+        for j, family in [(sample_jacobi_beta(6, 1.0, 0.5, 1.0, RngStream(5)), "jacobi"),
+                          (sample_hermite_beta(6, 1.0, RngStream(5)), "hermite")]:
+            b, a = coefficient_samples(make_spec(family, 6, 1.0), 1, RngStream(5))
+            assert np.array_equal(j.b, b[0]) and np.array_equal(j.a, a[0])
+
+    @pytest.mark.parametrize("family", ["jacobi", "hermite"])
+    def test_redraws_are_capped(self, family):
+        with pytest.raises(InvalidParams, match="256 draws"):
+            coefficient_samples(make_spec(family, 6, 1e-9), 10, RngStream(1))
+
+    def test_jacobi_view_has_no_interior_margin(self):
+        # the interval draws reach 1 - 1e-12 here, which VerblunskySet rejects
+        gen = RngStream(1).generator()
+        for _ in range(10):
+            assert sample_jacobi_beta(6, 0.1, 0.0, 0.0, gen).a.min() > 0.0
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_empty_count_rejected(self, count):
+        with pytest.raises(InvalidParams):
+            coefficient_samples(EnsembleSpec("circular", 2, 1.0), count, RngStream(1))
+
+    @pytest.mark.parametrize("family, n", [("circular", 6), ("jacobi", 2), ("hermite", 6)])
+    def test_spectra_independent_of_block(self, family, n, monkeypatch):
+        spec = make_spec(family, n, 2.0)
+        whole = eigenvalue_samples(spec, 30, RngStream(8))
+        monkeypatch.setattr("cmvkit.ensembles.SPECTRA_BLOCK", 50)
+        assert np.array_equal(eigenvalue_samples(spec, 30, RngStream(8)), whole)
 
 
 class TestEigenvalueSamples:

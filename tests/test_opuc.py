@@ -15,6 +15,7 @@ from cmvkit.errors import (
 from cmvkit.opuc import (
     MonicPolynomial,
     geronimus,
+    geronimus_entries,
     jacobi_eigensystem,
     monic_opuc,
     reversed_poly,
@@ -25,7 +26,7 @@ from cmvkit.opuc import (
     verblunsky_from_measure,
 )
 
-from reference import eigvals_angles
+from reference import eigvals_angles, geronimus_loop
 from strategies import verblunsky_sets
 from test_core import random_set
 
@@ -280,6 +281,18 @@ class TestGeronimus:
         al = rng.uniform(-0.9, 0.9, 7)
         j = geronimus(VerblunskySet(np.concatenate([al, [-1.0]]).astype(complex)))
         assert j.a.min() > 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_stack_bit_identical_to_loop(self, m):
+        rng = np.random.default_rng(m)
+        al = np.concatenate([rng.uniform(-0.9, 0.9, (3, 4, 2 * m - 1)), np.full((3, 4, 1), -1.0)], axis=-1)
+        b, a = geronimus_entries(al)
+        assert b.shape == (3, 4, m) and a.shape == (3, 4, m - 1)
+        for idx in np.ndindex(3, 4):
+            b0, a0 = geronimus_loop(al[idx])
+            assert np.array_equal(b[idx], b0) and np.array_equal(a[idx], a0)
+            j = geronimus(VerblunskySet(al[idx].astype(complex)))
+            assert np.array_equal(j.b, b0) and np.array_equal(j.a, a0)
 
     def test_wrong_boundary(self):
         with pytest.raises(InvalidBoundary):
