@@ -19,7 +19,8 @@ def main():
         reports.append(rep)
         for item in rep["identities"]:
             mark = "pass" if item["pass"] else "FAIL"
-            print(f"[{mark}] {suite}: {item['name']} residual {item['max_residual']:.3e}")
+            print(f"[{mark}] {suite}: {item['name']} residual {item['max_residual']:.3e}"
+                  f" (worst trial {item['worst_trial']})")
     serialize.dump_json(reports, args.out)
     print(f"wrote {args.out}")
 

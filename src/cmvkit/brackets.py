@@ -7,7 +7,13 @@ The bracket acts on real observables of the interior coordinates
 
 Partial derivatives are central differences evaluated at two step sizes
 (h and h/2) and Richardson-extrapolated; the two raw values also provide
-the error estimate and a non-smoothness guard.  Evaluating brackets
+the error estimate and a non-smoothness guard.  There is one stencil
+loop, `coordinate_jacobian`: it differentiates a vector-valued
+observable, evaluating it once at each of the 4 * 2(n-1) stencil
+points, so observables that share work (every eigenvalue angle and
+weight from one eigensolve, every trace Hamiltonian from one CMV matrix)
+share it across the whole stencil.  `coordinate_gradient` and
+`al_bracket` are its one-row and two-row views.  Evaluating brackets
 numerically exercises the eigensolver and both spectral maps end to end,
 which is exactly what the identity suites are for.
 
@@ -73,37 +79,6 @@ def with_coordinates(v: VerblunskySet, coords: np.ndarray) -> VerblunskySet:
     return v.replace_interior(coords[0::2] + 1j * coords[1::2])
 
 
-def _raw_gradient(obs: Observable, v: VerblunskySet, h: float) -> np.ndarray:
-    x0 = interior_coordinates(v)
-    grad = np.empty(x0.size)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += h
-        fp = obs(with_coordinates(v, xp))
-        xp[i] = x0[i] - h
-        fm = obs(with_coordinates(v, xp))
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_STEP):
-    """Richardson-extrapolated gradient plus the raw two-step values.
-
-    Raises NonDifferentiable when the step-h and step-h/2 gradients
-    disagree beyond 1e-4 relative to the gradient scale (constant
-    observables come out as zero gradients, not as errors).
-    """
-    g1 = _raw_gradient(obs, v, h)
-    g2 = _raw_gradient(obs, v, h / 2.0)
-    scale = max(np.abs(g1).max(initial=0.0), np.abs(g2).max(initial=0.0), 1.0)
-    if np.abs(g1 - g2).max(initial=0.0) > GRADIENT_AGREEMENT * scale:
-        raise NonDifferentiable(
-            f"{obs.name}: two-step gradients disagree by "
-            f"{np.abs(g1 - g2).max() / scale:.3e} relative"
-        )
-    return (4.0 * g2 - g1) / 3.0, g1, g2
-
-
 def _check_probe(v: VerblunskySet, h: float):
     if v.n == 1:
         return
@@ -114,21 +89,83 @@ def _check_probe(v: VerblunskySet, h: float):
         raise RhoTooSmall(f"step {h:g} would push a coefficient onto the circle")
 
 
+def _central_differences(fn, v: VerblunskySet, x0: np.ndarray, step: float) -> np.ndarray:
+    """(fn(x0 + step e_i) - fn(x0 - step e_i)) / (2 step) for every i, shape (k, d)."""
+    cols = []
+    for i in range(x0.size):
+        xp = x0.copy()
+        xp[i] += step
+        fp = np.asarray(fn(with_coordinates(v, xp)), dtype=float)
+        xp[i] = x0[i] - step
+        fm = np.asarray(fn(with_coordinates(v, xp)), dtype=float)
+        cols.append((fp - fm) / (2.0 * step))
+    return np.stack(cols, axis=1)
+
+
+def coordinate_jacobian(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None):
+    """Richardson-extrapolated Jacobian of a vector observable, plus the raw rows.
+
+    fn maps a coefficient set to a (k,) array of real values.  It is
+    evaluated once at each stencil point x0 +- h e_i and x0 +- (h/2) e_i
+    of the 2(n-1) interior coordinates.  Returns (extrapolated, step h,
+    step h/2), each of shape (k, 2(n-1)); row r is the gradient of
+    component r.
+
+    Raises RhoTooSmall when the stencil would leave the disk, and
+    NonDifferentiable when, for some component, the step-h and step-h/2
+    gradients disagree beyond 1e-4 relative to that row's gradient scale
+    (constant components come out as zero rows, not as errors).  The
+    message names the first such component, by `names[r]` if given.
+    """
+    _check_probe(v, h)
+    x0 = interior_coordinates(v)
+    if x0.size == 0:
+        empty = np.empty((np.size(fn(v)), 0))
+        return empty, empty, empty
+    g1 = _central_differences(fn, v, x0, h)
+    g2 = _central_differences(fn, v, x0, h / 2.0)
+    scale = np.maximum(np.maximum(np.abs(g1).max(axis=1), np.abs(g2).max(axis=1)), 1.0)
+    gap = np.abs(g1 - g2).max(axis=1)
+    bad = np.flatnonzero(gap > GRADIENT_AGREEMENT * scale)
+    if bad.size:
+        r = int(bad[0])
+        name = names[r] if names is not None else f"component {r}"
+        raise NonDifferentiable(f"{name}: two-step gradients disagree by {gap[r] / scale[r]:.3e} relative")
+    return (4.0 * g2 - g1) / 3.0, g1, g2
+
+
+def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_STEP):
+    """Richardson-extrapolated gradient plus the raw two-step values.
+
+    The one-row view of `coordinate_jacobian`, with its probe check and
+    its NonDifferentiable guard.
+    """
+    grad, g1, g2 = coordinate_jacobian(lambda w: [obs(w)], v, h, names=(obs.name,))
+    return grad[0], g1[0], g2[0]
+
+
 def bracket_from_gradients(gf: np.ndarray, gg: np.ndarray, rho: np.ndarray) -> float:
     """Assemble sum_j rho_j^2 (df/du dg/dv - df/dv dg/du) from flat gradients."""
     rho2 = rho * rho
     return float(np.sum(rho2 * (gf[0::2] * gg[1::2] - gf[1::2] * gg[0::2])))
 
 
+def richardson_bracket(g1: np.ndarray, g2: np.ndarray, a: int, b: int, rho: np.ndarray, scale: float = 1.0):
+    """Extrapolated bracket of Jacobian rows a and b, and its error estimate.
+
+    g1 and g2 are the step-h and step-h/2 Jacobians of `coordinate_jacobian`;
+    both raw brackets are multiplied by `scale` before extrapolation.
+    """
+    coarse = scale * bracket_from_gradients(g1[a], g1[b], rho)
+    fine = scale * bracket_from_gradients(g2[a], g2[b], rho)
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
 def al_bracket(f: Observable, g: Observable, v: VerblunskySet, h: float = DEFAULT_STEP) -> BracketReport:
     """Numerical Ablowitz-Ladik bracket {f, g} at the probe point v."""
-    _check_probe(v, h)
-    _, f1, f2 = coordinate_gradient(f, v, h)
-    _, g1, g2 = coordinate_gradient(g, v, h)
-    coarse = bracket_from_gradients(f1, g1, v.rho)
-    fine = bracket_from_gradients(f2, g2, v.rho)
-    value = (4.0 * fine - coarse) / 3.0
-    return BracketReport(value=value, steps=(h, h / 2.0), error=abs(fine - coarse) / 3.0)
+    _, g1, g2 = coordinate_jacobian(lambda w: [f(w), g(w)], v, h, names=(f.name, g.name))
+    value, error = richardson_bracket(g1, g2, 0, 1, v.rho)
+    return BracketReport(value=value, steps=(h, h / 2.0), error=error)
 
 
 class SpectralObservables:
@@ -139,7 +176,8 @@ class SpectralObservables:
     the nearest perturbed angle (circularly); a second candidate within
     twice the best distance raises MatchingAmbiguous.  Matched angles are
     unwrapped to the branch closest to the base angle so the observables
-    stay continuous.
+    stay continuous.  `values` gives every matched angle and weight from
+    one eigensolve; the scalar observables are views of it.
     """
 
     def __init__(self, v: VerblunskySet, separation: float = 1e-6):
@@ -151,7 +189,8 @@ class SpectralObservables:
         self.base = base
         self.n = base.n
 
-    def _matched(self, w: VerblunskySet):
+    def values(self, w: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, weights) at w, both in base-label order, from one eigensolve."""
         mu = unitary_eigensystem(build_cmv(w))
         taken = set()
         theta = np.empty(self.n)
@@ -172,20 +211,20 @@ class SpectralObservables:
         return theta, weights
 
     def theta(self, j: int) -> Observable:
-        return Observable(f"theta_{j}", lambda w, j=j: self._matched(w)[0][j])
+        return Observable(f"theta_{j}", lambda w, j=j: self.values(w)[0][j])
 
     def mass(self, j: int) -> Observable:
-        return Observable(f"mu_{j}", lambda w, j=j: self._matched(w)[1][j])
+        return Observable(f"mu_{j}", lambda w, j=j: self.values(w)[1][j])
 
     def log_mass_ratio(self, j: int, l: int) -> Observable:
         def fn(w, j=j, l=l):
-            weights = self._matched(w)[1]
+            weights = self.values(w)[1]
             return np.log(weights[j] / weights[l])
 
         return Observable(f"log(mu_{j}/mu_{l})", fn)
 
     def total_mass(self) -> Observable:
-        return Observable("total_mass", lambda w: self._matched(w)[1].sum())
+        return Observable("total_mass", lambda w: self.values(w)[1].sum())
 
 
 def spectral_observables(v: VerblunskySet, separation: float = 1e-6) -> SpectralObservables:
@@ -193,18 +232,26 @@ def spectral_observables(v: VerblunskySet, separation: float = 1e-6) -> Spectral
     return SpectralObservables(v, separation)
 
 
+def trace_hamiltonians(w: VerblunskySet, ms) -> np.ndarray:
+    """[Re K_m, Im K_m for m in ms], K_m = tr(C^m) / m, from one CMV matrix."""
+    if min(ms) < 1:
+        raise InvalidParams("need m >= 1")
+    C = np.asarray(build_cmv(w).entries)
+    out = []
+    for m in ms:
+        trace = np.trace(np.linalg.matrix_power(C, m))
+        out += [trace.real / m, trace.imag / m]
+    return np.array(out)
+
+
 def hamiltonian_observables(v: VerblunskySet, m: int) -> tuple[Observable, Observable]:
     """(Re K_m, Im K_m) as observables; v only fixes the boundary coefficient."""
     if m < 1:
         raise InvalidParams("need m >= 1")
-
-    def re_km(w, m=m):
-        return np.trace(np.linalg.matrix_power(np.asarray(build_cmv(w).entries), m)).real / m
-
-    def im_km(w, m=m):
-        return np.trace(np.linalg.matrix_power(np.asarray(build_cmv(w).entries), m)).imag / m
-
-    return Observable(f"Re K_{m}", re_km), Observable(f"Im K_{m}", im_km)
+    return (
+        Observable(f"Re K_{m}", lambda w, m=m: trace_hamiltonians(w, (m,))[0]),
+        Observable(f"Im K_{m}", lambda w, m=m: trace_hamiltonians(w, (m,))[1]),
+    )
 
 
 def coordinate_observables(v: VerblunskySet, j: int) -> tuple[Observable, Observable]:
@@ -229,9 +276,14 @@ def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2
         raise InvalidParams("need n >= 3")
     i, j, k = labels
     obs = spectral_observables(v)
-    f = obs.log_mass_ratio(j, i)
-    g = obs.log_mass_ratio(k, i)
-    numeric = al_bracket(f, g, v, h).value
+
+    def log_ratios(w):
+        weights = obs.values(w)[1]
+        return np.log(weights[[j, k]] / weights[i])
+
+    names = (f"log(mu_{j}/mu_{i})", f"log(mu_{k}/mu_{i})")
+    _, g1, g2 = coordinate_jacobian(log_ratios, v, h, names)
+    numeric, _ = richardson_bracket(g1, g2, 0, 1, v.rho)
     th = obs.base.theta
     predicted = (
         2.0 / np.tan(0.5 * (th[i] - th[j]))

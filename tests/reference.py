@@ -5,7 +5,9 @@ patterns, quadrature of densities, closed-form integrals) so that the
 package code under test never checks itself against itself.  The
 exceptions are plain loop versions of package code that was vectorized
 or made to reuse intermediate results (lm_factors_loop, rk4_trajectory,
-geronimus_loop, ensemble_samples_loop); tests require the package to match them bit for
+geronimus_loop, ensemble_samples_loop, and the scalar-observable stencil
+sweep with the suites assembled from it, scalar_gradient and
+*_residuals_scalar); tests require the package to match them bit for
 bit, except for the eigenvalue angles, which rk4_trajectory takes from
 the general eigensolver (eigvals_angles) and the package from its
 Cayley-transform kernel.  ensemble_samples_loop takes circular angles
@@ -17,7 +19,19 @@ import math
 import numpy as np
 
 from cmvkit.alflows import Trajectory, al_vector_field
+from cmvkit.brackets import (
+    DEFAULT_STEP,
+    GRADIENT_AGREEMENT,
+    Observable,
+    bracket_from_gradients,
+    coordinate_observables,
+    interior_coordinates,
+    spectral_observables,
+    with_coordinates,
+)
 from cmvkit.core import VerblunskySet, build_cmv, verblunsky_block
+from cmvkit.ensembles import RngStream, random_verblunsky
+from cmvkit.errors import NonDifferentiable
 from cmvkit.opuc import unitary_angles
 
 
@@ -252,3 +266,123 @@ def fit_hamiltonian_with_rates(theta, targets):
         A[:, 2 * (m - 1) + 1] = -2.0 * m * np.sin(m * theta)
     x, *_ = np.linalg.lstsq(A, np.asarray(targets, dtype=float), rcond=None)
     return x[0::2] + 1j * x[1::2]
+
+
+# --- scalar-observable bracket sweep ----------------------------------------
+
+
+def scalar_gradient(obs, v, h=DEFAULT_STEP):
+    """Richardson gradient of one scalar observable: a full stencil sweep
+    per step size, with the two-step agreement guard."""
+
+    def raw(step):
+        x0 = interior_coordinates(v)
+        grad = np.empty(x0.size)
+        for i in range(x0.size):
+            xp = x0.copy()
+            xp[i] += step
+            fp = obs(with_coordinates(v, xp))
+            xp[i] = x0[i] - step
+            fm = obs(with_coordinates(v, xp))
+            grad[i] = (fp - fm) / (2.0 * step)
+        return grad
+
+    g1 = raw(h)
+    g2 = raw(h / 2.0)
+    scale = max(np.abs(g1).max(initial=0.0), np.abs(g2).max(initial=0.0), 1.0)
+    if np.abs(g1 - g2).max(initial=0.0) > GRADIENT_AGREEMENT * scale:
+        raise NonDifferentiable(f"{obs.name}: two-step gradients disagree")
+    return (4.0 * g2 - g1) / 3.0, g1, g2
+
+
+def _rich(ga, gb, rho, scale=1.0):
+    coarse = scale * bracket_from_gradients(ga[1], gb[1], rho)
+    fine = scale * bracket_from_gradients(ga[2], gb[2], rho)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _trace_observable(m, part):
+    def fn(w):
+        trace = np.trace(np.linalg.matrix_power(np.asarray(build_cmv(w).entries), m))
+        return (trace.real if part == 0 else trace.imag) / m
+
+    return Observable(f"K_{m}[{part}]", fn)
+
+
+def brackets_residuals_scalar(v):
+    """(reconstruction, antisymmetry, involution) defects at one probe, one
+    scalar gradient per coordinate and per Re/Im K_m."""
+    n = v.n
+    grads = [tuple(scalar_gradient(o, v) for o in coordinate_observables(v, j)) for j in range(n - 1)]
+    worst_pair = worst_anti = worst_ham = 0.0
+    for kk in range(n - 1):
+        for ll in range(n - 1):
+            gu_k, gv_k = grads[kk]
+            gu_l, gv_l = grads[ll]
+            uu = _rich(gu_k, gu_l, v.rho)
+            uv = _rich(gu_k, gv_l, v.rho)
+            vu = _rich(gv_k, gu_l, v.rho)
+            vv = _rich(gv_k, gv_l, v.rho)
+            same = complex(uu + vv, vu - uv)
+            cross = complex(uu - vv, uv + vu)
+            expected = -2j * v.rho[kk] ** 2 if kk == ll else 0.0
+            worst_pair = max(worst_pair, abs(same - expected), abs(cross))
+            worst_anti = max(worst_anti, abs(uv + _rich(gv_l, gu_k, v.rho)))
+    hgrads = {(m, p): scalar_gradient(_trace_observable(m, p), v) for m in (1, 2, 3) for p in (0, 1)}
+    for m in (1, 2, 3):
+        for l in (1, 2, 3):
+            for pf in (0, 1):
+                worst_ham = max(worst_ham, abs(_rich(hgrads[(m, pf)], hgrads[(l, 0)], v.rho)))
+    return worst_pair, worst_anti, worst_ham
+
+
+def canonical_residuals_scalar(v):
+    """(angle commutation, pairing matrix) defects at one probe, one scalar
+    gradient (and one eigensolve per stencil point) per observable."""
+    n = v.n
+    obs = spectral_observables(v)
+    tgrads = [scalar_gradient(obs.theta(j), v) for j in range(n)]
+    rgrads = [scalar_gradient(obs.log_mass_ratio(j, n - 1), v) for j in range(n - 1)]
+    worst_theta = 0.0
+    for j in range(n):
+        for l in range(j + 1, n):
+            worst_theta = max(worst_theta, abs(_rich(tgrads[j], tgrads[l], v.rho)))
+    mat = np.empty((n - 1, n - 1))
+    for l in range(n - 1):
+        for j in range(n - 1):
+            mat[l, j] = _rich(tgrads[l], rgrads[j], v.rho, scale=0.5)
+    return worst_theta, np.abs(mat - np.eye(n - 1)).max()
+
+
+def cotangent_residual_scalar(v, labels):
+    """Mass-ratio bracket minus the cotangent sum, one scalar gradient per ratio."""
+    i, j, k = labels
+    obs = spectral_observables(v)
+    gf = scalar_gradient(obs.log_mass_ratio(j, i), v)
+    gg = scalar_gradient(obs.log_mass_ratio(k, i), v)
+    th = obs.base.theta
+    predicted = (
+        2.0 / np.tan(0.5 * (th[i] - th[j]))
+        + 2.0 / np.tan(0.5 * (th[j] - th[k]))
+        + 2.0 / np.tan(0.5 * (th[k] - th[i]))
+    )
+    return float(_rich(gf, gg, v.rho) - predicted)
+
+
+def suite_residuals_scalar(suite, n, trials, seed):
+    """Worst residual of each identity of the brackets, canonical or
+    cotangent suite, from the scalar sweep on the suite's probe stream
+    (separations 0.35 and 0.5, the suites' values for n <= 6)."""
+    gen = RngStream(seed).generator()
+    worst = None
+    for _ in range(trials):
+        if suite == "brackets":
+            res = brackets_residuals_scalar(random_verblunsky(n, gen, radius=0.65))
+        elif suite == "canonical":
+            res = canonical_residuals_scalar(random_verblunsky(n, gen, radius=0.6, min_separation=0.35))
+        else:
+            v = random_verblunsky(n, gen, radius=0.55, min_separation=0.5)
+            labels = tuple(gen.permutation(n)[:3].tolist())
+            res = (abs(cotangent_residual_scalar(v, labels)),)
+        worst = res if worst is None else tuple(max(a, b) for a, b in zip(worst, res))
+    return [float(r) for r in worst]

@@ -6,6 +6,7 @@ from cmvkit.brackets import (
     Observable,
     al_bracket,
     coordinate_gradient,
+    coordinate_jacobian,
     coordinate_observables,
     cotangent_residual,
     hamiltonian_observables,
@@ -45,8 +46,31 @@ class TestCoordinates:
         def fn(w):
             return abs(w.alpha[0].real - kink)
 
-        with pytest.raises(NonDifferentiable):
-            coordinate_gradient(Observable("kink", fn), probe)
+        def smooth_then_kink(w):
+            return [w.alpha[1].imag, fn(w)]
+
+        # a scalar observable, and a vector one whose second component kinks:
+        # the error names the offending component
+        cases = [
+            (lambda: coordinate_gradient(Observable("kink", fn), probe), "^kink:"),
+            (lambda: coordinate_jacobian(smooth_then_kink, probe), "^component 1:"),
+            (lambda: coordinate_jacobian(smooth_then_kink, probe, names=("v_1", "kink")), "^kink:"),
+        ]
+        for call, name in cases:
+            with pytest.raises(NonDifferentiable, match=name):
+                call()
+
+    def test_jacobian_rows_are_the_scalar_gradients(self, probe):
+        obs = [Observable("u_1", lambda w: w.alpha[1].real), hamiltonian_observables(probe, 2)[0]]
+        rows = coordinate_jacobian(lambda w: [o(w) for o in obs], probe)
+        for r, o in enumerate(obs):
+            for got, want in zip(rows, coordinate_gradient(o, probe)):
+                assert np.array_equal(got[r], want)
+
+    def test_jacobian_without_interior_coordinates(self):
+        v = random_verblunsky(1, RngStream(3))
+        for part in coordinate_jacobian(lambda w: [1.0, 2.0, 3.0], v):
+            assert part.shape == (3, 0)
 
     def test_constant_observable_is_fine(self, probe):
         grad, *_ = coordinate_gradient(Observable("const", lambda w: 1.0), probe)

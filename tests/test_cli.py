@@ -240,6 +240,22 @@ class TestVerify:
         assert run("verify", "--suite", "jacobian", "--n", 3, "--trials", 2) == 4
         assert "skipped 2 of 2 trials" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite,n", [("brackets", 1), ("canonical", 1), ("cotangent", 2),
+                                         ("jacobian", 0), ("brackets", 0), ("canonical", -1),
+                                         ("cotangent", -1), ("jacobian", -1)])
+    def test_n_below_suite_minimum_exit_2(self, suite, n, capsys):
+        assert run("verify", "--suite", suite, "--n", n, "--trials", 2) == 2
+        captured = capsys.readouterr()
+        assert "[pass]" not in captured.out and "suite needs n >=" in captured.err
+
+    def test_report_records_worst_probe(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert run("verify", "--suite", "cotangent", "--n", 3, "--trials", 3, "--seed", 2,
+                   "--report", report, "--quiet") == 0
+        item = json.loads(report.read_text())["identities"][0]
+        assert item["worst_trial"] in range(3)
+        assert len(item["worst_probe"]["alpha"]) == 3 and len(item["worst_probe"]["labels"]) == 3
+
     def test_negative_seed_exit_2(self, capsys):
         assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 1, "--seed", -1) == 2
         assert "[pass]" not in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts with tiny arguments."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -29,7 +30,10 @@ def test_identity_report(tmp_path):
     out = tmp_path / "report.json"
     proc = run_script("identity_report.py", "--trials", 1, "--out", out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert out.stat().st_size > 0
+    assert "worst trial 0" in proc.stdout
+    for report in json.loads(out.read_text()):
+        for item in report["identities"]:
+            assert item["worst_trial"] == 0 and item["worst_probe"]
 
 
 def test_sorting_flow_demo(tmp_path):
