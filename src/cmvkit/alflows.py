@@ -17,10 +17,15 @@ Two propagators are provided and cross-validate each other:
   spectral weights exactly as mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with
   F(theta) = 2 Re[z f'(z)], then invert the spectral map;
 * spectral_trajectory: flow_via_spectral at every time of a trajectory,
-  with one diagonalization for all of them.
+  with one diagonalization for all of them.  Every state is an explicit
+  function of t, so the time axis is an array axis: propagated_weights
+  gives the weights of all times as one (T, n) array and one szego_rows
+  pass inverts them all.
 
 integrate_flow and spectral_trajectory emit states on the same time grid
-and read their diagnostics through Trajectory.from_states.
+and read their diagnostics through Trajectory.from_blocks, in blocks of at
+most ANGLE_BLOCK matrix entries: one stacked CMV check (spectral) and one
+stacked angle read (both) per block.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), i.e. like the exact
@@ -40,9 +45,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CMVMatrix, JacobiMatrix, SpectralMeasureCircle, VerblunskySet, build_cmv
+from .core import (
+    CMVMatrix,
+    JacobiMatrix,
+    SpectralMeasureCircle,
+    VerblunskySet,
+    build_cmv,
+    build_cmv_stack,
+    circle_weights,
+)
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
-from .opuc import gap_rotation, szego_coefficients, unitary_angles, unitary_eigensystem, verblunsky_from_measure
+from .opuc import (
+    ANGLE_BLOCK,
+    gap_rotation,
+    szego_rows,
+    unitary_angles,
+    unitary_eigensystem,
+    verblunsky_from_measure,
+    verblunsky_rows,
+)
 
 RHO_FLOOR = 1e-10           # extraction divides by rho
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
@@ -272,24 +293,65 @@ class Trajectory:
     def from_states(cls, times, matrices: Iterable[CMVMatrix]) -> "Trajectory":
         """Trajectory of the states matrices[i].source at times[i].
 
-        Each state comes with its CMV matrix, from which its diagnostics
-        are read; the matrices are consumed one at a time and not kept.
-        The flow is isospectral, so every later state's angles are taken
-        with the Cayley pole of unitary_angles in the largest gap of the
-        first state's spectrum, which costs one pass per state.
+        The matrices are consumed a block at a time (see from_blocks) and
+        not kept; their diagnostics are read as from_blocks reads them.
+        """
+        return cls.from_blocks(times, _matrix_blocks(matrices))
+
+    @classmethod
+    def from_blocks(cls, times, blocks: Iterable[tuple]) -> "Trajectory":
+        """Trajectory of consecutive blocks of states at times.
+
+        Each block is (states, entries, unitarity): a run of coefficient
+        sets, their checked CMV matrices as a (k, n, n) stack and the
+        unitarity residuals check_cmv returned for them.  The flow is
+        isospectral, so after the first state every state's angles are
+        taken with the Cayley pole of unitary_angles in the largest gap of
+        the first state's spectrum, with one stacked call per block.
         """
         states, drift, unit = [], [], []
         base_angles = None
-        for C in matrices:
+        for block, entries, unitarity in blocks:
             if base_angles is None:
-                angles = base_angles = unitary_angles(C.entries)
+                base_angles = unitary_angles(entries[0])
                 phi = float(gap_rotation(base_angles))
+                angles = np.concatenate([base_angles[None], unitary_angles(entries[1:], phi)])
             else:
-                angles = unitary_angles(C.entries, phi)
-            states.append(C.source)
-            drift.append(_circular_drift(base_angles, angles))
-            unit.append(C.unitarity)
-        return cls(times, tuple(states), np.asarray(drift), np.asarray(unit))
+                angles = unitary_angles(entries, phi)
+            states.extend(block)
+            d = np.abs(angles - base_angles)
+            drift.append(np.minimum(d, 2.0 * math.pi - d).max(axis=1))
+            unit.append(unitarity)
+        return cls(times, tuple(states), np.concatenate(drift), np.concatenate(unit))
+
+
+def _block_size(n: int) -> int:
+    """States per trajectory block: at most ANGLE_BLOCK matrix entries."""
+    return max(ANGLE_BLOCK // (n * n), 1)
+
+
+def _matrix_blocks(matrices: Iterable[CMVMatrix]):
+    """Trajectory.from_blocks blocks of already built and checked matrices."""
+    block = []
+    for C in matrices:
+        block.append(C)
+        if len(block) == _block_size(C.n):
+            yield _stacked(block)
+            block = []
+    if block:
+        yield _stacked(block)
+
+
+def _stacked(block: list[CMVMatrix]) -> tuple:
+    return [C.source for C in block], np.stack([C.entries for C in block]), np.array([C.unitarity for C in block])
+
+
+def _state_blocks(states: list[VerblunskySet], n: int):
+    """Trajectory.from_blocks blocks of states whose matrices are built here."""
+    per = _block_size(n)
+    for s in range(0, len(states), per):
+        block = states[s : s + per]
+        yield (block, *build_cmv_stack(block))
 
 
 def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
@@ -297,11 +359,6 @@ def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
     if mods.size and mods.max() > MODULUS_CEILING:
         raise RhoTooSmall(f"coefficient modulus {mods.max():.12g} reached the circle")
     return VerblunskySet(np.concatenate([interior, [boundary]]))
-
-
-def _circular_drift(t0: np.ndarray, t1: np.ndarray) -> float:
-    d = np.abs(t1 - t0)
-    return float(np.minimum(d, 2.0 * math.pi - d).max())
 
 
 def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
@@ -359,15 +416,24 @@ def _rk4_matrices(v0: VerblunskySet, m: int, part: str, h: float, steps: int):
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:
-    """Exact weight evolution: points fixed, weights scaled by exp(F t).
+    """Exact weight evolution: points fixed, weights scaled by exp(F t);
+    the one-time view of propagated_weights."""
+    return SpectralMeasureCircle(mu0.theta.copy(), propagated_weights(mu0, ham, [float(t)])[0])
+
+
+def propagated_weights(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, times) -> np.ndarray:
+    """(T, n) weights of mu0 evolved exactly to each of the times.
 
     Evaluated in log space and renormalized for stability, so arbitrarily
-    long times never overflow.
+    long times never overflow.  Rows are in the order of mu0.weights and
+    sum to 1; SpectralMeasureCircle (or circle_weights for all rows at
+    once) renormalizes them once more.
     """
-    logw = np.log(mu0.weights) + ham.growth_rate(mu0.theta) * float(t)
-    logw -= logw.max()
+    rates = ham.growth_rate(mu0.theta)
+    logw = np.log(mu0.weights) + np.multiply.outer(np.asarray(times, dtype=float), rates)
+    logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    return SpectralMeasureCircle(mu0.theta.copy(), w / w.sum())
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def flow_via_spectral(v0: VerblunskySet, ham: FlowHamiltonian, t: float) -> VerblunskySet:
@@ -379,19 +445,15 @@ def flow_via_spectral(v0: VerblunskySet, ham: FlowHamiltonian, t: float) -> Verb
 def spectral_trajectory(v0: VerblunskySet, ham: FlowHamiltonian, t_final: float, dt: float) -> Trajectory:
     """flow_via_spectral at the times integrate_flow(v0, ..., t_final, dt) uses.
 
-    v0 is diagonalized once for the whole trajectory; the state at time 0
-    is v0 itself.
+    v0 is diagonalized once for the whole trajectory, and the weights of
+    every later time go through one stacked Szego pass; the state at time
+    0 is v0 itself.
     """
     times, _ = _flow_grid(t_final, dt)
-    C0 = build_cmv(v0)
-    mu0 = unitary_eigensystem(C0)
-
-    def matrices():
-        yield C0
-        for t in times[1:]:
-            yield build_cmv(verblunsky_from_measure(exact_propagate(mu0, ham, t)))
-
-    return Trajectory.from_states(times, matrices())
+    mu0 = unitary_eigensystem(build_cmv(v0))
+    theta, weights = circle_weights(mu0.theta, propagated_weights(mu0, ham, times[1:]))
+    states = [v0, *verblunsky_rows(theta, weights)]
+    return Trajectory.from_blocks(times, _state_blocks(states, v0.n))
 
 
 def gauge_transform(traj: Trajectory) -> np.ndarray:
@@ -475,9 +537,7 @@ def asymptotic_report(
         raise InvalidParams("t_grid must be strictly increasing")
     mu0 = unitary_eigensystem(build_cmv(v0))
     limit, rate, xi = _predicted_asymptotics(mu0, ham, k)
-    alpha_t = np.empty(t.size, dtype=complex)
-    for i, ti in enumerate(t):
-        alpha_t[i] = szego_coefficients(exact_propagate(mu0, ham, ti), k)[k - 1]
+    alpha_t = szego_rows(*circle_weights(mu0.theta, propagated_weights(mu0, ham, t)), k)[:, k - 1]
 
     lo = t[0] + fit_window[0] * (t[-1] - t[0])
     hi = t[0] + fit_window[1] * (t[-1] - t[0])

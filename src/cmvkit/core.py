@@ -13,6 +13,7 @@ between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,8 +156,8 @@ def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
 class CMVMatrix:
     """Dense unitary five-diagonal matrix together with its coefficients.
 
-    Construction checks unitarity, bandedness, and the trace and
-    determinant identities
+    Construction runs check_cmv: unitarity, bandedness, and the trace
+    and determinant identities
         tr C  = conj(alpha_0) - sum_{k>=1} alpha_{k-1} conj(alpha_k)
         det C = (-1)^(n-1) conj(alpha_{n-1}).
     The unitarity residual max|C*C - I| it computes is kept as unitarity.
@@ -171,19 +172,7 @@ class CMVMatrix:
         n = self.source.n
         if c.shape != (n, n):
             raise OutOfRange(f"expected a {n} x {n} matrix, got {c.shape}")
-        resid = np.abs(c.conj().T @ c - np.eye(n)).max()
-        if resid > UNITARITY_TOL:
-            raise OutOfRange(f"unitarity residual {resid:.3e} exceeds {UNITARITY_TOL:g}")
-        rows, cols = np.indices((n, n))
-        if np.any(c[np.abs(rows - cols) > 2] != 0.0):
-            raise OutOfRange("nonzero entry outside the five-diagonal band")
-        a = self.source.alpha
-        tr_expected = np.conj(a[0]) - np.sum(a[:-1] * np.conj(a[1:]))
-        if abs(np.trace(c) - tr_expected) > TRACE_TOL:
-            raise OutOfRange("trace identity violated")
-        det_expected = (-1.0) ** (n - 1) * np.conj(a[-1])
-        if abs(np.linalg.det(c) - det_expected) > DET_TOL:
-            raise OutOfRange("determinant identity violated")
+        resid = check_cmv(c[None], self.source.alpha[None])[0]
         object.__setattr__(self, "entries", _frozen(c))
         object.__setattr__(self, "unitarity", float(resid))
 
@@ -192,10 +181,53 @@ class CMVMatrix:
         return self.source.n
 
 
+def check_cmv(entries: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The CMVMatrix invariants on a (k, n, n) stack and its (k, n) coefficients.
+
+    Checks every matrix for unitarity, the five-diagonal band and the
+    trace and determinant identities, in that order, with the tolerances
+    of CMVMatrix, and raises OutOfRange at the first invariant that some
+    matrix violates.  Returns the unitarity residuals max|C*C - I|.
+    """
+    n = alpha.shape[-1]
+    resid = np.abs(np.swapaxes(entries.conj(), 1, 2) @ entries - np.eye(n)).max(axis=(1, 2))
+    worst = resid.max()
+    if worst > UNITARITY_TOL:
+        raise OutOfRange(f"unitarity residual {worst:.3e} exceeds {UNITARITY_TOL:g}")
+    if entries[:, _outside_band(n)].any():
+        raise OutOfRange("nonzero entry outside the five-diagonal band")
+    tr_expected = alpha[:, 0].conj() - (alpha[:, :-1] * alpha[:, 1:].conj()).sum(axis=1)
+    if (np.abs(entries.trace(axis1=1, axis2=2) - tr_expected) > TRACE_TOL).any():
+        raise OutOfRange("trace identity violated")
+    det_expected = (-1.0) ** (n - 1) * alpha[:, -1].conj()
+    if (np.abs(np.linalg.det(entries) - det_expected) > DET_TOL).any():
+        raise OutOfRange("determinant identity violated")
+    return resid
+
+
+@functools.lru_cache(maxsize=None)
+def _outside_band(n: int) -> np.ndarray:
+    """Mask of the n x n entries more than two diagonals off the main one."""
+    rows, cols = np.indices((n, n))
+    return _frozen(np.abs(rows - cols) > 2)
+
+
 def build_cmv(v: VerblunskySet) -> CMVMatrix:
     """Assemble the CMV matrix L @ M of a coefficient set."""
     L, M = lm_factors(v)
     return CMVMatrix(L @ M, v)
+
+
+def build_cmv_stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """build_cmv for a sequence of coefficient sets of one size, as arrays.
+
+    Returns the (k, n, n) stack of their CMV matrices and its unitarity
+    residuals; every matrix passes check_cmv, as CMVMatrix's would.
+    """
+    alpha = np.array([v.alpha for v in states])
+    L, M = batched_lm_factors(alpha)
+    entries = L @ M
+    return entries, check_cmv(entries, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,14 +266,42 @@ def build_jacobi(b, a) -> JacobiMatrix:
 
 
 def _check_weights(w: np.ndarray) -> np.ndarray:
-    if w.size == 0:
+    """Weights renormalized to sum 1 along the last axis, each row checked."""
+    if w.shape[-1] == 0:
         raise OutOfRange("measure needs at least one point")
-    if not np.all(np.isfinite(w)) or w.min() <= 0.0:
+    if not (w.min(initial=np.inf) > 0.0 and w.max(initial=0.0) < np.inf):
         raise OutOfRange("weights must be finite and positive")
-    total = w.sum()
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise OutOfRange(f"weights sum to {total:.17g}, expected 1 within {WEIGHT_SUM_TOL:g}")
+    total = w.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0)
+    if off.max(initial=0.0) > WEIGHT_SUM_TOL:
+        raise OutOfRange(f"weights sum to {total.flat[off.argmax()]:.17g}, expected 1 within {WEIGHT_SUM_TOL:g}")
     return w / total
+
+
+def circle_weights(theta, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form SpectralMeasureCircle stores, for a (..., n) stack
+    of weight vectors on the same n angles.
+
+    Returns the sorted principal angles (n,) and the weights, each vector
+    checked and renormalized to sum 1 and reordered with the angles, as a
+    C-contiguous array.  Row i equals SpectralMeasureCircle(theta,
+    weights[i]).weights bit for bit.
+    """
+    t = principal_angle(np.array(theta, dtype=float).reshape(-1))
+    w = np.asarray(weights, dtype=float)
+    if w.shape[-1:] != t.shape:
+        raise OutOfRange("points and weights must have equal length")
+    w = _check_weights(w)
+    order = np.argsort(t)
+    # take copies into a new C-contiguous array; w[..., order] need not be
+    # one, and products on a strided row round differently in the last bit
+    t, w = t[order], w.take(order, axis=-1)
+    if t.size > 1:
+        gaps = np.diff(t)
+        wrap = t[0] + TWO_PI - t[-1]
+        if min(gaps.min(), wrap) <= SEPARATION_TOL:
+            raise DegenerateSpectrum("two support angles closer than 1e-10")
+    return t, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,18 +317,7 @@ class SpectralMeasureCircle:
     weights: np.ndarray
 
     def __post_init__(self):
-        t = principal_angle(np.array(self.theta, dtype=float).reshape(-1))
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        if t.size != w.size:
-            raise OutOfRange("points and weights must have equal length")
-        w = _check_weights(w)
-        order = np.argsort(t)
-        t, w = t[order], w[order]
-        if t.size > 1:
-            gaps = np.diff(t)
-            wrap = t[0] + TWO_PI - t[-1]
-            if min(gaps.min(), wrap) <= SEPARATION_TOL:
-                raise DegenerateSpectrum("two support angles closer than 1e-10")
+        t, w = circle_weights(self.theta, np.asarray(self.weights, dtype=float).reshape(-1))
         object.__setattr__(self, "theta", _frozen(t))
         object.__setattr__(self, "weights", _frozen(w))
 

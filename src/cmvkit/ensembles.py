@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiMatrix, VerblunskySet, batched_lm_factors, build_jacobi, lm_factors
+from .core import INTERIOR_MARGIN, JacobiMatrix, VerblunskySet, batched_lm_factors, build_jacobi, lm_factors
 from .errors import (
     DomainViolation,
     EmptySample,
@@ -105,11 +105,11 @@ def sample_theta(nu: float, rng) -> complex:
     return complex(_disk_samples(float(nu), None, as_generator(rng)))
 
 
-def _redrawn(shape, draw, valid, what: str) -> np.ndarray:
+def _redrawn(shape, draw, valid, what: str, dtype=float) -> np.ndarray:
     """Array of the given shape whose entries draw(mask) fills where mask is
     set, redrawing the entries that fail valid.  Raises InvalidParams when
     entries still fail after MAX_DRAWS draws."""
-    x = np.empty(shape)
+    x = np.empty(shape, dtype=dtype)
     bad = np.ones(shape, dtype=bool)
     for _ in range(MAX_DRAWS):
         x[bad] = draw(bad)
@@ -149,6 +149,16 @@ def _circular_nus(n: int, beta: float) -> np.ndarray:
     return beta * (n - 1.0 - np.arange(n)) + 1.0
 
 
+def _circular_column(nu: float, count: int, gen: np.random.Generator) -> np.ndarray:
+    """count disk variates of one circular coefficient; an interior one
+    (nu > 1) whose modulus rounds above 1 - INTERIOR_MARGIN is redrawn, so
+    every row is a valid VerblunskySet."""
+    if nu == 1.0:
+        return _disk_samples(nu, count, gen)
+    return _redrawn(count, lambda bad: _disk_samples(nu, int(np.count_nonzero(bad)), gen),
+                    lambda x: np.abs(x) <= 1.0 - INTERIOR_MARGIN, f"disk variates with nu = {nu:g}", complex)
+
+
 def _jacobi_shapes(n: int, beta: float, a: float, b: float) -> list[tuple[float, float]]:
     shapes = []
     for k in range(2 * n - 1):
@@ -165,7 +175,9 @@ def _jacobi_shapes(n: int, beta: float, a: float, b: float) -> list[tuple[float,
 def coefficient_samples(spec: EnsembleSpec, count: int, rng):
     """count independent coefficient draws of the ensemble's matrix model.
 
-    Circular: complex Verblunsky coefficients alpha of shape (count, n).
+    Circular: complex Verblunsky coefficients alpha of shape (count, n);
+    interior moduli above 1 - 1e-12 are redrawn, so every row passes
+    VerblunskySet.
     Jacobi and Hermite: Jacobi matrix entries (b, a) of shapes (count, n)
     and (count, n - 1).  Draws are column by column: all count values of
     one coefficient, then the next, each column followed by its redraws.
@@ -179,7 +191,7 @@ def coefficient_samples(spec: EnsembleSpec, count: int, rng):
     gen = as_generator(rng)
     n = spec.n
     if spec.family == "circular":
-        return np.stack([_disk_samples(nu, count, gen) for nu in _circular_nus(n, spec.beta)], axis=1)
+        return np.stack([_circular_column(nu, count, gen) for nu in _circular_nus(n, spec.beta)], axis=1)
     if spec.family == "jacobi":
         cols = [_beta_interval_samples(s, t, count, gen) for s, t in _jacobi_shapes(n, spec.beta, spec.a, spec.b)]
         return geronimus_entries(np.stack([*cols, np.full(count, -1.0)], axis=1))

@@ -6,7 +6,10 @@ eigenvalue angles of a unitary matrix are needed (ensemble draws, flow
 diagnostics), unitary_angles gets them from a Hermitian eigensolver
 through a rotated Cayley transform instead of a general complex one.
 Inverse direction: run the Szego recursion on a finitely supported
-circle measure to recover the Verblunsky coefficients.  The circle and the
+circle measure to recover the Verblunsky coefficients.  szego_rows runs
+it on a (T, n) stack of weight vectors on one support at once, as a
+spectral flow needs at its T grid times; szego_coefficients and
+verblunsky_from_measure are its one-row views.  The circle and the
 interval [-2, 2] are connected by the pushforward of z + 1/z and, on the
 coefficient side, by the Geronimus relations.
 
@@ -203,34 +206,41 @@ def monic_opuc(mu: SpectralMeasureCircle, k_max: int) -> list[MonicPolynomial]:
 
 
 def szego_coefficients(mu: SpectralMeasureCircle, count: int) -> np.ndarray:
-    """First `count` Verblunsky coefficients of the measure.
+    """First `count` Verblunsky coefficients of the measure; szego_rows on
+    its one row of weights."""
+    return szego_rows(mu.theta, mu.weights, count)
 
-    Runs the Szego recursion on point values:
+
+def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """First `count` Verblunsky coefficients of each of the measures with
+    canonical angles theta (n,) and weight rows weights (..., n).
+
+    Runs the Szego recursion on point values, all rows at once:
         p_{k+1} = z p_k - conj(a_k) q_k,   q_{k+1} = q_k - a_k z p_k,
     where p_k, q_k are the monic polynomial and its reversal evaluated on
     the support, and a_k is fixed by orthogonality,
-    conj(a_k) = <z p_k, q_k> / ||p_k||^2.  Raises IllConditioned when an
-    intermediate squared norm falls below 1e-13.
+    conj(a_k) = <z p_k, q_k> / ||p_k||^2.  Returns a (..., count) array
+    whose rows do not depend on each other.  Raises IllConditioned when an
+    intermediate squared norm of any row falls below 1e-13.
     """
-    n = mu.n
+    n = theta.size
     if count > n:
         raise SupportTooSmall(f"cannot produce {count} coefficients from {n} support points")
-    z = mu.points
-    w = mu.weights
-    p = np.ones(n, dtype=complex)
-    q = np.ones(n, dtype=complex)
-    alphas = np.empty(count, dtype=complex)
+    z = np.exp(1j * theta)
+    wz = weights * z
+    p = np.ones(weights.shape, dtype=complex)
+    q = np.ones(weights.shape, dtype=complex)
+    alphas = [np.empty(weights.shape[:-1] + (0,), dtype=complex)]
     for k in range(count):
-        norm2 = float(np.sum(w * (p.real * p.real + p.imag * p.imag)))
-        if norm2 < NORM_FLOOR:
-            raise IllConditioned(f"||Phi_{k}||^2 = {norm2:.3e} below {NORM_FLOOR:g}")
-        inner = np.sum(w * z * p * np.conj(q))
-        ak = np.conj(inner) / norm2
-        alphas[k] = ak
+        norm2 = (weights * (p.real * p.real + p.imag * p.imag)).sum(axis=-1, keepdims=True)
+        if norm2.min(initial=np.inf) < NORM_FLOOR:
+            raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
+        ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
+        alphas.append(ak)
         zp = z * p
-        p = zp - np.conj(ak) * q
+        p = zp - ak.conj() * q
         q = q - ak * zp
-    return alphas
+    return np.concatenate(alphas, axis=-1)
 
 
 def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
@@ -240,7 +250,18 @@ def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
     recursion returns it further than 1e-6 from the circle the
     computation is considered lost and IllConditioned is raised.
     """
-    alphas = szego_coefficients(mu, mu.n)
+    return _on_the_circle(szego_coefficients(mu, mu.n))
+
+
+def verblunsky_rows(theta: np.ndarray, weights: np.ndarray) -> list[VerblunskySet]:
+    """verblunsky_from_measure for the measures with canonical angles theta
+    (n,) and weight rows weights (T, n), from one szego_rows pass."""
+    return [_on_the_circle(alphas) for alphas in szego_rows(theta, weights, theta.size)]
+
+
+def _on_the_circle(alphas: np.ndarray) -> VerblunskySet:
+    """The coefficient set of a full Szego run, its last coefficient moved
+    onto the circle (in place)."""
     last = abs(alphas[-1])
     if abs(last - 1.0) > BOUNDARY_RECOVERY_TOL:
         raise IllConditioned(f"recovered boundary modulus {last:.17g} is too far from 1")

@@ -16,12 +16,13 @@ from .core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
 from .errors import InvalidParams
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(z: np.ndarray) -> list:
+    """[re, im] pairs of a complex array, as nested lists of its shape."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def verblunsky_to_obj(v: VerblunskySet) -> dict:
-    return {"n": int(v.n), "alpha": [_pair(a) for a in v.alpha]}
+    return {"n": int(v.n), "alpha": _pairs(v.alpha)}
 
 
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
@@ -41,7 +42,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [_pair(z) for z in m.reshape(-1)],
+        "entries": _pairs(m.reshape(-1).astype(complex)),
     }
 
 
@@ -79,12 +80,13 @@ def line_measure_from_obj(obj: dict) -> SpectralMeasureLine:
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:
+    n = int(traj.n)
     return {
-        "times": [float(t) for t in traj.times],
-        "states": [verblunsky_to_obj(s) for s in traj.states],
+        "times": traj.times.tolist(),
+        "states": [{"n": n, "alpha": alpha} for alpha in _pairs(traj.alpha_matrix())],
         "diagnostics": [
-            {"eig_drift": float(d), "unitarity": float(u)}
-            for d, u in zip(traj.eig_drift, traj.unitarity)
+            {"eig_drift": d, "unitarity": u}
+            for d, u in zip(traj.eig_drift.tolist(), traj.unitarity.tolist())
         ],
     }
 

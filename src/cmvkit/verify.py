@@ -245,8 +245,15 @@ def suite_cotangent(n: int = 4, trials: int = 25, seed: int = 0) -> dict:
     )
 
 
-def random_measure(n: int, gen, margin: float = 0.35) -> SpectralMeasureCircle:
-    """Measure with comfortable angle separations, weights, and branch margins."""
+def random_measure(n: int, gen, margin: float | None = None) -> SpectralMeasureCircle:
+    """Measure with comfortable angle separations, weights, and branch margins.
+
+    The angles keep `margin` from -pi and pi and from each other; the
+    default min(0.35, pi/(2n)) is the fixed 0.35 up to n = 4 and shrinks
+    with n, so that n well separated angles still fit on the circle.
+    """
+    if margin is None:
+        margin = min(0.35, np.pi / (2 * n))
     for _ in range(512):
         theta = np.sort(gen.uniform(-np.pi + margin, np.pi - margin, n))
         if n > 1 and np.diff(theta).min() < margin:

@@ -5,20 +5,22 @@ patterns, quadrature of densities, closed-form integrals) so that the
 package code under test never checks itself against itself.  The
 exceptions are plain loop versions of package code that was vectorized
 or made to reuse intermediate results (lm_factors_loop, rk4_trajectory,
-geronimus_loop, ensemble_samples_loop, and the scalar-observable stencil
-sweep with the suites assembled from it, scalar_gradient and
-*_residuals_scalar); tests require the package to match them bit for
-bit, except for the eigenvalue angles, which rk4_trajectory takes from
-the general eigensolver (eigvals_angles) and the package from its
-Cayley-transform kernel.  ensemble_samples_loop takes circular angles
-from that kernel too, one matrix at a time.
+geronimus_loop, ensemble_samples_loop, szego_loop,
+spectral_trajectory_loop, trajectory_to_obj_loop, and the
+scalar-observable stencil sweep with the suites assembled from it,
+scalar_gradient and *_residuals_scalar); tests require the package to
+match them bit for bit, except for the eigenvalue angles, which
+rk4_trajectory takes from the general eigensolver (eigvals_angles) and
+the package from its Cayley-transform kernel.  ensemble_samples_loop and
+spectral_trajectory_loop take angles from that kernel too, one matrix at
+a time.
 """
 
 import math
 
 import numpy as np
 
-from cmvkit.alflows import Trajectory, al_vector_field
+from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation
 from cmvkit.brackets import (
     DEFAULT_STEP,
     GRADIENT_AGREEMENT,
@@ -29,10 +31,10 @@ from cmvkit.brackets import (
     spectral_observables,
     with_coordinates,
 )
-from cmvkit.core import VerblunskySet, build_cmv, verblunsky_block
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, verblunsky_block
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import NonDifferentiable
-from cmvkit.opuc import unitary_angles
+from cmvkit.opuc import unitary_angles, unitary_eigensystem
 
 
 def cmv_pattern(v) -> np.ndarray:
@@ -115,8 +117,11 @@ def ensemble_samples_loop(spec, count, gen):
     nu = 1) count moduli.  Jacobi column k takes count gamma(s) and then
     count gamma(t) variates.  Hermite takes the count x n Gaussian
     diagonal, then the chi off-diagonals row by row, then redraws of the
-    off-diagonals that underflowed to 0, in row-major order.  Each row's
-    matrix is then built and diagonalized on its own.
+    off-diagonals that underflowed to 0, in row-major order.  Circular
+    interior entries with modulus above 1 - 1e-12 are redrawn like the
+    Jacobi entries outside (-1, 1): all of the column's rejected entries
+    at once, right after the column.  Each row's matrix is then built and
+    diagonalized on its own.
     """
     n, beta = spec.n, spec.beta
     rows = []
@@ -125,12 +130,15 @@ def ensemble_samples_loop(spec, count, gen):
         alpha = np.empty((count, n), dtype=complex)
         for k in range(n):
             nu = beta * (n - 1.0 - k) + 1.0
-            phase = np.exp(1j * two_pi * gen.random(count))
-            if nu == 1.0:
-                alpha[:, k] = phase
-            else:
-                u = 1.0 - gen.random(count)
-                alpha[:, k] = np.sqrt(1.0 - u ** (2.0 / (nu - 1.0))) * phase
+            bad = np.ones(count, dtype=bool)
+            while bad.any():
+                phase = np.exp(1j * two_pi * gen.random(int(bad.sum())))
+                if nu == 1.0:
+                    alpha[:, k] = phase
+                    break
+                u = 1.0 - gen.random(int(bad.sum()))
+                alpha[bad, k] = np.sqrt(1.0 - u ** (2.0 / (nu - 1.0))) * phase
+                bad = ~(np.abs(alpha[:, k]) <= 1.0 - 1e-12)
         for row in alpha:
             L, M = lm_factors_loop(row)
             rows.append(unitary_angles(L @ M))
@@ -206,6 +214,66 @@ def rk4_trajectory(v0, m, part, t_final, dt):
         drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
         unit.append(u)
     return Trajectory(np.linspace(0.0, t_final, steps + 1), tuple(states), np.asarray(drift), np.asarray(unit))
+
+
+def szego_loop(mu, count):
+    """Szego recursion of one measure with scalar norms and inner products."""
+    z, w = mu.points, mu.weights
+    p = np.ones(mu.n, dtype=complex)
+    q = np.ones(mu.n, dtype=complex)
+    alphas = np.empty(count, dtype=complex)
+    for k in range(count):
+        norm2 = float(np.sum(w * (p.real * p.real + p.imag * p.imag)))
+        ak = np.conj(np.sum(w * z * p * np.conj(q))) / norm2
+        alphas[k] = ak
+        zp = z * p
+        p = zp - np.conj(ak) * q
+        q = q - ak * zp
+    return alphas
+
+
+def spectral_trajectory_loop(v0, ham, t_final, dt):
+    """The spectral flow one grid time at a time: exact weights, a
+    SpectralMeasureCircle, szego_loop, a boundary renormalization, a
+    checked CMV matrix and one angle read per time."""
+    steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
+    times = np.linspace(0.0, t_final, steps + 1)
+    mu0 = unitary_eigensystem(build_cmv(v0))
+    states = [v0]
+    for t in times[1:]:
+        logw = np.log(mu0.weights) + ham.growth_rate(mu0.theta) * float(t)
+        logw -= logw.max()
+        w = np.exp(logw)
+        mu = SpectralMeasureCircle(mu0.theta.copy(), w / w.sum())
+        alphas = szego_loop(mu, mu.n)
+        alphas[-1] /= abs(alphas[-1])
+        states.append(VerblunskySet(alphas))
+    drift, unit = [], []
+    for v in states:
+        c = np.asarray(build_cmv(v).entries)
+        if not drift:
+            base = unitary_angles(c)
+            phi = float(gap_rotation(base))
+        angles = unitary_angles(c, phi) if drift else base
+        d = np.abs(angles - base)
+        drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
+        unit.append(float(np.abs(c.conj().T @ c - np.eye(v.n)).max()))
+    return Trajectory(times, tuple(states), np.asarray(drift), np.asarray(unit))
+
+
+def trajectory_to_obj_loop(traj):
+    """The trajectory JSON object built one float at a time."""
+
+    def pair(z):
+        return [float(np.real(z)), float(np.imag(z))]
+
+    return {
+        "times": [float(t) for t in traj.times],
+        "states": [{"n": int(s.n), "alpha": [pair(a) for a in s.alpha]} for s in traj.states],
+        "diagnostics": [
+            {"eig_drift": float(d), "unitarity": float(u)} for d, u in zip(traj.eig_drift, traj.unitarity)
+        ],
+    }
 
 
 def cdf_from_density(density, lo, hi, grid=20001):

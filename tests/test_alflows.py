@@ -21,8 +21,9 @@ from cmvkit.alflows import (
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
-from cmvkit.opuc import gap_rotation, unitary_eigensystem, verblunsky_from_measure
+from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verblunsky_from_measure
 
+import reference
 from reference import eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
 
 
@@ -396,6 +397,92 @@ class TestSpectralTrajectory:
         v = random_verblunsky(3, RngStream(1))
         with pytest.raises(InvalidParams):
             spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, dt)
+
+
+def assert_identical_trajectory(a, b):
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.alpha_matrix().tobytes() == b.alpha_matrix().tobytes()
+    assert a.eig_drift.tobytes() == b.eig_drift.tobytes()
+    assert a.unitarity.tobytes() == b.unitarity.tobytes()
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call's positional arguments are kept."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestStackedTimeAxis:
+    """spectral_trajectory stacks its grid times; every output must equal
+    the per-time loop in tests/reference.py bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
+    @pytest.mark.parametrize("t_final, m, part", [(1e-3, 1, "re"), (0.1, 2, "im"), (0.1, 1, "re")])
+    def test_matches_the_per_time_loop(self, n, t_final, m, part):
+        # 2- and 101-state grids
+        v = random_verblunsky(n, RngStream(30 + n), radius=0.6)
+        ham = FlowHamiltonian.matching_lax_flow(m, part)
+        traj = spectral_trajectory(v, ham, t_final, 1e-3)
+        assert_identical_trajectory(traj, reference.spectral_trajectory_loop(v, ham, t_final, 1e-3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_the_per_time_loop_on_5001_states(self, n):
+        # the README grid; a non-contiguous weight stack moved thousands of
+        # its states in the last bit
+        v = random_verblunsky(n, RngStream(3), radius=0.6)
+        ham = FlowHamiltonian.matching_lax_flow(1, "re")
+        traj = spectral_trajectory(v, ham, 5.0, 1e-3)
+        assert len(traj.states) == 5001
+        assert_identical_trajectory(traj, reference.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
+
+    def test_zero_time(self):
+        v = random_verblunsky(4, RngStream(5))
+        traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.0, 1e-2)
+        assert traj.states == (v,) and traj.eig_drift.tolist() == [0.0]
+
+    def test_every_state_validated_and_checked(self, monkeypatch):
+        import cmvkit.core as core
+
+        validated, checked = set(), set()
+        post_init = core.VerblunskySet.__post_init__
+
+        def counted_post_init(self):
+            post_init(self)
+            validated.add(self.alpha.tobytes())
+
+        monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
+        checks = record_calls(monkeypatch, core, "check_cmv")
+        v = random_verblunsky(6, RngStream(40), radius=0.6)
+        traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.3, 1e-3)
+        for entries, alpha in checks:
+            checked.update(a.tobytes() for a in alpha)
+        assert len(traj.states) == 301 and len(validated) >= 301
+        assert all(s.alpha.tobytes() in validated and s.alpha.tobytes() in checked for s in traj.states)
+
+    @pytest.mark.parametrize("n, t_final", [(3, 0.5), (6, 0.3), (64, 0.004)])
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_angle_reads_stay_within_the_block(self, monkeypatch, n, t_final, method):
+        import cmvkit.alflows as alflows
+
+        calls = record_calls(monkeypatch, alflows, "unitary_angles")
+        v = random_verblunsky(n, RngStream(41), radius=0.6)
+        if method == "rk4":
+            traj = integrate_flow(v, 1, "re", t_final, 1e-3)
+        else:
+            traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, 1e-3)
+        sizes = [np.asarray(args[0]).size for args in calls]
+        assert sum(sizes) == len(traj.states) * n * n
+        assert max(sizes) <= max(ANGLE_BLOCK, n * n)
+        # the first state alone, then full blocks of the rest
+        per = max(ANGLE_BLOCK // (n * n), 1)
+        assert len(calls) == 1 + -(-len(traj.states) // per)
 
 
 class TestGauge:

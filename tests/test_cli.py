@@ -109,11 +109,26 @@ class TestSample:
         assert run("sample", "--family", "jacobi", "--n", 6, "--beta", 0.01, "--count", 10, "--seed", 1,
                    "--out", tmp_path / "s.csv", "--coeffs-out", tmp_path / "c.json", "--quiet") == 0
 
-    def test_circular_coefficient_domain_checked_before_writing(self, tmp_path):
+    def test_circular_coefficient_domain_checked_before_writing(self, tmp_path, capsys):
+        # at beta = 1e-9 every interior modulus rounds to 1, so the redraw
+        # loop gives up (exit 2) before either file is written
         out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
         assert run("sample", "--family", "circular", "--n", 6, "--beta", 1e-9, "--count", 5, "--seed", 1,
-                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 3
+                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 2
+        assert "256 draws" in capsys.readouterr().err
         assert not out.exists() and not coeffs.exists()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_circular_small_beta_coefficient_json(self, tmp_path, seed):
+        # interior moduli within 1e-12 of 1 used to fail the JSON with exit 3
+        # on 9 of these seeds while the CSV of the same command succeeded
+        out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
+        assert run("sample", "--family", "circular", "--n", 6, "--beta", 0.1, "--count", 10, "--seed", seed,
+                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 0
+        rows, objs = serialize.read_samples_csv(out), serialize.load_json(coeffs)
+        for row, obj in zip(rows, objs):
+            d = np.abs(rebuilt_spectrum("circular", obj) - row)
+            assert np.minimum(d, 2.0 * np.pi - d).max() <= 1e-12
 
     @pytest.mark.parametrize("family", ["jacobi", "hermite"])
     @pytest.mark.parametrize("coeffs", [False, True])

@@ -9,7 +9,10 @@ from cmvkit.core import (
     VerblunskySet,
     batched_lm_factors,
     build_cmv,
+    build_cmv_stack,
     build_jacobi,
+    check_cmv,
+    circle_weights,
     lm_factors,
     principal_angle,
     verblunsky_block,
@@ -176,6 +179,52 @@ class TestBuildCMV:
             CMVMatrix(np.eye(2) * 0.5, v)
 
 
+class TestStackedCheck:
+    @staticmethod
+    def states(n=6, k=5):
+        rng = np.random.default_rng(n)
+        states = [random_set(rng, n, radius=0.8) for _ in range(k)]
+        if n >= 2:
+            # alpha_{n-2} = 0 keeps the trace identity blind to the boundary phase
+            states[2] = states[2].replace_interior(np.concatenate([states[2].interior[:-1], [0.0]]))
+        return states
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
+    def test_stack_equals_cmv_matrices(self, n):
+        states = self.states(n)
+        entries, unitarity = build_cmv_stack(states)
+        for v, e, u in zip(states, entries, unitarity):
+            c = build_cmv(v)
+            assert e.tobytes() == c.entries.tobytes()
+            assert u.tobytes() == np.float64(c.unitarity).tobytes()
+            assert u == np.abs(e.conj().T @ e - np.eye(n)).max()
+
+    @pytest.mark.parametrize("invariant, message", [
+        ("unitarity", "unitarity residual"),
+        ("band", "five-diagonal band"),
+        ("trace", "trace identity"),
+        ("determinant", "determinant identity"),
+    ])
+    def test_one_bad_matrix_raises_as_cmv_matrix_does(self, invariant, message):
+        states = self.states()
+        entries, _ = build_cmv_stack(states)
+        alpha = np.array([v.alpha for v in states])
+        j = 2
+        if invariant == "unitarity":
+            entries[j] *= 1.0 + 1e-9
+        elif invariant == "band":
+            entries[j, 0, -1] = 1e-14
+        elif invariant == "trace":
+            alpha[j, 0] += 0.01
+        else:
+            alpha[j, -1] *= np.exp(0.5j)
+        with pytest.raises(OutOfRange) as stacked:
+            check_cmv(entries, alpha)
+        with pytest.raises(OutOfRange) as single:
+            CMVMatrix(entries[j], VerblunskySet(alpha[j]))
+        assert message in str(stacked.value) and str(stacked.value) == str(single.value)
+
+
 class TestJacobi:
     def test_single_entry(self):
         j = build_jacobi([0.0], [])
@@ -193,6 +242,25 @@ class TestJacobi:
     def test_length_mismatch(self):
         with pytest.raises(OutOfRange):
             build_jacobi([0.0, 0.0], [1.0, 1.0])
+
+
+class TestCircleWeights:
+    def test_rows_equal_measures(self):
+        rng = np.random.default_rng(3)
+        theta = rng.permutation(np.linspace(-3.0, 3.0, 7))
+        w = rng.uniform(0.5, 1.5, (9, 7))
+        w /= w.sum(axis=1, keepdims=True)
+        t, rows = circle_weights(theta, w)
+        assert rows.flags.c_contiguous
+        for row, wi in zip(rows, w):
+            mu = SpectralMeasureCircle(theta, wi)
+            assert t.tobytes() == mu.theta.tobytes() and row.tobytes() == mu.weights.tobytes()
+
+    def test_any_bad_row_rejected(self):
+        w = np.full((3, 4), 0.25)
+        w[1, 0] = 0.5
+        with pytest.raises(OutOfRange, match="sum to 1.25"):
+            circle_weights([0.0, 1.0, 2.0, 3.0], w)
 
 
 class TestMeasures:

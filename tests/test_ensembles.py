@@ -168,6 +168,7 @@ class TestCoefficientSamples:
         ("circular", 64, 2.0), ("jacobi", 64, 1.0), ("hermite", 64, 4.0),
         ("jacobi", 3, 0.01),   # interval draws at +-1 are redrawn
         ("hermite", 3, 1e-3),  # off-diagonals that underflow to 0 are redrawn
+        ("circular", 6, 0.1),  # disk moduli above 1 - 1e-12 are redrawn
     ])
     def test_eigenvalue_samples_pinned_to_loop(self, family, n, beta):
         spec = make_spec(family, n, beta)
@@ -192,7 +193,12 @@ class TestCoefficientSamples:
             b, a = coefficient_samples(make_spec(family, 6, 1.0), 1, RngStream(5))
             assert np.array_equal(j.b, b[0]) and np.array_equal(j.a, a[0])
 
-    @pytest.mark.parametrize("family", ["jacobi", "hermite"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_circular_rows_are_coefficient_sets(self, seed):
+        alpha = coefficient_samples(EnsembleSpec("circular", 6, 0.1), 10, RngStream(seed))
+        assert all(VerblunskySet(row).alpha[:-1].tobytes() == row[:-1].tobytes() for row in alpha)
+
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
     def test_redraws_are_capped(self, family):
         with pytest.raises(InvalidParams, match="256 draws"):
             coefficient_samples(make_spec(family, 6, 1e-9), 10, RngStream(1))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, batched_lm_factors, build_cmv, build_jacobi
+from cmvkit.core import (
+    SpectralMeasureCircle,
+    VerblunskySet,
+    batched_lm_factors,
+    build_cmv,
+    build_jacobi,
+    circle_weights,
+)
 from cmvkit.ensembles import RngStream, sample_circular_beta
 from cmvkit.errors import (
     IllConditioned,
@@ -21,12 +28,14 @@ from cmvkit.opuc import (
     reversed_poly,
     szego_coefficients,
     szego_project,
+    szego_rows,
     unitary_angles,
     unitary_eigensystem,
     verblunsky_from_measure,
+    verblunsky_rows,
 )
 
-from reference import eigvals_angles, geronimus_loop
+from reference import eigvals_angles, geronimus_loop, szego_loop
 from strategies import verblunsky_sets
 from test_core import random_set
 
@@ -263,6 +272,38 @@ class TestInverseSpectralMap:
         mu = unitary_eigensystem(build_cmv(v))
         partial = szego_coefficients(mu, 3)
         assert np.abs(partial - verblunsky_from_measure(mu).alpha[:3]).max() < 1e-12
+
+
+class TestStackedSzego:
+    @staticmethod
+    def weight_stack(n, rows=9):
+        rng = np.random.default_rng(n)
+        mu0 = unitary_eigensystem(build_cmv(random_set(rng, n, radius=0.7)))
+        w = mu0.weights * rng.uniform(0.5, 1.5, (rows, n))
+        return mu0.theta, w / w.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64])
+    def test_rows_equal_single_measures(self, n):
+        theta, w = self.weight_stack(n)
+        t, rows = circle_weights(theta, w)
+        alphas = szego_rows(t, rows, n)
+        states = verblunsky_rows(t, rows)
+        for i in range(w.shape[0]):
+            mu = SpectralMeasureCircle(theta, w[i])
+            assert alphas[i].tobytes() == szego_loop(mu, n).tobytes()
+            assert alphas[i].tobytes() == szego_coefficients(mu, n).tobytes()
+            assert states[i].alpha.tobytes() == verblunsky_from_measure(mu).alpha.tobytes()
+
+    def test_partial_rows(self):
+        t, rows = circle_weights(*self.weight_stack(6))
+        assert np.array_equal(szego_rows(t, rows, 3), szego_rows(t, rows, 6)[:, :3])
+
+    def test_one_collapsed_row_raises(self):
+        t, rows = circle_weights([0.0, 1.0, 2.0], [[0.2, 0.3, 0.5], [1.0 - 2e-14, 1e-14, 1e-14]])
+        with pytest.raises(IllConditioned):
+            szego_rows(t, rows, 3)
+        with pytest.raises(SupportTooSmall):
+            szego_rows(t, rows, 4)
 
 
 class TestGeronimus:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from cmvkit import serialize
-from cmvkit.alflows import integrate_flow
+from cmvkit.alflows import FlowHamiltonian, integrate_flow, spectral_trajectory
 from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams
+
+from reference import trajectory_to_obj_loop
 
 
 class TestVerblunskyJson:
@@ -68,6 +70,16 @@ class TestTrajectoryJson:
         assert np.array_equal(traj.times, again.times)
         assert np.array_equal(traj.alpha_matrix(), again.alpha_matrix())
         assert np.array_equal(traj.eig_drift, again.eig_drift)
+
+
+    @pytest.mark.parametrize("n", [1, 6, 64])
+    def test_file_equals_the_per_float_build(self, tmp_path, n):
+        v = random_verblunsky(n, RngStream(n), radius=0.6)
+        traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.01, 1e-3)
+        serialize.dump_json(serialize.trajectory_to_obj(traj), tmp_path / "a.json")
+        serialize.dump_json(trajectory_to_obj_loop(traj), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert serialize.verblunsky_to_obj(v) == trajectory_to_obj_loop(traj)["states"][0]
 
 
 class TestCsv:

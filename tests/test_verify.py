@@ -6,6 +6,7 @@ import pytest
 import reference
 from cmvkit import serialize
 from cmvkit.brackets import cotangent_residual
+from cmvkit.ensembles import RngStream
 from cmvkit.errors import BranchProximity, InvalidParams
 from cmvkit.verify import (
     MIN_N,
@@ -14,6 +15,7 @@ from cmvkit.verify import (
     canonical_residuals,
     probe_separation,
     jacobian_residual,
+    random_measure,
     run_suite,
     suite_brackets,
     suite_canonical,
@@ -91,6 +93,18 @@ class TestDomain:
     def test_n_12_reachable(self, suite):
         report = run_suite(suite, 12, 2, 0)
         assert report["pass"], report
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    def test_jacobian_beyond_n_8(self, n):
+        report = run_suite("jacobian", n, 10, 0)
+        assert report["pass"] and report["skipped"] == 0, report
+
+    def test_jacobian_margin_keeps_the_benchmark_probes(self):
+        for n in range(1, 5):
+            a = random_measure(n, RngStream(n).generator())
+            b = random_measure(n, RngStream(n).generator(), margin=0.35)
+            assert np.array_equal(a.theta, b.theta) and np.array_equal(a.weights, b.weights)
+        assert random_measure(5, RngStream(5).generator()).n == 5
 
 
 class TestWorstProbe:
