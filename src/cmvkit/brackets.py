@@ -5,20 +5,28 @@ The bracket acts on real observables of the interior coordinates
 
     {f, g} = sum_j rho_j^2 [df/du_j dg/dv_j - df/dv_j dg/du_j].
 
-Partial derivatives are central differences evaluated at two step sizes
-(h and h/2) and Richardson-extrapolated; the two raw values also provide
-the error estimate and a non-smoothness guard.  There is one stencil
-loop, `coordinate_jacobian`: it differentiates a vector-valued
-observable, evaluating it once at each of the 4 * 2(n-1) stencil
-points, so observables that share work (every eigenvalue angle and
-weight from one eigensolve, every trace Hamiltonian from one CMV matrix)
-share it across the whole stencil.  `coordinate_gradient` and
-`al_bracket` are its one-row and two-row views.  Evaluating brackets
-numerically exercises the eigensolver and both spectral maps end to end,
-which is exactly what the identity suites are for.
+Derivatives are central differences at two step sizes (h and h/2),
+Richardson-extrapolated; the two raw values also give the error estimate
+and a non-smoothness guard.  The engine has one stencil and one bracket
+matrix:
 
-Every bracket evaluation is independent and pure; verification sweeps may
-run probe points in parallel.
+* `_stencil` is the only central-difference loop.  `coordinate_jacobian`
+  runs it on the 2(n-1) interior coordinates and adds the two-step
+  agreement guard: a vector observable is evaluated once at each of the
+  4 * 2(n-1) stencil points, so observables that share work (every
+  eigenvalue angle and weight from one eigensolve, every trace
+  Hamiltonian from one CMV matrix) share it across the whole stencil.
+  `spectral_to_verblunsky_jacobian` runs it on an offset chart of the
+  spectral measure.  `coordinate_gradient` is the one-row view.
+* `bracket_matrix` gives B[a, b] = {f_a, f_b} for every pair of
+  components of a vector observable, with error estimates.  `al_bracket`
+  and `cotangent_residual` read one entry of it, the verify suites
+  slices.
+
+Evaluating brackets numerically exercises the eigensolver and both
+spectral maps end to end, which is exactly what the identity suites are
+for.  Every bracket evaluation is independent and pure; verification
+sweeps may run probe points in parallel.
 """
 
 from __future__ import annotations
@@ -89,17 +97,25 @@ def _check_probe(v: VerblunskySet, h: float):
         raise RhoTooSmall(f"step {h:g} would push a coefficient onto the circle")
 
 
-def _central_differences(fn, v: VerblunskySet, x0: np.ndarray, step: float) -> np.ndarray:
-    """(fn(x0 + step e_i) - fn(x0 - step e_i)) / (2 step) for every i, shape (k, d)."""
-    cols = []
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += step
-        fp = np.asarray(fn(with_coordinates(v, xp)), dtype=float)
-        xp[i] = x0[i] - step
-        fm = np.asarray(fn(with_coordinates(v, xp)), dtype=float)
-        cols.append((fp - fm) / (2.0 * step))
-    return np.stack(cols, axis=1)
+def _stencil(fn, x0: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference Jacobians of fn at x0, at `steps` and at `steps / 2`.
+
+    fn maps a flat coordinate vector to a (k,) array of reals; coordinate
+    i is moved by steps[i].  Returns (coarse, fine), each of shape
+    (k, x0.size), column i being (fn(x0 + s e_i) - fn(x0 - s e_i)) / (2 s).
+    """
+    jacobians = []
+    for step in (steps, steps / 2.0):
+        cols = []
+        for i in range(x0.size):
+            xp = x0.copy()
+            xp[i] += step[i]
+            fp = np.asarray(fn(xp), dtype=float)
+            xp[i] = x0[i] - step[i]
+            fm = np.asarray(fn(xp), dtype=float)
+            cols.append((fp - fm) / (2.0 * step[i]))
+        jacobians.append(np.stack(cols, axis=1))
+    return jacobians[0], jacobians[1]
 
 
 def coordinate_jacobian(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None):
@@ -113,20 +129,21 @@ def coordinate_jacobian(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=Non
 
     Raises RhoTooSmall when the stencil would leave the disk, and
     NonDifferentiable when, for some component, the step-h and step-h/2
-    gradients disagree beyond 1e-4 relative to that row's gradient scale
-    (constant components come out as zero rows, not as errors).  The
-    message names the first such component, by `names[r]` if given.
+    gradients disagree beyond 1e-4 relative to that row's gradient scale,
+    or are NaN (constant components come out as zero rows, not as
+    errors).  The message names the first such component, by `names[r]`
+    if given.
     """
     _check_probe(v, h)
     x0 = interior_coordinates(v)
     if x0.size == 0:
         empty = np.empty((np.size(fn(v)), 0))
         return empty, empty, empty
-    g1 = _central_differences(fn, v, x0, h)
-    g2 = _central_differences(fn, v, x0, h / 2.0)
+    g1, g2 = _stencil(lambda x: fn(with_coordinates(v, x)), x0, np.full(x0.size, h))
     scale = np.maximum(np.maximum(np.abs(g1).max(axis=1), np.abs(g2).max(axis=1)), 1.0)
     gap = np.abs(g1 - g2).max(axis=1)
-    bad = np.flatnonzero(gap > GRADIENT_AGREEMENT * scale)
+    # written so that a NaN gap (a NaN observable) fails the guard too
+    bad = np.flatnonzero(~(gap <= GRADIENT_AGREEMENT * scale))
     if bad.size:
         r = int(bad[0])
         name = names[r] if names is not None else f"component {r}"
@@ -144,28 +161,33 @@ def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_ST
     return grad[0], g1[0], g2[0]
 
 
-def bracket_from_gradients(gf: np.ndarray, gg: np.ndarray, rho: np.ndarray) -> float:
-    """Assemble sum_j rho_j^2 (df/du dg/dv - df/dv dg/du) from flat gradients."""
-    rho2 = rho * rho
-    return float(np.sum(rho2 * (gf[0::2] * gg[1::2] - gf[1::2] * gg[0::2])))
+def _raw_brackets(jac: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_j rho_j^2 (df_a/du_j df_b/dv_j - df_a/dv_j df_b/du_j) over all rows a, b."""
+    du, dv = jac[:, 0::2], jac[:, 1::2]
+    return np.sum(rho * rho * (du[:, None] * dv[None] - dv[:, None] * du[None]), axis=-1)
 
 
-def richardson_bracket(g1: np.ndarray, g2: np.ndarray, a: int, b: int, rho: np.ndarray, scale: float = 1.0):
-    """Extrapolated bracket of Jacobian rows a and b, and its error estimate.
+def bracket_matrix(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets B[a, b] = {f_a, f_b} of every pair of components of fn, and
+    their error estimates, both of shape (k, k).
 
-    g1 and g2 are the step-h and step-h/2 Jacobians of `coordinate_jacobian`;
-    both raw brackets are multiplied by `scale` before extrapolation.
+    fn is a vector observable as in `coordinate_jacobian`, which supplies
+    the step-h and step-h/2 Jacobians (and their probe check and guard).
+    B is the Richardson extrapolation (4 fine - coarse) / 3 of the two raw
+    bracket matrices, and the error |fine - coarse| / 3.  B is
+    antisymmetric, with a zero diagonal, exactly: entry (b, a) is computed
+    from the negated products of entry (a, b).
     """
-    coarse = scale * bracket_from_gradients(g1[a], g1[b], rho)
-    fine = scale * bracket_from_gradients(g2[a], g2[b], rho)
-    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+    _, g1, g2 = coordinate_jacobian(fn, v, h, names)
+    coarse = _raw_brackets(g1, v.rho)
+    fine = _raw_brackets(g2, v.rho)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
 
 
 def al_bracket(f: Observable, g: Observable, v: VerblunskySet, h: float = DEFAULT_STEP) -> BracketReport:
     """Numerical Ablowitz-Ladik bracket {f, g} at the probe point v."""
-    _, g1, g2 = coordinate_jacobian(lambda w: [f(w), g(w)], v, h, names=(f.name, g.name))
-    value, error = richardson_bracket(g1, g2, 0, 1, v.rho)
-    return BracketReport(value=value, steps=(h, h / 2.0), error=error)
+    value, error = bracket_matrix(lambda w: [f(w), g(w)], v, h, names=(f.name, g.name))
+    return BracketReport(value=float(value[0, 1]), steps=(h, h / 2.0), error=float(error[0, 1]))
 
 
 class SpectralObservables:
@@ -282,8 +304,7 @@ def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2
         return np.log(weights[[j, k]] / weights[i])
 
     names = (f"log(mu_{j}/mu_{i})", f"log(mu_{k}/mu_{i})")
-    _, g1, g2 = coordinate_jacobian(log_ratios, v, h, names)
-    numeric, _ = richardson_bracket(g1, g2, 0, 1, v.rho)
+    numeric = bracket_matrix(log_ratios, v, h, names)[0][0, 1]
     th = obs.base.theta
     predicted = (
         2.0 / np.tan(0.5 * (th[i] - th[j]))
@@ -310,17 +331,23 @@ def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle, h: float = JACOBI
 
     Coordinates (theta_1, mu_1, ..., theta_{n-1}, mu_{n-1}, theta_n) with
     mu_n dependent map to (u_0, v_0, ..., u_{n-2}, v_{n-2}, phi) with
-    phi = arg(alpha_{n-1}); differentiation is by central differences at
-    steps h and h/2 with Richardson extrapolation of the matrix.
+    phi = arg(alpha_{n-1}).  `_stencil` differentiates the map in the
+    offset chart dx = (dtheta_1, dmu_1, ..., dtheta_n), where mu_n absorbs
+    the weight steps, at steps h and h/2 (a weight step is capped at a
+    quarter of the two weights it moves, then halved), and the two
+    matrices are Richardson-extrapolated.  phi depends on the angles only
+    through their sum, so a stencil point moves it by at most h, and the
+    branch margin keeps it 0.1 from the cut: no difference of phi wraps.
     """
     n = mu.n
-    theta0 = mu.theta.copy()
-    w0 = mu.weights.copy()
+    theta0, w0 = mu.theta, mu.weights
 
-    def outputs(theta, weights):
-        v = verblunsky_from_measure(SpectralMeasureCircle(theta, weights))
-        phi = np.angle(v.alpha[-1])
-        return np.concatenate([interior_coordinates(v), [phi]]) if n > 1 else np.array([phi])
+    def outputs(dx):
+        weights = w0.copy()
+        weights[:-1] += dx[1::2]
+        weights[-1] -= dx[1::2].sum()
+        v = verblunsky_from_measure(SpectralMeasureCircle(theta0 + dx[0::2], weights))
+        return np.concatenate([interior_coordinates(v), [np.angle(v.alpha[-1])]])
 
     base_phi = np.angle(verblunsky_from_measure(mu).alpha[-1])
     if np.pi - abs(base_phi) < BRANCH_MARGIN:
@@ -328,36 +355,7 @@ def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle, h: float = JACOBI
     if np.pi - np.abs(theta0).max() < 10.0 * h:
         raise BranchProximity("support too close to angle pi for stable differentiation")
 
-    def column(plus, minus):
-        # unwrap the phase component relative to the base value
-        d = plus - minus
-        d[-1] -= TWO_PI * np.round(d[-1] / TWO_PI)
-        return d
-
-    def jacobian_at(step):
-        dim = 2 * n - 1
-        jac = np.empty((dim, dim))
-        col = 0
-        for j in range(n):
-            tp = theta0.copy()
-            tp[j] += step
-            plus = outputs(tp, w0)
-            tp[j] = theta0[j] - step
-            minus = outputs(tp, w0)
-            jac[:, col] = column(plus, minus) / (2.0 * step)
-            col += 1
-            if j < n - 1:
-                hw = min(step, 0.25 * w0[j], 0.25 * w0[-1])
-                wp = w0.copy()
-                wp[j] += hw
-                wp[-1] -= hw
-                plus = outputs(theta0, wp)
-                wp[j] = w0[j] - hw
-                wp[-1] = w0[-1] + hw
-                minus = outputs(theta0, wp)
-                jac[:, col] = column(plus, minus) / (2.0 * hw)
-                col += 1
-        return jac
-
-    refined = (4.0 * jacobian_at(h / 2.0) - jacobian_at(h)) / 3.0
-    return float(np.linalg.det(refined))
+    steps = np.full(2 * n - 1, h)
+    steps[1::2] = np.minimum(h, 0.25 * np.minimum(w0[:-1], w0[-1]))
+    coarse, fine = _stencil(outputs, np.zeros(2 * n - 1), steps)
+    return float(np.linalg.det((4.0 * fine - coarse) / 3.0))

@@ -2,16 +2,21 @@
 
 Each suite sweeps seeded random probe points, evaluates a family of
 bracket/Jacobian identities numerically, and reports the worst residual
-against its tolerance.  Suites return a plain dict ready for JSON.  A
-suite needs at least one trial and n >= MIN_N[suite], and an identity
-that no trial evaluated (every probe skipped) fails rather than passing
-with residual 0.
+against its tolerance.  One table, `_SUITES`, gives each suite its probe
+draw, its per-probe residual function and its (identity, tolerance)
+list, and `run_suite` runs the one trial loop over it; the `suite_*`
+functions only fix each suite's default size and trial count.  Suites
+return a plain dict ready for JSON.  A suite needs at least one trial
+and n >= MIN_N[suite], and an identity that no trial evaluated (every
+probe skipped near a branch cut) fails rather than passing with
+residual 0.
 
-Each suite computes its residuals at one probe with one function
-(`brackets_residuals`, `canonical_residuals`, `cotangent_residual`,
-`jacobian_residual`), and each identity records the trial and the probe
-(coefficients or measure, in the serialize schemas) of its worst
-residual, so that probe alone reproduces `max_residual` bit for bit.
+The per-probe residual functions (`brackets_residuals`,
+`canonical_residuals`, `cotangent_residual`, `jacobian_residual`) read
+their defects from one bracket matrix, or one Jacobian, per probe.  Each
+identity records the trial and the probe (coefficients or measure, in
+the serialize schemas) of its worst residual, so that probe alone
+reproduces `max_residual` bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from .brackets import (
-    coordinate_jacobian,
+    bracket_matrix,
     cotangent_residual,
     interior_coordinates,
     jacobian_prediction,
-    richardson_bracket,
     spectral_observables,
     spectral_to_verblunsky_jacobian,
     trace_hamiltonians,
@@ -45,16 +49,6 @@ COTANGENT_TOL = 1e-5
 JACOBIAN_TOL = 1e-6
 
 HAMILTONIAN_DEGREES = (1, 2, 3)
-
-
-def _probes(suite: str, n: int, trials: int, seed: int) -> np.random.Generator:
-    """The generator of a suite's probe points; rejects a size or trial
-    count the suite cannot evaluate before anything is drawn."""
-    if n < MIN_N[suite]:
-        raise InvalidParams(f"{suite} suite needs n >= {MIN_N[suite]}, got {n}")
-    if trials < 1:
-        raise InvalidParams(f"need at least one trial, got {trials}")
-    return RngStream(seed).generator()
 
 
 def probe_separation(gap: float, n: int) -> float:
@@ -93,25 +87,14 @@ def _result(name: str, worst: _Worst, tolerance: float) -> dict:
     }
 
 
-def _finish(suite: str, n: int, trials: int, seed: int, identities: list[dict], skipped: int = 0) -> dict:
-    return {
-        "suite": suite,
-        "n": n,
-        "trials": trials,
-        "skipped": skipped,
-        "seed": seed,
-        "identities": identities,
-        "pass": all(item["pass"] for item in identities),
-    }
-
-
 def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
     """Worst defects at one probe of the coefficient bracket reconstruction,
     of antisymmetry, and of the trace Hamiltonians' involution.
 
-    One stencil sweep differentiates every interior coordinate (rows 2j,
-    2j+1 are u_j, v_j) and Re/Im K_m for m = 1..3 (one CMV matrix per
-    stencil point).
+    One bracket matrix covers every interior coordinate (rows 2j, 2j+1
+    are u_j, v_j) and Re/Im K_m for m = 1..3 (one CMV matrix per stencil
+    point).  The antisymmetry defect is 0 exactly, since `bracket_matrix`
+    is antisymmetric by construction; it guards that assembly only.
     """
     d = 2 * (v.n - 1)
 
@@ -120,32 +103,19 @@ def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
 
     names = [f"{p}_{j}" for j in range(v.n - 1) for p in "uv"]
     names += [f"{p} K_{m}" for m in HAMILTONIAN_DEGREES for p in ("Re", "Im")]
-    _, g1, g2 = coordinate_jacobian(values, v, names=names)
-
-    def rich(a, b):
-        return richardson_bracket(g1, g2, a, b, v.rho)[0]
-
-    worst_pair = 0.0
-    worst_anti = 0.0
-    for kk in range(v.n - 1):
-        for ll in range(v.n - 1):
-            u_k, v_k, u_l, v_l = 2 * kk, 2 * kk + 1, 2 * ll, 2 * ll + 1
-            uu = rich(u_k, u_l)
-            uv = rich(u_k, v_l)
-            vu = rich(v_k, u_l)
-            vv = rich(v_k, v_l)
-            # {a_k, conj(a_l)} = {u_k,u_l} + {v_k,v_l} + i({v_k,u_l} - {u_k,v_l})
-            same = complex(uu + vv, vu - uv)
-            cross = complex(uu - vv, uv + vu)
-            expected = -2j * v.rho[kk] ** 2 if kk == ll else 0.0
-            worst_pair = max(worst_pair, abs(same - expected), abs(cross))
-            worst_anti = max(worst_anti, abs(uv + rich(v_l, u_k)))
-    worst_ham = 0.0
-    for m in range(len(HAMILTONIAN_DEGREES)):
-        for l in range(len(HAMILTONIAN_DEGREES)):
-            for pf in (0, 1):
-                worst_ham = max(worst_ham, abs(rich(d + 2 * m + pf, d + 2 * l)))
-    return worst_pair, worst_anti, worst_ham
+    B = bracket_matrix(values, v, names=names)[0]
+    # [k, l] entries: {u_k, u_l}, {u_k, v_l}, {v_k, u_l}, {v_k, v_l}
+    uu, uv = B[0:d:2, 0:d:2], B[0:d:2, 1:d:2]
+    vu, vv = B[1:d:2, 0:d:2], B[1:d:2, 1:d:2]
+    # {a_k, conj(a_l)} = {u_k,u_l} + {v_k,v_l} + i({v_k,u_l} - {u_k,v_l}) = -2i delta_kl rho_k^2
+    same = np.hypot(uu + vv, (vu - uv) + np.diag(2.0 * v.rho**2))
+    # {a_k, a_l} = {u_k,u_l} - {v_k,v_l} + i({u_k,v_l} + {v_k,u_l}) = 0
+    cross = np.hypot(uu - vv, uv + vu)
+    worst_pair = np.maximum(same.max(), cross.max())
+    worst_anti = np.abs(uv + vu.T).max()
+    # {K_m parts, Re K_l}: rows Re/Im K_1..K_3, columns Re K_1..K_3
+    worst_ham = np.abs(B[d:, d::2]).max()
+    return float(worst_pair), float(worst_anti), float(worst_ham)
 
 
 def suite_brackets(n: int = 4, trials: int = 20, seed: int = 0) -> dict:
@@ -154,33 +124,19 @@ def suite_brackets(n: int = 4, trials: int = 20, seed: int = 0) -> dict:
     Checks, at random probe points:
       * the complex reconstruction {alpha_k, conj(alpha_l)} = -2i delta_kl rho_k^2
         and {alpha_k, alpha_l} = 0 from the four real coordinate brackets;
-      * antisymmetry of the numeric bracket;
+      * antisymmetry of the numeric bracket (0 by construction);
       * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
     """
-    gen = _probes("brackets", n, trials, seed)
-    worst = [_Worst() for _ in range(3)]
-    for trial in range(trials):
-        v = random_verblunsky(n, gen, radius=0.65)
-        probe = verblunsky_to_obj(v)
-        for tracker, residual in zip(worst, brackets_residuals(v)):
-            tracker.update(residual, trial, probe)
-    names = ("coefficient bracket reconstruction", "antisymmetry", "trace hamiltonians in involution")
-    return _finish(
-        "brackets",
-        n,
-        trials,
-        seed,
-        [_result(name, tracker, BRACKET_TOL) for name, tracker in zip(names, worst)],
-    )
+    return run_suite("brackets", n, trials, seed)
 
 
 def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
     """Worst defects at one probe of {theta_j, theta_k} = 0 and of the
     pairing matrix {theta_l, (1/2) log(mu_j / mu_n)} = identity.
 
-    One stencil sweep differentiates theta_0..theta_{n-1} (rows 0..n-1)
-    and log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one
-    eigensolve per stencil point.
+    One bracket matrix covers theta_0..theta_{n-1} (rows 0..n-1) and
+    log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one eigensolve
+    per stencil point.
     """
     n = v.n
     obs = spectral_observables(v)
@@ -190,16 +146,10 @@ def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
         return np.concatenate([theta, np.log(weights[: n - 1] / weights[n - 1])])
 
     names = [f"theta_{j}" for j in range(n)] + [f"log(mu_{j}/mu_{n - 1})" for j in range(n - 1)]
-    _, g1, g2 = coordinate_jacobian(values, v, names=names)
-    worst_theta = 0.0
-    for j in range(n):
-        for l in range(j + 1, n):
-            worst_theta = max(worst_theta, abs(richardson_bracket(g1, g2, j, l, v.rho)[0]))
-    mat = np.empty((n - 1, n - 1))
-    for l in range(n - 1):
-        for j in range(n - 1):
-            mat[l, j] = richardson_bracket(g1, g2, l, n + j, v.rho, scale=0.5)[0]
-    return worst_theta, float(np.abs(mat - np.eye(n - 1)).max())
+    B = bracket_matrix(values, v, names=names)[0]
+    worst_theta = np.abs(B[:n, :n][np.triu_indices(n, 1)]).max()
+    pairing = 0.5 * B[: n - 1, n:]
+    return float(worst_theta), float(np.abs(pairing - np.eye(n - 1)).max())
 
 
 def suite_canonical(n: int = 4, trials: int = 10, seed: int = 0) -> dict:
@@ -208,41 +158,12 @@ def suite_canonical(n: int = 4, trials: int = 10, seed: int = 0) -> dict:
     {theta_j, theta_k} should vanish and the matrix
     {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
     """
-    gen = _probes("canonical", n, trials, seed)
-    worst = [_Worst(), _Worst()]
-    for trial in range(trials):
-        v = random_verblunsky(n, gen, radius=0.6, min_separation=probe_separation(0.35, n))
-        probe = verblunsky_to_obj(v)
-        for tracker, residual in zip(worst, canonical_residuals(v)):
-            tracker.update(residual, trial, probe)
-    return _finish(
-        "canonical",
-        n,
-        trials,
-        seed,
-        [
-            _result("eigenvalue angles commute", worst[0], THETA_COMMUTE_TOL),
-            _result("canonical pairing matrix", worst[1], CANONICAL_TOL),
-        ],
-    )
+    return run_suite("canonical", n, trials, seed)
 
 
 def suite_cotangent(n: int = 4, trials: int = 25, seed: int = 0) -> dict:
     """Mass-ratio bracket against the cotangent sum on well separated spectra."""
-    gen = _probes("cotangent", n, trials, seed)
-    worst = _Worst()
-    for trial in range(trials):
-        v = random_verblunsky(n, gen, radius=0.55, min_separation=probe_separation(0.5, n))
-        labels = tuple(gen.permutation(n)[:3].tolist())
-        probe = dict(verblunsky_to_obj(v), labels=list(labels))
-        worst.update(abs(cotangent_residual(v, labels)), trial, probe)
-    return _finish(
-        "cotangent",
-        n,
-        trials,
-        seed,
-        [_result("cotangent identity", worst, COTANGENT_TOL)],
-    )
+    return run_suite("cotangent", n, trials, seed)
 
 
 def random_measure(n: int, gen, margin: float | None = None) -> SpectralMeasureCircle:
@@ -277,34 +198,91 @@ def jacobian_residual(mu: SpectralMeasureCircle) -> float:
 
 def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
     """Numeric spectral-to-coefficient Jacobian against its closed form."""
-    gen = _probes("jacobian", n, trials, seed)
-    worst = _Worst()
-    skipped = 0
-    for trial in range(trials):
-        mu = random_measure(n, gen)
-        try:
-            residual = jacobian_residual(mu)
-        except BranchProximity:
-            skipped += 1
-            continue
-        worst.update(residual, trial, circle_measure_to_obj(mu))
-    return _finish(
-        "jacobian",
-        n,
-        trials,
-        seed,
-        [_result("spectral jacobian determinant", worst, JACOBIAN_TOL)],
-        skipped,
-    )
+    return run_suite("jacobian", n, trials, seed)
+
+
+def _coefficients(n: int, gen, radius: float, gap: float | None = None):
+    """A coefficient probe and its record; with `gap`, its eigenvalue
+    angles are at least probe_separation(gap, n) apart."""
+    separation = None if gap is None else probe_separation(gap, n)
+    v = random_verblunsky(n, gen, radius=radius, min_separation=separation)
+    return v, verblunsky_to_obj(v)
+
+
+def _labelled_coefficients(n: int, gen):
+    v, record = _coefficients(n, gen, 0.55, 0.5)
+    labels = tuple(gen.permutation(n)[:3].tolist())
+    return (v, labels), dict(record, labels=list(labels))
+
+
+def _measure(n: int, gen):
+    mu = random_measure(n, gen)
+    return mu, circle_measure_to_obj(mu)
+
+
+# suite -> (draw(n, gen) -> (probe, probe record), residuals(probe), [(identity, tolerance)]).
+# The lambdas look the package functions up at call time.
+_SUITES = {
+    "brackets": (
+        lambda n, gen: _coefficients(n, gen, 0.65),
+        lambda v: brackets_residuals(v),
+        [
+            ("coefficient bracket reconstruction", BRACKET_TOL),
+            ("antisymmetry", BRACKET_TOL),
+            ("trace hamiltonians in involution", BRACKET_TOL),
+        ],
+    ),
+    "canonical": (
+        lambda n, gen: _coefficients(n, gen, 0.6, 0.35),
+        lambda v: canonical_residuals(v),
+        [("eigenvalue angles commute", THETA_COMMUTE_TOL), ("canonical pairing matrix", CANONICAL_TOL)],
+    ),
+    "cotangent": (
+        _labelled_coefficients,
+        lambda probe: (abs(cotangent_residual(*probe)),),
+        [("cotangent identity", COTANGENT_TOL)],
+    ),
+    "jacobian": (
+        _measure,
+        lambda mu: (jacobian_residual(mu),),
+        [("spectral jacobian determinant", JACOBIAN_TOL)],
+    ),
+}
 
 
 def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
-    if suite == "brackets":
-        return suite_brackets(n, trials, seed)
-    if suite == "canonical":
-        return suite_canonical(n, trials, seed)
-    if suite == "cotangent":
-        return suite_cotangent(n, trials, seed)
-    if suite == "jacobian":
-        return suite_jacobian(n, trials, seed)
-    raise InvalidParams(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    """Run one suite: `trials` seeded probes, the worst residual of each
+    identity, and the trials skipped near a branch cut (BranchProximity).
+
+    Rejects an unknown suite, a size below MIN_N[suite] or fewer than one
+    trial before anything is drawn.
+    """
+    if suite not in _SUITES:
+        raise InvalidParams(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if n < MIN_N[suite]:
+        raise InvalidParams(f"{suite} suite needs n >= {MIN_N[suite]}, got {n}")
+    if trials < 1:
+        raise InvalidParams(f"need at least one trial, got {trials}")
+    draw, residuals, identities = _SUITES[suite]
+    gen = RngStream(seed).generator()
+    worst = [_Worst() for _ in identities]
+    skipped = 0
+    for trial in range(trials):
+        probe, record = draw(n, gen)
+        try:
+            values = residuals(probe)
+        except BranchProximity:
+            skipped += 1
+            continue
+        for tracker, residual in zip(worst, values):
+            tracker.update(residual, trial, record)
+    results = [_result(name, tracker, tol) for (name, tol), tracker in zip(identities, worst)]
+    return {
+        "suite": suite,
+        "n": n,
+        "trials": trials,
+        "skipped": skipped,
+        "seed": seed,
+        "identities": results,
+        "pass": all(item["pass"] for item in results),
+    }

@@ -6,10 +6,11 @@ package code under test never checks itself against itself.  The
 exceptions are plain loop versions of package code that was vectorized
 or made to reuse intermediate results (lm_factors_loop, rk4_trajectory,
 geronimus_loop, ensemble_samples_loop, szego_loop,
-spectral_trajectory_loop, trajectory_to_obj_loop, and the
-scalar-observable stencil sweep with the suites assembled from it,
-scalar_gradient and *_residuals_scalar); tests require the package to
-match them bit for bit, except for the eigenvalue angles, which
+spectral_trajectory_loop, trajectory_to_obj_loop, the column-by-column
+spectral_jacobian_loop, and the scalar-observable stencil sweep with the
+suites assembled from it, scalar_gradient and *_residuals_scalar, which
+keep their own copy of the bracket formula); tests require the package
+to match them bit for bit, except for the eigenvalue angles, which
 rk4_trajectory takes from the general eigensolver (eigvals_angles) and
 the package from its Cayley-transform kernel.  ensemble_samples_loop and
 spectral_trajectory_loop take angles from that kernel too, one matrix at
@@ -22,10 +23,11 @@ import numpy as np
 
 from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation
 from cmvkit.brackets import (
+    BRANCH_MARGIN,
     DEFAULT_STEP,
     GRADIENT_AGREEMENT,
+    JACOBIAN_STEP,
     Observable,
-    bracket_from_gradients,
     coordinate_observables,
     interior_coordinates,
     spectral_observables,
@@ -33,8 +35,8 @@ from cmvkit.brackets import (
 )
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, verblunsky_block
 from cmvkit.ensembles import RngStream, random_verblunsky
-from cmvkit.errors import NonDifferentiable
-from cmvkit.opuc import unitary_angles, unitary_eigensystem
+from cmvkit.errors import BranchProximity, NonDifferentiable
+from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
 
 
 def cmv_pattern(v) -> np.ndarray:
@@ -363,9 +365,14 @@ def scalar_gradient(obs, v, h=DEFAULT_STEP):
     return (4.0 * g2 - g1) / 3.0, g1, g2
 
 
+def _bracket(gf, gg, rho):
+    """sum_j rho_j^2 (df/du_j dg/dv_j - df/dv_j dg/du_j) from flat gradients."""
+    return float(np.sum(rho * rho * (gf[0::2] * gg[1::2] - gf[1::2] * gg[0::2])))
+
+
 def _rich(ga, gb, rho, scale=1.0):
-    coarse = scale * bracket_from_gradients(ga[1], gb[1], rho)
-    fine = scale * bracket_from_gradients(ga[2], gb[2], rho)
+    coarse = scale * _bracket(ga[1], gb[1], rho)
+    fine = scale * _bracket(ga[2], gb[2], rho)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -454,3 +461,61 @@ def suite_residuals_scalar(suite, n, trials, seed):
             res = (abs(cotangent_residual_scalar(v, labels)),)
         worst = res if worst is None else tuple(max(a, b) for a, b in zip(worst, res))
     return [float(r) for r in worst]
+
+
+# --- spectral-to-coefficient Jacobian ----------------------------------------
+
+
+def spectral_jacobian_loop(mu, h=JACOBIAN_STEP):
+    """Determinant of the spectral-to-coefficient Jacobian, one hand-written
+    column at a time: an angle column, then a weight column that moves mu_j
+    against mu_n, at steps h and h/2 (weight steps capped at a quarter of
+    both weights), each column's phase difference unwrapped, and the two
+    matrices Richardson-extrapolated."""
+    n = mu.n
+    theta0 = mu.theta.copy()
+    w0 = mu.weights.copy()
+
+    def outputs(theta, weights):
+        v = verblunsky_from_measure(SpectralMeasureCircle(theta, weights))
+        phi = np.angle(v.alpha[-1])
+        return np.concatenate([interior_coordinates(v), [phi]]) if n > 1 else np.array([phi])
+
+    base_phi = np.angle(verblunsky_from_measure(mu).alpha[-1])
+    if np.pi - abs(base_phi) < BRANCH_MARGIN:
+        raise BranchProximity("phase near the cut")
+    if np.pi - np.abs(theta0).max() < 10.0 * h:
+        raise BranchProximity("support near angle pi")
+
+    def column(plus, minus):
+        d = plus - minus
+        d[-1] -= 2.0 * np.pi * np.round(d[-1] / (2.0 * np.pi))
+        return d
+
+    def jacobian_at(step):
+        dim = 2 * n - 1
+        jac = np.empty((dim, dim))
+        col = 0
+        for j in range(n):
+            tp = theta0.copy()
+            tp[j] += step
+            plus = outputs(tp, w0)
+            tp[j] = theta0[j] - step
+            minus = outputs(tp, w0)
+            jac[:, col] = column(plus, minus) / (2.0 * step)
+            col += 1
+            if j < n - 1:
+                hw = min(step, 0.25 * w0[j], 0.25 * w0[-1])
+                wp = w0.copy()
+                wp[j] += hw
+                wp[-1] -= hw
+                plus = outputs(theta0, wp)
+                wp[j] = w0[j] - hw
+                wp[-1] = w0[-1] + hw
+                minus = outputs(theta0, wp)
+                jac[:, col] = column(plus, minus) / (2.0 * hw)
+                col += 1
+        return jac
+
+    refined = (4.0 * jacobian_at(h / 2.0) - jacobian_at(h)) / 3.0
+    return float(np.linalg.det(refined))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import reference
 from cmvkit.alflows import al_vector_field
 from cmvkit.brackets import (
     Observable,
     al_bracket,
+    bracket_matrix,
     coordinate_gradient,
     coordinate_jacobian,
     coordinate_observables,
@@ -60,6 +62,14 @@ class TestCoordinates:
             with pytest.raises(NonDifferentiable, match=name):
                 call()
 
+    def test_nan_component_fails_the_guard(self, probe):
+        # NaN compares false against the agreement bound; it must still raise
+        def nan_second(w):
+            return [w.alpha[1].imag, np.nan]
+
+        with pytest.raises(NonDifferentiable, match="^broken:"):
+            coordinate_jacobian(nan_second, probe, names=("v_1", "broken"))
+
     def test_jacobian_rows_are_the_scalar_gradients(self, probe):
         obs = [Observable("u_1", lambda w: w.alpha[1].real), hamiltonian_observables(probe, 2)[0]]
         rows = coordinate_jacobian(lambda w: [o(w) for o in obs], probe)
@@ -78,6 +88,18 @@ class TestCoordinates:
 
 
 class TestCoordinateBrackets:
+    def test_bracket_matrix_is_exactly_antisymmetric(self, probe):
+        obs = spectral_observables(probe)
+        B, error = bracket_matrix(lambda w: np.concatenate(obs.values(w)), probe)
+        assert B.shape == error.shape == (2 * probe.n, 2 * probe.n)
+        assert np.array_equal(B, -B.T) and not np.diag(B).any()
+
+    def test_al_bracket_reads_the_bracket_matrix(self, probe):
+        u, v = coordinate_observables(probe, 1)
+        B, error = bracket_matrix(lambda w: [u(w), v(w)], probe)
+        rep = al_bracket(u, v, probe)
+        assert (rep.value, rep.error) == (B[0, 1], error[0, 1])
+
     def test_conjugate_pair(self, probe):
         u, v = coordinate_observables(probe, 1)
         rep = al_bracket(u, v, probe)
@@ -252,6 +274,15 @@ class TestJacobian:
         numeric_ratio = spectral_to_verblunsky_jacobian(bumped) / spectral_to_verblunsky_jacobian(mu)
         assert abs(predicted_ratio - 1.0) > 0.01
         assert numeric_ratio == pytest.approx(predicted_ratio, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_matches_the_column_loop(self, n):
+        # the offset-chart stencil against the hand-written column loop,
+        # with its phase unwrap, bit for bit
+        gen = RngStream(200 + n).generator()
+        for _ in range(3):
+            mu = random_measure(n, gen)
+            assert spectral_to_verblunsky_jacobian(mu) == reference.spectral_jacobian_loop(mu)
 
     def test_branch_proximity(self):
         mu = SpectralMeasureCircle([np.pi - 0.05], [1.0])

@@ -7,7 +7,7 @@ import reference
 from cmvkit import serialize
 from cmvkit.brackets import cotangent_residual
 from cmvkit.ensembles import RngStream
-from cmvkit.errors import BranchProximity, InvalidParams
+from cmvkit.errors import BranchProximity, InvalidParams, NonDifferentiable
 from cmvkit.verify import (
     MIN_N,
     SUITES,
@@ -148,6 +148,36 @@ class TestWorstProbe:
         monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
         item = suite_jacobian(n=3, trials=2, seed=4)["identities"][0]
         assert item["worst_trial"] is None and item["worst_probe"] is None
+
+    def test_nan_observable_is_not_a_pass(self, monkeypatch):
+        # Im K_3 is NaN at every stencil point: the gradient guard names it
+        from cmvkit.brackets import trace_hamiltonians
+
+        def nan_im_k3(w, ms):
+            values = trace_hamiltonians(w, ms)
+            values[-1] = np.nan
+            return values
+
+        monkeypatch.setattr("cmvkit.verify.trace_hamiltonians", nan_im_k3)
+        with pytest.raises(NonDifferentiable, match="^Im K_3:"):
+            run_suite("brackets", 4, 3, 0)
+
+    @pytest.mark.parametrize("suite,row,failing", [("brackets", -1, [2]), ("canonical", 0, [0, 1])])
+    def test_nan_bracket_reaches_the_report(self, suite, row, failing, monkeypatch):
+        # a NaN gradient past the guard must surface in the worst residual
+        import cmvkit.brackets as brackets
+
+        original = brackets.coordinate_jacobian
+
+        def nan_row(*args, **kwargs):
+            grad, g1, g2 = original(*args, **kwargs)
+            g1[row, 0] = g2[row, 0] = np.nan
+            return grad, g1, g2
+
+        monkeypatch.setattr(brackets, "coordinate_jacobian", nan_row)
+        report = run_suite(suite, 3, 2, 0)
+        assert [i for i, item in enumerate(report["identities"]) if np.isnan(item["max_residual"])] == failing
+        assert report["pass"] is False
 
     def test_nan_residual_fails(self, monkeypatch):
         residuals = iter([1e-9, float("nan"), 1e-8])
