@@ -101,14 +101,8 @@ class FlowHamiltonian:
         return self.coeffs.size
 
     def value(self, C: CMVMatrix) -> float:
-        """The Hamiltonian Im tr f(C)."""
-        acc = 0.0 + 0.0j
-        power = np.asarray(C.entries)
-        for m in range(1, self.degree + 1):
-            acc += self.coeffs[m - 1] * np.trace(power)
-            if m < self.degree:
-                power = power @ C.entries
-        return float(acc.imag)
+        """The Hamiltonian Im tr f(C) = Im sum_m c_m m K_m."""
+        return float(sum(c * m * trace_hamiltonian(C, m) for m, c in enumerate(self.coeffs, 1)).imag)
 
     def growth_rate(self, theta):
         """F(theta) = 2 Re[z f'(z)] at z = e^(i theta): the log-derivative of
@@ -144,10 +138,11 @@ class FlowHamiltonian:
 
 
 def trace_hamiltonian(C: CMVMatrix, m: int) -> complex:
-    """K_m = tr(C^m) / m."""
+    """K_m = tr(C^m) / m, the real and imaginary parts each divided by m."""
     if m < 1:
         raise InvalidParams("need m >= 1")
-    return complex(np.trace(np.linalg.matrix_power(np.asarray(C.entries), m)) / m)
+    trace = np.trace(np.linalg.matrix_power(np.asarray(C.entries), m))
+    return complex(trace.real / m, trace.imag / m)
 
 
 def plus_projection(A: np.ndarray) -> np.ndarray:

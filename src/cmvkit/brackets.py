@@ -19,9 +19,8 @@ matrix:
   `spectral_to_verblunsky_jacobian` runs it on an offset chart of the
   spectral measure.  `coordinate_gradient` is the one-row view.
 * `bracket_matrix` gives B[a, b] = {f_a, f_b} for every pair of
-  components of a vector observable, with error estimates.  `al_bracket`
-  and `cotangent_residual` read one entry of it, the verify suites
-  slices.
+  components of a vector observable, with error estimates.
+  `cotangent_residual` reads one entry of it, the verify suites slices.
 
 Evaluating brackets numerically exercises the eigensolver and both
 spectral maps end to end, which is exactly what the identity suites are
@@ -36,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpectralMeasureCircle, VerblunskySet, build_cmv
+from .core import SpectralMeasureCircle, VerblunskySet, build_cmv, circular_gaps
 from .errors import (
     BranchProximity,
     DegenerateSpectrum,
@@ -54,6 +53,7 @@ BRANCH_MARGIN = 0.1         # keep arg(alpha_{n-1}) this far from +-pi
 TWO_PI = 2.0 * np.pi
 
 
+# Kept because perfbench/spans.py counts evaluations through Observable.__call__.
 @dataclass(frozen=True)
 class Observable:
     """Named real-valued function of a coefficient set (boundary frozen)."""
@@ -63,15 +63,6 @@ class Observable:
 
     def __call__(self, v: VerblunskySet) -> float:
         return float(self.fn(v))
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    """Extrapolated bracket value with the steps used and an error estimate."""
-
-    value: float
-    steps: tuple[float, float]
-    error: float
 
 
 def interior_coordinates(v: VerblunskySet) -> np.ndarray:
@@ -151,6 +142,7 @@ def coordinate_jacobian(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=Non
     return (4.0 * g2 - g1) / 3.0, g1, g2
 
 
+# Kept because perfbench/spans.py traces it as the brackets layer.
 def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_STEP):
     """Richardson-extrapolated gradient plus the raw two-step values.
 
@@ -184,12 +176,6 @@ def bracket_matrix(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None) ->
     return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
 
 
-def al_bracket(f: Observable, g: Observable, v: VerblunskySet, h: float = DEFAULT_STEP) -> BracketReport:
-    """Numerical Ablowitz-Ladik bracket {f, g} at the probe point v."""
-    value, error = bracket_matrix(lambda w: [f(w), g(w)], v, h, names=(f.name, g.name))
-    return BracketReport(value=float(value[0, 1]), steps=(h, h / 2.0), error=float(error[0, 1]))
-
-
 class SpectralObservables:
     """Eigenvalue angles and weights with labels stable under perturbation.
 
@@ -199,14 +185,12 @@ class SpectralObservables:
     twice the best distance raises MatchingAmbiguous.  Matched angles are
     unwrapped to the branch closest to the base angle so the observables
     stay continuous.  `values` gives every matched angle and weight from
-    one eigensolve; the scalar observables are views of it.
+    one eigensolve.
     """
 
     def __init__(self, v: VerblunskySet, separation: float = 1e-6):
         base = unitary_eigensystem(build_cmv(v))
-        gaps = np.diff(base.theta)
-        wrap = base.theta[0] + TWO_PI - base.theta[-1]
-        if base.n > 1 and min(gaps.min(), wrap) <= separation:
+        if base.n > 1 and circular_gaps(base.theta).min() <= separation:
             raise DegenerateSpectrum(f"base spectrum separation below {separation:g}")
         self.base = base
         self.n = base.n
@@ -232,59 +216,6 @@ class SpectralObservables:
             weights[j] = mu.weights[i]
         return theta, weights
 
-    def theta(self, j: int) -> Observable:
-        return Observable(f"theta_{j}", lambda w, j=j: self.values(w)[0][j])
-
-    def mass(self, j: int) -> Observable:
-        return Observable(f"mu_{j}", lambda w, j=j: self.values(w)[1][j])
-
-    def log_mass_ratio(self, j: int, l: int) -> Observable:
-        def fn(w, j=j, l=l):
-            weights = self.values(w)[1]
-            return np.log(weights[j] / weights[l])
-
-        return Observable(f"log(mu_{j}/mu_{l})", fn)
-
-    def total_mass(self) -> Observable:
-        return Observable("total_mass", lambda w: self.values(w)[1].sum())
-
-
-def spectral_observables(v: VerblunskySet, separation: float = 1e-6) -> SpectralObservables:
-    """Labelled angle/weight observables at the probe point."""
-    return SpectralObservables(v, separation)
-
-
-def trace_hamiltonians(w: VerblunskySet, ms) -> np.ndarray:
-    """[Re K_m, Im K_m for m in ms], K_m = tr(C^m) / m, from one CMV matrix."""
-    if min(ms) < 1:
-        raise InvalidParams("need m >= 1")
-    C = np.asarray(build_cmv(w).entries)
-    out = []
-    for m in ms:
-        trace = np.trace(np.linalg.matrix_power(C, m))
-        out += [trace.real / m, trace.imag / m]
-    return np.array(out)
-
-
-def hamiltonian_observables(v: VerblunskySet, m: int) -> tuple[Observable, Observable]:
-    """(Re K_m, Im K_m) as observables; v only fixes the boundary coefficient."""
-    if m < 1:
-        raise InvalidParams("need m >= 1")
-    return (
-        Observable(f"Re K_{m}", lambda w, m=m: trace_hamiltonians(w, (m,))[0]),
-        Observable(f"Im K_{m}", lambda w, m=m: trace_hamiltonians(w, (m,))[1]),
-    )
-
-
-def coordinate_observables(v: VerblunskySet, j: int) -> tuple[Observable, Observable]:
-    """(u_j, v_j) as observables, 0 <= j <= n-2."""
-    if not 0 <= j <= v.n - 2:
-        raise InvalidParams(f"coordinate index {j} outside 0..{v.n - 2}")
-    return (
-        Observable(f"u_{j}", lambda w, j=j: w.alpha[j].real),
-        Observable(f"v_{j}", lambda w, j=j: w.alpha[j].imag),
-    )
-
 
 def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2), h: float = DEFAULT_STEP) -> float:
     """Defect of the mass-ratio bracket against the cotangent sum.
@@ -297,7 +228,7 @@ def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2
     if v.n < 3:
         raise InvalidParams("need n >= 3")
     i, j, k = labels
-    obs = spectral_observables(v)
+    obs = SpectralObservables(v)
 
     def log_ratios(w):
         weights = obs.values(w)[1]

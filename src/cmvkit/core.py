@@ -46,6 +46,14 @@ def principal_angle(theta):
     return np.where(t == -math.pi, math.pi, t) + 0.0  # + 0.0 normalizes -0.0
 
 
+def circular_gaps(theta) -> np.ndarray:
+    """The n gaps around the circle of sorted angles theta (..., n):
+    theta[k+1] - theta[k] for k < n - 1, then the wrap
+    (theta[0] + 2 pi) - theta[-1].  A single angle has the gap 2 pi."""
+    t = np.asarray(theta, dtype=float)
+    return np.diff(t, axis=-1, append=t[..., :1] + TWO_PI)
+
+
 @dataclass(frozen=True, eq=False)
 class VerblunskySet:
     """Coefficients alpha_0..alpha_{n-1}; the last one is unimodular.
@@ -95,21 +103,11 @@ class VerblunskySet:
         return VerblunskySet(np.concatenate([interior, self.alpha[-1:]]))
 
 
-def verblunsky_block(alpha_k: complex) -> np.ndarray:
-    """The 2x2 unitary block [[conj(a), rho], [rho, -a]], rho = sqrt(1 - |a|^2)."""
-    a = complex(alpha_k)
-    mod2 = a.real * a.real + a.imag * a.imag
-    if mod2 > 1.0 + 1e-12:
-        raise OutOfRange(f"|alpha| = {math.sqrt(mod2):.17g} exceeds 1")
-    rho = math.sqrt(max(1.0 - mod2, 0.0))
-    return np.array([[np.conj(a), rho], [rho, -a]], dtype=complex)
-
-
 def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
     """L and M factors of every coefficient vector in a (..., n) array.
 
-    Returns two (..., n, n) arrays laid out as in lm_factors, with the
-    entries verblunsky_block computes (the same rho, bit for bit).  The
+    Returns two (..., n, n) arrays laid out as in lm_factors: each 2x2
+    block is [[conj(a), rho], [rho, -a]] with rho = sqrt(1 - |a|^2).  The
     last coefficient of each vector is taken as given, not renormalized.
     """
     a = np.asarray(alpha, dtype=complex)
@@ -296,11 +294,8 @@ def circle_weights(theta, weights) -> tuple[np.ndarray, np.ndarray]:
     # take copies into a new C-contiguous array; w[..., order] need not be
     # one, and products on a strided row round differently in the last bit
     t, w = t[order], w.take(order, axis=-1)
-    if t.size > 1:
-        gaps = np.diff(t)
-        wrap = t[0] + TWO_PI - t[-1]
-        if min(gaps.min(), wrap) <= SEPARATION_TOL:
-            raise DegenerateSpectrum("two support angles closer than 1e-10")
+    if t.size > 1 and circular_gaps(t).min() <= SEPARATION_TOL:
+        raise DegenerateSpectrum("two support angles closer than 1e-10")
     return t, w
 
 

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INTERIOR_MARGIN, JacobiMatrix, VerblunskySet, batched_lm_factors, build_jacobi, lm_factors
+from .core import (
+    INTERIOR_MARGIN,
+    JacobiMatrix,
+    VerblunskySet,
+    batched_lm_factors,
+    build_jacobi,
+    circular_gaps,
+    lm_factors,
+)
 from .errors import (
     DomainViolation,
     EmptySample,
@@ -100,11 +108,6 @@ def _disk_samples(nu: float, size, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(s) * phase
 
 
-def sample_theta(nu: float, rng) -> complex:
-    """One draw from the disk distribution with parameter nu >= 1."""
-    return complex(_disk_samples(float(nu), None, as_generator(rng)))
-
-
 def _redrawn(shape, draw, valid, what: str, dtype=float) -> np.ndarray:
     """Array of the given shape whose entries draw(mask) fills where mask is
     set, redrawing the entries that fail valid.  Raises InvalidParams when
@@ -119,8 +122,8 @@ def _redrawn(shape, draw, valid, what: str, dtype=float) -> np.ndarray:
     raise InvalidParams(f"{what} still rejected after {MAX_DRAWS} draws; beta is too small")
 
 
-def _beta_interval_samples(s: float, t: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Variates on (-1, 1) with density ~ (1-x)^(s-1) (1+x)^(t-1).
+def _beta_interval_samples(s: float, t: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size variates on (-1, 1) with density ~ (1-x)^(s-1) (1+x)^(t-1).
 
     x = 1 - 2 Y for Y ~ Beta(s, t) built from two gamma draws.  Underflowed
     draws (possible for tiny shapes) are rejected and redrawn so the result
@@ -135,14 +138,7 @@ def _beta_interval_samples(s: float, t: float, size, rng: np.random.Generator) -
         g2 = rng.gamma(t, size=k)
         return 1.0 - 2.0 * g1 / (g1 + g2)
 
-    x = _redrawn(1 if size is None else int(size), draw, lambda x: np.abs(x) < 1.0,
-                 f"interval variates with shapes ({s:g}, {t:g})")
-    return x[0] if size is None else x
-
-
-def sample_beta_interval(s: float, t: float, rng) -> float:
-    """One draw from the interval beta distribution on (-1, 1)."""
-    return float(_beta_interval_samples(float(s), float(t), None, as_generator(rng)))
+    return _redrawn(size, draw, lambda x: np.abs(x) < 1.0, f"interval variates with shapes ({s:g}, {t:g})")
 
 
 def _circular_nus(n: int, beta: float) -> np.ndarray:
@@ -326,6 +322,8 @@ def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | 
     CMV matrix are at least that far apart (circularly).
     """
     gen = as_generator(rng)
+    if n < 1:
+        raise InvalidParams(f"need at least one coefficient, got n = {n}")
     if not 0.0 < radius < 1.0:
         raise InvalidParams("radius must lie in (0, 1)")
     for _ in range(MAX_DRAWS):
@@ -337,9 +335,6 @@ def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | 
         if min_separation is None:
             return v
         L, M = lm_factors(v)
-        theta = unitary_angles(L @ M)
-        gaps = np.diff(theta)
-        wrap = theta[0] + TWO_PI - theta[-1]
-        if n == 1 or min(gaps.min(initial=np.inf), wrap) > min_separation:
+        if n == 1 or circular_gaps(unitary_angles(L @ M)).min() > min_separation:
             return v
     raise InvalidParams("could not find a coefficient set with the requested separation")

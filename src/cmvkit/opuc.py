@@ -18,8 +18,6 @@ All functions are pure maps of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -31,6 +29,7 @@ from .core import (
     SpectralMeasureLine,
     VerblunskySet,
     build_jacobi,
+    circular_gaps,
     principal_angle,
 )
 from .errors import IllConditioned, InvalidBoundary, NotSymmetric, OutOfRange, SupportAtRealAxis, SupportTooSmall
@@ -92,7 +91,7 @@ def gap_rotation(theta) -> np.ndarray:
     """The phi that puts the Cayley pole -e^{i phi} of unitary_angles in the
     middle of the largest circular gap of sorted angles theta (..., n)."""
     t = np.asarray(theta, dtype=float)
-    gaps = np.diff(t, axis=-1, append=t[..., :1] + TWO_PI)
+    gaps = circular_gaps(t)
     k = np.argmax(gaps, axis=-1)[..., None]
     return np.take_along_axis(t + 0.5 * gaps, k, axis=-1)[..., 0] - np.pi
 
@@ -137,72 +136,6 @@ def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:
         return SpectralMeasureLine(J.b.copy(), np.array([1.0]))
     lam, vec = scipy.linalg.eigh_tridiagonal(J.b, J.a)
     return SpectralMeasureLine(lam, vec[0, :] ** 2)
-
-
-@dataclass(frozen=True, eq=False)
-class MonicPolynomial:
-    """Polynomial with coefficients in ascending order and leading coefficient 1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex).reshape(-1)
-        if c.size == 0 or c[-1] != 1.0:
-            raise OutOfRange("leading coefficient must be exactly 1")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
-
-
-def reversed_poly(p: MonicPolynomial) -> np.ndarray:
-    """Coefficients of the reversed polynomial, c_l -> conj(c_{k-l}).
-
-    Equivalently z^k conj(p(1/conj(z))) for a degree-k input.  The result
-    is generally not monic, so plain coefficients are returned (ascending
-    order, same length as the input).
-    """
-    return np.conj(p.coeffs[::-1])
-
-
-def monic_opuc(mu: SpectralMeasureCircle, k_max: int) -> list[MonicPolynomial]:
-    """Monic orthogonal polynomials of the measure, degrees 0..k_max.
-
-    Gram-Schmidt on monomials in the discrete inner product
-    sum_j w_j f(z_j) conj(g(z_j)), with two projection passes per degree
-    so that orthogonality survives small weights.  k_max may equal the
-    support size n, in which case the last polynomial is the monic
-    polynomial vanishing on the support.
-    """
-    n = mu.n
-    if k_max > n:
-        raise SupportTooSmall(f"k_max = {k_max} exceeds support size {n}")
-    if k_max < 0:
-        raise OutOfRange("k_max must be nonnegative")
-    z = mu.points
-    w = mu.weights
-    monomials = z[:, None] ** np.arange(k_max + 1)[None, :]
-    coeffs: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    norms2: list[float] = []
-    for k in range(k_max + 1):
-        c = np.zeros(k + 1, dtype=complex)
-        c[-1] = 1.0
-        val = monomials[:, k].astype(complex)
-        for _ in range(2):
-            for l in range(k):
-                proj = np.sum(w * val * np.conj(values[l])) / norms2[l]
-                val = val - proj * values[l]
-                c[: l + 1] -= proj * coeffs[l]
-        coeffs.append(c)
-        values.append(val)
-        norms2.append(float(np.sum(w * np.abs(val) ** 2)))
-    return [MonicPolynomial(c) for c in coeffs]
 
 
 def szego_coefficients(mu: SpectralMeasureCircle, count: int) -> np.ndarray:

@@ -25,16 +25,22 @@ def verblunsky_to_obj(v: VerblunskySet) -> dict:
     return {"n": int(v.n), "alpha": _pairs(v.alpha)}
 
 
+def _complex(pair) -> complex:
+    """The complex number of an [re, im] pair of exactly two numbers."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)):
+        raise InvalidParams(f"expected an [re, im] pair of two numbers, got {pair!r}")
+    return complex(pair[0], pair[1])
+
+
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
     try:
-        n = int(obj["n"])
-        pairs = obj["alpha"]
+        n = obj["n"]
+        pairs = list(obj["alpha"])
     except (KeyError, TypeError) as exc:
-        raise InvalidParams(f"malformed coefficient object: {exc}") from exc
-    if len(pairs) != n:
-        raise InvalidParams(f"expected exactly {n} coefficient pairs, got {len(pairs)}")
-    alpha = np.array([complex(p[0], p[1]) for p in pairs])
-    return VerblunskySet(alpha)
+        raise InvalidParams(f"malformed coefficient object: {exc!r}") from exc
+    if not isinstance(n, int) or len(pairs) != n:
+        raise InvalidParams(f"expected an integer n and n coefficient pairs, got n = {n!r} and {len(pairs)} pairs")
+    return VerblunskySet(np.array([_complex(p) for p in pairs]))
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -51,7 +57,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise InvalidParams("matrix entry count does not match its shape")
-    flat = np.array([complex(p[0], p[1]) for p in entries])
+    flat = np.array([_complex(p) for p in entries])
     return flat.reshape(rows, cols)
 
 
@@ -63,11 +69,17 @@ def circle_measure_to_obj(mu: SpectralMeasureCircle) -> dict:
     }
 
 
+def _points(obj: dict, key: str) -> tuple[list, list]:
+    """The (key, weight) values of a measure object's points, as floats."""
+    try:
+        pts = obj["points"]
+        return [float(p[key]) for p in pts], [float(p["weight"]) for p in pts]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"malformed measure object: {exc!r}") from exc
+
+
 def circle_measure_from_obj(obj: dict) -> SpectralMeasureCircle:
-    pts = obj["points"]
-    return SpectralMeasureCircle(
-        [p["theta"] for p in pts], [p["weight"] for p in pts]
-    )
+    return SpectralMeasureCircle(*_points(obj, "theta"))
 
 
 def line_measure_to_obj(nu: SpectralMeasureLine) -> dict:
@@ -75,8 +87,7 @@ def line_measure_to_obj(nu: SpectralMeasureLine) -> dict:
 
 
 def line_measure_from_obj(obj: dict) -> SpectralMeasureLine:
-    pts = obj["points"]
-    return SpectralMeasureLine([p["x"] for p in pts], [p["weight"] for p in pts])
+    return SpectralMeasureLine(*_points(obj, "x"))
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:

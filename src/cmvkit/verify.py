@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .alflows import trace_hamiltonian
 from .brackets import (
+    SpectralObservables,
     bracket_matrix,
     cotangent_residual,
     interior_coordinates,
     jacobian_prediction,
-    spectral_observables,
     spectral_to_verblunsky_jacobian,
-    trace_hamiltonians,
 )
-from .core import SpectralMeasureCircle, VerblunskySet
+from .core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from .ensembles import RngStream, random_verblunsky
 from .errors import BranchProximity, InvalidParams
 from .serialize import circle_measure_to_obj, verblunsky_to_obj
@@ -99,7 +99,9 @@ def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
     d = 2 * (v.n - 1)
 
     def values(w):
-        return np.concatenate([interior_coordinates(w), trace_hamiltonians(w, HAMILTONIAN_DEGREES)])
+        C = build_cmv(w)
+        parts = [(k.real, k.imag) for k in (trace_hamiltonian(C, m) for m in HAMILTONIAN_DEGREES)]
+        return np.concatenate([interior_coordinates(w), np.ravel(parts)])
 
     names = [f"{p}_{j}" for j in range(v.n - 1) for p in "uv"]
     names += [f"{p} K_{m}" for m in HAMILTONIAN_DEGREES for p in ("Re", "Im")]
@@ -139,7 +141,7 @@ def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
     per stencil point.
     """
     n = v.n
-    obs = spectral_observables(v)
+    obs = SpectralObservables(v)
 
     def values(w):
         theta, weights = obs.values(w)

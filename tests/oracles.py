@@ -1,10 +1,11 @@
 """Independent oracles used by the tests.
 
 Everything here is computed from first principles (entrywise matrix
-patterns, quadrature of densities, closed-form integrals) so that the
-package code under test never checks itself against itself.  The
-exceptions are plain loop versions of package code that was vectorized
-or made to reuse intermediate results (lm_factors_loop, rk4_trajectory,
+patterns, 2x2 Verblunsky blocks, Gram-Schmidt orthogonal polynomials,
+quadrature of densities, closed-form integrals) so that the package code
+under test never checks itself against itself.  The exceptions are
+plain loop versions of package code that was vectorized or made to
+reuse intermediate results (lm_factors_loop, rk4_trajectory,
 geronimus_loop, ensemble_samples_loop, szego_loop,
 spectral_trajectory_loop, trajectory_to_obj_loop, the column-by-column
 spectral_jacobian_loop, and the scalar-observable stencil sweep with the
@@ -28,14 +29,13 @@ from cmvkit.brackets import (
     GRADIENT_AGREEMENT,
     JACOBIAN_STEP,
     Observable,
-    coordinate_observables,
+    SpectralObservables,
     interior_coordinates,
-    spectral_observables,
     with_coordinates,
 )
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, verblunsky_block
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from cmvkit.ensembles import RngStream, random_verblunsky
-from cmvkit.errors import BranchProximity, NonDifferentiable
+from cmvkit.errors import BranchProximity, NonDifferentiable, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
 
 
@@ -75,6 +75,13 @@ def cmv_pattern(v) -> np.ndarray:
         put(r + 1, r + 1, -a[r] * np.conj(a[r + 1]))
         put(r + 1, r + 2, -a[r] * rho[r + 1])
     return C
+
+
+def verblunsky_block(alpha_k: complex) -> np.ndarray:
+    """The 2x2 unitary block [[conj(a), rho], [rho, -a]], rho = sqrt(1 - |a|^2)."""
+    a = complex(alpha_k)
+    rho = math.sqrt(max(1.0 - (a.real * a.real + a.imag * a.imag), 0.0))
+    return np.array([[np.conj(a), rho], [rho, -a]], dtype=complex)
 
 
 def lm_factors_loop(alpha):
@@ -176,6 +183,41 @@ def ensemble_samples_loop(spec, count, gen):
     for b, a in zip(diag, off):
         rows.append(np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1)))
     return np.array(rows)
+
+
+def monic_opuc(mu, k_max):
+    """Ascending coefficients of the monic orthogonal polynomials of the
+    measure, degrees 0..k_max (k_max <= n, where degree n vanishes on the
+    support).
+
+    Gram-Schmidt on monomials in the discrete inner product
+    sum_j w_j f(z_j) conj(g(z_j)), with two projection passes per degree
+    so that orthogonality survives small weights.
+    """
+    if not 0 <= k_max <= mu.n:
+        raise SupportTooSmall(f"k_max = {k_max} outside 0..{mu.n}")
+    z, w = mu.points, mu.weights
+    monomials = z[:, None] ** np.arange(k_max + 1)[None, :]
+    coeffs, values, norms2 = [], [], []
+    for k in range(k_max + 1):
+        c = np.zeros(k + 1, dtype=complex)
+        c[-1] = 1.0
+        val = monomials[:, k].astype(complex)
+        for _ in range(2):
+            for l in range(k):
+                proj = np.sum(w * val * np.conj(values[l])) / norms2[l]
+                val = val - proj * values[l]
+                c[: l + 1] -= proj * coeffs[l]
+        coeffs.append(c)
+        values.append(val)
+        norms2.append(float(np.sum(w * np.abs(val) ** 2)))
+    return coeffs
+
+
+def reversed_poly(c):
+    """Ascending coefficients of the reversal z^k conj(p(1/conj(z))) of the
+    degree-k polynomial with ascending coefficients c: c_l -> conj(c_{k-l})."""
+    return np.conj(np.asarray(c)[::-1])
 
 
 def eigvals_angles(U) -> np.ndarray:
@@ -376,6 +418,25 @@ def _rich(ga, gb, rho, scale=1.0):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _coordinate_observables(j):
+    return (
+        Observable(f"u_{j}", lambda w: w.alpha[j].real),
+        Observable(f"v_{j}", lambda w: w.alpha[j].imag),
+    )
+
+
+def _theta_observable(obs, j):
+    return Observable(f"theta_{j}", lambda w: obs.values(w)[0][j])
+
+
+def _log_mass_ratio_observable(obs, j, l):
+    def fn(w):
+        weights = obs.values(w)[1]
+        return np.log(weights[j] / weights[l])
+
+    return Observable(f"log(mu_{j}/mu_{l})", fn)
+
+
 def _trace_observable(m, part):
     def fn(w):
         trace = np.trace(np.linalg.matrix_power(np.asarray(build_cmv(w).entries), m))
@@ -388,7 +449,7 @@ def brackets_residuals_scalar(v):
     """(reconstruction, antisymmetry, involution) defects at one probe, one
     scalar gradient per coordinate and per Re/Im K_m."""
     n = v.n
-    grads = [tuple(scalar_gradient(o, v) for o in coordinate_observables(v, j)) for j in range(n - 1)]
+    grads = [tuple(scalar_gradient(o, v) for o in _coordinate_observables(j)) for j in range(n - 1)]
     worst_pair = worst_anti = worst_ham = 0.0
     for kk in range(n - 1):
         for ll in range(n - 1):
@@ -415,9 +476,9 @@ def canonical_residuals_scalar(v):
     """(angle commutation, pairing matrix) defects at one probe, one scalar
     gradient (and one eigensolve per stencil point) per observable."""
     n = v.n
-    obs = spectral_observables(v)
-    tgrads = [scalar_gradient(obs.theta(j), v) for j in range(n)]
-    rgrads = [scalar_gradient(obs.log_mass_ratio(j, n - 1), v) for j in range(n - 1)]
+    obs = SpectralObservables(v)
+    tgrads = [scalar_gradient(_theta_observable(obs, j), v) for j in range(n)]
+    rgrads = [scalar_gradient(_log_mass_ratio_observable(obs, j, n - 1), v) for j in range(n - 1)]
     worst_theta = 0.0
     for j in range(n):
         for l in range(j + 1, n):
@@ -432,9 +493,9 @@ def canonical_residuals_scalar(v):
 def cotangent_residual_scalar(v, labels):
     """Mass-ratio bracket minus the cotangent sum, one scalar gradient per ratio."""
     i, j, k = labels
-    obs = spectral_observables(v)
-    gf = scalar_gradient(obs.log_mass_ratio(j, i), v)
-    gg = scalar_gradient(obs.log_mass_ratio(k, i), v)
+    obs = SpectralObservables(v)
+    gf = scalar_gradient(_log_mass_ratio_observable(obs, j, i), v)
+    gg = scalar_gradient(_log_mass_ratio_observable(obs, k, i), v)
     th = obs.base.theta
     predicted = (
         2.0 / np.tan(0.5 * (th[i] - th[j]))

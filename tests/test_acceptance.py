@@ -29,7 +29,7 @@ from cmvkit.opuc import (
 )
 from cmvkit.verify import suite_brackets, suite_canonical, suite_cotangent, suite_jacobian
 
-from reference import (
+from oracles import (
     cdf_from_density,
     chi_square_pooled,
     circular_gap,

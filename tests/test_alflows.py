@@ -23,8 +23,8 @@ from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verblunsky_from_measure
 
-import reference
-from reference import eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
+import oracles
+from oracles import eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
 
 
 class TestTraceHamiltonian:
@@ -421,7 +421,7 @@ def record_calls(monkeypatch, module, name):
 
 class TestStackedTimeAxis:
     """spectral_trajectory stacks its grid times; every output must equal
-    the per-time loop in tests/reference.py bit for bit."""
+    the per-time loop in tests/oracles.py bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
     @pytest.mark.parametrize("t_final, m, part", [(1e-3, 1, "re"), (0.1, 2, "im"), (0.1, 1, "re")])
@@ -430,7 +430,7 @@ class TestStackedTimeAxis:
         v = random_verblunsky(n, RngStream(30 + n), radius=0.6)
         ham = FlowHamiltonian.matching_lax_flow(m, part)
         traj = spectral_trajectory(v, ham, t_final, 1e-3)
-        assert_identical_trajectory(traj, reference.spectral_trajectory_loop(v, ham, t_final, 1e-3))
+        assert_identical_trajectory(traj, oracles.spectral_trajectory_loop(v, ham, t_final, 1e-3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_matches_the_per_time_loop_on_5001_states(self, n):
@@ -440,7 +440,7 @@ class TestStackedTimeAxis:
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
         traj = spectral_trajectory(v, ham, 5.0, 1e-3)
         assert len(traj.states) == 5001
-        assert_identical_trajectory(traj, reference.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
+        assert_identical_trajectory(traj, oracles.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
 
     def test_zero_time(self):
         v = random_verblunsky(4, RngStream(5))

@@ -1,9 +1,10 @@
 """The names the benchmark's span tracer wraps must exist in the package.
 
 `perfbench/spans.py` rebinds every (module, attribute) of its LAYERS
-table and patches `cmvkit.brackets.Observable.__call__`.  The tests
-directory does not collect `perfbench/`, so without this check a rename
-in the package would pass the tests and break `perfbench/run.py --trace 1`.
+table and patches `cmvkit.brackets.Observable.__call__`.  A rename in the
+package also fails `perfbench/test_selftest.py::test_smoke_traced`, which
+runs every workload under the tracer; this check names the missing
+attribute directly and takes milliseconds.
 """
 
 import importlib

@@ -1,27 +1,34 @@
 import numpy as np
 import pytest
 
-import reference
-from cmvkit.alflows import al_vector_field
+import oracles
+from cmvkit.alflows import al_vector_field, trace_hamiltonian
 from cmvkit.brackets import (
     Observable,
-    al_bracket,
+    SpectralObservables,
     bracket_matrix,
     coordinate_gradient,
     coordinate_jacobian,
-    coordinate_observables,
     cotangent_residual,
-    hamiltonian_observables,
     interior_coordinates,
     jacobian_prediction,
-    spectral_observables,
     spectral_to_verblunsky_jacobian,
     with_coordinates,
 )
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import BranchProximity, DegenerateSpectrum, NonDifferentiable, RhoTooSmall
 from cmvkit.verify import random_measure
+
+
+def coordinates(w, *js):
+    """[u_j, v_j for j in js] at w."""
+    return [part for j in js for part in (w.alpha[j].real, w.alpha[j].imag)]
+
+
+def re_k(m):
+    """Re K_m as a function of a coefficient set."""
+    return lambda w: trace_hamiltonian(build_cmv(w), m).real
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +78,7 @@ class TestCoordinates:
             coordinate_jacobian(nan_second, probe, names=("v_1", "broken"))
 
     def test_jacobian_rows_are_the_scalar_gradients(self, probe):
-        obs = [Observable("u_1", lambda w: w.alpha[1].real), hamiltonian_observables(probe, 2)[0]]
+        obs = [Observable("u_1", lambda w: w.alpha[1].real), Observable("Re K_2", re_k(2))]
         rows = coordinate_jacobian(lambda w: [o(w) for o in obs], probe)
         for r, o in enumerate(obs):
             for got, want in zip(rows, coordinate_gradient(o, probe)):
@@ -89,102 +96,87 @@ class TestCoordinates:
 
 class TestCoordinateBrackets:
     def test_bracket_matrix_is_exactly_antisymmetric(self, probe):
-        obs = spectral_observables(probe)
+        obs = SpectralObservables(probe)
         B, error = bracket_matrix(lambda w: np.concatenate(obs.values(w)), probe)
         assert B.shape == error.shape == (2 * probe.n, 2 * probe.n)
         assert np.array_equal(B, -B.T) and not np.diag(B).any()
 
-    def test_al_bracket_reads_the_bracket_matrix(self, probe):
-        u, v = coordinate_observables(probe, 1)
-        B, error = bracket_matrix(lambda w: [u(w), v(w)], probe)
-        rep = al_bracket(u, v, probe)
-        assert (rep.value, rep.error) == (B[0, 1], error[0, 1])
-
     def test_conjugate_pair(self, probe):
-        u, v = coordinate_observables(probe, 1)
-        rep = al_bracket(u, v, probe)
-        assert abs(rep.value - probe.rho[1] ** 2) <= 1e-9
-        assert rep.error <= 1e-9
+        B, error = bracket_matrix(lambda w: coordinates(w, 1), probe)
+        assert abs(B[0, 1] - probe.rho[1] ** 2) <= 1e-9
+        assert error[0, 1] <= 1e-9
 
     def test_disjoint_coordinates_commute(self, probe):
-        u0, v0 = coordinate_observables(probe, 0)
-        u2, v2 = coordinate_observables(probe, 2)
-        for f, g in [(u0, u2), (u0, v2), (v0, u2), (v0, v2)]:
-            assert abs(al_bracket(f, g, probe).value) <= 1e-10
+        B = bracket_matrix(lambda w: coordinates(w, 0, 2), probe)[0]
+        assert np.abs(B[:2, 2:]).max() <= 1e-10
 
     def test_antisymmetry(self, probe):
-        u, v = coordinate_observables(probe, 0)
-        a = al_bracket(u, v, probe).value
-        b = al_bracket(v, u, probe).value
+        # two separate sweeps, with the components in opposite orders
+        a = bracket_matrix(lambda w: coordinates(w, 0), probe)[0][0, 1]
+        b = bracket_matrix(lambda w: coordinates(w, 0)[::-1], probe)[0][0, 1]
         assert abs(a + b) <= 1e-10
 
     def test_complex_reconstruction(self, probe):
         # {a_k, conj(a_k)} = -2 i rho_k^2 from the four real brackets
         for k in range(probe.n - 1):
-            u, v = coordinate_observables(probe, k)
-            uu = al_bracket(u, u, probe).value
-            uv = al_bracket(u, v, probe).value
-            vu = al_bracket(v, u, probe).value
-            vv = al_bracket(v, v, probe).value
+            (uu, uv), (vu, vv) = bracket_matrix(lambda w: coordinates(w, k), probe)[0]
             same = complex(uu + vv, vu - uv)
             assert abs(same - (-2j * probe.rho[k] ** 2)) <= 1e-9
 
     def test_leibniz_rule(self, probe):
-        u0, v0 = coordinate_observables(probe, 0)
-        u1, _ = coordinate_observables(probe, 1)
-        fg = Observable("u0*u1", lambda w: w.alpha[0].real * w.alpha[1].real)
-        lhs = al_bracket(fg, v0, probe).value
-        rhs = u0(probe) * al_bracket(u1, v0, probe).value + u1(probe) * al_bracket(u0, v0, probe).value
-        assert abs(lhs - rhs) <= 1e-5
+        # rows: u0 u1, u0, v0, u1; {u0 u1, v0} = u0 {u1, v0} + u1 {u0, v0}
+        def values(w):
+            return [w.alpha[0].real * w.alpha[1].real, *coordinates(w, 0), w.alpha[1].real]
+
+        B = bracket_matrix(values, probe)[0]
+        u0, u1 = probe.alpha[0].real, probe.alpha[1].real
+        assert abs(B[0, 2] - (u0 * B[3, 2] + u1 * B[1, 2])) <= 1e-5
 
     def test_probe_too_close_to_circle(self):
         # the stencil would leave the disk
         v = VerblunskySet([1.0 - 1e-9, 1.0])
         with pytest.raises(RhoTooSmall):
-            al_bracket(*coordinate_observables(v, 0), v)
+            bracket_matrix(lambda w: coordinates(w, 0), v)
 
 
 class TestSpectralObservables:
     def test_total_mass_is_casimir(self, probe):
-        obs = spectral_observables(probe)
-        u0, _ = coordinate_observables(probe, 0)
-        rep = al_bracket(u0, obs.total_mass(), probe)
-        assert abs(rep.value) <= 1e-9
+        obs = SpectralObservables(probe)
+        B = bracket_matrix(lambda w: [w.alpha[0].real, obs.values(w)[1].sum()], probe)[0]
+        assert abs(B[0, 1]) <= 1e-9
 
     def test_angles_commute(self, probe):
-        obs = spectral_observables(probe)
-        rep = al_bracket(obs.theta(0), obs.theta(2), probe)
-        assert abs(rep.value) <= 1e-6
+        obs = SpectralObservables(probe)
+        B = bracket_matrix(lambda w: obs.values(w)[0][[0, 2]], probe)[0]
+        assert abs(B[0, 1]) <= 1e-6
 
     def test_canonical_pairing(self, probe):
-        obs = spectral_observables(probe)
+        # {theta_l, (1/2) log(mu_j / mu_n)} = delta_jl for j, l < n
+        obs = SpectralObservables(probe)
         n = probe.n
-        for j in range(n - 1):
-            for l in range(n - 1):
-                half_log = Observable(
-                    "half_log", lambda w, j=j: 0.5 * obs.log_mass_ratio(j, n - 1).fn(w)
-                )
-                val = al_bracket(obs.theta(l), half_log, probe).value
-                assert abs(val - (1.0 if j == l else 0.0)) <= 1e-5
+
+        def values(w):
+            theta, weights = obs.values(w)
+            return np.concatenate([theta[: n - 1], 0.5 * np.log(weights[: n - 1] / weights[n - 1])])
+
+        B = bracket_matrix(values, probe)[0]
+        assert np.abs(B[: n - 1, n - 1 :] - np.eye(n - 1)).max() <= 1e-5
 
     def test_bracket_with_hamiltonian_reproduces_flow(self, probe):
         # {f, Re K_m} equals the chain-rule derivative of f along the flow
-        re_k2, _ = hamiltonian_observables(probe, 2)
+        d = 2 * (probe.n - 1)
+        B = bracket_matrix(lambda w: [*coordinates(w, *range(probe.n - 1)), re_k(2)(w)], probe)[0]
         field = al_vector_field(probe, 2, "re")
-        for j in range(probe.n - 1):
-            u, v = coordinate_observables(probe, j)
-            assert abs(al_bracket(u, re_k2, probe).value - field[j].real) <= 1e-6
-            assert abs(al_bracket(v, re_k2, probe).value - field[j].imag) <= 1e-6
+        assert np.abs(B[0:d:2, d] - field.real).max() <= 1e-6
+        assert np.abs(B[1:d:2, d] - field.imag).max() <= 1e-6
 
     def test_first_flow_closed_form(self, probe):
-        re_k1, _ = hamiltonian_observables(probe, 1)
+        d = 2 * (probe.n - 1)
+        B = bracket_matrix(lambda w: [*coordinates(w, *range(probe.n - 1)), re_k(1)(w)], probe)[0]
         rho2 = probe.rho**2
         ext = np.concatenate([[-1.0 + 0j], probe.alpha])
         expected = 1j * rho2 * (ext[:-2] + ext[2:])
-        for j in range(probe.n - 1):
-            u, v = coordinate_observables(probe, j)
-            got = complex(al_bracket(u, re_k1, probe).value, al_bracket(v, re_k1, probe).value)
-            assert abs(got - expected[j]) <= 1e-7
+        assert np.abs(B[0:d:2, d] + 1j * B[1:d:2, d] - expected).max() <= 1e-7
 
     def test_degenerate_base_rejected(self):
         v = VerblunskySet([0.0, 1.0])  # angles 0 and pi, fine
@@ -196,19 +188,18 @@ class TestSpectralObservables:
     def test_single_interior_bracket_vanishes(self):
         v = random_verblunsky(1, RngStream(3))
         # n = 1: no interior coordinates, brackets of anything vanish
-        obs = Observable("const", lambda w: abs(w.alpha[0]))
-        rep = al_bracket(obs, obs, v)
-        assert rep.value == 0.0
+        B = bracket_matrix(lambda w: [abs(w.alpha[0]), w.alpha[0].real], v)[0]
+        assert B.shape == (2, 2) and not B.any()
 
     def test_matching_ambiguous_far_from_base(self):
         from cmvkit.errors import MatchingAmbiguous
 
         base = random_verblunsky(4, RngStream(0).generator(), radius=0.6, min_separation=0.3)
-        obs = spectral_observables(base)
+        obs = SpectralObservables(base)
         far = random_verblunsky(4, RngStream(1004).generator(), radius=0.6)
         probe = base.replace_interior(far.interior)
         with pytest.raises(MatchingAmbiguous):
-            obs.theta(0).fn(probe)
+            obs.values(probe)
 
 
 class TestCotangent:
@@ -282,7 +273,7 @@ class TestJacobian:
         gen = RngStream(200 + n).generator()
         for _ in range(3):
             mu = random_measure(n, gen)
-            assert spectral_to_verblunsky_jacobian(mu) == reference.spectral_jacobian_loop(mu)
+            assert spectral_to_verblunsky_jacobian(mu) == oracles.spectral_jacobian_loop(mu)
 
     def test_branch_proximity(self):
         mu = SpectralMeasureCircle([np.pi - 0.05], [1.0])

@@ -12,7 +12,7 @@ from cmvkit import serialize
 from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.ensembles import RngStream, random_verblunsky
 
-from reference import cmv_pattern, eigvals_angles
+from oracles import cmv_pattern, eigvals_angles
 
 SRC = pathlib.Path(cmvkit.__file__).resolve().parents[1]
 
@@ -215,6 +215,13 @@ class TestFlow:
         code = run("flow", "--random", "--n", 3, "--t", 0.1, "--out", tmp_path / "t.json", "--quiet")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_random_n_below_one_exit_2(self, tmp_path, n, capsys):
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", n, "--seed", 1, "--t", 0.01, "--out", out, "--quiet") == 2
+        assert "need at least one coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectral:
     def test_round_trip(self, tmp_path):
@@ -225,6 +232,26 @@ class TestSpectral:
         assert run("spectral", "--input", mfile, "--to", "coeffs", "--out", back, "--quiet") == 0
         again = serialize.verblunsky_from_obj(serialize.load_json(back))
         assert np.abs(again.alpha - v.alpha).max() <= 1e-8
+
+
+    @pytest.mark.parametrize("to,obj", [
+        ("coeffs", {"pts": []}),
+        ("coeffs", {"points": [{"theta": 0.1}]}),
+        ("coeffs", {"points": [{"theta": "east", "weight": 1.0}]}),
+        ("coeffs", [0.1, 1.0]),
+        ("measure", {"n": 1, "alpha": [[1]]}),
+        ("measure", {"n": 1, "alpha": [[1, 0, 5]]}),
+        ("measure", {"n": 1, "alpha": [["1", 0]]}),
+        ("measure", {"n": "one", "alpha": [[1, 0]]}),
+        ("measure", {"n": 1.7, "alpha": [[1, 0]]}),
+        ("measure", {"alpha": [[1, 0]]}),
+    ])
+    def test_malformed_input_exit_2(self, tmp_path, to, obj, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        serialize.dump_json(obj, src)
+        assert run("spectral", "--input", src, "--to", to, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -13,13 +13,13 @@ from cmvkit.core import (
     build_jacobi,
     check_cmv,
     circle_weights,
+    circular_gaps,
     lm_factors,
     principal_angle,
-    verblunsky_block,
 )
 from cmvkit.errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 
-from reference import cmv_pattern, lm_factors_loop
+from oracles import cmv_pattern, lm_factors_loop
 from strategies import verblunsky_sets
 
 
@@ -60,20 +60,25 @@ class TestVerblunskySet:
         assert w.alpha[0] == 0.3j
 
 
+def first_block(a):
+    """The 2x2 block of coefficient a: the L factor of [a, 1] is that block alone."""
+    return batched_lm_factors([a, 1.0])[0]
+
+
 class TestBlocks:
     def test_zero_coefficient(self):
-        assert np.array_equal(verblunsky_block(0.0), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert np.array_equal(first_block(0.0), np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_unimodular_coefficient(self):
-        assert np.array_equal(verblunsky_block(1.0), np.array([[1, 0], [0, -1]], dtype=complex))
+        assert np.array_equal(first_block(1.0), np.array([[1, 0], [0, -1]], dtype=complex))
 
     def test_hand_value(self):
         # rho = sqrt(1 - 0.36) = 0.8
         expected = np.array([[-0.6j, 0.8], [0.8, -0.6j]])
-        assert np.abs(verblunsky_block(0.6j) - expected).max() < 1e-15
+        assert np.abs(first_block(0.6j) - expected).max() < 1e-15
 
     def test_block_unitary(self):
-        b = verblunsky_block(0.3 - 0.5j)
+        b = first_block(0.3 - 0.5j)
         assert np.abs(b.conj().T @ b - np.eye(2)).max() < 1e-15
 
 
@@ -261,6 +266,20 @@ class TestCircleWeights:
         w[1, 0] = 0.5
         with pytest.raises(OutOfRange, match="sum to 1.25"):
             circle_weights([0.0, 1.0, 2.0, 3.0], w)
+
+
+class TestCircularGaps:
+    def test_matches_the_written_out_gaps(self):
+        # each row: the n - 1 differences, then (t[0] + 2 pi) - t[-1], bit for bit
+        rng = np.random.default_rng(8)
+        t = np.sort(rng.uniform(-np.pi, np.pi, (5, 6)), axis=1)
+        gaps = circular_gaps(t)
+        for row, g in zip(t, gaps):
+            expected = np.concatenate([np.diff(row), [row[0] + 2.0 * np.pi - row[-1]]])
+            assert g.tobytes() == expected.tobytes() and np.array_equal(circular_gaps(row), g)
+
+    def test_single_angle(self):
+        assert np.array_equal(circular_gaps([0.3]), [2.0 * np.pi])
 
 
 class TestMeasures:

@@ -10,16 +10,26 @@ from cmvkit.ensembles import (
     eigenvalue_samples,
     gibbs_log_density,
     ks_statistic,
+    _beta_interval_samples,
+    _disk_samples,
     random_verblunsky,
-    sample_beta_interval,
     sample_circular_beta,
     sample_hermite_beta,
     sample_jacobi_beta,
-    sample_theta,
 )
 from cmvkit.errors import DomainViolation, EmptySample, InvalidNu, InvalidParams
 
-from reference import cdf_from_density, ensemble_samples_loop
+from oracles import cdf_from_density, ensemble_samples_loop
+
+
+def disk_draw(nu, gen):
+    """One disk variate, from the same generator calls a per-draw sampler makes."""
+    return complex(_disk_samples(nu, None, gen))
+
+
+def interval_draw(s, t, gen):
+    """One interval variate, from the same generator calls a per-draw sampler makes."""
+    return float(_beta_interval_samples(s, t, 1, gen)[0])
 
 
 def make_spec(family, n, beta):
@@ -46,19 +56,19 @@ class TestRngStream:
 class TestThetaSampler:
     def test_nu_one_is_unimodular(self):
         gen = RngStream(0).generator()
-        z = np.array([sample_theta(1.0, gen) for _ in range(200)])
+        z = np.array([disk_draw(1.0, gen) for _ in range(200)])
         assert np.abs(np.abs(z) - 1.0).max() < 1e-12
 
     def test_nu_three_uniform_disk(self):
         # exponent (nu-3)/2 vanishes, so |z|^2 is uniform on [0, 1]
         gen = RngStream(1).generator()
-        z = np.array([sample_theta(3.0, gen) for _ in range(20000)])
+        z = np.array([disk_draw(3.0, gen) for _ in range(20000)])
         d = ks_statistic(np.sort(np.abs(z) ** 2), lambda s: np.clip(s, 0.0, 1.0))
         assert d < 0.015
 
     def test_nu_five_second_moment(self):
         gen = RngStream(2).generator()
-        z = np.array([sample_theta(5.0, gen) for _ in range(40000)])
+        z = np.array([disk_draw(5.0, gen) for _ in range(40000)])
         second = (np.abs(z) ** 2).mean()
         assert abs(second - 1.0 / 3.0) < 0.01
 
@@ -67,7 +77,7 @@ class TestThetaSampler:
         for nu in (2, 3, 6):
             gen = RngStream(nu).generator()
             count = 100000
-            z = np.abs(_theta_block(nu, count, gen)) ** 2
+            z = np.abs(_disk_samples(float(nu), count, gen)) ** 2
             vec = gen.standard_normal((count, nu + 1))
             vec /= np.linalg.norm(vec, axis=1, keepdims=True)
             w = vec[:, 0] ** 2 + vec[:, 1] ** 2
@@ -76,40 +86,34 @@ class TestThetaSampler:
 
     def test_invalid_nu(self):
         with pytest.raises(InvalidNu):
-            sample_theta(0.5, RngStream(0))
-
-
-def _theta_block(nu, count, gen):
-    from cmvkit.ensembles import _disk_samples
-
-    return _disk_samples(float(nu), count, gen)
+            disk_draw(0.5, RngStream(0).generator())
 
 
 class TestBetaInterval:
     def test_uniform_case(self):
         gen = RngStream(3).generator()
-        x = np.sort([sample_beta_interval(1.0, 1.0, gen) for _ in range(20000)])
+        x = np.sort([interval_draw(1.0, 1.0, gen) for _ in range(20000)])
         assert ks_statistic(x, lambda s: (s + 1.0) / 2.0) < 0.015
 
     def test_symmetric_mean(self):
         gen = RngStream(4).generator()
-        x = np.array([sample_beta_interval(3.0, 3.0, gen) for _ in range(20000)])
+        x = np.array([interval_draw(3.0, 3.0, gen) for _ in range(20000)])
         assert abs(x.mean()) < 0.01
 
     def test_skewed_mean(self):
         gen = RngStream(5).generator()
-        x = np.array([sample_beta_interval(2.0, 1.0, gen) for _ in range(40000)])
+        x = np.array([interval_draw(2.0, 1.0, gen) for _ in range(40000)])
         assert abs(x.mean() + 1.0 / 3.0) < 0.01
 
     def test_density_shape(self):
         gen = RngStream(6).generator()
-        x = np.sort([sample_beta_interval(2.5, 1.7, gen) for _ in range(30000)])
+        x = np.sort([interval_draw(2.5, 1.7, gen) for _ in range(30000)])
         cdf = cdf_from_density(lambda t: (1 - t) ** 1.5 * (1 + t) ** 0.7, -1.0, 1.0)
         assert ks_statistic(x, cdf) < 0.015
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
-            sample_beta_interval(0.0, 1.0, RngStream(0))
+            interval_draw(0.0, 1.0, RngStream(0).generator())
 
 
 class TestCoefficientModels:
@@ -138,12 +142,12 @@ class TestCoefficientModels:
     def test_jacobi_coefficient_moments(self):
         # n=2, beta=2, a=b=0 coefficient laws on (-1,1): means 0, -1/3, 0
         gen = RngStream(11).generator()
-        from cmvkit.ensembles import _beta_interval_samples, _jacobi_shapes
+        from cmvkit.ensembles import _jacobi_shapes
 
         shapes = _jacobi_shapes(2, 2.0, 0.0, 0.0)
         assert shapes == [(2.0, 2.0), (2.0, 1.0), (1.0, 1.0)]
         means = [(t - s) / (s + t) for s, t in shapes]
-        draws = np.array([[_beta_interval_samples(s, t, None, gen) for s, t in shapes] for _ in range(20000)])
+        draws = np.array([[interval_draw(s, t, gen) for s, t in shapes] for _ in range(20000)])
         assert np.abs(draws.mean(axis=0) - means).max() < 0.02
 
     def test_hermite_positive_offdiagonal(self):

@@ -7,7 +7,7 @@ from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySe
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams
 
-from reference import trajectory_to_obj_loop
+from oracles import trajectory_to_obj_loop
 
 
 class TestVerblunskyJson:
@@ -58,6 +58,13 @@ class TestMeasureJson:
         again = serialize.line_measure_from_obj(serialize.line_measure_to_obj(nu))
         assert np.array_equal(nu.x, again.x)
         assert np.array_equal(nu.weights, again.weights)
+
+    @pytest.mark.parametrize("obj", [{}, {"points": 3}, {"points": [{"weight": 1.0}]},
+                                     {"points": [{"x": [], "weight": 1.0}]}])
+    def test_malformed_line_object_rejected(self, obj):
+        # the circle reader shares this parser; tests/test_cli.py covers it through `cmv spectral`
+        with pytest.raises(InvalidParams, match="malformed measure object"):
+            serialize.line_measure_from_obj(obj)
 
 
 class TestTrajectoryJson:

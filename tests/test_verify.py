@@ -1,9 +1,10 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-import reference
+import oracles
 from cmvkit import serialize
 from cmvkit.brackets import cotangent_residual
 from cmvkit.ensembles import RngStream
@@ -151,14 +152,13 @@ class TestWorstProbe:
 
     def test_nan_observable_is_not_a_pass(self, monkeypatch):
         # Im K_3 is NaN at every stencil point: the gradient guard names it
-        from cmvkit.brackets import trace_hamiltonians
+        from cmvkit.alflows import trace_hamiltonian
 
-        def nan_im_k3(w, ms):
-            values = trace_hamiltonians(w, ms)
-            values[-1] = np.nan
-            return values
+        def nan_im_k3(C, m):
+            k = trace_hamiltonian(C, m)
+            return complex(k.real, np.nan) if m == 3 else k
 
-        monkeypatch.setattr("cmvkit.verify.trace_hamiltonians", nan_im_k3)
+        monkeypatch.setattr("cmvkit.verify.trace_hamiltonian", nan_im_k3)
         with pytest.raises(NonDifferentiable, match="^Im K_3:"):
             run_suite("brackets", 4, 3, 0)
 
@@ -188,17 +188,16 @@ class TestWorstProbe:
 
 class TestOneSweepPerProbe:
     @staticmethod
-    def count_calls(monkeypatch, name):
-        import cmvkit.brackets as brackets
-
+    def count_calls(monkeypatch, name, module="cmvkit.brackets"):
+        home = importlib.import_module(module)
         calls = []
-        original = getattr(brackets, name)
+        original = getattr(home, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(brackets, name, counted)
+        monkeypatch.setattr(home, name, counted)
         return calls
 
     @pytest.mark.parametrize("suite", ["canonical", "cotangent"])
@@ -209,7 +208,7 @@ class TestOneSweepPerProbe:
         assert len(calls) == 25
 
     def test_cmv_builds_per_brackets_trial(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "build_cmv")
+        calls = self.count_calls(monkeypatch, "build_cmv", "cmvkit.verify")
         run_suite("brackets", 4, 1, 0)
         assert len(calls) == 24
 
@@ -220,5 +219,5 @@ class TestOneSweepPerProbe:
     @pytest.mark.parametrize("seed", range(5))
     def test_reports_match_the_scalar_sweep(self, suite, n, seed):
         report = run_suite(suite, n, 2, seed)
-        expected = reference.suite_residuals_scalar(suite, n, 2, seed)
+        expected = oracles.suite_residuals_scalar(suite, n, 2, seed)
         assert [item["max_residual"] for item in report["identities"]] == expected
