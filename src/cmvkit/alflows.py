@@ -24,8 +24,9 @@ Two propagators are provided and cross-validate each other:
 
 integrate_flow and spectral_trajectory emit states on the same time grid
 and read their diagnostics through Trajectory.from_blocks, in blocks of at
-most ANGLE_BLOCK matrix entries: one stacked CMV check (spectral) and one
-stacked angle read (both) per block.
+most ANGLE_BLOCK matrix entries: one stacked check_cmv and one stacked
+angle read per block.  That check is the package's only run of the CMV
+invariants, and it covers every reported state and no other matrix.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), i.e. like the exact
@@ -50,8 +51,9 @@ from .core import (
     JacobiMatrix,
     SpectralMeasureCircle,
     VerblunskySet,
+    batched_lm_factors,
     build_cmv,
-    build_cmv_stack,
+    check_cmv,
     circle_weights,
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
@@ -70,6 +72,12 @@ MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to
 LAMBDA_GAP_TOL = 1e-8
 
 _PARTS = ("re", "im")
+
+
+def _check_order(m: int) -> int:
+    if m < 1:
+        raise InvalidParams(f"need m >= 1, got m = {m}")
+    return m
 
 
 def _check_part(part: str) -> str:
@@ -119,9 +127,7 @@ class FlowHamiltonian:
     @classmethod
     def trace_power(cls, m: int, part: str) -> "FlowHamiltonian":
         """The polynomial with Im tr f(C) = Re K_m (part='re') or Im K_m (part='im')."""
-        if m < 1:
-            raise InvalidParams("need m >= 1")
-        c = np.zeros(m, dtype=complex)
+        c = np.zeros(_check_order(m), dtype=complex)
         c[m - 1] = (1j if _check_part(part) == "re" else 1.0) / m
         return cls(c)
 
@@ -139,9 +145,7 @@ class FlowHamiltonian:
 
 def trace_hamiltonian(C: CMVMatrix, m: int) -> complex:
     """K_m = tr(C^m) / m, the real and imaginary parts each divided by m."""
-    if m < 1:
-        raise InvalidParams("need m >= 1")
-    trace = np.trace(np.linalg.matrix_power(np.asarray(C.entries), m))
+    trace = np.trace(np.linalg.matrix_power(np.asarray(C.entries), _check_order(m)))
     return complex(trace.real / m, trace.imag / m)
 
 
@@ -157,9 +161,7 @@ def lax_partner(C: CMVMatrix, m: int, part: str) -> np.ndarray:
     part='re': P = i (C^m)_+ + i ((C^m)_+)^*
     part='im': P =   (C^m)_+ -   ((C^m)_+)^*
     """
-    if m < 1:
-        raise InvalidParams("need m >= 1")
-    upper = plus_projection(np.linalg.matrix_power(np.asarray(C.entries), m))
+    upper = plus_projection(np.linalg.matrix_power(np.asarray(C.entries), _check_order(m)))
     if _check_part(part) == "re":
         return 1j * (upper + upper.conj().T)
     return upper - upper.conj().T
@@ -297,16 +299,17 @@ class Trajectory:
     def from_blocks(cls, times, blocks: Iterable[tuple]) -> "Trajectory":
         """Trajectory of consecutive blocks of states at times.
 
-        Each block is (states, entries, unitarity): a run of coefficient
-        sets, their checked CMV matrices as a (k, n, n) stack and the
-        unitarity residuals check_cmv returned for them.  The flow is
-        isospectral, so after the first state every state's angles are
+        Each block is (states, entries): a run of coefficient sets and
+        their CMV matrices as a (k, n, n) stack.  check_cmv runs on every
+        block, and its residuals are the unitarity diagnostic.  The flow
+        is isospectral, so after the first state every state's angles are
         taken with the Cayley pole of unitary_angles in the largest gap of
         the first state's spectrum, with one stacked call per block.
         """
         states, drift, unit = [], [], []
         base_angles = None
-        for block, entries, unitarity in blocks:
+        for block, entries in blocks:
+            unit.append(check_cmv(entries, np.array([s.alpha for s in block])))
             if base_angles is None:
                 base_angles = unitary_angles(entries[0])
                 phi = float(gap_rotation(base_angles))
@@ -316,7 +319,6 @@ class Trajectory:
             states.extend(block)
             d = np.abs(angles - base_angles)
             drift.append(np.minimum(d, 2.0 * math.pi - d).max(axis=1))
-            unit.append(unitarity)
         return cls(times, tuple(states), np.concatenate(drift), np.concatenate(unit))
 
 
@@ -326,7 +328,7 @@ def _block_size(n: int) -> int:
 
 
 def _matrix_blocks(matrices: Iterable[CMVMatrix]):
-    """Trajectory.from_blocks blocks of already built and checked matrices."""
+    """Trajectory.from_blocks blocks of already built matrices."""
     block = []
     for C in matrices:
         block.append(C)
@@ -338,7 +340,7 @@ def _matrix_blocks(matrices: Iterable[CMVMatrix]):
 
 
 def _stacked(block: list[CMVMatrix]) -> tuple:
-    return [C.source for C in block], np.stack([C.entries for C in block]), np.array([C.unitarity for C in block])
+    return [C.source for C in block], np.stack([C.entries for C in block])
 
 
 def _state_blocks(states: list[VerblunskySet], n: int):
@@ -346,7 +348,8 @@ def _state_blocks(states: list[VerblunskySet], n: int):
     per = _block_size(n)
     for s in range(0, len(states), per):
         block = states[s : s + per]
-        yield (block, *build_cmv_stack(block))
+        L, M = batched_lm_factors(np.array([v.alpha for v in block]))
+        yield block, L @ M
 
 
 def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
@@ -380,7 +383,7 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     coefficient modulus exceeds 1 - 1e-8.
     """
     times, h = _flow_grid(t_final, dt)
-    return Trajectory.from_states(times, _rk4_matrices(v0, m, _check_part(part), h, times.size - 1))
+    return Trajectory.from_states(times, _rk4_matrices(v0, _check_order(m), _check_part(part), h, times.size - 1))
 
 
 def _rk4_matrices(v0: VerblunskySet, m: int, part: str, h: float, steps: int):

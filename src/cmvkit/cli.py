@@ -12,6 +12,7 @@ failures, 4 for a failed verification suite.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -122,8 +123,8 @@ def cmd_histogram(args) -> int:
     if data.size == 0:
         raise InvalidParams(f"no samples in {args.input}")
     lo, hi = args.range
-    if not lo < hi:
-        raise InvalidParams("range must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParams(f"--range must be finite with LO < HI, got {lo!r} {hi!r}")
     counts, edges = np.histogram(data.reshape(-1), bins=args.bins, range=(lo, hi))
     serialize.write_histogram_csv(args.out, edges, counts)
     _progress(args.quiet, f"binned {int(counts.sum())} values into {args.bins} bins")

@@ -5,7 +5,8 @@ open unit disk and the last one on the unit circle, is equivalent to an
 n-point probability measure on the circle and to an n x n unitary
 five-diagonal matrix.  This module holds the immutable containers
 (coefficients, CMV and Jacobi matrices, finitely supported spectral
-measures) together with the structural builders and their validation.
+measures) together with the structural builders.  The containers are
+validated at construction; check_cmv tests the CMV invariants on stacks.
 
 All types are immutable values after construction and safe to share
 between threads.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 
-# Validation tolerances for construction-time invariants.
+# Validation tolerances (UNITARITY_TOL, TRACE_TOL and DET_TOL are check_cmv's).
 INTERIOR_MARGIN = 1e-12     # interior coefficients must satisfy |a| <= 1 - margin
 BOUNDARY_TOL = 1e-12        # allowed deviation of |alpha_{n-1}| from 1 before renormalizing
 UNITARITY_TOL = 1e-12
@@ -152,27 +153,21 @@ def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class CMVMatrix:
-    """Dense unitary five-diagonal matrix together with its coefficients.
+    """The dense unitary five-diagonal matrix C = L M of a coefficient set.
 
-    Construction runs check_cmv: unitarity, bandedness, and the trace
-    and determinant identities
+    The entries are derived from source and never passed in.  For any
+    valid source, unitarity, the band and the identities
         tr C  = conj(alpha_0) - sum_{k>=1} alpha_{k-1} conj(alpha_k)
-        det C = (-1)^(n-1) conj(alpha_{n-1}).
-    The unitarity residual max|C*C - I| it computes is kept as unitarity.
+        det C = (-1)^(n-1) conj(alpha_{n-1})
+    hold by construction; check_cmv tests them on stacks of matrices.
     """
 
-    entries: np.ndarray
     source: VerblunskySet
-    unitarity: float = field(init=False, repr=False)
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.array(self.entries, dtype=complex)
-        n = self.source.n
-        if c.shape != (n, n):
-            raise OutOfRange(f"expected a {n} x {n} matrix, got {c.shape}")
-        resid = check_cmv(c[None], self.source.alpha[None])[0]
-        object.__setattr__(self, "entries", _frozen(c))
-        object.__setattr__(self, "unitarity", float(resid))
+        L, M = lm_factors(self.source)
+        object.__setattr__(self, "entries", _frozen(L @ M))
 
     @property
     def n(self) -> int:
@@ -180,12 +175,12 @@ class CMVMatrix:
 
 
 def check_cmv(entries: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The CMVMatrix invariants on a (k, n, n) stack and its (k, n) coefficients.
+    """The CMV invariants on a (k, n, n) stack and its (k, n) coefficients.
 
     Checks every matrix for unitarity, the five-diagonal band and the
-    trace and determinant identities, in that order, with the tolerances
-    of CMVMatrix, and raises OutOfRange at the first invariant that some
-    matrix violates.  Returns the unitarity residuals max|C*C - I|.
+    trace and determinant identities, in that order, and raises OutOfRange
+    at the first invariant that some matrix violates.  Returns the
+    unitarity residuals max|C*C - I|.
     """
     n = alpha.shape[-1]
     resid = np.abs(np.swapaxes(entries.conj(), 1, 2) @ entries - np.eye(n)).max(axis=(1, 2))
@@ -211,21 +206,8 @@ def _outside_band(n: int) -> np.ndarray:
 
 
 def build_cmv(v: VerblunskySet) -> CMVMatrix:
-    """Assemble the CMV matrix L @ M of a coefficient set."""
-    L, M = lm_factors(v)
-    return CMVMatrix(L @ M, v)
-
-
-def build_cmv_stack(states) -> tuple[np.ndarray, np.ndarray]:
-    """build_cmv for a sequence of coefficient sets of one size, as arrays.
-
-    Returns the (k, n, n) stack of their CMV matrices and its unitarity
-    residuals; every matrix passes check_cmv, as CMVMatrix's would.
-    """
-    alpha = np.array([v.alpha for v in states])
-    L, M = batched_lm_factors(alpha)
-    entries = L @ M
-    return entries, check_cmv(entries, alpha)
+    """The CMV matrix L @ M of a coefficient set."""
+    return CMVMatrix(v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,9 +28,9 @@ from .core import (
     JacobiMatrix,
     VerblunskySet,
     batched_lm_factors,
+    build_cmv,
     build_jacobi,
     circular_gaps,
-    lm_factors,
 )
 from .errors import (
     DomainViolation,
@@ -85,6 +85,9 @@ class EnsembleSpec:
             raise InvalidParams(f"unknown family {self.family!r}")
         if self.n < 1:
             raise InvalidParams("need at least one particle")
+        for name in ("beta", "a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.beta > 0.0:
             raise InvalidParams("beta must be positive")
         if self.family == "jacobi" and (self.a <= -1.0 or self.b <= -1.0):
@@ -334,7 +337,6 @@ def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | 
         v = VerblunskySet(np.concatenate([interior, [last]]))
         if min_separation is None:
             return v
-        L, M = lm_factors(v)
-        if n == 1 or circular_gaps(unitary_angles(L @ M)).min() > min_separation:
+        if n == 1 or circular_gaps(unitary_angles(build_cmv(v).entries)).min() > min_separation:
             return v
     raise InvalidParams("could not find a coefficient set with the requested separation")

@@ -134,11 +134,22 @@ def write_samples_csv(path, rows: np.ndarray) -> None:
 
 
 def read_samples_csv(path) -> np.ndarray:
+    """The rows of a sample CSV as a (rows, columns) array; InvalidParams
+    on rows of unequal length and on tokens that are not finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         return np.empty((0, 0))
-    return np.array([[float(tok) for tok in line.split(",")] for line in rows])
+    try:
+        data = np.array([[float(tok) for tok in line.split(",")] for line in rows])
+    except ValueError as exc:
+        ragged = len({line.count(",") for line in rows}) > 1
+        raise InvalidParams(f"{path}: {'rows of unequal length' if ragged else exc}") from exc
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = finite.all(axis=1).argmin() + 1
+        raise InvalidParams(f"{path}: row {row} holds {data[~finite][0]}, not a finite number")
+    return data
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:

@@ -419,6 +419,30 @@ def record_calls(monkeypatch, module, name):
     return calls
 
 
+def assert_every_state_validated_and_checked(monkeypatch, flow):
+    """flow(v) on a 301-state n = 6 grid: check_cmv runs once per
+    trajectory block, on reported states only, and covers all of them."""
+    import cmvkit.alflows as alflows
+    import cmvkit.core as core
+
+    validated, checked = set(), set()
+    post_init = core.VerblunskySet.__post_init__
+
+    def counted_post_init(self):
+        post_init(self)
+        validated.add(self.alpha.tobytes())
+
+    monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
+    checks = record_calls(monkeypatch, alflows, "check_cmv")
+    traj = flow(random_verblunsky(6, RngStream(40), radius=0.6))
+    for entries, alpha in checks:
+        checked.update(a.tobytes() for a in alpha)
+    assert len(traj.states) == 301 and len(validated) >= 301
+    assert len(checks) == -(-301 // (ANGLE_BLOCK // 36)) == 3
+    assert sum(len(alpha) for _, alpha in checks) == 301
+    assert all(s.alpha.tobytes() in validated and s.alpha.tobytes() in checked for s in traj.states)
+
+
 class TestStackedTimeAxis:
     """spectral_trajectory stacks its grid times; every output must equal
     the per-time loop in tests/oracles.py bit for bit."""
@@ -448,23 +472,11 @@ class TestStackedTimeAxis:
         assert traj.states == (v,) and traj.eig_drift.tolist() == [0.0]
 
     def test_every_state_validated_and_checked(self, monkeypatch):
-        import cmvkit.core as core
+        ham = FlowHamiltonian.matching_lax_flow(1, "re")
+        assert_every_state_validated_and_checked(monkeypatch, lambda v: spectral_trajectory(v, ham, 0.3, 1e-3))
 
-        validated, checked = set(), set()
-        post_init = core.VerblunskySet.__post_init__
-
-        def counted_post_init(self):
-            post_init(self)
-            validated.add(self.alpha.tobytes())
-
-        monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
-        checks = record_calls(monkeypatch, core, "check_cmv")
-        v = random_verblunsky(6, RngStream(40), radius=0.6)
-        traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.3, 1e-3)
-        for entries, alpha in checks:
-            checked.update(a.tobytes() for a in alpha)
-        assert len(traj.states) == 301 and len(validated) >= 301
-        assert all(s.alpha.tobytes() in validated and s.alpha.tobytes() in checked for s in traj.states)
+    def test_every_rk4_state_validated_and_checked(self, monkeypatch):
+        assert_every_state_validated_and_checked(monkeypatch, lambda v: integrate_flow(v, 1, "re", 0.3, 1e-3))
 
     @pytest.mark.parametrize("n, t_final", [(3, 0.5), (6, 0.3), (64, 0.004)])
     @pytest.mark.parametrize("method", ["rk4", "spectral"])

@@ -151,6 +151,17 @@ class TestSample:
         assert run("sample", "--family", "circular", "--n", 2, "--beta", 2, "--count", 5,
                    "--seed", -1, "--out", tmp_path / "s.csv", "--quiet") == 2
 
+    @pytest.mark.parametrize("family, flag", [
+        ("circular", "--beta"), ("hermite", "--beta"), ("jacobi", "--beta"), ("jacobi", "--a"), ("jacobi", "--b"),
+    ])
+    def test_infinite_parameter_exit_2(self, tmp_path, capsys, family, flag):
+        out = tmp_path / "s.csv"
+        args = {"--beta": 2, "--a": 0.5, "--b": 0.5, flag: "inf"}
+        assert run("sample", "--family", family, "--n", 3, *(x for kv in args.items() for x in kv),
+                   "--count", 2, "--seed", 1, "--out", out, "--quiet") == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFlow:
     def test_zero_time_single_state(self, tmp_path):
@@ -220,6 +231,14 @@ class TestFlow:
         out = tmp_path / "t.json"
         assert run("flow", "--random", "--n", n, "--seed", 1, "--t", 0.01, "--out", out, "--quiet") == 2
         assert "need at least one coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_order_below_one_exit_2(self, tmp_path, method, capsys):
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", 4, "--seed", 1, "--m", 0, "--t", 0, "--method", method,
+                   "--out", out, "--quiet") == 2
+        assert "need m >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -330,6 +349,28 @@ class TestHistogram:
         code = run("histogram", "--input", src, "--bins", 4, "--range", 0, 1,
                    "--out", tmp_path / "h.csv", "--quiet")
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1,abc\n", "'abc'"),
+        ("0.1,0.2\n0.3\n", "rows of unequal length"),
+        ("nan,0.1\n", "row 1 holds nan"),
+        ("0.1,0.2\n0.3,-inf\n", "row 2 holds -inf"),
+    ])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, text, message):
+        src, out = tmp_path / "s.csv", tmp_path / "h.csv"
+        src.write_text(text)
+        assert run("histogram", "--input", src, "--bins", 4, "--range", 0, 1, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [(0, "inf"), (-1, "inf"), (0, "nan"), (1, 0)])
+    def test_bad_range_exit_2(self, tmp_path, capsys, lo, hi):
+        src, out = tmp_path / "s.csv", tmp_path / "h.csv"
+        serialize.write_samples_csv(src, np.array([[0.3]]))
+        assert run("histogram", "--input", src, "--bins", 4, "--range", lo, hi, "--out", out, "--quiet") == 2
+        assert "--range must be finite with LO < HI" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uniform_angle_bins_within_5_sigma(self, tmp_path):
         from cmvkit.ensembles import EnsembleSpec, eigenvalue_samples

@@ -9,7 +9,6 @@ from cmvkit.core import (
     VerblunskySet,
     batched_lm_factors,
     build_cmv,
-    build_cmv_stack,
     build_jacobi,
     check_cmv,
     circle_weights,
@@ -167,41 +166,78 @@ class TestBuildCMV:
         for _ in range(250):
             n = int(rng.integers(2, 17))
             v = random_set(rng, n)
-            c = build_cmv(v)  # construction re-checks all type invariants
+            c = build_cmv(v)
             entries = np.asarray(c.entries)
             assert np.abs(entries.conj().T @ entries - np.eye(n)).max() <= 1e-12
             det = np.linalg.det(entries)
             assert abs(det - (-1.0) ** (n - 1) * np.conj(v.alpha[-1])) <= 1e-10
 
-    def test_unitarity_residual_kept(self):
-        c = build_cmv(random_set(np.random.default_rng(5), 7))
-        e = c.entries
-        assert c.unitarity == float(np.abs(e.conj().T @ e - np.eye(7)).max())
+    def test_entries_derived_from_source(self):
+        v = random_set(np.random.default_rng(5), 7)
+        c = CMVMatrix(v)
+        L, M = lm_factors(v)
+        assert c.source is v and c.entries.tobytes() == (L @ M).tobytes()
+        assert not c.entries.flags.writeable
 
     def test_invalid_entries_rejected(self):
+        # entries are derived, never handed in
         v = VerblunskySet([0.0, 1.0])
-        with pytest.raises(OutOfRange):
+        with pytest.raises(TypeError):
             CMVMatrix(np.eye(2) * 0.5, v)
+
+
+def grid_sets():
+    """Coefficient sets on the edges of the domain: interior moduli 0, 0.5
+    and 1 - 2e-12 (each alone, then cycled), boundary phases 0, +-pi/2, pi
+    and a random one."""
+    rng = np.random.default_rng(13)
+    for n in [*range(1, 9), 16, 17, 32, 63, 64]:
+        for psi in (0.0, np.pi / 2, -np.pi / 2, np.pi, rng.uniform(-np.pi, np.pi)):
+            for mods in ([0.0], [0.5], [1.0 - 2e-12], [0.0, 0.5, 1.0 - 2e-12]):
+                interior = np.resize(mods, n - 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n - 1))
+                yield VerblunskySet(np.concatenate([interior, [np.exp(1j * psi)]]))
+
+
+def assert_cmv_invariants(v):
+    """build_cmv(v) passes check_cmv, whose residual is the dense one."""
+    c = build_cmv(v).entries
+    resid = check_cmv(c[None], v.alpha[None])
+    assert resid[0] == np.abs(c.conj().T @ c - np.eye(v.n)).max() <= 1e-12
+
+
+class TestInvariants:
+    """The CMV invariants are theorems about the builder; these tests are
+    where they are checked for single matrices."""
+
+    def test_domain_grid(self):
+        for v in grid_sets():
+            assert_cmv_invariants(v)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(verblunsky_sets(max_n=12))
+    def test_random_sets(self, v):
+        assert_cmv_invariants(v)
 
 
 class TestStackedCheck:
     @staticmethod
-    def states(n=6, k=5):
+    def stack(n=6, k=5):
         rng = np.random.default_rng(n)
         states = [random_set(rng, n, radius=0.8) for _ in range(k)]
         if n >= 2:
             # alpha_{n-2} = 0 keeps the trace identity blind to the boundary phase
             states[2] = states[2].replace_interior(np.concatenate([states[2].interior[:-1], [0.0]]))
-        return states
+        alpha = np.array([v.alpha for v in states])
+        return np.stack([build_cmv(v).entries for v in states]), alpha
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
     def test_stack_equals_cmv_matrices(self, n):
-        states = self.states(n)
-        entries, unitarity = build_cmv_stack(states)
-        for v, e, u in zip(states, entries, unitarity):
-            c = build_cmv(v)
-            assert e.tobytes() == c.entries.tobytes()
-            assert u.tobytes() == np.float64(c.unitarity).tobytes()
+        entries, alpha = self.stack(n)
+        L, M = batched_lm_factors(alpha)
+        assert (L @ M).tobytes() == entries.tobytes()
+        unitarity = check_cmv(entries, alpha)
+        for e, a, u in zip(entries, alpha, unitarity):
+            assert u.tobytes() == check_cmv(e[None], a[None]).tobytes()
             assert u == np.abs(e.conj().T @ e - np.eye(n)).max()
 
     @pytest.mark.parametrize("invariant, message", [
@@ -211,9 +247,8 @@ class TestStackedCheck:
         ("determinant", "determinant identity"),
     ])
     def test_one_bad_matrix_raises_as_cmv_matrix_does(self, invariant, message):
-        states = self.states()
-        entries, _ = build_cmv_stack(states)
-        alpha = np.array([v.alpha for v in states])
+        # a stack raises the message of its bad matrix checked alone
+        entries, alpha = self.stack()
         j = 2
         if invariant == "unitarity":
             entries[j] *= 1.0 + 1e-9
@@ -226,7 +261,7 @@ class TestStackedCheck:
         with pytest.raises(OutOfRange) as stacked:
             check_cmv(entries, alpha)
         with pytest.raises(OutOfRange) as single:
-            CMVMatrix(entries[j], VerblunskySet(alpha[j]))
+            check_cmv(entries[j][None], alpha[j][None])
         assert message in str(stacked.value) and str(stacked.value) == str(single.value)
 
 

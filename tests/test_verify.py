@@ -212,6 +212,13 @@ class TestOneSweepPerProbe:
         run_suite("brackets", 4, 1, 0)
         assert len(calls) == 24
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_no_cmv_checks(self, suite, monkeypatch):
+        # the CMV invariants are checked on reported flow states only
+        calls = [self.count_calls(monkeypatch, "check_cmv", m) for m in ("cmvkit.core", "cmvkit.alflows")]
+        run_suite(suite, max(3, MIN_N[suite]), 2, 0)
+        assert calls == [[], []]
+
     @pytest.mark.parametrize(
         "suite,n",
         [(suite, n) for suite in ("brackets", "canonical", "cotangent") for n in (2, 3, 4, 6) if n >= MIN_N[suite]],
