@@ -4,35 +4,30 @@ The Hamiltonians are the real and imaginary parts of the trace powers
 K_m = tr(C^m)/m of the CMV matrix.  Their flows keep the spectrum fixed
 and admit a commutator (Lax) form: the m-th flow moves the matrix along
 dC/dt = [C, P] with an anti-Hermitian partner P built from the upper
-part of C^m.  Extracting the coefficient velocities from the commutator
-reproduces, for (m=1, re), the lattice equation
+part of C^m.  The coefficient velocities read off the commutator give,
+for (m=1, re), the lattice equation
     d(alpha_j)/dt = i rho_j^2 (alpha_{j-1} + alpha_{j+1})
-with the left boundary value pinned to -1 (the fixed unimodular boundary
-realized by the finite matrix) and alpha_{n-1} frozen.
+with alpha_{-1} = -1 (the boundary the finite matrix realizes) and
+alpha_{n-1} frozen.
 
-Two propagators are provided and cross-validate each other:
+Two propagators cross-validate each other.  integrate_flow is fixed-step
+RK4 whose stages run _lax_velocity on plain arrays: C^m, P and the three
+central diagonals of [C, P] on their bands, then 2n - 3 entries of [C, P]
+through a recurrence that divides by nothing.  flow_via_spectral and
+exact_propagate diagonalize once, evolve the spectral weights exactly as
+mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with F(theta) = 2 Re[z f'(z)], and
+invert the spectral map; spectral_trajectory does so at every grid time
+with one diagonalization and one szego_rows pass over (T, n) weights.
 
-* integrate_flow: fixed-step RK4 on the commutator vector field;
-* flow_via_spectral / exact_propagate: diagonalize once, evolve the
-  spectral weights exactly as mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with
-  F(theta) = 2 Re[z f'(z)], then invert the spectral map;
-* spectral_trajectory: flow_via_spectral at every time of a trajectory,
-  with one diagonalization for all of them.  Every state is an explicit
-  function of t, so the time axis is an array axis: propagated_weights
-  gives the weights of all times as one (T, n) array and one szego_rows
-  pass inverts them all.
-
-integrate_flow and spectral_trajectory emit states on the same time grid
-and read their diagnostics through Trajectory.from_blocks, in blocks of at
-most ANGLE_BLOCK matrix entries: one stacked check_cmv and one stacked
-angle read per block.  That check is the package's only run of the CMV
-invariants, and it covers every reported state and no other matrix.
+Both trajectories share one time grid of at most MAX_STEPS steps and read
+their diagnostics through Trajectory.from_blocks: per block of at most
+ANGLE_BLOCK matrix entries, one stacked check_cmv (the package's only run
+of the CMV invariants, on every reported state) and one angle read.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
-transports spectral weights like exp(-F t), i.e. like the exact
-propagator of the negated Hamiltonian.  FlowHamiltonian.matching_lax_flow
-returns the polynomial whose spectral propagation reproduces the (m, part)
-commutator flow, so the two propagators can be compared directly.
+transports spectral weights like exp(-F t), like the exact propagator of
+the negated Hamiltonian; FlowHamiltonian.matching_lax_flow returns the
+polynomial whose spectral propagation reproduces the (m, part) flow.
 
 Integration of one trajectory is sequential; independent trajectories are
 safe to run in parallel.  Trajectories are immutable once returned.
@@ -40,6 +35,7 @@ safe to run in parallel.  Trajectories are immutable once returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -67,8 +63,8 @@ from .opuc import (
     verblunsky_rows,
 )
 
-RHO_FLOOR = 1e-10           # extraction divides by rho
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
+MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
 LAMBDA_GAP_TOL = 1e-8
 
 _PARTS = ("re", "im")
@@ -167,44 +163,81 @@ def lax_partner(C: CMVMatrix, m: int, part: str) -> np.ndarray:
     return upper - upper.conj().T
 
 
-def _extract_alpha_dot(v: VerblunskySet, cdot: np.ndarray) -> np.ndarray:
-    """Interior coefficient velocities from an entrywise matrix velocity.
-
-    Walks the entry chain holding rho_{k-1} conj(alpha_k) (positions
-    [k-1, k] for odd k, [k, k-1] for even k, and [0, 0] for k = 0),
-    propagating rho_dot_k = -Re(conj(alpha_k) alpha_dot_k) / rho_k.
-    """
-    n = v.n
-    alpha = v.alpha
-    rho = v.rho
-    if rho.size and rho.min() <= RHO_FLOOR:
-        raise RhoTooSmall(f"min rho = {rho.min():.3e} at or below {RHO_FLOOR:g}")
-    adot = np.zeros(n - 1, dtype=complex)
-    if n == 1:
-        return adot
-    adot[0] = np.conj(cdot[0, 0])
-    rdot_prev = -np.real(np.conj(alpha[0]) * adot[0]) / rho[0]
-    for k in range(1, n - 1):
-        entry = cdot[k - 1, k] if k % 2 == 1 else cdot[k, k - 1]
-        adot[k] = np.conj((entry - rdot_prev * np.conj(alpha[k])) / rho[k - 1])
-        rdot_prev = -np.real(np.conj(alpha[k]) * adot[k]) / rho[k]
-    return adot
-
-
 def al_vector_field(v: VerblunskySet, m: int = 1, part: str = "re") -> np.ndarray:
-    """Velocities of the interior coefficients under the (m, part) flow.
+    """Interior velocities of the (m, part) flow; the boundary does not move."""
+    return _lax_velocity(v.alpha, _check_order(m), _check_part(part))
 
-    Computed as the commutator [C, P] with the Lax partner, then read off
-    the matrix entries; the boundary coefficient does not move.
+
+# _lax_velocity holds an n x n matrix of half-width w as a band array of
+# shape (n + 2 _PAD, 2w + 1): row _PAD + i, column w + d holds entry
+# [i, i + d], and every other entry (padding, past the edge) is 0.
+_PAD = 3
+_UPPER = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])  # diagonals -3..3 of (.)_+
+
+
+@functools.lru_cache(maxsize=None)
+def _lax_indices(n: int, m: int) -> tuple:
+    """Gather indices of _lax_velocity; one that leaves a band reads [0, 0].
+
+    factors: L and M, blocks as in batched_lm_factors, from [conj(alpha),
+    -alpha[:-1], rho, 1, 0]; products: B in (AB)[i, i + r] = sum_p
+    A[i, i + p] B[i + p, i + r], for L M and C C^k, k < m; partner: C^m[i, j]
+    for j >= i and C^m[j, i] for j < i, |j - i| <= 3; bracket: the factors
+    of [C, P][k, k] for k < n - 1 and of each E_k entry."""
+    size = n + 2 * _PAD
+
+    def inside(rows, cols, width):
+        ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < width)
+        return np.where(ok, rows, 0), np.where(ok, cols, 0)
+
+    k = np.arange(n - 1)
+    factors = np.full((2, size, 3), 3 * n - 1)
+    factors[1, _PAD, 1] = 3 * n - 2
+    factors[(n - 1) % 2, _PAD + n - 1, 1] = n - 1
+    for col, shift, src in ((1, 0, k), (2, 0, 2 * n - 1 + k), (0, 1, 2 * n - 1 + k), (1, 1, n + k)):
+        factors[k % 2, _PAD + k + shift, col] = src
+    products = []
+    for wa, wb in [(1, 1)] + [(2, 2 * j) for j in range(1, m)]:
+        i, p, r = np.ogrid[:size, -wa : wa + 1, -wa - wb : wa + wb + 1]
+        products.append(inside(i + p, wb + r - p, 2 * wb + 1))
+    i, d = np.ogrid[:size, -3:4]
+    partner = inside(np.where(d < 0, i + d, i), 2 * m + np.abs(d), 4 * m + 1)
+    odd = k[1:] % 2  # E_k sits at [k - 1, k] for odd k, at [k, k - 1] for even k
+    rows, offs = np.concatenate([k, k[1:] - odd]), np.concatenate([0 * k, 2 * odd - 1])
+    i, r, p = _PAD + rows[:, None], offs[:, None], np.arange(-2, 3)
+    return factors, products, partner, ((i, p + 2), (i + p, r - p + 3), (i, r - p + 3), (i + r - p, p + 2))
+
+
+def _lax_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
+    """Interior velocities of the (m, part) flow at the raw coefficients
+    alpha (n,), from the bands of C, C^m and P: C is five-diagonal, C^m has
+    half-width 2m, and diagonals -1..1 of [C, P] read only -3..3 of P.
+    With dE_k, dD_k the entries of [C, P] where C holds E_k = rho_{k-1}
+    conj(alpha_k) and D_k = C[k, k] = -alpha_{k-1} conj(alpha_k), a_{-1} = -1,
+        conj(adot_k) = rho_{k-1} dE_k - conj(alpha_{k-1}) dD_k + i conj(alpha_k) s_k,
+        s_{k+1} = Im(alpha_k conj(adot_k)),  s_0 = 0  (dD_0 alone for k = 0).
+    Nothing is divided, and s contracts by |alpha_k|^2 < 1 at each step.
     """
-    return _lax_field(build_cmv(v), m, part)
-
-
-def _lax_field(C: CMVMatrix, m: int, part: str) -> np.ndarray:
-    """al_vector_field at C.source, reusing its already built matrix."""
-    P = lax_partner(C, m, part)
-    cdot = C.entries @ P - P @ C.entries
-    return _extract_alpha_dot(C.source, cdot)
+    n = alpha.size
+    factors, products, partner, (cp_c, cp_p, pc_p, pc_c) = _lax_indices(n, m)
+    inner = alpha[:-1]
+    mod2 = inner.real * inner.real + inner.imag * inner.imag
+    rho = np.sqrt(1.0 - mod2)
+    L, M = np.concatenate([alpha.conj(), -inner, rho, [1.0, 0.0]])[factors]
+    C = X = (L[:, None, :] @ M[products[0]])[:, 0]
+    for index in products[1:]:
+        X = (C[:, None, :] @ X[index])[:, 0]
+    G = X[partner]
+    U, U_adj = G * _UPPER, G.conj() * _UPPER[::-1]  # U = (C^m)_+ and U*
+    P = 1j * (U + U_adj) if part == "re" else U - U_adj
+    dC = (C[cp_c] * P[cp_p] - P[pc_p] * C[pc_c]).sum(axis=1)
+    base = dC[: n - 1].copy()
+    base[1:] = rho[: n - 2] * dC[n - 1 :] - inner[: n - 2].conj() * dC[1 : n - 1]
+    s, acc = 0.0, []
+    for g, q in zip((inner * base).imag.tolist(), mod2.tolist()):
+        acc.append(s)
+        s = g + q * s
+    return (base + 1j * inner.conj() * np.array(acc)).conj()
 
 
 def al_closed_form_field(v: VerblunskySet, left_boundary: complex = 1.0) -> np.ndarray:
@@ -287,15 +320,6 @@ class Trajectory:
         return np.array([s.alpha for s in self.states])
 
     @classmethod
-    def from_states(cls, times, matrices: Iterable[CMVMatrix]) -> "Trajectory":
-        """Trajectory of the states matrices[i].source at times[i].
-
-        The matrices are consumed a block at a time (see from_blocks) and
-        not kept; their diagnostics are read as from_blocks reads them.
-        """
-        return cls.from_blocks(times, _matrix_blocks(matrices))
-
-    @classmethod
     def from_blocks(cls, times, blocks: Iterable[tuple]) -> "Trajectory":
         """Trajectory of consecutive blocks of states at times.
 
@@ -322,41 +346,22 @@ class Trajectory:
         return cls(times, tuple(states), np.concatenate(drift), np.concatenate(unit))
 
 
-def _block_size(n: int) -> int:
-    """States per trajectory block: at most ANGLE_BLOCK matrix entries."""
-    return max(ANGLE_BLOCK // (n * n), 1)
-
-
-def _matrix_blocks(matrices: Iterable[CMVMatrix]):
-    """Trajectory.from_blocks blocks of already built matrices."""
-    block = []
-    for C in matrices:
-        block.append(C)
-        if len(block) == _block_size(C.n):
-            yield _stacked(block)
-            block = []
-    if block:
-        yield _stacked(block)
-
-
-def _stacked(block: list[CMVMatrix]) -> tuple:
-    return [C.source for C in block], np.stack([C.entries for C in block])
-
-
 def _state_blocks(states: list[VerblunskySet], n: int):
-    """Trajectory.from_blocks blocks of states whose matrices are built here."""
-    per = _block_size(n)
+    """Trajectory.from_blocks blocks of states whose matrices are built
+    here, at most ANGLE_BLOCK matrix entries per block."""
+    per = max(ANGLE_BLOCK // (n * n), 1)
     for s in range(0, len(states), per):
         block = states[s : s + per]
         L, M = batched_lm_factors(np.array([v.alpha for v in block]))
         yield block, L @ M
 
 
-def _flow_state(interior: np.ndarray, boundary: complex) -> VerblunskySet:
+def _flow_alpha(interior: np.ndarray, boundary: complex) -> np.ndarray:
+    """A flow state's or RK4 stage's coefficients, past the modulus ceiling."""
     mods = np.abs(interior)
     if mods.size and mods.max() > MODULUS_CEILING:
         raise RhoTooSmall(f"coefficient modulus {mods.max():.12g} reached the circle")
-    return VerblunskySet(np.concatenate([interior, [boundary]]))
+    return np.concatenate([interior, [boundary]])
 
 
 def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
@@ -364,12 +369,15 @@ def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
 
     ceil(t_final/dt) equal steps from 0 to t_final, with a 1e-12
     allowance for t_final/dt landing just above an integer.  Raises
-    InvalidParams unless dt > 0 and t_final >= 0 are finite.
+    InvalidParams unless dt > 0 and t_final >= 0 are finite and the grid
+    has at most MAX_STEPS steps.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParams(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise InvalidParams(f"t_final must be nonnegative and finite, got {t_final!r}")
+    if not t_final / dt - 1e-12 <= MAX_STEPS:
+        raise InvalidParams(f"t/dt asks for {t_final / dt:.4g} steps, more than the {MAX_STEPS} allowed")
     steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
     h = t_final / steps if steps else 0.0
     return np.linspace(0.0, t_final, steps + 1), h
@@ -379,38 +387,28 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """Fixed-step RK4 integration of the (m, part) commutator flow.
 
     The step is dt shortened to divide t_final exactly; the boundary
-    coefficient is held fixed.  Raises RhoTooSmall if any intermediate
+    coefficient is held fixed.  Stages are plain arrays; only reported
+    states become VerblunskySets.  Raises RhoTooSmall if any intermediate
     coefficient modulus exceeds 1 - 1e-8.
     """
     times, h = _flow_grid(t_final, dt)
-    return Trajectory.from_states(times, _rk4_matrices(v0, _check_order(m), _check_part(part), h, times.size - 1))
+    m, part = _check_order(m), _check_part(part)
+    b = v0.alpha[-1]
+    boundary = b / abs(b)  # as VerblunskySet renormalizes b in every flow state
 
+    def field(y: np.ndarray) -> np.ndarray:
+        return _lax_velocity(_flow_alpha(y, boundary), m, part)
 
-def _rk4_matrices(v0: VerblunskySet, m: int, part: str, h: float, steps: int):
-    """CMV matrices of the RK4 states; each one also serves the next step's k1."""
-    boundary = v0.alpha[-1]
-
-    def field(interior: np.ndarray) -> np.ndarray:
-        return al_vector_field(_flow_state(interior, boundary), m, part)
-
-    C = build_cmv(v0)
-    yield C
-    if not steps:
-        return
+    states = [v0]
     y = v0.interior.astype(complex)
-    start = _flow_state(y, boundary)
-    # Flow states pass v0's boundary through VerblunskySet's renormalization
-    # once more, which can move its last bit; k1 must see the flow state.
-    if not np.array_equal(start.alpha, v0.alpha):
-        C = build_cmv(start)
-    for _ in range(steps):
-        k1 = _lax_field(C, m, part)
+    for _ in range(times.size - 1):
+        k1 = field(y)
         k2 = field(y + 0.5 * h * k1)
         k3 = field(y + 0.5 * h * k2)
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        C = build_cmv(_flow_state(y, boundary))
-        yield C
+        states.append(VerblunskySet(_flow_alpha(y, b)))
+    return Trajectory.from_blocks(times, _state_blocks(states, v0.n))
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:

@@ -42,6 +42,7 @@ from .opuc import geronimus_entries, unitary_angles
 
 TWO_PI = 2.0 * math.pi
 MAX_DRAWS = 256           # draws a rejection loop may make before it gives up
+JACOBI_EXPONENT_MAX = 1e12  # larger a or b put the interval draws within rounding of -1 or 1
 SPECTRA_BLOCK = 2**20     # matrix entries per block of eigenvalue_samples
 
 
@@ -90,8 +91,9 @@ class EnsembleSpec:
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.beta > 0.0:
             raise InvalidParams("beta must be positive")
-        if self.family == "jacobi" and (self.a <= -1.0 or self.b <= -1.0):
-            raise InvalidParams("jacobi exponents must exceed -1")
+        for name in ("a", "b") if self.family == "jacobi" else ():
+            if not -1.0 < getattr(self, name) <= JACOBI_EXPONENT_MAX:
+                raise InvalidParams(f"jacobi exponent {name} = {getattr(self, name):g} outside (-1, {JACOBI_EXPONENT_MAX:g}]")
 
 
 def _disk_samples(nu: float, size, rng: np.random.Generator) -> np.ndarray:

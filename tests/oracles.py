@@ -15,14 +15,16 @@ to match them bit for bit, except for the eigenvalue angles, which
 rk4_trajectory takes from the general eigensolver (eigvals_angles) and
 the package from its Cayley-transform kernel.  ensemble_samples_loop and
 spectral_trajectory_loop take angles from that kernel too, one matrix at
-a time.
+a time.  dense_lax_field is the dense form of the banded Lax field (the
+full lax_partner and commutator, read by the rho_dot recurrence); tests
+hold the package to it within a relative tolerance.
 """
 
 import math
 
 import numpy as np
 
-from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation
+from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation, lax_partner
 from cmvkit.brackets import (
     BRANCH_MARGIN,
     DEFAULT_STEP,
@@ -258,6 +260,47 @@ def rk4_trajectory(v0, m, part, t_final, dt):
         drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
         unit.append(u)
     return Trajectory(np.linspace(0.0, t_final, steps + 1), tuple(states), np.asarray(drift), np.asarray(unit))
+
+
+def dense_lax_field(v, m, part):
+    """Interior velocities of the (m, part) flow from the dense commutator
+    [C, P] of lax_partner, read along the entry chain that holds
+    rho_{k-1} conj(alpha_k) ([k-1, k] for odd k, [k, k-1] for even k, and
+    [0, 0] for k = 0) by the first-order recurrence
+    rho_dot_k = -Re(conj(alpha_k) alpha_dot_k) / rho_k."""
+    C = build_cmv(v)
+    P = lax_partner(C, m, part)
+    cdot = C.entries @ P - P @ C.entries
+    alpha, rho = v.alpha, v.rho
+    adot = np.zeros(v.n - 1, dtype=complex)
+    if v.n == 1:
+        return adot
+    adot[0] = np.conj(cdot[0, 0])
+    rdot_prev = -np.real(np.conj(alpha[0]) * adot[0]) / rho[0]
+    for k in range(1, v.n - 1):
+        entry = cdot[k - 1, k] if k % 2 == 1 else cdot[k, k - 1]
+        adot[k] = np.conj((entry - rdot_prev * np.conj(alpha[k])) / rho[k - 1])
+        rdot_prev = -np.real(np.conj(alpha[k]) * adot[k]) / rho[k]
+    return adot
+
+
+def dense_rk4_endpoint(v0, m, part, t_final, dt):
+    """The last state of plain RK4 over dense_lax_field on the grid of
+    integrate_flow."""
+    steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
+    h = t_final / steps if steps else 0.0
+
+    def field(interior):
+        return dense_lax_field(VerblunskySet(np.concatenate([interior, v0.alpha[-1:]])), m, part)
+
+    y = v0.interior.astype(complex)
+    for _ in range(steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return VerblunskySet(np.concatenate([y, v0.alpha[-1:]]))
 
 
 def szego_loop(mu, count):

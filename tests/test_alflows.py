@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvkit.alflows import (
     FlowHamiltonian,
@@ -24,7 +26,8 @@ from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verblunsky_from_measure
 
 import oracles
-from oracles import eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
+from oracles import dense_lax_field, dense_rk4_endpoint, eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
+from strategies import verblunsky_sets
 
 
 class TestTraceHamiltonian:
@@ -146,6 +149,68 @@ class TestVectorFields:
             integrate_flow(v, 1, "re", 0.1, 1e-2)
 
 
+def relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def first_flow_closed_form(v, part):
+    """(1, re): i rho_j^2 (alpha_{j-1} + alpha_{j+1}); (1, im):
+    -rho_j^2 (alpha_{j+1} - alpha_{j-1}); both with alpha_{-1} = -1."""
+    ext = np.concatenate([[-1.0], v.alpha])
+    if part == "re":
+        return 1j * v.rho**2 * (ext[:-2] + ext[2:])
+    return -(v.rho**2) * (ext[2:] - ext[:-2])
+
+
+def ceiling_draws(n, seed, count=10):
+    """Radius-0.95 draws with one exact alpha_k = 0 and one |alpha_k| = 1 - 1e-8."""
+    gen = RngStream(seed).generator()
+    for _ in range(count):
+        alpha = random_verblunsky(n, gen, radius=0.95).alpha.copy()
+        k, j = gen.choice(n - 1, 2, replace=False)
+        alpha[k] = 0.0
+        alpha[j] = (1.0 - 1e-8) * np.exp(1j * gen.uniform(-np.pi, np.pi))
+        yield VerblunskySet(alpha)
+
+
+class TestLaxVelocity:
+    """The banded, division-free field against the dense commutator and
+    the closed forms of the first flows."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 63, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_matches_the_dense_commutator(self, n, m, part):
+        gen = RngStream(100 * n + m).generator()
+        for _ in range(3):
+            v = random_verblunsky(n, gen, radius=0.6)
+            field = al_vector_field(v, m, part)
+            assert field.shape == (n - 1,)
+            if n > 1:
+                assert relative_gap(field, dense_lax_field(v, m, part)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 16, 64])
+    def test_matches_the_closed_form_at_the_ceiling(self, n):
+        # the dense field's rho_dot chain divides by rho and is off by up
+        # to 3e-7 on these draws; the banded field divides by nothing
+        for v in ceiling_draws(n, n):
+            assert relative_gap(al_vector_field(v, 1, "re"), first_flow_closed_form(v, "re")) <= 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(verblunsky_sets(min_n=2, max_n=12), st.sampled_from(["re", "im"]))
+    def test_first_flows_closed_form(self, v, part):
+        expected = first_flow_closed_form(v, part)
+        if np.abs(expected).max() > 0.0:
+            assert relative_gap(al_vector_field(v, 1, part), expected) <= 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(verblunsky_sets(min_n=2, max_n=12, radius=0.6), st.integers(1, 4), st.sampled_from(["re", "im"]))
+    def test_higher_flows_dense(self, v, m, part):
+        expected = dense_lax_field(v, m, part)
+        if np.abs(expected).max() > 0.0:
+            assert relative_gap(al_vector_field(v, m, part), expected) <= 1e-13
+
+
 class TestToda:
     def test_diagonal_is_fixed(self):
         # off-diagonal cannot be exactly zero, so check the field scales out
@@ -231,8 +296,36 @@ class TestIntegrateFlow:
             pytest.fail("no coefficient set with a moving boundary bit found")
         assert_same_trajectory(integrate_flow(v, 2, "re", 0.5, 0.25), rk4_trajectory(v, 2, "re", 0.5, 0.25))
 
+    @pytest.mark.parametrize("n, t_final", [(6, 0.3), (64, 0.01)])
+    @pytest.mark.parametrize("m, part", [(1, "re"), (2, "im")])
+    def test_agrees_with_rk4_over_the_dense_field(self, n, t_final, m, part):
+        v = random_verblunsky(n, RngStream(50 + n), radius=0.6)
+        endpoint = integrate_flow(v, m, part, t_final, 1e-3).states[-1]
+        assert np.abs(endpoint.alpha - dense_rk4_endpoint(v, m, part, t_final, 1e-3).alpha).max() <= 1e-12
+
+    def test_builds_no_matrix_and_one_coefficient_set_per_state(self, monkeypatch):
+        import cmvkit.alflows as alflows
+        import cmvkit.core as core
+
+        created = []
+        post_init = core.VerblunskySet.__post_init__
+
+        def counted_post_init(self):
+            post_init(self)
+            created.append(self)
+
+        v = random_verblunsky(6, RngStream(42), radius=0.6)
+        monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
+        builds = record_calls(monkeypatch, alflows, "build_cmv")
+        factors = record_calls(monkeypatch, core, "lm_factors")
+        traj = integrate_flow(v, 2, "re", 0.1, 1e-3)
+        assert not builds and not factors
+        assert len(traj.states) == 101 and traj.states[0] is v
+        assert len(created) == 100 and all(a is b for a, b in zip(created, traj.states[1:]))
+
     @pytest.mark.parametrize(
-        "t_final, dt", [(1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (float("nan"), 0.1), (1.0, float("inf"))]
+        "t_final, dt",
+        [(1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (float("nan"), 0.1), (1.0, float("inf")), (1.0, 0.99e-7), (1.0, 5e-324)],
     )
     def test_invalid_grid_rejected(self, t_final, dt):
         v = random_verblunsky(3, RngStream(1))
@@ -264,7 +357,8 @@ class TestIntegrateFlow:
         moved[1] -= moved[-1] - base[-1]
         weights = np.full(5, 0.2)
         matrices = [build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights))) for t in (base, moved)]
-        traj = Trajectory.from_states([0.0, 1.0], matrices)
+        block = ([C.source for C in matrices], np.stack([C.entries for C in matrices]))
+        traj = Trajectory.from_blocks([0.0, 1.0], [block])
         a, b = (eigvals_angles(C.entries) for C in matrices)
         d = np.abs(b - a)
         expected = np.minimum(d, 2.0 * np.pi - d).max()

@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,19 @@ class TestSample:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--a", "1e308"), ("--a", "1e20"), ("--b", "1e308"), ("--b", "1e20")])
+    def test_huge_jacobi_exponent_exit_2(self, tmp_path, capsys, flag, value):
+        # gamma shapes this large overflow (1e308) or put every draw within
+        # rounding of -1 or 1 (1e20); the exponent is refused before drawing
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("sample", "--family", "jacobi", "--n", 3, "--beta", 1, flag, value, "--count", 2,
+                       "--seed", 1, "--out", out, "--quiet")
+        assert code == 2 and not out.exists()
+        assert f"jacobi exponent {flag[2:]} = " in capsys.readouterr().err
+
+
 class TestFlow:
     def test_zero_time_single_state(self, tmp_path):
         out = tmp_path / "t.json"
@@ -217,6 +232,14 @@ class TestFlow:
                    "--method", method, "--out", out, "--quiet")
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_step_count_above_the_limit_exit_2(self, tmp_path, capsys, method):
+        out = tmp_path / "f.json"
+        assert run("flow", "--random", "--n", 4, "--seed", 1, "--t", 1, "--dt", 1e-300,
+                   "--method", method, "--out", out, "--quiet") == 2
+        assert "1e+300 steps, more than the 10000000 allowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, tmp_path):
         out = tmp_path / "t.json"
         assert run("flow", "--random", "--n", 3, "--seed", -4, "--t", 0.1, "--out", out, "--quiet") == 2
@@ -240,6 +263,32 @@ class TestFlow:
                    "--out", out, "--quiet") == 2
         assert "need m >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def final_alpha(path):
+    return np.array([complex(*z) for z in json.loads(path.read_text())["states"][-1]["alpha"]])
+
+
+@pytest.mark.parametrize("sweep", range(8))
+def test_benchmark_flow_checks(tmp_path, sweep):
+    """The output checks of the benchmark's flow workload, on the flows of
+    eight of its passes (sizes, orders, parts, dt and t ranges as there).
+    The bounds are literals copied from perfbench/workloads.py (FLOW_SIZES,
+    FLOW_DRIFT_TOL, FLOW_UNITARITY_TOL and FLOW_ENDPOINT_TOL)."""
+    rnd = random.Random(f"flow-sweep:{sweep}")
+    for n, (t_lo, t_hi) in ((6, (0.09, 0.1)), (64, (0.018, 0.02))):
+        for m in (1, 2):
+            for part in ("re", "im"):
+                seed, t = rnd.randrange(2**31), rnd.uniform(t_lo, t_hi)
+                paths = {method: tmp_path / f"{method}-{n}-{m}-{part}.json" for method in ("rk4", "spectral")}
+                for method, path in paths.items():
+                    assert run("flow", "--random", "--n", n, "--seed", seed, "--m", m, "--part", part,
+                               "--t", repr(t), "--dt", 1e-3, "--method", method, "--out", path, "--quiet") == 0
+                    diagnostics = json.loads(path.read_text())["diagnostics"]
+                    assert max(d["eig_drift"] for d in diagnostics) <= 1e-10
+                    assert max(d["unitarity"] for d in diagnostics) <= 1e-12
+                gap = np.abs(final_alpha(paths["rk4"]) - final_alpha(paths["spectral"])).max()
+                assert gap <= 1e-9, (n, m, part, seed, t, gap)
 
 
 class TestSpectral:
