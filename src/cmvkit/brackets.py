@@ -1,31 +1,25 @@
-"""Finite-difference Poisson bracket engine on Verblunsky coefficients.
+"""Exact Poisson brackets and the spectral Jacobian on Verblunsky coefficients.
 
 The bracket acts on real observables of the interior coordinates
 (u_j, v_j), alpha_j = u_j + i v_j, with the boundary coefficient frozen:
 
     {f, g} = sum_j rho_j^2 [df/du_j dg/dv_j - df/dv_j dg/du_j].
 
-Derivatives are central differences at two step sizes (h and h/2),
-Richardson-extrapolated; the two raw values also give the error estimate
-and a non-smoothness guard.  The engine has one stencil and one bracket
-matrix:
+Every gradient is exact to rounding; nothing is differenced:
 
-* `_stencil` is the only central-difference loop.  `coordinate_jacobian`
-  runs it on the 2(n-1) interior coordinates and adds the two-step
-  agreement guard: a vector observable is evaluated once at each of the
-  4 * 2(n-1) stencil points, so observables that share work (every
-  eigenvalue angle and weight from one eigensolve, every trace
-  Hamiltonian from one CMV matrix) share it across the whole stencil.
-  `spectral_to_verblunsky_jacobian` runs it on an offset chart of the
-  spectral measure.  `coordinate_gradient` is the one-row view.
-* `bracket_matrix` gives B[a, b] = {f_a, f_b} for every pair of
-  components of a vector observable, with error estimates.
-  `cotangent_residual` reads one entry of it, the verify suites slices.
+* `chart_jacobian` is the derivative of the spectral-to-coefficient map
+  from one forward-mode Szego pass (`opuc.szego_tangents`).
+  `spectral_to_verblunsky_jacobian` is its determinant, and
+  `spectral_gradients` reads d(theta, log mu)/d(u, v) from one solve of
+  it at the spectral measure of a coefficient set: one eigensolve per
+  probe.
+* `hamiltonian_gradients` gives dK_m = tr(C^(m-1) dC) from the
+  closed-form derivative of each 2x2 block of L and M.
+* `bracket_matrix` turns gradient rows into B[a, b] = {f_a, f_b}.
 
-Evaluating brackets numerically exercises the eigensolver and both
-spectral maps end to end, which is exactly what the identity suites are
-for.  Every bracket evaluation is independent and pure; verification
-sweeps may run probe points in parallel.
+`Observable` and the central-difference `coordinate_gradient` are the
+finite-difference view kept for the benchmark's tracer; the identity
+suites do not use them.
 """
 
 from __future__ import annotations
@@ -35,22 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpectralMeasureCircle, VerblunskySet, build_cmv, circular_gaps
-from .errors import (
-    BranchProximity,
-    DegenerateSpectrum,
-    InvalidParams,
-    MatchingAmbiguous,
-    NonDifferentiable,
-    RhoTooSmall,
-)
-from .opuc import unitary_eigensystem, verblunsky_from_measure
+from .core import SpectralMeasureCircle, VerblunskySet, build_cmv, lm_factors
+from .errors import InvalidParams, NonDifferentiable, RhoTooSmall
+from .opuc import szego_tangents, unitary_eigensystem, verblunsky_from_measure
 
 DEFAULT_STEP = 1e-5
 GRADIENT_AGREEMENT = 1e-4   # max relative disagreement between the two step sizes
 PROBE_RHO_FLOOR = 1e-6
-BRANCH_MARGIN = 0.1         # keep arg(alpha_{n-1}) this far from +-pi
-TWO_PI = 2.0 * np.pi
 
 
 # Kept because perfbench/spans.py counts evaluations through Observable.__call__.
@@ -109,115 +94,112 @@ def _stencil(fn, x0: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndar
     return jacobians[0], jacobians[1]
 
 
-def coordinate_jacobian(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None):
-    """Richardson-extrapolated Jacobian of a vector observable, plus the raw rows.
-
-    fn maps a coefficient set to a (k,) array of real values.  It is
-    evaluated once at each stencil point x0 +- h e_i and x0 +- (h/2) e_i
-    of the 2(n-1) interior coordinates.  Returns (extrapolated, step h,
-    step h/2), each of shape (k, 2(n-1)); row r is the gradient of
-    component r.
+# Kept because perfbench/spans.py traces it as the brackets layer.
+def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_STEP):
+    """Richardson-extrapolated central-difference gradient of one
+    observable in the interior coordinates, plus the raw values at steps
+    h and h/2.
 
     Raises RhoTooSmall when the stencil would leave the disk, and
-    NonDifferentiable when, for some component, the step-h and step-h/2
-    gradients disagree beyond 1e-4 relative to that row's gradient scale,
-    or are NaN (constant components come out as zero rows, not as
-    errors).  The message names the first such component, by `names[r]`
-    if given.
+    NonDifferentiable when the two raw gradients disagree beyond 1e-4
+    relative to their scale, or are NaN.
     """
     _check_probe(v, h)
     x0 = interior_coordinates(v)
     if x0.size == 0:
-        empty = np.empty((np.size(fn(v)), 0))
-        return empty, empty, empty
-    g1, g2 = _stencil(lambda x: fn(with_coordinates(v, x)), x0, np.full(x0.size, h))
-    scale = np.maximum(np.maximum(np.abs(g1).max(axis=1), np.abs(g2).max(axis=1)), 1.0)
-    gap = np.abs(g1 - g2).max(axis=1)
+        return np.empty(0), np.empty(0), np.empty(0)
+    g1, g2 = (g[0] for g in _stencil(lambda x: [obs(with_coordinates(v, x))], x0, np.full(x0.size, h)))
+    scale = max(np.abs(g1).max(), np.abs(g2).max(), 1.0)
+    gap = np.abs(g1 - g2).max()
     # written so that a NaN gap (a NaN observable) fails the guard too
-    bad = np.flatnonzero(~(gap <= GRADIENT_AGREEMENT * scale))
-    if bad.size:
-        r = int(bad[0])
-        name = names[r] if names is not None else f"component {r}"
-        raise NonDifferentiable(f"{name}: two-step gradients disagree by {gap[r] / scale[r]:.3e} relative")
+    if not gap <= GRADIENT_AGREEMENT * scale:
+        raise NonDifferentiable(f"{obs.name}: two-step gradients disagree by {gap / scale:.3e} relative")
     return (4.0 * g2 - g1) / 3.0, g1, g2
 
 
-# Kept because perfbench/spans.py traces it as the brackets layer.
-def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_STEP):
-    """Richardson-extrapolated gradient plus the raw two-step values.
+def bracket_matrix(rows: np.ndarray, v: VerblunskySet) -> np.ndarray:
+    """Brackets B[a, b] = {f_a, f_b} of every pair of observables, from
+    their gradient rows (k, 2(n-1)) in the interior coordinates of v.
 
-    The one-row view of `coordinate_jacobian`, with its probe check and
-    its NonDifferentiable guard.
+    B is antisymmetric, with a zero diagonal, exactly: entry (b, a) is
+    computed from the negated products of entry (a, b).
     """
-    grad, g1, g2 = coordinate_jacobian(lambda w: [obs(w)], v, h, names=(obs.name,))
-    return grad[0], g1[0], g2[0]
+    du, dv = rows[:, 0::2], rows[:, 1::2]
+    return np.sum(v.rho * v.rho * (du[:, None] * dv[None] - dv[:, None] * du[None]), axis=-1)
 
 
-def _raw_brackets(jac: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_j rho_j^2 (df_a/du_j df_b/dv_j - df_a/dv_j df_b/du_j) over all rows a, b."""
-    du, dv = jac[:, 0::2], jac[:, 1::2]
-    return np.sum(rho * rho * (du[:, None] * dv[None] - dv[:, None] * du[None]), axis=-1)
+def hamiltonian_gradients(v: VerblunskySet, degrees) -> np.ndarray:
+    """Complex gradients of K_m = tr(C^m) / m, one row (2(n-1),) in the
+    interior coordinates for each m in `degrees`, in that order; the real
+    and imaginary parts are the gradients of Re K_m and Im K_m.
 
-
-def bracket_matrix(fn, v: VerblunskySet, h: float = DEFAULT_STEP, names=None) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets B[a, b] = {f_a, f_b} of every pair of components of fn, and
-    their error estimates, both of shape (k, k).
-
-    fn is a vector observable as in `coordinate_jacobian`, which supplies
-    the step-h and step-h/2 Jacobians (and their probe check and guard).
-    B is the Richardson extrapolation (4 fine - coarse) / 3 of the two raw
-    bracket matrices, and the error |fine - coarse| / 3.  B is
-    antisymmetric, with a zero diagonal, exactly: entry (b, a) is computed
-    from the negated products of entry (a, b).
+    dK_m = tr(C^(m-1) dC), and alpha_k moves only its block
+    Theta_k = [[conj(a), rho], [rho, -a]] of L (k even) or M (k odd):
+    tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
+    tr(C^(m-1) L dM) = tr(X dM) with X = C^(m-1) L.  Along u_k,
+    dTheta_k = [[1, r], [r, -1]], along v_k [[-i, r], [r, -i]], with r the
+    derivative of rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho.
     """
-    _, g1, g2 = coordinate_jacobian(fn, v, h, names)
-    coarse = _raw_brackets(g1, v.rho)
-    fine = _raw_brackets(g2, v.rho)
-    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+    L, M = lm_factors(v)
+    C = L @ M
+    powers = [np.eye(v.n)]
+    for _ in range(1, max(degrees)):
+        powers.append(powers[-1] @ C)
+    k = np.arange(v.n - 1)
+    parity = k % 2
+    a, rho = v.interior, v.rho
+    rows = np.empty((len(degrees), 2 * (v.n - 1)), dtype=complex)
+    for row, m in zip(rows, degrees):
+        X = np.stack([M @ powers[m - 1], powers[m - 1] @ L])
+        x00, x11 = X[parity, k, k], X[parity, k + 1, k + 1]
+        off = X[parity, k, k + 1] + X[parity, k + 1, k]
+        row[0::2] = x00 - x11 - off * a.real / rho
+        row[1::2] = -1j * (x00 + x11) - off * a.imag / rho
+    return rows
 
 
-class SpectralObservables:
-    """Eigenvalue angles and weights with labels stable under perturbation.
+def chart_jacobian(mu: SpectralMeasureCircle) -> np.ndarray:
+    """Exact Jacobian (2n-1, 2n-1) of the spectral-to-coefficient map.
 
-    Labels refer to the base point's spectral measure sorted by angle.
-    Evaluation at a perturbed coefficient set matches each base angle to
-    the nearest perturbed angle (circularly); a second candidate within
-    twice the best distance raises MatchingAmbiguous.  Matched angles are
-    unwrapped to the branch closest to the base angle so the observables
-    stay continuous.  `values` gives every matched angle and weight from
-    one eigensolve.
+    Columns are the chart directions (theta_1, mu_1, ..., theta_{n-1},
+    mu_{n-1}, theta_n) of `szego_tangents`, mu_n absorbing the weight
+    steps; rows are (u_0, v_0, ..., u_{n-2}, v_{n-2}, phi) with
+    phi = arg(alpha_{n-1}).  The phi row is Im(dalpha_{n-1} / alpha_{n-1}),
+    which has no branch cut and ignores the renormalization of the
+    boundary coefficient onto the circle.
     """
-
-    def __init__(self, v: VerblunskySet, separation: float = 1e-6):
-        base = unitary_eigensystem(build_cmv(v))
-        if base.n > 1 and circular_gaps(base.theta).min() <= separation:
-            raise DegenerateSpectrum(f"base spectrum separation below {separation:g}")
-        self.base = base
-        self.n = base.n
-
-    def values(self, w: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, weights) at w, both in base-label order, from one eigensolve."""
-        mu = unitary_eigensystem(build_cmv(w))
-        taken = set()
-        theta = np.empty(self.n)
-        weights = np.empty(self.n)
-        for j in range(self.n):
-            delta = mu.theta - self.base.theta[j]
-            dist = np.abs(delta - TWO_PI * np.round(delta / TWO_PI))
-            order = np.argsort(dist)
-            i = int(order[0])
-            if self.n > 1 and dist[order[1]] < 2.0 * dist[order[0]]:
-                raise MatchingAmbiguous(f"labels {j}: two candidates within a factor 2")
-            if i in taken:
-                raise MatchingAmbiguous("two base labels matched the same eigenvalue")
-            taken.add(i)
-            d = delta[i] - TWO_PI * np.round(delta[i] / TWO_PI)
-            theta[j] = self.base.theta[j] + d
-            weights[j] = mu.weights[i]
-        return theta, weights
+    alpha, dalpha = szego_tangents(mu.theta, mu.weights)
+    jac = np.empty((dalpha.shape[1], dalpha.shape[1]))
+    jac[0:-1:2] = dalpha[:-1].real
+    jac[1:-1:2] = dalpha[:-1].imag
+    jac[-1] = (dalpha[-1] / alpha[-1]).imag
+    return jac
 
 
-def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2), h: float = DEFAULT_STEP) -> float:
+def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle) -> float:
+    """Jacobian determinant of the spectral-to-coefficient map in the
+    coordinates of `chart_jacobian`."""
+    return float(np.linalg.det(chart_jacobian(mu)))
+
+
+def spectral_gradients(v: VerblunskySet) -> tuple[SpectralMeasureCircle, np.ndarray, np.ndarray]:
+    """The spectral measure of v, and the gradients (n, 2(n-1)) of its
+    angles theta_j and log weights log mu_j in the interior coordinates,
+    boundary frozen.
+
+    Labels are those of the measure, sorted by angle.  The gradients are
+    the interior columns of the inverse chart Jacobian at that measure,
+    from one solve; mu_n = 1 - sum_{j<n} mu_j gives the last weight's row.
+    """
+    mu = unitary_eigensystem(build_cmv(v))
+    dim = 2 * mu.n - 1
+    inverse = np.linalg.solve(chart_jacobian(mu), np.eye(dim)[:, : dim - 1])
+    dmu = inverse[1::2]
+    dlog = np.vstack([dmu, -dmu.sum(axis=0, keepdims=True)]) / mu.weights[:, None]
+    return mu, inverse[0::2], dlog
+
+
+def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2)) -> float:
     """Defect of the mass-ratio bracket against the cotangent sum.
 
     For any three labels (i, j, k) of the eigenvalues:
@@ -228,15 +210,9 @@ def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2
     if v.n < 3:
         raise InvalidParams("need n >= 3")
     i, j, k = labels
-    obs = SpectralObservables(v)
-
-    def log_ratios(w):
-        weights = obs.values(w)[1]
-        return np.log(weights[[j, k]] / weights[i])
-
-    names = (f"log(mu_{j}/mu_{i})", f"log(mu_{k}/mu_{i})")
-    numeric = bracket_matrix(log_ratios, v, h, names)[0][0, 1]
-    th = obs.base.theta
+    mu, _, dlog = spectral_gradients(v)
+    numeric = bracket_matrix(dlog[[j, k]] - dlog[i], v)[0, 1]
+    th = mu.theta
     predicted = (
         2.0 / np.tan(0.5 * (th[i] - th[j]))
         + 2.0 / np.tan(0.5 * (th[j] - th[k]))
@@ -251,42 +227,3 @@ def jacobian_prediction(mu: SpectralMeasureCircle) -> float:
     v = verblunsky_from_measure(mu)
     rho2 = np.prod(v.rho * v.rho) if v.n > 1 else 1.0
     return float(-(2.0 ** (1 - mu.n)) * rho2 / np.prod(mu.weights))
-
-
-JACOBIAN_STEP = 4e-4  # larger than the bracket step: the map is smooth and
-#                       arg() rounding noise scales like eps / h
-
-
-def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle, h: float = JACOBIAN_STEP) -> float:
-    """Numerical Jacobian determinant of the spectral-to-coefficient map.
-
-    Coordinates (theta_1, mu_1, ..., theta_{n-1}, mu_{n-1}, theta_n) with
-    mu_n dependent map to (u_0, v_0, ..., u_{n-2}, v_{n-2}, phi) with
-    phi = arg(alpha_{n-1}).  `_stencil` differentiates the map in the
-    offset chart dx = (dtheta_1, dmu_1, ..., dtheta_n), where mu_n absorbs
-    the weight steps, at steps h and h/2 (a weight step is capped at a
-    quarter of the two weights it moves, then halved), and the two
-    matrices are Richardson-extrapolated.  phi depends on the angles only
-    through their sum, so a stencil point moves it by at most h, and the
-    branch margin keeps it 0.1 from the cut: no difference of phi wraps.
-    """
-    n = mu.n
-    theta0, w0 = mu.theta, mu.weights
-
-    def outputs(dx):
-        weights = w0.copy()
-        weights[:-1] += dx[1::2]
-        weights[-1] -= dx[1::2].sum()
-        v = verblunsky_from_measure(SpectralMeasureCircle(theta0 + dx[0::2], weights))
-        return np.concatenate([interior_coordinates(v), [np.angle(v.alpha[-1])]])
-
-    base_phi = np.angle(verblunsky_from_measure(mu).alpha[-1])
-    if np.pi - abs(base_phi) < BRANCH_MARGIN:
-        raise BranchProximity(f"arg(alpha_{n-1}) = {base_phi:.6f} is within 0.1 of the cut")
-    if np.pi - np.abs(theta0).max() < 10.0 * h:
-        raise BranchProximity("support too close to angle pi for stable differentiation")
-
-    steps = np.full(2 * n - 1, h)
-    steps[1::2] = np.minimum(h, 0.25 * np.minimum(w0[:-1], w0[-1]))
-    coarse, fine = _stencil(outputs, np.zeros(2 * n - 1), steps)
-    return float(np.linalg.det((4.0 * fine - coarse) / 3.0))

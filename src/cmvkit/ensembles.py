@@ -43,6 +43,7 @@ from .opuc import geronimus_entries, unitary_angles
 TWO_PI = 2.0 * math.pi
 MAX_DRAWS = 256           # draws a rejection loop may make before it gives up
 JACOBI_EXPONENT_MAX = 1e12  # larger a or b put the interval draws within rounding of -1 or 1
+BETA_MAX = 1e12           # likewise for beta, whose shapes also overflow near 1e308
 SPECTRA_BLOCK = 2**20     # matrix entries per block of eigenvalue_samples
 
 
@@ -89,8 +90,8 @@ class EnsembleSpec:
         for name in ("beta", "a", "b"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.beta > 0.0:
-            raise InvalidParams("beta must be positive")
+        if not 0.0 < self.beta <= BETA_MAX:
+            raise InvalidParams(f"beta = {self.beta:g} outside (0, {BETA_MAX:g}]")
         for name in ("a", "b") if self.family == "jacobi" else ():
             if not -1.0 < getattr(self, name) <= JACOBI_EXPONENT_MAX:
                 raise InvalidParams(f"jacobi exponent {name} = {getattr(self, name):g} outside (-1, {JACOBI_EXPONENT_MAX:g}]")

@@ -63,11 +63,3 @@ class NonDistinctLambda(CmvError):
 
 class NonDifferentiable(CmvError):
     """Finite-difference gradients at two step sizes disagree too much."""
-
-
-class MatchingAmbiguous(CmvError):
-    """Eigenvalue labels cannot be tracked unambiguously across a perturbation."""
-
-
-class BranchProximity(CmvError):
-    """The boundary phase is too close to the branch cut of arg."""

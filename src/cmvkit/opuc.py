@@ -176,6 +176,55 @@ def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray
     return np.concatenate(alphas, axis=-1)
 
 
+def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All n Verblunsky coefficients of the measure with canonical angles
+    theta (n,) and weights (n,), and their derivatives along the 2n - 1
+    chart directions (theta_1, mu_1, ..., theta_{n-1}, mu_{n-1}, theta_n),
+    where a step in mu_j adds to weight j and takes as much from weight n.
+
+    Forward-mode szego_rows: next to p_k and q_k it carries their
+    tangents along every direction, differentiating
+        conj(a_k) = <z p_k, q_k> / ||p_k||^2
+    by the quotient rule.  Returns alpha (n,), from the expressions of
+    szego_rows and so equal to szego_coefficients bit for bit, and
+    dalpha (n, 2n - 1), entry [k, d] the derivative of alpha_k along
+    direction d.  Raises IllConditioned as szego_rows does.
+    """
+    n = theta.size
+    z = np.exp(1j * theta)
+    wz = weights * z
+    points = np.arange(n)
+    dz = np.zeros((2 * n - 1, n), dtype=complex)
+    dz[2 * points, points] = 1j * z
+    dw = np.zeros((2 * n - 1, n))
+    dw[2 * points[:-1] + 1, points[:-1]] = 1.0
+    dw[2 * points[:-1] + 1, -1] = -1.0
+    dwz = dw * z + weights * dz
+    p = np.ones(weights.shape, dtype=complex)
+    q = np.ones(weights.shape, dtype=complex)
+    dp = np.zeros_like(dz)
+    dq = np.zeros_like(dz)
+    alphas = [np.empty(0, dtype=complex)]
+    dalphas = []
+    for k in range(n):
+        norm2 = (weights * (p.real * p.real + p.imag * p.imag)).sum(axis=-1, keepdims=True)
+        if norm2.min(initial=np.inf) < NORM_FLOOR:
+            raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
+        ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
+        dnorm2 = (dw * (p.real * p.real + p.imag * p.imag) + 2.0 * weights * (p.conj() * dp).real).sum(axis=-1)
+        dinner = (dwz * p * q.conj() + wz * dp * q.conj() + wz * p * dq.conj()).sum(axis=-1)
+        dak = (dinner.conj() - ak * dnorm2) / norm2
+        alphas.append(ak)
+        dalphas.append(dak)
+        zp = z * p
+        dzp = dz * p + z * dp
+        p = zp - ak.conj() * q
+        dp = dzp - dak.conj()[:, None] * q - ak.conj() * dq
+        q = q - ak * zp
+        dq = dq - dak[:, None] * zp - ak * dzp
+    return np.concatenate(alphas), np.stack(dalphas)
+
+
 def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
     """Recover the full coefficient set of an n-point circle measure.
 

@@ -7,34 +7,31 @@ draw, its per-probe residual function and its (identity, tolerance)
 list, and `run_suite` runs the one trial loop over it; the `suite_*`
 functions only fix each suite's default size and trial count.  Suites
 return a plain dict ready for JSON.  A suite needs at least one trial
-and n >= MIN_N[suite], and an identity that no trial evaluated (every
-probe skipped near a branch cut) fails rather than passing with
-residual 0.
+and n >= MIN_N[suite].
 
 The per-probe residual functions (`brackets_residuals`,
 `canonical_residuals`, `cotangent_residual`, `jacobian_residual`) read
-their defects from one bracket matrix, or one Jacobian, per probe.  Each
-identity records the trial and the probe (coefficients or measure, in
-the serialize schemas) of its worst residual, so that probe alone
-reproduces `max_residual` bit for bit.
+their defects from one bracket matrix of exact gradients, or one exact
+Jacobian, per probe.  Each identity records the trial and the probe
+(coefficients or measure, in the serialize schemas) of its worst
+residual, so that probe alone reproduces `max_residual` bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alflows import trace_hamiltonian
 from .brackets import (
-    SpectralObservables,
     bracket_matrix,
     cotangent_residual,
-    interior_coordinates,
+    hamiltonian_gradients,
     jacobian_prediction,
+    spectral_gradients,
     spectral_to_verblunsky_jacobian,
 )
-from .core import SpectralMeasureCircle, VerblunskySet, build_cmv
+from .core import SpectralMeasureCircle, VerblunskySet
 from .ensembles import RngStream, random_verblunsky
-from .errors import BranchProximity, InvalidParams
+from .errors import InvalidParams
 from .serialize import circle_measure_to_obj, verblunsky_to_obj
 
 SUITES = ("brackets", "canonical", "cotangent", "jacobian")
@@ -61,29 +58,16 @@ def _rank(residual: float) -> float:
     return np.inf if np.isnan(residual) else residual
 
 
-class _Worst:
-    """Running maximum of one identity's residual, with the trial and probe
-    that produced it.  A NaN residual ranks as the worst, so it fails."""
-
-    def __init__(self):
-        self.residual = 0.0
-        self.trial = None
-        self.probe = None
-
-    def update(self, residual: float, trial: int, probe: dict) -> None:
-        if self.trial is None or _rank(residual) > _rank(self.residual):
-            self.residual, self.trial, self.probe = residual, trial, probe
-
-
-def _result(name: str, worst: _Worst, tolerance: float) -> dict:
-    """One identity's report entry; an identity no trial evaluated fails."""
+def _result(name: str, worst: tuple[float, int, dict], tolerance: float) -> dict:
+    """One identity's report entry from its (residual, trial, probe)."""
+    residual, trial, probe = worst
     return {
         "name": name,
-        "max_residual": float(worst.residual),
+        "max_residual": float(residual),
         "tolerance": float(tolerance),
-        "pass": bool(worst.trial is not None and worst.residual <= tolerance),
-        "worst_trial": worst.trial,
-        "worst_probe": worst.probe,
+        "pass": bool(residual <= tolerance),
+        "worst_trial": trial,
+        "worst_probe": probe,
     }
 
 
@@ -92,20 +76,15 @@ def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
     of antisymmetry, and of the trace Hamiltonians' involution.
 
     One bracket matrix covers every interior coordinate (rows 2j, 2j+1
-    are u_j, v_j) and Re/Im K_m for m = 1..3 (one CMV matrix per stencil
-    point).  The antisymmetry defect is 0 exactly, since `bracket_matrix`
-    is antisymmetric by construction; it guards that assembly only.
+    are u_j, v_j, whose gradients are the unit rows) and Re/Im K_m for
+    m = 1..3.  The reconstruction and antisymmetry defects are 0 exactly,
+    from the unit rows and since `bracket_matrix` is antisymmetric by
+    construction; they guard that assembly and its rho^2 weights only.
     """
     d = 2 * (v.n - 1)
-
-    def values(w):
-        C = build_cmv(w)
-        parts = [(k.real, k.imag) for k in (trace_hamiltonian(C, m) for m in HAMILTONIAN_DEGREES)]
-        return np.concatenate([interior_coordinates(w), np.ravel(parts)])
-
-    names = [f"{p}_{j}" for j in range(v.n - 1) for p in "uv"]
-    names += [f"{p} K_{m}" for m in HAMILTONIAN_DEGREES for p in ("Re", "Im")]
-    B = bracket_matrix(values, v, names=names)[0]
+    ham = hamiltonian_gradients(v, HAMILTONIAN_DEGREES)
+    rows = np.vstack([np.eye(d), np.stack([ham.real, ham.imag], axis=1).reshape(-1, d)])
+    B = bracket_matrix(rows, v)
     # [k, l] entries: {u_k, u_l}, {u_k, v_l}, {v_k, u_l}, {v_k, v_l}
     uu, uv = B[0:d:2, 0:d:2], B[0:d:2, 1:d:2]
     vu, vv = B[1:d:2, 0:d:2], B[1:d:2, 1:d:2]
@@ -137,18 +116,12 @@ def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
     pairing matrix {theta_l, (1/2) log(mu_j / mu_n)} = identity.
 
     One bracket matrix covers theta_0..theta_{n-1} (rows 0..n-1) and
-    log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one eigensolve
-    per stencil point.
+    log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one
+    eigensolve and one Jacobian solve.
     """
     n = v.n
-    obs = SpectralObservables(v)
-
-    def values(w):
-        theta, weights = obs.values(w)
-        return np.concatenate([theta, np.log(weights[: n - 1] / weights[n - 1])])
-
-    names = [f"theta_{j}" for j in range(n)] + [f"log(mu_{j}/mu_{n - 1})" for j in range(n - 1)]
-    B = bracket_matrix(values, v, names=names)[0]
+    _, dtheta, dlog = spectral_gradients(v)
+    B = bracket_matrix(np.vstack([dtheta, dlog[: n - 1] - dlog[n - 1]]), v)
     worst_theta = np.abs(B[:n, :n][np.triu_indices(n, 1)]).max()
     pairing = 0.5 * B[: n - 1, n:]
     return float(worst_theta), float(np.abs(pairing - np.eye(n - 1)).max())
@@ -191,15 +164,15 @@ def random_measure(n: int, gen, margin: float | None = None) -> SpectralMeasureC
 
 
 def jacobian_residual(mu: SpectralMeasureCircle) -> float:
-    """Relative defect of the numeric spectral Jacobian against its closed
-    form at one measure; raises BranchProximity near the phase cut."""
+    """Relative defect of the exact spectral Jacobian against its closed
+    form at one measure."""
     numeric = spectral_to_verblunsky_jacobian(mu)
     predicted = jacobian_prediction(mu)
     return abs(numeric - predicted) / max(abs(predicted), 1e-12)
 
 
 def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
-    """Numeric spectral-to-coefficient Jacobian against its closed form."""
+    """Exact spectral-to-coefficient Jacobian against its closed form."""
     return run_suite("jacobian", n, trials, seed)
 
 
@@ -253,8 +226,9 @@ _SUITES = {
 
 
 def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
-    """Run one suite: `trials` seeded probes, the worst residual of each
-    identity, and the trials skipped near a branch cut (BranchProximity).
+    """Run one suite: `trials` seeded probes and the worst residual of each
+    identity.  A NaN residual ranks as the worst, so it fails.  The report
+    keeps a `skipped` count for its schema; no probe is skipped.
 
     Rejects an unknown suite, a size below MIN_N[suite] or fewer than one
     trial before anything is drawn.
@@ -267,23 +241,18 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
         raise InvalidParams(f"need at least one trial, got {trials}")
     draw, residuals, identities = _SUITES[suite]
     gen = RngStream(seed).generator()
-    worst = [_Worst() for _ in identities]
-    skipped = 0
+    worst = [None] * len(identities)
     for trial in range(trials):
         probe, record = draw(n, gen)
-        try:
-            values = residuals(probe)
-        except BranchProximity:
-            skipped += 1
-            continue
-        for tracker, residual in zip(worst, values):
-            tracker.update(residual, trial, record)
-    results = [_result(name, tracker, tol) for (name, tol), tracker in zip(identities, worst)]
+        for index, residual in enumerate(residuals(probe)):
+            if worst[index] is None or _rank(residual) > _rank(worst[index][0]):
+                worst[index] = (residual, trial, record)
+    results = [_result(name, item, tol) for (name, tol), item in zip(identities, worst)]
     return {
         "suite": suite,
         "n": n,
         "trials": trials,
-        "skipped": skipped,
+        "skipped": 0,
         "seed": seed,
         "identities": results,
         "pass": all(item["pass"] for item in results),

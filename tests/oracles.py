@@ -7,37 +7,42 @@ under test never checks itself against itself.  The exceptions are
 plain loop versions of package code that was vectorized or made to
 reuse intermediate results (lm_factors_loop, rk4_trajectory,
 geronimus_loop, ensemble_samples_loop, szego_loop,
-spectral_trajectory_loop, trajectory_to_obj_loop, the column-by-column
-spectral_jacobian_loop, and the scalar-observable stencil sweep with the
-suites assembled from it, scalar_gradient and *_residuals_scalar, which
-keep their own copy of the bracket formula); tests require the package
-to match them bit for bit, except for the eigenvalue angles, which
-rk4_trajectory takes from the general eigensolver (eigvals_angles) and
-the package from its Cayley-transform kernel.  ensemble_samples_loop and
-spectral_trajectory_loop take angles from that kernel too, one matrix at
-a time.  dense_lax_field is the dense form of the banded Lax field (the
-full lax_partner and commutator, read by the rho_dot recurrence); tests
-hold the package to it within a relative tolerance.
+spectral_trajectory_loop, trajectory_to_obj_loop); tests require the
+package to match them bit for bit, except for the eigenvalue angles,
+which rk4_trajectory takes from the general eigensolver (eigvals_angles)
+and the package from its Cayley-transform kernel.  ensemble_samples_loop
+and spectral_trajectory_loop take angles from that kernel too, one
+matrix at a time.  dense_lax_field is the dense form of the banded Lax
+field (the full lax_partner and commutator, read by the rho_dot
+recurrence); tests hold the package to it within a relative tolerance.
+
+The finite-difference bracket engine (coordinate_jacobian,
+bracket_matrix, SpectralObservables with its eigenvalue matching,
+chart_jacobian_fd, the column-by-column spectral_jacobian_loop, and the
+scalar-observable sweep scalar_gradient and *_residuals_scalar, which
+keep their own copy of the bracket formula) is the oracle of the
+package's exact gradients; tests hold the package to it within its
+accuracy.
 """
 
 import math
 
 import numpy as np
 
+from cmvkit import brackets
 from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation, lax_partner
 from cmvkit.brackets import (
-    BRANCH_MARGIN,
     DEFAULT_STEP,
     GRADIENT_AGREEMENT,
-    JACOBIAN_STEP,
     Observable,
-    SpectralObservables,
+    _check_probe,
+    _stencil,
     interior_coordinates,
     with_coordinates,
 )
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, circular_gaps
 from cmvkit.ensembles import RngStream, random_verblunsky
-from cmvkit.errors import BranchProximity, NonDifferentiable, SupportTooSmall
+from cmvkit.errors import CmvError, DegenerateSpectrum, NonDifferentiable, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
 
 
@@ -421,6 +426,137 @@ def fit_hamiltonian_with_rates(theta, targets):
         A[:, 2 * (m - 1) + 1] = -2.0 * m * np.sin(m * theta)
     x, *_ = np.linalg.lstsq(A, np.asarray(targets, dtype=float), rcond=None)
     return x[0::2] + 1j * x[1::2]
+
+
+# --- finite-difference bracket engine ----------------------------------------
+#
+# The identity suites' former engine, the oracle of the exact gradients:
+# Richardson-extrapolated central differences at steps h and h/2 over the
+# interior coordinates, on the package's own stencil.
+
+TWO_PI = 2.0 * math.pi
+BRANCH_MARGIN = 0.1  # keep arg(alpha_{n-1}) this far from +-pi
+JACOBIAN_STEP = 4e-4  # larger than the bracket step: the map is smooth and
+#                       arg() rounding noise scales like eps / h
+
+
+class MatchingAmbiguous(CmvError):
+    """Eigenvalue labels cannot be tracked unambiguously across a perturbation."""
+
+
+class BranchProximity(CmvError):
+    """The boundary phase is too close to the branch cut of arg."""
+
+
+def coordinate_jacobian(fn, v, h=DEFAULT_STEP, names=None):
+    """Richardson-extrapolated Jacobian of a vector observable, plus the raw rows.
+
+    fn maps a coefficient set to a (k,) array of real values; it is
+    evaluated once at each stencil point x0 +- h e_i and x0 +- (h/2) e_i
+    of the 2(n-1) interior coordinates.  Returns (extrapolated, step h,
+    step h/2), each of shape (k, 2(n-1)).  Raises RhoTooSmall when the
+    stencil would leave the disk, and NonDifferentiable when, for some
+    component, the two raw gradients disagree beyond 1e-4 relative to that
+    row's scale, or are NaN; the message names the first such component,
+    by `names[r]` if given.
+    """
+    _check_probe(v, h)
+    x0 = interior_coordinates(v)
+    if x0.size == 0:
+        empty = np.empty((np.size(fn(v)), 0))
+        return empty, empty, empty
+    g1, g2 = _stencil(lambda x: fn(with_coordinates(v, x)), x0, np.full(x0.size, h))
+    scale = np.maximum(np.maximum(np.abs(g1).max(axis=1), np.abs(g2).max(axis=1)), 1.0)
+    gap = np.abs(g1 - g2).max(axis=1)
+    bad = np.flatnonzero(~(gap <= GRADIENT_AGREEMENT * scale))
+    if bad.size:
+        r = int(bad[0])
+        name = names[r] if names is not None else f"component {r}"
+        raise NonDifferentiable(f"{name}: two-step gradients disagree by {gap[r] / scale[r]:.3e} relative")
+    return (4.0 * g2 - g1) / 3.0, g1, g2
+
+
+def bracket_matrix(fn, v, h=DEFAULT_STEP, names=None):
+    """Brackets B[a, b] = {f_a, f_b} of every pair of components of fn and
+    their error estimates: the Richardson extrapolation (4 fine - coarse) / 3
+    of the raw bracket matrices at steps h and h/2, and |fine - coarse| / 3."""
+    _, g1, g2 = coordinate_jacobian(fn, v, h, names)
+    coarse = brackets.bracket_matrix(g1, v)
+    fine = brackets.bracket_matrix(g2, v)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+
+
+class SpectralObservables:
+    """Eigenvalue angles and weights with labels stable under perturbation.
+
+    Labels refer to the base point's spectral measure sorted by angle.
+    Evaluation at a perturbed coefficient set matches each base angle to
+    the nearest perturbed angle (circularly); a second candidate within
+    twice the best distance raises MatchingAmbiguous.  Matched angles are
+    unwrapped to the branch closest to the base angle so the observables
+    stay continuous.  `values` gives every matched angle and weight from
+    one eigensolve.
+    """
+
+    def __init__(self, v, separation=1e-6):
+        base = unitary_eigensystem(build_cmv(v))
+        if base.n > 1 and circular_gaps(base.theta).min() <= separation:
+            raise DegenerateSpectrum(f"base spectrum separation below {separation:g}")
+        self.base = base
+        self.n = base.n
+
+    def values(self, w):
+        """(theta, weights) at w, both in base-label order, from one eigensolve."""
+        mu = unitary_eigensystem(build_cmv(w))
+        taken = set()
+        theta = np.empty(self.n)
+        weights = np.empty(self.n)
+        for j in range(self.n):
+            delta = mu.theta - self.base.theta[j]
+            dist = np.abs(delta - TWO_PI * np.round(delta / TWO_PI))
+            order = np.argsort(dist)
+            i = int(order[0])
+            if self.n > 1 and dist[order[1]] < 2.0 * dist[order[0]]:
+                raise MatchingAmbiguous(f"labels {j}: two candidates within a factor 2")
+            if i in taken:
+                raise MatchingAmbiguous("two base labels matched the same eigenvalue")
+            taken.add(i)
+            d = delta[i] - TWO_PI * np.round(delta[i] / TWO_PI)
+            theta[j] = self.base.theta[j] + d
+            weights[j] = mu.weights[i]
+        return theta, weights
+
+
+def chart_jacobian_fd(mu, h=JACOBIAN_STEP):
+    """Richardson-extrapolated central-difference Jacobian of the
+    spectral-to-coefficient map in the coordinates of chart_jacobian.
+
+    The stencil moves the chart offsets dx = (dtheta_1, dmu_1, ...,
+    dtheta_n), mu_n absorbing the weight steps, at steps h and h/2 (a
+    weight step is capped at a quarter of the two weights it moves, then
+    halved).  phi = arg(alpha_{n-1}) is differenced directly, so the map
+    must stay 0.1 from the cut of arg, and the support 10 h from angle pi:
+    otherwise BranchProximity.
+    """
+    n = mu.n
+    theta0, w0 = mu.theta, mu.weights
+
+    def outputs(dx):
+        weights = w0.copy()
+        weights[:-1] += dx[1::2]
+        weights[-1] -= dx[1::2].sum()
+        v = verblunsky_from_measure(SpectralMeasureCircle(theta0 + dx[0::2], weights))
+        return np.concatenate([interior_coordinates(v), [np.angle(v.alpha[-1])]])
+
+    base_phi = np.angle(verblunsky_from_measure(mu).alpha[-1])
+    if np.pi - abs(base_phi) < BRANCH_MARGIN:
+        raise BranchProximity(f"arg(alpha_{n-1}) = {base_phi:.6f} is within 0.1 of the cut")
+    if np.pi - np.abs(theta0).max() < 10.0 * h:
+        raise BranchProximity("support too close to angle pi for stable differentiation")
+    steps = np.full(2 * n - 1, h)
+    steps[1::2] = np.minimum(h, 0.25 * np.minimum(w0[:-1], w0[-1]))
+    coarse, fine = _stencil(outputs, np.zeros(2 * n - 1), steps)
+    return (4.0 * fine - coarse) / 3.0
 
 
 # --- scalar-observable bracket sweep ----------------------------------------

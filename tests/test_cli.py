@@ -11,8 +11,9 @@ import pytest
 
 import cmvkit
 from cmvkit import serialize
+from cmvkit import cli
 from cmvkit.cli import SAMPLE_CHUNK, main
-from cmvkit.ensembles import RngStream, random_verblunsky
+from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
 
 from oracles import cmv_pattern, eigvals_angles
 
@@ -165,6 +166,28 @@ class TestSample:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
+    def test_beta_at_the_bound_draws(self, tmp_path, family):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sample", "--family", family, "--n", 4, "--beta", BETA_MAX, "--count", 4,
+                       "--seed", 1, "--out", out, "--quiet") == 0
+        assert serialize.read_samples_csv(out).shape == (4, 4)
+
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
+    @pytest.mark.parametrize("beta", ["1.0000000000001e12", "1e18", "1e308"])
+    def test_beta_above_the_bound_exit_2(self, tmp_path, capsys, family, beta):
+        # jacobi draws round to +-1 from about 1e18 (reported as "beta is
+        # too small"), and near 1e308 every family's shapes overflow
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("sample", "--family", family, "--n", 4, "--beta", beta, "--count", 4,
+                       "--seed", 1, "--out", out, "--quiet")
+        assert code == 2 and not out.exists()
+        assert f"outside (0, {BETA_MAX:g}]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--a", "1e308"), ("--a", "1e20"), ("--b", "1e308"), ("--b", "1e20")])
     def test_huge_jacobi_exponent_exit_2(self, tmp_path, capsys, flag, value):
         # gamma shapes this large overflow (1e308) or put every draw within
@@ -291,6 +314,22 @@ def test_benchmark_flow_checks(tmp_path, sweep):
                 assert gap <= 1e-9, (n, m, part, seed, t, gap)
 
 
+@pytest.mark.parametrize("sweep", range(8))
+def test_benchmark_verify_checks(tmp_path, capsys, sweep):
+    """The output check of the benchmark's verify workload (every identity
+    and the report pass) on each of its (suite, n, trials), a literal copy
+    of VERIFY_SUITES in perfbench/workloads.py, at a seed drawn as there."""
+    rnd = random.Random(f"verify-sweep:{sweep}")
+    for suite, n, trials in (("brackets", 4, 3), ("canonical", 4, 2), ("cotangent", 4, 4), ("jacobian", 3, 4)):
+        seed, path = rnd.randrange(2**31), tmp_path / f"report-{suite}.json"
+        assert run("verify", "--suite", suite, "--n", n, "--trials", trials, "--seed", seed,
+                   "--report", path, "--quiet") == 0, (suite, seed)
+        report = json.loads(path.read_text())
+        assert report["suite"] == suite and report["pass"] is True and report["skipped"] == 0
+        assert report["identities"] and all(item["pass"] is True for item in report["identities"])
+    assert capsys.readouterr().out == ""
+
+
 class TestSpectral:
     def test_round_trip(self, tmp_path):
         v = random_verblunsky(5, RngStream(6), radius=0.7)
@@ -340,15 +379,24 @@ class TestVerify:
         assert run("verify", "--suite", suite, "--n", 4, "--trials", 0) == 2
         assert "[pass]" not in capsys.readouterr().out
 
-    def test_all_trials_skipped_exit_4(self, monkeypatch, capsys):
-        from cmvkit.errors import BranchProximity
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_quiet_prints_only_failures(self, tmp_path, monkeypatch, capsys, quiet):
+        # reconstruction and antisymmetry pass, the involution is forced to fail
+        monkeypatch.setattr("cmvkit.verify.brackets_residuals", lambda v: (0.0, 0.0, 1.0))
+        report = tmp_path / "r.json"
+        flags = ["--quiet"] if quiet else []
+        assert run("verify", "--suite", "brackets", "--n", 3, "--trials", 2, "--report", report, *flags) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == (1 if quiet else 3)
+        assert lines[-1].startswith("[FAIL] trace hamiltonians in involution: max residual 1.000e+00")
+        assert [item["pass"] for item in json.loads(report.read_text())["identities"]] == [True, True, False]
 
-        def always_near_branch(mu):
-            raise BranchProximity("forced")
-
-        monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
-        assert run("verify", "--suite", "jacobian", "--n", 3, "--trials", 2) == 4
-        assert "skipped 2 of 2 trials" in capsys.readouterr().out
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_quiet_passing_suite_prints_nothing(self, capsys, quiet):
+        flags = ["--quiet"] if quiet else []
+        assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 2, *flags) == 0
+        out = capsys.readouterr().out
+        assert out == "" if quiet else out.startswith("[pass] spectral jacobian determinant")
 
     @pytest.mark.parametrize("suite,n", [("brackets", 1), ("canonical", 1), ("cotangent", 2),
                                          ("jacobian", 0), ("brackets", 0), ("canonical", -1),
@@ -434,3 +482,44 @@ class TestHistogram:
         assert counts.sum() == count
         sigma = np.sqrt(count * 0.25 * 0.75)
         assert np.abs(counts - count / 4).max() <= 5 * sigma
+
+
+class TestParser:
+    # flags set by one call and defaulted in the next, across subcommands
+    SEQUENCE = [
+        ["sample", "--family", "jacobi", "--n", "3", "--beta", "2", "--a", "0.5", "--b", "2", "--count", "2",
+         "--seed", "1", "--out", "a.csv", "--coeffs-out", "c.json", "--quiet"],
+        ["verify", "--suite", "canonical", "--n", "5", "--trials", "3", "--seed", "4", "--report", "r.json",
+         "--quiet"],
+        ["flow", "--random", "--n", "9", "--radius", "0.3", "--seed", "3", "--m", "2", "--part", "im",
+         "--t", "1", "--dt", "0.01", "--method", "spectral", "--out", "f.json", "--quiet"],
+        ["sample", "--family", "jacobi", "--n", "3", "--beta", "2", "--count", "2", "--seed", "1", "--out", "b.csv"],
+        ["verify", "--suite", "jacobian"],
+        ["flow", "--init", "v.json", "--t", "1", "--out", "g.json"],
+        ["histogram", "--input", "a.csv", "--bins", "4", "--range", "0", "1", "--out", "h.csv"],
+        ["spectral", "--input", "v.json", "--to", "measure", "--out", "m.json"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_cached_parser_parses_like_a_fresh_one(self):
+        for argv in self.SEQUENCE + self.SEQUENCE[::-1]:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_consecutive_calls_leak_no_defaults(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("sample", "--family", "jacobi", "--n", 3, "--beta", 2, "--a", 0.5, "--b", 2,
+                   "--count", 2, "--seed", 1, "--out", first, "--coeffs-out", tmp_path / "c.json",
+                   "--quiet") == 0
+        assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 1, "--quiet") == 0
+        assert run("sample", "--family", "jacobi", "--n", 3, "--beta", 2, "--count", 2, "--seed", 1,
+                   "--out", second) == 0
+        assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 1) == 0
+        expected = tmp_path / "expected.csv"
+        serialize.write_samples_csv(expected, eigenvalue_samples(EnsembleSpec("jacobi", 3, 2.0), 2, RngStream(1)))
+        assert second.read_bytes() == expected.read_bytes() != first.read_bytes()
+        captured = capsys.readouterr()
+        # only the unquiet calls speak: the sample's progress and the verify line
+        assert captured.out.startswith("[pass] spectral jacobian determinant")
+        assert "wrote 2 rows" in captured.err and captured.err.count("sampled") == 1

@@ -26,6 +26,7 @@ from cmvkit.opuc import (
     szego_coefficients,
     szego_project,
     szego_rows,
+    szego_tangents,
     unitary_angles,
     unitary_eigensystem,
     verblunsky_from_measure,
@@ -306,6 +307,41 @@ class TestStackedSzego:
             szego_rows(t, rows, 3)
         with pytest.raises(SupportTooSmall):
             szego_rows(t, rows, 4)
+
+
+class TestSzegoTangents:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64])
+    def test_alpha_is_szego_coefficients(self, n):
+        theta, rows = TestStackedSzego.weight_stack(n, rows=3)
+        for w in rows:
+            mu = SpectralMeasureCircle(theta, w)
+            alpha, dalpha = szego_tangents(mu.theta, mu.weights)
+            assert alpha.tobytes() == szego_coefficients(mu, n).tobytes()
+            assert dalpha.shape == (n, 2 * n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+    def test_tangents_match_central_differences(self, n):
+        # direction 2j moves theta_j, direction 2j + 1 moves weight j against weight n
+        t, rows = circle_weights(*TestStackedSzego.weight_stack(n, rows=1))
+        w = rows[0]
+        h = 1e-6
+        fd = np.empty((n, 2 * n - 1), dtype=complex)
+        for d in range(2 * n - 1):
+            step_t, step_w = np.zeros(n), np.zeros(n)
+            if d % 2 == 0:
+                step_t[d // 2] = h
+            else:
+                step_w[d // 2], step_w[-1] = h, -h
+            plus = szego_rows(t + step_t, w + step_w, n)
+            minus = szego_rows(t - step_t, w - step_w, n)
+            fd[:, d] = (plus - minus) / (2.0 * h)
+        dalpha = szego_tangents(t, w)[1]
+        assert np.abs(dalpha - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+    def test_collapsed_measure_raises(self):
+        t, rows = circle_weights([0.0, 1.0, 2.0], [[1.0 - 2e-14, 1e-14, 1e-14]])
+        with pytest.raises(IllConditioned):
+            szego_tangents(t, rows[0])
 
 
 class TestGeronimus:

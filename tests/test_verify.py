@@ -8,7 +8,7 @@ import oracles
 from cmvkit import serialize
 from cmvkit.brackets import cotangent_residual
 from cmvkit.ensembles import RngStream
-from cmvkit.errors import BranchProximity, InvalidParams, NonDifferentiable
+from cmvkit.errors import InvalidParams
 from cmvkit.verify import (
     MIN_N,
     SUITES,
@@ -54,15 +54,6 @@ class TestSuites:
     def test_no_trials_rejected(self, suite, trials):
         with pytest.raises(InvalidParams):
             run_suite(suite, 4, trials, 0)
-
-    def test_skipped_trials_counted_and_fail(self, monkeypatch):
-        def always_near_branch(mu):
-            raise BranchProximity("forced")
-
-        monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
-        report = suite_jacobian(n=3, trials=4, seed=4)
-        assert report["skipped"] == 4
-        assert report["identities"][0]["pass"] is False and report["pass"] is False
 
     def test_no_skips_reported(self):
         assert suite_jacobian(n=2, trials=3, seed=4)["skipped"] == 0
@@ -142,39 +133,36 @@ class TestWorstProbe:
             assert item["worst_trial"] == int(np.argmax(per_trial))
             assert item["max_residual"] == max(per_trial)
 
-    def test_unevaluated_identity_has_no_probe(self, monkeypatch):
-        def always_near_branch(mu):
-            raise BranchProximity("forced")
-
-        monkeypatch.setattr("cmvkit.verify.spectral_to_verblunsky_jacobian", always_near_branch)
-        item = suite_jacobian(n=3, trials=2, seed=4)["identities"][0]
-        assert item["worst_trial"] is None and item["worst_probe"] is None
-
     def test_nan_observable_is_not_a_pass(self, monkeypatch):
-        # Im K_3 is NaN at every stencil point: the gradient guard names it
-        from cmvkit.alflows import trace_hamiltonian
+        # a NaN Im K_3 gradient makes the involution residual NaN, which fails
+        from cmvkit.brackets import hamiltonian_gradients
 
-        def nan_im_k3(C, m):
-            k = trace_hamiltonian(C, m)
-            return complex(k.real, np.nan) if m == 3 else k
+        def nan_im_k3(v, degrees):
+            rows = hamiltonian_gradients(v, degrees)
+            rows[-1] = rows[-1].real + 1j * np.nan
+            return rows
 
-        monkeypatch.setattr("cmvkit.verify.trace_hamiltonian", nan_im_k3)
-        with pytest.raises(NonDifferentiable, match="^Im K_3:"):
-            run_suite("brackets", 4, 3, 0)
+        monkeypatch.setattr("cmvkit.verify.hamiltonian_gradients", nan_im_k3)
+        report = run_suite("brackets", 4, 3, 0)
+        item = report["identities"][2]
+        assert np.isnan(item["max_residual"]) and item["pass"] is False and report["pass"] is False
 
     @pytest.mark.parametrize("suite,row,failing", [("brackets", -1, [2]), ("canonical", 0, [0, 1])])
     def test_nan_bracket_reaches_the_report(self, suite, row, failing, monkeypatch):
-        # a NaN gradient past the guard must surface in the worst residual
+        # a NaN gradient row (K_3 for brackets, theta_0 for canonical) must
+        # surface in the worst residual of every identity that reads it
         import cmvkit.brackets as brackets
 
-        original = brackets.coordinate_jacobian
+        name = {"brackets": "hamiltonian_gradients", "canonical": "spectral_gradients"}[suite]
+        original = getattr(brackets, name)
 
-        def nan_row(*args, **kwargs):
-            grad, g1, g2 = original(*args, **kwargs)
-            g1[row, 0] = g2[row, 0] = np.nan
-            return grad, g1, g2
+        def nan_row(*args):
+            out = original(*args)
+            rows = out if suite == "brackets" else out[1]
+            rows[row, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(brackets, "coordinate_jacobian", nan_row)
+        monkeypatch.setattr(f"cmvkit.verify.{name}", nan_row)
         report = run_suite(suite, 3, 2, 0)
         assert [i for i, item in enumerate(report["identities"]) if np.isnan(item["max_residual"])] == failing
         assert report["pass"] is False
@@ -202,15 +190,17 @@ class TestOneSweepPerProbe:
 
     @pytest.mark.parametrize("suite", ["canonical", "cotangent"])
     def test_eigensolves_per_trial(self, suite, monkeypatch):
-        # one for the base labels, one per stencil point: 1 + 4 * 2(n - 1)
+        # one eigensolve gives the probe's measure; its tangents need none
         calls = self.count_calls(monkeypatch, "unitary_eigensystem")
-        run_suite(suite, 4, 1, 0)
-        assert len(calls) == 25
+        run_suite(suite, 4, 3, 0)
+        assert len(calls) == 3
 
     def test_cmv_builds_per_brackets_trial(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "build_cmv", "cmvkit.verify")
-        run_suite("brackets", 4, 1, 0)
-        assert len(calls) == 24
+        # one pair of L and M factors per trial, and no CMVMatrix
+        factors = self.count_calls(monkeypatch, "lm_factors")
+        builds = self.count_calls(monkeypatch, "build_cmv")
+        run_suite("brackets", 4, 3, 0)
+        assert (len(factors), len(builds)) == (3, 0)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_no_cmv_checks(self, suite, monkeypatch):
@@ -225,6 +215,11 @@ class TestOneSweepPerProbe:
     )
     @pytest.mark.parametrize("seed", range(5))
     def test_reports_match_the_scalar_sweep(self, suite, n, seed):
+        # every identity vanishes, so each residual is an error: the exact
+        # one sits at rounding level, within the finite-difference oracle's
+        # accuracy (its own residual on the same probes) of the oracle's
         report = run_suite(suite, n, 2, seed)
         expected = oracles.suite_residuals_scalar(suite, n, 2, seed)
-        assert [item["max_residual"] for item in report["identities"]] == expected
+        for item, oracle in zip(report["identities"], expected, strict=True):
+            assert item["max_residual"] <= 1e-13
+            assert abs(item["max_residual"] - oracle) <= max(oracle, 1e-13) <= 1e-3 * item["tolerance"]
