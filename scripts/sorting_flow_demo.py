@@ -25,7 +25,7 @@ def main():
     ap.add_argument("--dt", type=float, default=1e-3)
     args = ap.parse_args()
 
-    v0 = random_verblunsky(args.n, RngStream(args.seed), radius=0.55, min_separation=0.25)
+    v0 = random_verblunsky(args.n, RngStream(args.seed), radius=0.55)
     ham = FlowHamiltonian.matching_lax_flow(1, "re")
     mu0 = unitary_eigensystem(build_cmv(v0))
     order = np.argsort(-ham.growth_rate(mu0.theta))

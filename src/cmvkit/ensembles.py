@@ -28,9 +28,7 @@ from .core import (
     JacobiMatrix,
     VerblunskySet,
     batched_lm_factors,
-    build_cmv,
     build_jacobi,
-    circular_gaps,
 )
 from .errors import (
     DomainViolation,
@@ -321,25 +319,16 @@ def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
     return out
 
 
-def random_verblunsky(n: int, rng, radius: float = 0.7, min_separation: float | None = None) -> VerblunskySet:
-    """Generic coefficient set: interior uniform in a disk, boundary uniform.
-
-    With min_separation set, redraws until all eigenvalue angles of the
-    CMV matrix are at least that far apart (circularly).
-    """
+def random_verblunsky(n: int, rng, radius: float = 0.7) -> VerblunskySet:
+    """Generic coefficient set, drawn once: interior uniform in a disk,
+    boundary uniform.  For a chosen spectrum use verblunsky_from_measure."""
     gen = as_generator(rng)
     if n < 1:
         raise InvalidParams(f"need at least one coefficient, got n = {n}")
     if not 0.0 < radius < 1.0:
         raise InvalidParams("radius must lie in (0, 1)")
-    for _ in range(MAX_DRAWS):
-        mod = radius * np.sqrt(gen.random(n - 1))
-        arg = TWO_PI * gen.random(n - 1)
-        interior = mod * np.exp(1j * arg)
-        last = np.exp(1j * TWO_PI * gen.random())
-        v = VerblunskySet(np.concatenate([interior, [last]]))
-        if min_separation is None:
-            return v
-        if n == 1 or circular_gaps(unitary_angles(build_cmv(v).entries)).min() > min_separation:
-            return v
-    raise InvalidParams("could not find a coefficient set with the requested separation")
+    mod = radius * np.sqrt(gen.random(n - 1))
+    arg = TWO_PI * gen.random(n - 1)
+    interior = mod * np.exp(1j * arg)
+    last = np.exp(1j * TWO_PI * gen.random())
+    return VerblunskySet(np.concatenate([interior, [last]]))

@@ -8,6 +8,7 @@ round-trip bit for bit, all files UTF-8.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -119,9 +120,26 @@ def dump_json(obj, path) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _reading(path):
+    """path opened as UTF-8 text; InvalidParams naming it when it cannot be
+    opened or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidParams(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in path; InvalidParams naming it when unreadable or invalid."""
+    with _reading(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParams(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_samples_csv(path, rows: np.ndarray) -> None:
@@ -135,8 +153,9 @@ def write_samples_csv(path, rows: np.ndarray) -> None:
 
 def read_samples_csv(path) -> np.ndarray:
     """The rows of a sample CSV as a (rows, columns) array; InvalidParams
-    on rows of unequal length and on tokens that are not finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
+    when it cannot be read, on rows of unequal length and on tokens that
+    are not finite numbers."""
+    with _reading(path) as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         return np.empty((0, 0))

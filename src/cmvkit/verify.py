@@ -3,11 +3,16 @@
 Each suite sweeps seeded random probe points, evaluates a family of
 bracket/Jacobian identities numerically, and reports the worst residual
 against its tolerance.  One table, `_SUITES`, gives each suite its probe
-draw, its per-probe residual function and its (identity, tolerance)
-list, and `run_suite` runs the one trial loop over it; the `suite_*`
-functions only fix each suite's default size and trial count.  Suites
-return a plain dict ready for JSON.  A suite needs at least one trial
-and n >= MIN_N[suite].
+draw (a probe record, in the serialize schemas), its per-probe residual
+function (evaluated on the probe that record loads) and its (identity,
+tolerance) list, and `run_suite` runs the one trial loop over it; the
+`suite_*` functions only fix each suite's default size and trial
+count.  Suites return a plain dict ready for JSON.  A suite needs at
+least one trial and n >= MIN_N[suite].
+
+No probe is redrawn: canonical, cotangent and jacobian draw a stratified
+measure (`random_measure`), the first two through the Szego recursion to
+its coefficients, and brackets draws coefficients in a disk.
 
 The per-probe residual functions (`brackets_residuals`,
 `canonical_residuals`, `cotangent_residual`, `jacobian_residual`) read
@@ -32,7 +37,8 @@ from .brackets import (
 from .core import SpectralMeasureCircle, VerblunskySet
 from .ensembles import RngStream, random_verblunsky
 from .errors import InvalidParams
-from .serialize import circle_measure_to_obj, verblunsky_to_obj
+from .opuc import verblunsky_from_measure
+from .serialize import circle_measure_from_obj, circle_measure_to_obj, verblunsky_from_obj, verblunsky_to_obj
 
 SUITES = ("brackets", "canonical", "cotangent", "jacobian")
 # smallest n each suite can evaluate: brackets and canonical need an
@@ -47,11 +53,7 @@ JACOBIAN_TOL = 1e-6
 
 HAMILTONIAN_DEGREES = (1, 2, 3)
 
-
-def probe_separation(gap: float, n: int) -> float:
-    """Minimum eigenvalue-angle gap asked of a probe: `gap`, or pi/n (half
-    the mean spacing) once n gaps of that size become rare draws."""
-    return min(gap, np.pi / n)
+W_LO = 1e-2  # smallest weight of a random_measure probe before normalization
 
 
 def _rank(residual: float) -> float:
@@ -141,26 +143,17 @@ def suite_cotangent(n: int = 4, trials: int = 25, seed: int = 0) -> dict:
     return run_suite("cotangent", n, trials, seed)
 
 
-def random_measure(n: int, gen, margin: float | None = None) -> SpectralMeasureCircle:
-    """Measure with comfortable angle separations, weights, and branch margins.
+def random_measure(n: int, gen) -> SpectralMeasureCircle:
+    """Stratified probe measure, drawn from a fixed 2n + 1 variates.
 
-    The angles keep `margin` from -pi and pi and from each other; the
-    default min(0.35, pi/(2n)) is the fixed 0.35 up to n = 4 and shrinks
-    with n, so that n well separated angles still fit on the circle.
+    One angle per arc of 2 pi / n, each jittered by up to a quarter arc
+    (pi / (2n)) and all rotated by one uniform angle, so every circular
+    gap is at least pi / n; weights log-uniform on [W_LO, 1], normalized.
     """
-    if margin is None:
-        margin = min(0.35, np.pi / (2 * n))
-    for _ in range(512):
-        theta = np.sort(gen.uniform(-np.pi + margin, np.pi - margin, n))
-        if n > 1 and np.diff(theta).min() < margin:
-            continue
-        weights = gen.uniform(0.5, 1.5, n)
-        mu = SpectralMeasureCircle(theta, weights / weights.sum())
-        phi = (n - 1) * np.pi - theta.sum()
-        phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
-        if np.pi - abs(phi) > 0.25:
-            return mu
-    raise InvalidParams("could not draw a well-conditioned measure")
+    arcs = np.arange(n) + 0.5 + gen.uniform(-0.25, 0.25, n)
+    theta = gen.uniform(-np.pi, np.pi) + arcs * (2.0 * np.pi / n)
+    weights = W_LO ** gen.random(n)
+    return SpectralMeasureCircle(theta, weights / weights.sum())
 
 
 def jacobian_residual(mu: SpectralMeasureCircle) -> float:
@@ -176,31 +169,19 @@ def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
     return run_suite("jacobian", n, trials, seed)
 
 
-def _coefficients(n: int, gen, radius: float, gap: float | None = None):
-    """A coefficient probe and its record; with `gap`, its eigenvalue
-    angles are at least probe_separation(gap, n) apart."""
-    separation = None if gap is None else probe_separation(gap, n)
-    v = random_verblunsky(n, gen, radius=radius, min_separation=separation)
-    return v, verblunsky_to_obj(v)
+def _spectral_coefficients(n: int, gen) -> dict:
+    """Record of the coefficients of a random_measure probe, through the
+    Szego recursion."""
+    return verblunsky_to_obj(verblunsky_from_measure(random_measure(n, gen)))
 
 
-def _labelled_coefficients(n: int, gen):
-    v, record = _coefficients(n, gen, 0.55, 0.5)
-    labels = tuple(gen.permutation(n)[:3].tolist())
-    return (v, labels), dict(record, labels=list(labels))
-
-
-def _measure(n: int, gen):
-    mu = random_measure(n, gen)
-    return mu, circle_measure_to_obj(mu)
-
-
-# suite -> (draw(n, gen) -> (probe, probe record), residuals(probe), [(identity, tolerance)]).
-# The lambdas look the package functions up at call time.
+# suite -> (draw(n, gen) -> probe record, residuals(probe record), [(identity, tolerance)]).
+# Residuals read the probe the record loads, so the record reproduces them bit
+# for bit.  The lambdas look the package functions up at call time.
 _SUITES = {
     "brackets": (
-        lambda n, gen: _coefficients(n, gen, 0.65),
-        lambda v: brackets_residuals(v),
+        lambda n, gen: verblunsky_to_obj(random_verblunsky(n, gen, radius=0.65)),
+        lambda probe: brackets_residuals(verblunsky_from_obj(probe)),
         [
             ("coefficient bracket reconstruction", BRACKET_TOL),
             ("antisymmetry", BRACKET_TOL),
@@ -208,18 +189,19 @@ _SUITES = {
         ],
     ),
     "canonical": (
-        lambda n, gen: _coefficients(n, gen, 0.6, 0.35),
-        lambda v: canonical_residuals(v),
+        lambda n, gen: _spectral_coefficients(n, gen),
+        lambda probe: canonical_residuals(verblunsky_from_obj(probe)),
         [("eigenvalue angles commute", THETA_COMMUTE_TOL), ("canonical pairing matrix", CANONICAL_TOL)],
     ),
     "cotangent": (
-        _labelled_coefficients,
-        lambda probe: (abs(cotangent_residual(*probe)),),
+        # the labels are drawn after the measure
+        lambda n, gen: dict(_spectral_coefficients(n, gen), labels=gen.permutation(n)[:3].tolist()),
+        lambda probe: (abs(cotangent_residual(verblunsky_from_obj(probe), tuple(probe["labels"]))),),
         [("cotangent identity", COTANGENT_TOL)],
     ),
     "jacobian": (
-        _measure,
-        lambda mu: (jacobian_residual(mu),),
+        lambda n, gen: circle_measure_to_obj(random_measure(n, gen)),
+        lambda probe: (jacobian_residual(circle_measure_from_obj(probe)),),
         [("spectral jacobian determinant", JACOBIAN_TOL)],
     ),
 }
@@ -227,8 +209,7 @@ _SUITES = {
 
 def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
     """Run one suite: `trials` seeded probes and the worst residual of each
-    identity.  A NaN residual ranks as the worst, so it fails.  The report
-    keeps a `skipped` count for its schema; no probe is skipped.
+    identity.  A NaN residual ranks as the worst, so it fails.
 
     Rejects an unknown suite, a size below MIN_N[suite] or fewer than one
     trial before anything is drawn.
@@ -243,16 +224,15 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
     gen = RngStream(seed).generator()
     worst = [None] * len(identities)
     for trial in range(trials):
-        probe, record = draw(n, gen)
+        probe = draw(n, gen)
         for index, residual in enumerate(residuals(probe)):
             if worst[index] is None or _rank(residual) > _rank(worst[index][0]):
-                worst[index] = (residual, trial, record)
+                worst[index] = (residual, trial, probe)
     results = [_result(name, item, tol) for (name, tol), item in zip(identities, worst)]
     return {
         "suite": suite,
         "n": n,
         "trials": trials,
-        "skipped": 0,
         "seed": seed,
         "identities": results,
         "pass": all(item["pass"] for item in results),

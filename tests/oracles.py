@@ -15,6 +15,9 @@ and spectral_trajectory_loop take angles from that kernel too, one
 matrix at a time.  dense_lax_field is the dense form of the banded Lax
 field (the full lax_partner and commutator, read by the rho_dot
 recurrence); tests hold the package to it within a relative tolerance.
+separated_verblunsky and separated_measure are probe draws, not
+oracles: the rejection loops the package dropped, kept so the tests
+that draw through them see the same coefficient sets and measures.
 
 The finite-difference bracket engine (coordinate_jacobian,
 bracket_matrix, SpectralObservables with its eigenvalue matching,
@@ -41,9 +44,10 @@ from cmvkit.brackets import (
     with_coordinates,
 )
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, circular_gaps
-from cmvkit.ensembles import RngStream, random_verblunsky
-from cmvkit.errors import CmvError, DegenerateSpectrum, NonDifferentiable, SupportTooSmall
+from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
+from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
+from cmvkit.verify import random_measure
 
 
 def cmv_pattern(v) -> np.ndarray:
@@ -428,6 +432,42 @@ def fit_hamiltonian_with_rates(theta, targets):
     return x[0::2] + 1j * x[1::2]
 
 
+def separated_verblunsky(n, rng, radius=0.7, min_separation=0.0):
+    """random_verblunsky redrawn until all eigenvalue angles of the CMV
+    matrix are more than min_separation apart (circularly): the package's
+    former min_separation draw, loop and variates unchanged, so the tests
+    that used it keep their coefficient sets bit for bit."""
+    gen = as_generator(rng)
+    for _ in range(MAX_DRAWS):
+        v = random_verblunsky(n, gen, radius=radius)
+        if n == 1 or circular_gaps(unitary_angles(build_cmv(v).entries)).min() > min_separation:
+            return v
+    raise InvalidParams("could not find a coefficient set with the requested separation")
+
+
+def separated_measure(n, gen, margin=None):
+    """The package's former random_measure, loop and variates unchanged:
+    uniform angles that keep `margin` (default min(0.35, pi/(2n))) from
+    -pi, pi and each other, weights uniform on [0.5, 1.5], and
+    arg(alpha_{n-1}) 0.25 from the cut.  Its draws lie where the
+    finite-difference Jacobian oracles (chart_jacobian_fd,
+    spectral_jacobian_loop), which difference arg(alpha_{n-1}) directly,
+    are accurate; it fails for n beyond about 17."""
+    if margin is None:
+        margin = min(0.35, np.pi / (2 * n))
+    for _ in range(512):
+        theta = np.sort(gen.uniform(-np.pi + margin, np.pi - margin, n))
+        if n > 1 and np.diff(theta).min() < margin:
+            continue
+        weights = gen.uniform(0.5, 1.5, n)
+        mu = SpectralMeasureCircle(theta, weights / weights.sum())
+        phi = (n - 1) * np.pi - theta.sum()
+        phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
+        if np.pi - abs(phi) > 0.25:
+            return mu
+    raise InvalidParams("could not draw a well-conditioned measure")
+
+
 # --- finite-difference bracket engine ----------------------------------------
 #
 # The identity suites' former engine, the oracle of the exact gradients:
@@ -687,16 +727,17 @@ def cotangent_residual_scalar(v, labels):
 def suite_residuals_scalar(suite, n, trials, seed):
     """Worst residual of each identity of the brackets, canonical or
     cotangent suite, from the scalar sweep on the suite's probe stream
-    (separations 0.35 and 0.5, the suites' values for n <= 6)."""
+    (radius-0.65 coefficients for brackets, the coefficients of a
+    random_measure for the other two)."""
     gen = RngStream(seed).generator()
     worst = None
     for _ in range(trials):
         if suite == "brackets":
             res = brackets_residuals_scalar(random_verblunsky(n, gen, radius=0.65))
         elif suite == "canonical":
-            res = canonical_residuals_scalar(random_verblunsky(n, gen, radius=0.6, min_separation=0.35))
+            res = canonical_residuals_scalar(verblunsky_from_measure(random_measure(n, gen)))
         else:
-            v = random_verblunsky(n, gen, radius=0.55, min_separation=0.5)
+            v = verblunsky_from_measure(random_measure(n, gen))
             labels = tuple(gen.permutation(n)[:3].tolist())
             res = (abs(cotangent_residual_scalar(v, labels)),)
         worst = res if worst is None else tuple(max(a, b) for a, b in zip(worst, res))

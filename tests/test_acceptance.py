@@ -19,7 +19,7 @@ from cmvkit.alflows import (
     lax_partner,
 )
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
-from cmvkit.ensembles import EnsembleSpec, RngStream, eigenvalue_samples, ks_statistic, random_verblunsky
+from cmvkit.ensembles import EnsembleSpec, RngStream, eigenvalue_samples, ks_statistic
 from cmvkit.opuc import (
     geronimus,
     jacobi_eigensystem,
@@ -36,6 +36,7 @@ from oracles import (
     cmv_pattern,
     fit_hamiltonian_with_rates,
     pair_square_integral,
+    separated_verblunsky,
 )
 
 
@@ -177,7 +178,7 @@ def test_criterion_7_lax_flow_suite():
     details = []
     ok = True
     # commutator vs differentiated spectral flow, Richardson in the step
-    v5 = random_verblunsky(5, RngStream(111), radius=0.6, min_separation=0.3)
+    v5 = separated_verblunsky(5, RngStream(111), radius=0.6, min_separation=0.3)
     worst_lax = 0.0
     for m, part in ((1, "re"), (1, "im"), (2, "re"), (2, "im"), (3, "re")):
         ham = FlowHamiltonian.matching_lax_flow(m, part)
@@ -196,7 +197,7 @@ def test_criterion_7_lax_flow_suite():
     ok = ok and worst_lax <= 1e-6
     details.append(f"dC/dt vs [C,P] rel {worst_lax:.2e} <= 1e-6")
 
-    v6 = random_verblunsky(6, RngStream(112), radius=0.55, min_separation=0.3)
+    v6 = separated_verblunsky(6, RngStream(112), radius=0.55, min_separation=0.3)
     traj = integrate_flow(v6, 1, "re", 5.0, 1e-3)
     spectral = flow_via_spectral(v6, FlowHamiltonian.matching_lax_flow(1, "re"), 5.0)
     endpoint = np.abs(traj.states[-1].alpha - spectral.alpha).max()
@@ -225,7 +226,7 @@ def test_criterion_7_lax_flow_suite():
 
 def _asymptotic_instance(seed, k, n=5):
     gen = RngStream(seed).generator()
-    v = random_verblunsky(n, gen, radius=0.55, min_separation=0.5)
+    v = separated_verblunsky(n, gen, radius=0.55, min_separation=0.5)
     mu = unitary_eigensystem(build_cmv(v))
     gaps = gen.uniform(8.2, 8.8, n - 1)
     gaps[k:] = gen.uniform(11.5, 12.5, n - 1 - k)

@@ -26,7 +26,14 @@ from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verblunsky_from_measure
 
 import oracles
-from oracles import dense_lax_field, dense_rk4_endpoint, eigvals_angles, fit_hamiltonian_with_rates, rk4_trajectory
+from oracles import (
+    dense_lax_field,
+    dense_rk4_endpoint,
+    eigvals_angles,
+    fit_hamiltonian_with_rates,
+    rk4_trajectory,
+    separated_verblunsky,
+)
 from strategies import verblunsky_sets
 
 
@@ -395,7 +402,7 @@ class TestIntegrateFlow:
         assert abs(d1 - d0) <= 1e-10
 
     def test_matches_spectral_endpoint(self):
-        v = random_verblunsky(5, RngStream(9), radius=0.6, min_separation=0.25)
+        v = separated_verblunsky(5, RngStream(9), radius=0.6, min_separation=0.25)
         traj = integrate_flow(v, 1, "re", 1.0, 1e-3)
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
         spectral = flow_via_spectral(v, ham, 1.0)
@@ -423,7 +430,7 @@ class TestExactPropagation:
         assert np.array_equal(out.theta, mu.theta)
 
     def test_constant_rate_is_stationary(self):
-        v = random_verblunsky(4, RngStream(12), min_separation=0.3)
+        v = separated_verblunsky(4, RngStream(12), min_separation=0.3)
         mu = unitary_eigensystem(build_cmv(v))
         coeffs = fit_hamiltonian_with_rates(mu.theta, np.full(mu.n, 0.7))
         ham = FlowHamiltonian(coeffs)
@@ -431,7 +438,7 @@ class TestExactPropagation:
         assert np.abs(out.weights - mu.weights).max() < 1e-12
 
     def test_log_derivative_identity(self):
-        v = random_verblunsky(5, RngStream(13), min_separation=0.25)
+        v = separated_verblunsky(5, RngStream(13), min_separation=0.25)
         mu = unitary_eigensystem(build_cmv(v))
         ham = FlowHamiltonian([0.3 + 0.2j, -0.1j])
         h = 1e-6
@@ -443,19 +450,19 @@ class TestExactPropagation:
         assert np.abs(dlog - expected).max() <= 1e-8
 
     def test_long_time_no_overflow(self):
-        v = random_verblunsky(4, RngStream(14), min_separation=0.3)
+        v = separated_verblunsky(4, RngStream(14), min_separation=0.3)
         mu = unitary_eigensystem(build_cmv(v))
         out = exact_propagate(mu, FlowHamiltonian.trace_power(1, "im"), 150.0)
         assert np.isfinite(out.weights).all()
         assert out.weights.max() > 0.5
 
     def test_spectral_round_trip_at_zero(self):
-        v = random_verblunsky(6, RngStream(15), radius=0.7, min_separation=0.2)
+        v = separated_verblunsky(6, RngStream(15), radius=0.7, min_separation=0.2)
         back = flow_via_spectral(v, FlowHamiltonian.trace_power(1, "re"), 0.0)
         assert np.abs(back.alpha - v.alpha).max() <= 1e-8
 
     def test_isospectrality_of_spectral_flow(self):
-        v = random_verblunsky(5, RngStream(16), radius=0.6, min_separation=0.25)
+        v = separated_verblunsky(5, RngStream(16), radius=0.6, min_separation=0.25)
         ham = FlowHamiltonian.matching_lax_flow(2, "im")
         moved = flow_via_spectral(v, ham, 2.0)
         t0 = np.sort(unitary_eigensystem(build_cmv(v)).theta)
@@ -479,7 +486,7 @@ class TestSpectralTrajectory:
         assert len(calls) == 1
 
     def test_same_grid_and_diagnostics_as_rk4(self):
-        v = random_verblunsky(5, RngStream(19), radius=0.6, min_separation=0.25)
+        v = separated_verblunsky(5, RngStream(19), radius=0.6, min_separation=0.25)
         rk4 = integrate_flow(v, 1, "re", 1.0, 0.3)
         spectral = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 1.0, 0.3)
         assert np.array_equal(rk4.times, spectral.times) and rk4.times.size == 5
@@ -629,7 +636,7 @@ class TestGauge:
 class TestAsymptotics:
     def _instance(self, seed, k, n=5):
         gen = RngStream(seed).generator()
-        v = random_verblunsky(n, gen, radius=0.55, min_separation=0.5)
+        v = separated_verblunsky(n, gen, radius=0.55, min_separation=0.5)
         mu = unitary_eigensystem(build_cmv(v))
         gaps = gen.uniform(8.2, 8.8, n - 1)
         gaps[k:] = gen.uniform(11.5, 12.5, n - 1 - k)
@@ -688,7 +695,7 @@ class TestAsymptotics:
         assert abs(-slope - target) <= 0.01 * target
 
     def test_degenerate_rates_rejected(self):
-        v = random_verblunsky(4, RngStream(20), min_separation=0.3)
+        v = separated_verblunsky(4, RngStream(20), min_separation=0.3)
         mu = unitary_eigensystem(build_cmv(v))
         ham = FlowHamiltonian(fit_hamiltonian_with_rates(mu.theta, [0.0, 0.0, -1.0, -2.0]))
         with pytest.raises(NonDistinctLambda):

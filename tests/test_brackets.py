@@ -27,8 +27,9 @@ from cmvkit.brackets import (
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import DegenerateSpectrum, NonDifferentiable, RhoTooSmall
-from cmvkit.verify import HAMILTONIAN_DEGREES, MIN_N, SUITES, probe_separation, random_measure
-from oracles import SpectralObservables, coordinate_jacobian
+from cmvkit.opuc import verblunsky_from_measure
+from cmvkit.verify import HAMILTONIAN_DEGREES, MIN_N, SUITES, random_measure
+from oracles import SpectralObservables, coordinate_jacobian, separated_measure, separated_verblunsky
 
 fd_bracket_matrix = oracles.bracket_matrix
 
@@ -45,7 +46,7 @@ def re_k(m):
 
 @pytest.fixture(scope="module")
 def probe():
-    return random_verblunsky(4, RngStream(100), radius=0.6, min_separation=0.4)
+    return separated_verblunsky(4, RngStream(100), radius=0.6, min_separation=0.4)
 
 
 class TestCoordinates:
@@ -204,7 +205,7 @@ class TestSpectralObservables:
         assert B.shape == (2, 2) and not B.any()
 
     def test_matching_ambiguous_far_from_base(self):
-        base = random_verblunsky(4, RngStream(0).generator(), radius=0.6, min_separation=0.3)
+        base = separated_verblunsky(4, RngStream(0).generator(), radius=0.6, min_separation=0.3)
         obs = SpectralObservables(base)
         far = random_verblunsky(4, RngStream(1004).generator(), radius=0.6)
         probe = base.replace_interior(far.interior)
@@ -216,17 +217,17 @@ class TestCotangent:
     def test_residual_small(self):
         gen = RngStream(5).generator()
         for _ in range(5):
-            v = random_verblunsky(3, gen, radius=0.55, min_separation=0.5)
+            v = separated_verblunsky(3, gen, radius=0.55, min_separation=0.5)
             assert abs(cotangent_residual(v)) <= 1e-5
 
     def test_relabeling_invariance(self):
-        v = random_verblunsky(4, RngStream(6), radius=0.55, min_separation=0.5)
+        v = separated_verblunsky(4, RngStream(6), radius=0.55, min_separation=0.5)
         base = cotangent_residual(v, (0, 1, 2))
         for labels in [(1, 2, 0), (2, 0, 1)]:
             assert abs(cotangent_residual(v, labels) - base) <= 1e-6
 
     def test_any_triple_of_larger_spectrum(self):
-        v = random_verblunsky(5, RngStream(7), radius=0.5, min_separation=0.45)
+        v = separated_verblunsky(5, RngStream(7), radius=0.5, min_separation=0.45)
         for labels in [(0, 1, 2), (0, 2, 4), (1, 3, 4)]:
             assert abs(cotangent_residual(v, labels)) <= 1e-5
 
@@ -252,7 +253,7 @@ class TestJacobian:
     def test_random_instances(self):
         gen = RngStream(9).generator()
         for n in (2, 3, 4):
-            mu = random_measure(n, gen)
+            mu = separated_measure(n, gen)
             det = spectral_to_verblunsky_jacobian(mu)
             pred = jacobian_prediction(mu)
             assert abs(det - pred) <= 1e-6 * abs(pred), (n, det, pred)
@@ -279,10 +280,11 @@ class TestJacobian:
     @pytest.mark.parametrize("n", range(1, 18))
     def test_matches_the_column_loop(self, n):
         # the exact determinant against the hand-written finite-difference
-        # column loop, with its phase unwrap, within the loop's accuracy
+        # column loop, with its phase unwrap, within the loop's accuracy,
+        # on measures in the loop's domain (phase away from the cut)
         gen = RngStream(200 + n).generator()
         for _ in range(3):
-            mu = random_measure(n, gen)
+            mu = separated_measure(n, gen)
             loop = oracles.spectral_jacobian_loop(mu)
             assert abs(spectral_to_verblunsky_jacobian(mu) - loop) <= 1e-6 * abs(loop)
             assert np.linalg.det(oracles.chart_jacobian_fd(mu)) == loop
@@ -356,9 +358,10 @@ class TestExactBrackets:
 
 def suite_rows(suite, n, gen):
     """Exact gradient rows (or chart Jacobian) and their finite-difference
-    oracle at one probe drawn as the suite draws it."""
+    oracle at one probe drawn as the suite draws it; for the jacobian, in
+    the domain of its oracle, which differences arg(alpha_{n-1})."""
     if suite == "jacobian":
-        mu = random_measure(n, gen)
+        mu = separated_measure(n, gen)
         return chart_jacobian(mu), oracles.chart_jacobian_fd(mu)
     if suite == "brackets":
         v = random_verblunsky(n, gen, radius=0.65)
@@ -372,8 +375,7 @@ def suite_rows(suite, n, gen):
             return np.concatenate([interior_coordinates(w), np.ravel(parts)])
 
         return exact, coordinate_jacobian(values, v)[0]
-    gap, radius = (0.35, 0.6) if suite == "canonical" else (0.5, 0.55)
-    v = random_verblunsky(n, gen, radius=radius, min_separation=probe_separation(gap, n))
+    v = verblunsky_from_measure(random_measure(n, gen))
     obs = SpectralObservables(v)
     _, dtheta, dlog = spectral_gradients(v)
     if suite == "canonical":
@@ -408,7 +410,7 @@ class TestExactAgainstTheOracle:
 
     def test_suite_residuals_below_the_oracles(self):
         # same probe, same identity: the exact defect is at rounding level
-        v = random_verblunsky(5, RngStream(12).generator(), radius=0.55, min_separation=0.5)
+        v = separated_verblunsky(5, RngStream(12).generator(), radius=0.55, min_separation=0.5)
         exact = abs(cotangent_residual(v, (0, 2, 4)))
         fd = abs(oracles.cotangent_residual_scalar(v, (0, 2, 4)))
         assert exact <= 1e-12 < fd <= 1e-5

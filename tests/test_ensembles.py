@@ -303,13 +303,3 @@ class TestRandomVerblunsky:
     def test_radius_respected(self):
         v = random_verblunsky(6, RngStream(20), radius=0.5)
         assert np.abs(v.interior).max() <= 0.5
-
-    def test_separation_respected(self):
-        import numpy.linalg as la
-
-        from cmvkit.core import build_cmv
-
-        v = random_verblunsky(5, RngStream(21), min_separation=0.4)
-        th = np.sort(np.angle(la.eigvals(np.asarray(build_cmv(v).entries))))
-        gaps = np.concatenate([np.diff(th), [th[0] + 2 * np.pi - th[-1]]])
-        assert gaps.min() > 0.4
