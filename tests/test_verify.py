@@ -84,6 +84,11 @@ class TestDomain:
         report = run_suite(suite, 64, 2, 0)
         assert report["pass"], report
 
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    def test_jacobian_beyond_n_8(self, n):
+        report = run_suite("jacobian", n, 10, 0)
+        assert report["pass"], report
+
 
 class TestRandomMeasure:
     SIZES = (1, 2, 3, 6, 64)
