@@ -267,7 +267,10 @@ def circle_weights(theta, weights) -> tuple[np.ndarray, np.ndarray]:
     C-contiguous array.  Row i equals SpectralMeasureCircle(theta,
     weights[i]).weights bit for bit.
     """
-    t = principal_angle(np.array(theta, dtype=float).reshape(-1))
+    t = np.array(theta, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t)):
+        raise OutOfRange("angles must be finite")
+    t = principal_angle(t)
     w = np.asarray(weights, dtype=float)
     if w.shape[-1:] != t.shape:
         raise OutOfRange("points and weights must have equal length")

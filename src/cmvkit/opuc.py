@@ -1,7 +1,7 @@
 """Spectral transforms for orthogonal polynomials on the unit circle.
 
-Forward direction: eigensolve a CMV or Jacobi matrix and read off the
-spectral measure attached to the first coordinate vector.  When only the
+Forward direction: eigensolve a CMV or Jacobi matrix with np.linalg.eig
+or eigh and read off the spectral measure of e_1.  When only the
 eigenvalue angles of a unitary matrix are needed (ensemble draws, flow
 diagnostics), unitary_angles gets them from a Hermitian eigensolver
 through a rotated Cayley transform instead of a general complex one.
@@ -19,7 +19,6 @@ All functions are pure maps of immutable inputs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     TWO_PI,
@@ -46,16 +45,14 @@ ANGLE_BLOCK = 4096          # complex entries per block of a stacked unitary_ang
 def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
     """Spectral measure of a CMV matrix and the vector e_1.
 
-    Uses a complex Schur decomposition, which for a unitary (normal)
-    matrix yields an orthonormal eigenbasis; the weights are the squared
-    overlaps of the eigenvectors with e_1, renormalized to sum 1.
-    Eigenvector phases are irrelevant because only squared moduli enter.
+    The weights are the squared first components |q[0, j]|^2 of the unit
+    eigenvectors from np.linalg.eig, renormalized to sum 1: in a cluster
+    of close eigenvalues those vectors are orthogonal only to about
+    eps / gap.  Eigenvector phases do not enter.
     """
-    t, q = scipy.linalg.schur(np.asarray(C.entries), output="complex")
-    lam = np.diag(t)
-    theta = np.angle(lam)
+    lam, q = np.linalg.eig(C.entries)
     weights = np.abs(q[0, :]) ** 2
-    return SpectralMeasureCircle(theta, weights)
+    return SpectralMeasureCircle(np.angle(lam), weights / weights.sum())
 
 
 def unitary_angles(U, phi: float = 0.0) -> np.ndarray:
@@ -132,9 +129,7 @@ def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:
     """Spectral measure of a Jacobi matrix and the vector e_1."""
-    if J.n == 1:
-        return SpectralMeasureLine(J.b.copy(), np.array([1.0]))
-    lam, vec = scipy.linalg.eigh_tridiagonal(J.b, J.a)
+    lam, vec = np.linalg.eigh(J.to_dense())
     return SpectralMeasureLine(lam, vec[0, :] ** 2)
 
 

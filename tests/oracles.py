@@ -19,6 +19,12 @@ separated_verblunsky and separated_measure are probe draws, not
 oracles: the rejection loops the package dropped, kept so the tests
 that draw through them see the same coefficient sets and measures.
 
+schur_eigensystem and tridiagonal_eigensystem are the scipy paths the
+package took to its circle and line spectral measures before numpy's
+eig and eigh replaced them: a complex Schur decomposition, whose unit
+vectors are orthonormal to rounding even in a cluster, and the
+tridiagonal symmetric solver.  Tests hold the package to them.
+
 The finite-difference bracket engine (coordinate_jacobian,
 bracket_matrix, SpectralObservables with its eigenvalue matching,
 chart_jacobian_fd, the column-by-column spectral_jacobian_loop, and the
@@ -31,6 +37,7 @@ accuracy.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from cmvkit import brackets
 from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation, lax_partner
@@ -43,7 +50,7 @@ from cmvkit.brackets import (
     interior_coordinates,
     with_coordinates,
 )
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, circular_gaps
+from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet, build_cmv, circular_gaps
 from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
 from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
@@ -235,6 +242,27 @@ def eigvals_angles(U) -> np.ndarray:
     """Sorted eigenvalue angles of a matrix or stack from the general
     complex eigensolver."""
     return np.sort(np.angle(np.linalg.eigvals(U)), axis=-1)
+
+
+def schur_eigensystem(C) -> SpectralMeasureCircle:
+    """Spectral measure of a CMV matrix and the vector e_1 from a complex
+    Schur decomposition: for a unitary (normal) matrix its Schur vectors
+    are an orthonormal eigenbasis, and the weights are their squared
+    overlaps with e_1."""
+    t, q = scipy.linalg.schur(np.asarray(C.entries), output="complex")
+    lam = np.diag(t)
+    theta = np.angle(lam)
+    weights = np.abs(q[0, :]) ** 2
+    return SpectralMeasureCircle(theta, weights)
+
+
+def tridiagonal_eigensystem(J) -> SpectralMeasureLine:
+    """Spectral measure of a Jacobi matrix and the vector e_1 from the
+    tridiagonal symmetric eigensolver."""
+    if J.n == 1:
+        return SpectralMeasureLine(J.b.copy(), np.array([1.0]))
+    lam, vec = scipy.linalg.eigh_tridiagonal(J.b, J.a)
+    return SpectralMeasureLine(lam, vec[0, :] ** 2)
 
 
 def rk4_trajectory(v0, m, part, t_final, dt):

@@ -360,6 +360,17 @@ class TestSpectral:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_angle_exit_3(self, tmp_path, capsys, literal):
+        # json parses both literals; the angle is rejected before the
+        # Szego recursion runs on it
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(f'{{"points": [{{"theta": {literal}, "weight": 0.5}}, {{"theta": 1.0, "weight": 0.5}}]}}')
+        assert run("spectral", "--input", src, "--to", "coeffs", "--out", out, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err == "error: angles must be finite\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passing_suite(self, tmp_path):
@@ -553,3 +564,12 @@ class TestParser:
         # only the unquiet calls speak: the sample's progress and the verify line
         assert captured.out.startswith("[pass] spectral jacobian determinant")
         assert "wrote 2 rows" in captured.err and captured.err.count("sampled") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy belongs to the test extra
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import cmvkit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

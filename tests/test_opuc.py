@@ -12,6 +12,7 @@ from cmvkit.core import (
 )
 from cmvkit.ensembles import RngStream, sample_circular_beta
 from cmvkit.errors import (
+    CmvError,
     IllConditioned,
     InvalidBoundary,
     NotSymmetric,
@@ -33,7 +34,15 @@ from cmvkit.opuc import (
     verblunsky_rows,
 )
 
-from oracles import eigvals_angles, geronimus_loop, monic_opuc, reversed_poly, szego_loop
+from oracles import (
+    eigvals_angles,
+    geronimus_loop,
+    monic_opuc,
+    reversed_poly,
+    schur_eigensystem,
+    szego_loop,
+    tridiagonal_eigensystem,
+)
 from strategies import verblunsky_sets
 from test_core import random_set
 
@@ -56,16 +65,18 @@ class TestEigensystems:
         mu = unitary_eigensystem(build_cmv(v))
         assert abs(mu.weights.sum() - 1.0) <= 1e-15
 
-    def test_eigenpair_residual(self):
-        rng = np.random.default_rng(3)
-        v = random_set(rng, 10, radius=0.9)
-        c = np.asarray(build_cmv(v).entries)
-        import scipy.linalg
-
-        t, q = scipy.linalg.schur(c, output="complex")
-        lam = np.diag(t)
-        resid = np.abs(c @ q - q @ np.diag(lam)).max()
-        assert resid <= 1e-11
+    @pytest.mark.parametrize("radius", [0.6, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 10, 64])
+    def test_moments_are_powers_of_the_matrix(self, n, radius):
+        # spectral theorem for the measure of e_1: sum_j w_j z_j^k = (C^k)[0, 0]
+        for seed in range(4):
+            C = build_cmv(random_set(np.random.default_rng(seed), n, radius=radius))
+            mu = unitary_eigensystem(C)
+            z = np.exp(1j * mu.theta)
+            power = np.eye(n, dtype=complex)
+            for k in range(n + 2):
+                assert abs((mu.weights * z**k).sum() - power[0, 0]) <= 4e-15 * n
+                power = power @ C.entries
 
     def test_jacobi_single(self):
         nu = jacobi_eigensystem(build_jacobi([1.5], []))
@@ -82,6 +93,55 @@ class TestEigensystems:
         nu = jacobi_eigensystem(j)
         assert nu.weights.min() > 0.0
         assert abs(nu.weights.sum() - 1.0) <= 1e-15
+
+
+def clustered_measure(n, gap, seed):
+    """n uniform angles with the first two moved gap apart, and weights
+    uniform on [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(-np.pi, np.pi, n))
+    theta[1] = theta[0] + gap
+    w = rng.uniform(0.1, 1.0, n)
+    return SpectralMeasureCircle(theta, w / w.sum())
+
+
+class TestAgainstScipyOracles:
+    @pytest.mark.parametrize("radius", [0.6, 0.9, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64])
+    def test_circle_measure_matches_schur(self, n, radius):
+        for seed in range(4):
+            C = build_cmv(random_set(np.random.default_rng(seed), n, radius=radius))
+            mu, ref = unitary_eigensystem(C), schur_eigensystem(C)
+            assert np.abs(mu.theta - ref.theta).max() <= 1e-14
+            assert np.abs(mu.weights - ref.weights).max() <= 1e-13
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("n", [6, 12, 32])
+    def test_clustered_spectrum_matches_schur(self, n, gap):
+        # eig's unit vectors in a cluster are orthogonal only to about
+        # eps / gap; without the renormalization their weights fail the
+        # measure's sum check on most of these draws
+        compared = 0
+        for seed in range(10):
+            try:
+                C = build_cmv(verblunsky_from_measure(clustered_measure(n, gap, seed)))
+                ref = schur_eigensystem(C)
+            except CmvError:
+                continue
+            mu = unitary_eigensystem(C)
+            assert np.abs(mu.theta - ref.theta).max() <= 1e-14
+            assert np.abs(mu.weights - ref.weights).max() <= 1e-15 / gap
+            compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_line_measure_matches_tridiagonal_solver(self, n):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            J = build_jacobi(rng.normal(size=n), rng.uniform(0.2, 1.5, n - 1))
+            nu, ref = jacobi_eigensystem(J), tridiagonal_eigensystem(J)
+            assert np.abs(nu.x - ref.x).max() <= 1e-14
+            assert np.abs(nu.weights - ref.weights).max() <= 1e-14
 
 
 def circular_stack(n, beta, count, seed):
