@@ -1,23 +1,23 @@
 """The finite defocusing Ablowitz-Ladik hierarchy on Verblunsky coefficients.
 
 The Hamiltonians are the real and imaginary parts of the trace powers
-K_m = tr(C^m)/m of the CMV matrix.  Their flows keep the spectrum fixed
-and admit a commutator (Lax) form: the m-th flow moves the matrix along
-dC/dt = [C, P] with an anti-Hermitian partner P built from the upper
-part of C^m.  The coefficient velocities read off the commutator give,
-for (m=1, re), the lattice equation
+K_m = tr(C^m)/m of the CMV matrix.  Their flows keep the spectrum fixed.
+In Lax form the m-th flow is dC/dt = [C, P] with an anti-Hermitian
+partner P built from the upper part of C^m (lax_partner); in bracket
+form it is d(alpha_k)/dt = {alpha_k, H}, H = Re K_m or Im K_m, which the
+package computes from its one derivative of K_m (_trace_gradient_blocks,
+also read by brackets.hamiltonian_gradients).  For (m=1, re) both give
     d(alpha_j)/dt = i rho_j^2 (alpha_{j-1} + alpha_{j+1})
 with alpha_{-1} = -1 (the boundary the finite matrix realizes) and
-alpha_{n-1} frozen.
+alpha_{n-1} frozen.  Every flow order m lies in 1..MAX_ORDER.
 
 Two propagators cross-validate each other.  integrate_flow is fixed-step
-RK4 whose stages run _lax_velocity on plain arrays: C^m, P and the three
-central diagonals of [C, P] on their bands, then 2n - 3 entries of [C, P]
-through a recurrence that divides by nothing.  flow_via_spectral and
-exact_propagate diagonalize once, evolve the spectral weights exactly as
-mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with F(theta) = 2 Re[z f'(z)], and
-invert the spectral map; spectral_trajectory does so at every grid time
-with one diagonalization and one szego_rows pass over (T, n) weights.
+RK4 whose stages run the banded, division-free bracket field on plain
+arrays.  flow_via_spectral and exact_propagate diagonalize once, evolve
+the spectral weights exactly as mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with
+F(theta) = 2 Re[z f'(z)], and invert the spectral map;
+spectral_trajectory does so at every grid time with one diagonalization
+and one szego_rows pass over (T, n) weights.
 
 Both trajectories share one time grid of at most MAX_STEPS steps and read
 their diagnostics through Trajectory.from_blocks: per block of at most
@@ -65,6 +65,7 @@ from .opuc import (
 
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
 MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
+MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m^2
 LAMBDA_GAP_TOL = 1e-8
 
 _PARTS = ("re", "im")
@@ -73,6 +74,8 @@ _PARTS = ("re", "im")
 def _check_order(m: int) -> int:
     if m < 1:
         raise InvalidParams(f"need m >= 1, got m = {m}")
+    if m > MAX_ORDER:
+        raise InvalidParams(f"m = {m} is above the largest flow order, {MAX_ORDER}")
     return m
 
 
@@ -165,86 +168,94 @@ def lax_partner(C: CMVMatrix, m: int, part: str) -> np.ndarray:
 
 def al_vector_field(v: VerblunskySet, m: int = 1, part: str = "re") -> np.ndarray:
     """Interior velocities of the (m, part) flow; the boundary does not move."""
-    return _lax_velocity(v.alpha, _check_order(m), _check_part(part))
+    return _bracket_velocity(v.alpha, _check_order(m), _check_part(part))
 
 
-# _lax_velocity holds an n x n matrix of half-width w as a band array of
-# shape (n + 2 _PAD, 2w + 1): row _PAD + i, column w + d holds entry
-# [i, i + d], and every other entry (padding, past the edge) is 0.
-_PAD = 3
-_UPPER = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])  # diagonals -3..3 of (.)_+
+def _bracket_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
+    """{alpha_k, H} for H = Re K_m (part='re') or Im K_m (part='im') at the
+    raw coefficients alpha (n,): rho^2 (g_v - i g_u) for the gradient rows
+    g of hamiltonian_gradients, with rho^2 multiplied through so that
+    nothing is divided; pick takes H's part (Re or Im) of each term."""
+    rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,))
+    pick = np.real if part == "re" else np.imag
+    return rho * rho * (pick(-1j * (x00 + x11)) - 1j * pick(x00 - x11)) + 1j * rho * pick(o) * alpha[:-1]
+
+
+# A banded n x n matrix of half-width w is held as an array of shape
+# (n + 2, 2w + 1): row 1 + i, column w + d holds entry [i, i + d], and
+# every other entry (padding rows, past the edge) is 0, as is flat index 0.
 
 
 @functools.lru_cache(maxsize=None)
-def _lax_indices(n: int, m: int) -> tuple:
-    """Gather indices of _lax_velocity; one that leaves a band reads [0, 0].
+def _band_indices(n: int, m: int) -> tuple:
+    """Flat gather indices of _trace_gradient_blocks up to order m; one
+    that leaves a band reads flat index 0.
 
     factors: L and M, blocks as in batched_lm_factors, from [conj(alpha),
     -alpha[:-1], rho, 1, 0]; products: B in (AB)[i, i + r] = sum_p
-    A[i, i + p] B[i + p, i + r], for L M and C C^k, k < m; partner: C^m[i, j]
-    for j >= i and C^m[j, i] for j < i, |j - i| <= 3; bracket: the factors
-    of [C, P][k, k] for k < n - 1 and of each E_k entry."""
-    size = n + 2 * _PAD
+    A[i, i + p] B[i + p, i + r], for L M and C C^j, 0 < j < m - 1; blocks:
+    the three factor and C^(m-1) entries summed into each of X[k, k],
+    X[k + 1, k + 1], X[k, k + 1] and X[k + 1, k]; identity: C^0."""
+    size = n + 2
 
-    def inside(rows, cols, width):
+    def flat(rows, cols, width):
         ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < width)
-        return np.where(ok, rows, 0), np.where(ok, cols, 0)
+        return np.where(ok, rows * width + cols, 0)
 
     k = np.arange(n - 1)
     factors = np.full((2, size, 3), 3 * n - 1)
-    factors[1, _PAD, 1] = 3 * n - 2
-    factors[(n - 1) % 2, _PAD + n - 1, 1] = n - 1
+    factors[1, 1, 1] = 3 * n - 2
+    factors[(n - 1) % 2, n, 1] = n - 1
     for col, shift, src in ((1, 0, k), (2, 0, 2 * n - 1 + k), (0, 1, 2 * n - 1 + k), (1, 1, n + k)):
-        factors[k % 2, _PAD + k + shift, col] = src
+        factors[k % 2, 1 + k + shift, col] = src
     products = []
-    for wa, wb in [(1, 1)] + [(2, 2 * j) for j in range(1, m)]:
+    for wa, wb in ([(1, 1)] if m > 1 else []) + [(2, 2 * j) for j in range(1, m - 1)]:
         i, p, r = np.ogrid[:size, -wa : wa + 1, -wa - wb : wa + wb + 1]
-        products.append(inside(i + p, wb + r - p, 2 * wb + 1))
-    i, d = np.ogrid[:size, -3:4]
-    partner = inside(np.where(d < 0, i + d, i), 2 * m + np.abs(d), 4 * m + 1)
-    odd = k[1:] % 2  # E_k sits at [k - 1, k] for odd k, at [k, k - 1] for even k
-    rows, offs = np.concatenate([k, k[1:] - odd]), np.concatenate([0 * k, 2 * odd - 1])
-    i, r, p = _PAD + rows[:, None], offs[:, None], np.arange(-2, 3)
-    return factors, products, partner, ((i, p + 2), (i + p, r - p + 3), (i, r - p + 3), (i + r - p, p + 2))
+        products.append(flat(i + p, wb + r - p, 2 * wb + 1))
+    w, p, even = 2 * (m - 1), np.arange(-1, 2), k[:, None] % 2 == 0
+    i = k[:, None] + np.array([[[0]], [[1]], [[0]], [[1]]])
+    j = k[:, None] + np.array([[[0]], [[1]], [[1]], [[0]]])
+    # M[i, i + p] C^(m-1)[i + p, j] for even k, C^(m-1)[i, j + p] L[j + p, j] for odd k
+    f_blocks = np.where(even, (size + 1 + i) * 3 + 1 + p, (1 + j + p) * 3 + 1 - p)
+    d_blocks = np.where(even, flat(1 + i + p, w + j - i - p, 2 * w + 1), flat(1 + i, w + j + p - i, 2 * w + 1))
+    identity = np.zeros((size, 1))
+    identity[1 : n + 1] = 1.0
+    return factors, products, (f_blocks, d_blocks), identity
 
 
-def _lax_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
-    """Interior velocities of the (m, part) flow at the raw coefficients
-    alpha (n,), from the bands of C, C^m and P: C is five-diagonal, C^m has
-    half-width 2m, and diagonals -1..1 of [C, P] read only -3..3 of P.
-    With dE_k, dD_k the entries of [C, P] where C holds E_k = rho_{k-1}
-    conj(alpha_k) and D_k = C[k, k] = -alpha_{k-1} conj(alpha_k), a_{-1} = -1,
-        conj(adot_k) = rho_{k-1} dE_k - conj(alpha_{k-1}) dD_k + i conj(alpha_k) s_k,
-        s_{k+1} = Im(alpha_k conj(adot_k)),  s_0 = 0  (dD_0 alone for k = 0).
-    Nothing is divided, and s contracts by |alpha_k|^2 < 1 at each step.
+def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
+    """The package's one derivative of the trace Hamiltonians K_m: rho_k,
+    and for each m in degrees the arrays x00 = X[k, k], x11 = X[k+1, k+1]
+    and o = X[k, k+1] + X[k+1, k] over the interior k, from the raw
+    coefficients alpha (n,).
+
+    dK_m = tr(C^(m-1) dC), and alpha_k moves only its block of L (k even)
+    or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
+    tr(C^(m-1) L dM) = tr(X dM) with X = C^(m-1) L.  One power chain
+    builds C^(m-1) on its band of half-width 2(m - 1) for all the degrees.
     """
     n = alpha.size
-    factors, products, partner, (cp_c, cp_p, pc_p, pc_c) = _lax_indices(n, m)
+    factors, products, _, identity = _band_indices(n, max(degrees))
     inner = alpha[:-1]
-    mod2 = inner.real * inner.real + inner.imag * inner.imag
-    rho = np.sqrt(1.0 - mod2)
-    L, M = np.concatenate([alpha.conj(), -inner, rho, [1.0, 0.0]])[factors]
-    C = X = (L[:, None, :] @ M[products[0]])[:, 0]
-    for index in products[1:]:
-        X = (C[:, None, :] @ X[index])[:, 0]
-    G = X[partner]
-    U, U_adj = G * _UPPER, G.conj() * _UPPER[::-1]  # U = (C^m)_+ and U*
-    P = 1j * (U + U_adj) if part == "re" else U - U_adj
-    dC = (C[cp_c] * P[cp_p] - P[pc_p] * C[pc_c]).sum(axis=1)
-    base = dC[: n - 1].copy()
-    base[1:] = rho[: n - 2] * dC[n - 1 :] - inner[: n - 2].conj() * dC[1 : n - 1]
-    s, acc = 0.0, []
-    for g, q in zip((inner * base).imag.tolist(), mod2.tolist()):
-        acc.append(s)
-        s = g + q * s
-    return (base + 1j * inner.conj() * np.array(acc)).conj()
+    rho = np.sqrt(1.0 - (inner.real * inner.real + inner.imag * inner.imag))
+    F = np.concatenate([alpha.conj(), -inner, rho, [1.0, 0.0]])[factors]
+    powers = [identity]
+    for index in products:
+        A, B = F if len(powers) == 1 else (powers[1], powers[-1])  # L M, then C C^j
+        powers.append((A[:, None, :] @ B.ravel()[index])[:, 0])
+    blocks = []
+    for m in degrees:
+        f_blocks, d_blocks = _band_indices(n, m)[2]
+        x = (F.ravel()[f_blocks] * powers[m - 1].ravel()[d_blocks]).sum(axis=-1)
+        blocks.append((x[0], x[1], x[2] + x[3]))
+    return rho, blocks
 
 
 def al_closed_form_field(v: VerblunskySet, left_boundary: complex = 1.0) -> np.ndarray:
     """Nearest-neighbor form of the first 're' flow:
     i rho_j^2 (alpha_{j-1} + alpha_{j+1}), with alpha_{-1} = left_boundary.
 
-    The commutator field equals this expression with left_boundary = -1.
+    al_vector_field(v, 1, 're') equals this expression with left_boundary = -1.
     """
     if abs(abs(complex(left_boundary)) - 1.0) > 1e-12:
         raise OutOfRange("the left boundary value must be unimodular")
@@ -384,20 +395,20 @@ def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
 
 
 def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration of the (m, part) commutator flow.
+    """Fixed-step RK4 integration of the (m, part) flow in its bracket form.
 
     The step is dt shortened to divide t_final exactly; the boundary
     coefficient is held fixed.  Stages are plain arrays; only reported
     states become VerblunskySets.  Raises RhoTooSmall if any intermediate
     coefficient modulus exceeds 1 - 1e-8.
     """
-    times, h = _flow_grid(t_final, dt)
     m, part = _check_order(m), _check_part(part)
+    times, h = _flow_grid(t_final, dt)
     b = v0.alpha[-1]
     boundary = b / abs(b)  # as VerblunskySet renormalizes b in every flow state
 
     def field(y: np.ndarray) -> np.ndarray:
-        return _lax_velocity(_flow_alpha(y, boundary), m, part)
+        return _bracket_velocity(_flow_alpha(y, boundary), m, part)
 
     states = [v0]
     y = v0.interior.astype(complex)

@@ -14,7 +14,11 @@ Every gradient is exact to rounding; nothing is differenced:
   it at the spectral measure of a coefficient set: one eigensolve per
   probe.
 * `hamiltonian_gradients` gives dK_m = tr(C^(m-1) dC) from the
-  closed-form derivative of each 2x2 block of L and M.
+  closed-form derivative of each 2x2 block of L and M, reading the
+  banded kernel `alflows._trace_gradient_blocks`.  That kernel is the
+  package's one derivative of the trace Hamiltonians: the Ablowitz-Ladik
+  field `alflows.al_vector_field` is the bracket {alpha_k, Re K_m} or
+  {alpha_k, Im K_m} read from the same blocks.
 * `bracket_matrix` turns gradient rows into B[a, b] = {f_a, f_b}.
 
 `Observable` and the central-difference `coordinate_gradient` are the
@@ -29,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpectralMeasureCircle, VerblunskySet, build_cmv, lm_factors
+from .alflows import _check_order, _trace_gradient_blocks
+from .core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from .errors import InvalidParams, NonDifferentiable, RhoTooSmall
 from .opuc import szego_tangents, unitary_eigensystem, verblunsky_from_measure
 
@@ -133,26 +138,17 @@ def hamiltonian_gradients(v: VerblunskySet, degrees) -> np.ndarray:
     interior coordinates for each m in `degrees`, in that order; the real
     and imaginary parts are the gradients of Re K_m and Im K_m.
 
-    dK_m = tr(C^(m-1) dC), and alpha_k moves only its block
-    Theta_k = [[conj(a), rho], [rho, -a]] of L (k even) or M (k odd):
-    tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
-    tr(C^(m-1) L dM) = tr(X dM) with X = C^(m-1) L.  Along u_k,
+    Each row reads the entries x00, x11, o of the banded kernel
+    `alflows._trace_gradient_blocks` (dK_m = tr(X dTheta_k) for the block
+    Theta_k = [[conj(a), rho], [rho, -a]] that alpha_k moves).  Along u_k,
     dTheta_k = [[1, r], [r, -1]], along v_k [[-i, r], [r, -i]], with r the
-    derivative of rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho.
+    derivative of rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho:
+        d/du_k = x00 - x11 - o Re(a) / rho,  d/dv_k = -i (x00 + x11) - o Im(a) / rho.
     """
-    L, M = lm_factors(v)
-    C = L @ M
-    powers = [np.eye(v.n)]
-    for _ in range(1, max(degrees)):
-        powers.append(powers[-1] @ C)
-    k = np.arange(v.n - 1)
-    parity = k % 2
+    _, blocks = _trace_gradient_blocks(v.alpha, [_check_order(m) for m in degrees])
     a, rho = v.interior, v.rho
-    rows = np.empty((len(degrees), 2 * (v.n - 1)), dtype=complex)
-    for row, m in zip(rows, degrees):
-        X = np.stack([M @ powers[m - 1], powers[m - 1] @ L])
-        x00, x11 = X[parity, k, k], X[parity, k + 1, k + 1]
-        off = X[parity, k, k + 1] + X[parity, k + 1, k]
+    rows = np.empty((len(blocks), 2 * (v.n - 1)), dtype=complex)
+    for row, (x00, x11, off) in zip(rows, blocks):
         row[0::2] = x00 - x11 - off * a.real / rho
         row[1::2] = -1j * (x00 + x11) - off * a.imag / rho
     return rows

@@ -5,10 +5,10 @@ bracket/Jacobian identities numerically, and reports the worst residual
 against its tolerance.  One table, `_SUITES`, gives each suite its probe
 draw (a probe record, in the serialize schemas), its per-probe residual
 function (evaluated on the probe that record loads) and its (identity,
-tolerance) list, and `run_suite` runs the one trial loop over it; the
-`suite_*` functions only fix each suite's default size and trial
-count.  Suites return a plain dict ready for JSON.  A suite needs at
-least one trial and n >= MIN_N[suite].
+tolerance) list, and `run_suite` runs the one trial loop over it; a
+comment at each entry lists the suite's identities.  Suites return a
+plain dict ready for JSON.  A suite needs at least one trial and
+n >= MIN_N[suite].
 
 No probe is redrawn: canonical, cotangent and jacobian draw a stratified
 measure (`random_measure`), the first two through the Szego recursion to
@@ -101,18 +101,6 @@ def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
     return float(worst_pair), float(worst_anti), float(worst_ham)
 
 
-def suite_brackets(n: int = 4, trials: int = 20, seed: int = 0) -> dict:
-    """Coefficient brackets and the involution of the trace Hamiltonians.
-
-    Checks, at random probe points:
-      * the complex reconstruction {alpha_k, conj(alpha_l)} = -2i delta_kl rho_k^2
-        and {alpha_k, alpha_l} = 0 from the four real coordinate brackets;
-      * antisymmetry of the numeric bracket (0 by construction);
-      * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
-    """
-    return run_suite("brackets", n, trials, seed)
-
-
 def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
     """Worst defects at one probe of {theta_j, theta_k} = 0 and of the
     pairing matrix {theta_l, (1/2) log(mu_j / mu_n)} = identity.
@@ -127,20 +115,6 @@ def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
     worst_theta = np.abs(B[:n, :n][np.triu_indices(n, 1)]).max()
     pairing = 0.5 * B[: n - 1, n:]
     return float(worst_theta), float(np.abs(pairing - np.eye(n - 1)).max())
-
-
-def suite_canonical(n: int = 4, trials: int = 10, seed: int = 0) -> dict:
-    """Angle commutation and the canonical pairing with half log mass ratios.
-
-    {theta_j, theta_k} should vanish and the matrix
-    {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
-    """
-    return run_suite("canonical", n, trials, seed)
-
-
-def suite_cotangent(n: int = 4, trials: int = 25, seed: int = 0) -> dict:
-    """Mass-ratio bracket against the cotangent sum on well separated spectra."""
-    return run_suite("cotangent", n, trials, seed)
 
 
 def random_measure(n: int, gen) -> SpectralMeasureCircle:
@@ -164,11 +138,6 @@ def jacobian_residual(mu: SpectralMeasureCircle) -> float:
     return abs(numeric - predicted) / max(abs(predicted), 1e-12)
 
 
-def suite_jacobian(n: int = 3, trials: int = 25, seed: int = 0) -> dict:
-    """Exact spectral-to-coefficient Jacobian against its closed form."""
-    return run_suite("jacobian", n, trials, seed)
-
-
 def _spectral_coefficients(n: int, gen) -> dict:
     """Record of the coefficients of a random_measure probe, through the
     Szego recursion."""
@@ -179,6 +148,11 @@ def _spectral_coefficients(n: int, gen) -> dict:
 # Residuals read the probe the record loads, so the record reproduces them bit
 # for bit.  The lambdas look the package functions up at call time.
 _SUITES = {
+    # Coefficient brackets and the involution of the trace Hamiltonians:
+    #   * the complex reconstruction {alpha_k, conj(alpha_l)} = -2i delta_kl rho_k^2
+    #     and {alpha_k, alpha_l} = 0 from the four real coordinate brackets;
+    #   * antisymmetry of the numeric bracket (0 by construction);
+    #   * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
     "brackets": (
         lambda n, gen: verblunsky_to_obj(random_verblunsky(n, gen, radius=0.65)),
         lambda probe: brackets_residuals(verblunsky_from_obj(probe)),
@@ -188,17 +162,22 @@ _SUITES = {
             ("trace hamiltonians in involution", BRACKET_TOL),
         ],
     ),
+    # Angle commutation and the canonical pairing with half log mass ratios:
+    # {theta_j, theta_k} should vanish and the matrix
+    # {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
     "canonical": (
         lambda n, gen: _spectral_coefficients(n, gen),
         lambda probe: canonical_residuals(verblunsky_from_obj(probe)),
         [("eigenvalue angles commute", THETA_COMMUTE_TOL), ("canonical pairing matrix", CANONICAL_TOL)],
     ),
+    # Mass-ratio bracket against the cotangent sum on well separated spectra.
     "cotangent": (
         # the labels are drawn after the measure
         lambda n, gen: dict(_spectral_coefficients(n, gen), labels=gen.permutation(n)[:3].tolist()),
         lambda probe: (abs(cotangent_residual(verblunsky_from_obj(probe), tuple(probe["labels"]))),),
         [("cotangent identity", COTANGENT_TOL)],
     ),
+    # Exact spectral-to-coefficient Jacobian against its closed form.
     "jacobian": (
         lambda n, gen: circle_measure_to_obj(random_measure(n, gen)),
         lambda probe: (jacobian_residual(circle_measure_from_obj(probe)),),

@@ -12,12 +12,15 @@ package to match them bit for bit, except for the eigenvalue angles,
 which rk4_trajectory takes from the general eigensolver (eigvals_angles)
 and the package from its Cayley-transform kernel.  ensemble_samples_loop
 and spectral_trajectory_loop take angles from that kernel too, one
-matrix at a time.  dense_lax_field is the dense form of the banded Lax
-field (the full lax_partner and commutator, read by the rho_dot
-recurrence); tests hold the package to it within a relative tolerance.
-separated_verblunsky and separated_measure are probe draws, not
-oracles: the rejection loops the package dropped, kept so the tests
-that draw through them see the same coefficient sets and measures.
+matrix at a time.  dense_lax_field is the Lax form of the flow field
+(the full lax_partner and commutator, read by the rho_dot recurrence),
+independent of the package's bracket form; dense_hamiltonian_gradients
+is the package's former dense trace formula for dK_m.  Tests hold the
+package's one banded derivative of K_m to both within a relative
+tolerance.  separated_verblunsky and separated_measure are probe draws,
+not oracles: the rejection loops the package dropped, kept so the tests
+that draw through them see the same coefficient sets and measures;
+ceiling_draws puts one coefficient at the flows' modulus ceiling.
 
 schur_eigensystem and tridiagonal_eigensystem are the scipy paths the
 package took to its circle and line spectral measures before numpy's
@@ -50,7 +53,14 @@ from cmvkit.brackets import (
     interior_coordinates,
     with_coordinates,
 )
-from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet, build_cmv, circular_gaps
+from cmvkit.core import (
+    SpectralMeasureCircle,
+    SpectralMeasureLine,
+    VerblunskySet,
+    build_cmv,
+    circular_gaps,
+    lm_factors,
+)
 from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
 from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
@@ -321,6 +331,36 @@ def dense_lax_field(v, m, part):
     return adot
 
 
+def dense_hamiltonian_gradients(v, degrees):
+    """The package's former dense hamiltonian_gradients, unchanged: rows
+    of dK_m = tr(C^(m-1) dC) from dense powers of C and the closed-form
+    derivative of each 2x2 block of L and M.
+
+    alpha_k moves only its block Theta_k = [[conj(a), rho], [rho, -a]] of
+    L (k even) or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with
+    X = M C^(m-1), and tr(C^(m-1) L dM) = tr(X dM) with X = C^(m-1) L.
+    Along u_k, dTheta_k = [[1, r], [r, -1]], along v_k [[-i, r], [r, -i]],
+    with r the derivative of rho_k = sqrt(1 - |a|^2),
+    drho = -Re(conj(a) da) / rho.
+    """
+    L, M = lm_factors(v)
+    C = L @ M
+    powers = [np.eye(v.n)]
+    for _ in range(1, max(degrees)):
+        powers.append(powers[-1] @ C)
+    k = np.arange(v.n - 1)
+    parity = k % 2
+    a, rho = v.interior, v.rho
+    rows = np.empty((len(degrees), 2 * (v.n - 1)), dtype=complex)
+    for row, m in zip(rows, degrees):
+        X = np.stack([M @ powers[m - 1], powers[m - 1] @ L])
+        x00, x11 = X[parity, k, k], X[parity, k + 1, k + 1]
+        off = X[parity, k, k + 1] + X[parity, k + 1, k]
+        row[0::2] = x00 - x11 - off * a.real / rho
+        row[1::2] = -1j * (x00 + x11) - off * a.imag / rho
+    return rows
+
+
 def dense_rk4_endpoint(v0, m, part, t_final, dt):
     """The last state of plain RK4 over dense_lax_field on the grid of
     integrate_flow."""
@@ -471,6 +511,17 @@ def separated_verblunsky(n, rng, radius=0.7, min_separation=0.0):
         if n == 1 or circular_gaps(unitary_angles(build_cmv(v).entries)).min() > min_separation:
             return v
     raise InvalidParams("could not find a coefficient set with the requested separation")
+
+
+def ceiling_draws(n, seed, count=10):
+    """Radius-0.95 draws with one exact alpha_k = 0 and one |alpha_k| = 1 - 1e-8."""
+    gen = RngStream(seed).generator()
+    for _ in range(count):
+        alpha = random_verblunsky(n, gen, radius=0.95).alpha.copy()
+        k, j = gen.choice(n - 1, 2, replace=False)
+        alpha[k] = 0.0
+        alpha[j] = (1.0 - 1e-8) * np.exp(1j * gen.uniform(-np.pi, np.pi))
+        yield VerblunskySet(alpha)
 
 
 def separated_measure(n, gen, margin=None):

@@ -27,7 +27,7 @@ from cmvkit.opuc import (
     unitary_eigensystem,
     verblunsky_from_measure,
 )
-from cmvkit.verify import suite_brackets, suite_canonical, suite_cotangent, suite_jacobian
+from cmvkit.verify import run_suite
 
 from oracles import (
     cdf_from_density,
@@ -275,7 +275,7 @@ def test_criterion_8_asymptotics_suite():
 def test_criterion_9_bracket_suite():
     details = []
     ok = True
-    br = suite_brackets(n=5, trials=6, seed=114)
+    br = run_suite("brackets", 5, 6, 114)
     for item in br["identities"]:
         ok = ok and item["pass"]
     details.append(
@@ -285,14 +285,14 @@ def test_criterion_9_bracket_suite():
     )
     worst_theta = worst_canon = 0.0
     for n in (3, 4, 5):
-        can = suite_canonical(n=n, trials=4, seed=115 + n)
+        can = run_suite("canonical", n, 4, 115 + n)
         worst_theta = max(worst_theta, can["identities"][0]["max_residual"])
         worst_canon = max(worst_canon, can["identities"][1]["max_residual"])
         ok = ok and can["pass"]
     details.append(f"theta commute {worst_theta:.1e} <= 1e-6, canonical matrix {worst_canon:.1e} <= 1e-5")
     worst_cot = 0.0
     for n, trials in ((3, 17), (4, 17), (5, 16)):
-        cot = suite_cotangent(n=n, trials=trials, seed=116 + n)
+        cot = run_suite("cotangent", n, trials, 116 + n)
         worst_cot = max(worst_cot, cot["identities"][0]["max_residual"])
         ok = ok and cot["pass"]
     details.append(f"cotangent residual over 50 instances {worst_cot:.1e} <= 1e-5")
@@ -313,7 +313,7 @@ def test_criterion_10_jacobian_suite():
     ok = ok and worst_abs <= 1e-12
     details.append(f"n=1 absolute {worst_abs:.1e} <= 1e-12")
     for n in (2, 3, 4):
-        rep = suite_jacobian(n=n, trials=25, seed=118 + n)
+        rep = run_suite("jacobian", n, 25, 118 + n)
         ok = ok and rep["pass"]
         details.append(f"n={n} relative {rep['identities'][0]['max_residual']:.1e}")
     report("criterion 10 (spectral jacobian)", ok, "; ".join(details) + " <= 1e-6")

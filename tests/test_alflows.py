@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit.alflows import (
+    MAX_ORDER,
     FlowHamiltonian,
     al_closed_form_field,
     al_vector_field,
@@ -20,6 +21,7 @@ from cmvkit.alflows import (
     toda_vector_field,
     trace_hamiltonian,
 )
+from cmvkit.brackets import hamiltonian_gradients
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
@@ -27,6 +29,7 @@ from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verbluns
 
 import oracles
 from oracles import (
+    ceiling_draws,
     dense_lax_field,
     dense_rk4_endpoint,
     eigvals_angles,
@@ -149,6 +152,23 @@ class TestVectorFields:
         with pytest.raises(Exception):
             schur_vector_field([1.5])
 
+    @pytest.mark.parametrize("m", [0, MAX_ORDER + 1])
+    def test_order_outside_the_domain_rejected(self, m):
+        v = random_verblunsky(3, RngStream(1))
+        for call in (
+            lambda: al_vector_field(v, m),
+            lambda: integrate_flow(v, m, "re", 0.01, 1e-3),
+            lambda: FlowHamiltonian.trace_power(m, "re"),
+            lambda: hamiltonian_gradients(v, (1, m)),
+        ):
+            with pytest.raises(InvalidParams):
+                call()
+
+    def test_largest_order_runs(self):
+        v = random_verblunsky(5, RngStream(2), radius=0.6)
+        field = al_vector_field(v, MAX_ORDER, "im")
+        assert relative_gap(field, dense_lax_field(v, MAX_ORDER, "im")) <= 1e-13
+
     def test_rho_guard(self):
         # modulus above the flow ceiling 1 - 1e-8 stops the integrator
         v = VerblunskySet([1.0 - 1e-9, 1.0])
@@ -169,20 +189,9 @@ def first_flow_closed_form(v, part):
     return -(v.rho**2) * (ext[2:] - ext[:-2])
 
 
-def ceiling_draws(n, seed, count=10):
-    """Radius-0.95 draws with one exact alpha_k = 0 and one |alpha_k| = 1 - 1e-8."""
-    gen = RngStream(seed).generator()
-    for _ in range(count):
-        alpha = random_verblunsky(n, gen, radius=0.95).alpha.copy()
-        k, j = gen.choice(n - 1, 2, replace=False)
-        alpha[k] = 0.0
-        alpha[j] = (1.0 - 1e-8) * np.exp(1j * gen.uniform(-np.pi, np.pi))
-        yield VerblunskySet(alpha)
-
-
 class TestLaxVelocity:
-    """The banded, division-free field against the dense commutator and
-    the closed forms of the first flows."""
+    """The banded, division-free bracket field against the dense
+    commutator of the Lax form and the closed forms of the first flows."""
 
     @pytest.mark.parametrize("n", [*range(1, 10), 16, 63, 64])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

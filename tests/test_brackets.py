@@ -326,6 +326,22 @@ class TestExactBrackets:
         field = al_vector_field(v, m, part)
         assert np.abs(B[0:d:2, d] + 1j * B[1:d:2, d] - field).max() <= 1e-14 * max(np.abs(field).max(), 1.0)
 
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 63, 64])
+    def test_gradients_match_the_dense_trace_formula(self, n):
+        # the one banded derivative of K_m against dense powers of C, on
+        # radius-0.6 draws and with one coefficient at the flows' ceiling
+        gen = RngStream(300 + n).generator()
+        draws = [random_verblunsky(n, gen, radius=0.6) for _ in range(3)]
+        draws += list(oracles.ceiling_draws(n, n, count=3)) if n >= 3 else []
+        for v in draws:
+            degrees = tuple(int(m) for m in gen.choice(4, gen.integers(1, 5), replace=False) + 1)
+            rows = hamiltonian_gradients(v, degrees)
+            expected = oracles.dense_hamiltonian_gradients(v, degrees)
+            assert rows.shape == expected.shape == (len(degrees), 2 * (n - 1))
+            if n > 1:
+                scale = np.abs(expected).max(axis=1)
+                assert np.all(np.abs(rows - expected).max(axis=1) <= 1e-13 * scale)
+
     def test_only_the_asked_degrees(self, probe):
         all_rows = hamiltonian_gradients(probe, (1, 2, 3))
         assert np.array_equal(hamiltonian_gradients(probe, (3, 1)), all_rows[[2, 0]])

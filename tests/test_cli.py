@@ -12,6 +12,7 @@ import pytest
 import cmvkit
 from cmvkit import serialize
 from cmvkit import cli
+from cmvkit.alflows import MAX_ORDER
 from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
 
@@ -285,6 +286,24 @@ class TestFlow:
         assert run("flow", "--random", "--n", 4, "--seed", 1, "--m", 0, "--t", 0, "--method", method,
                    "--out", out, "--quiet") == 2
         assert "need m >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    @pytest.mark.parametrize("m", [MAX_ORDER + 1, 10**18])
+    def test_order_above_max_exit_2(self, tmp_path, method, m, monkeypatch, capsys):
+        # rejected before a band table or a polynomial coefficient array is built
+        def no_table(*args):
+            raise AssertionError("built a band table")
+
+        def no_coefficients(self):
+            raise AssertionError("built a flow polynomial")
+
+        monkeypatch.setattr("cmvkit.alflows._band_indices", no_table)
+        monkeypatch.setattr("cmvkit.alflows.FlowHamiltonian.__post_init__", no_coefficients)
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", 4, "--seed", 1, "--m", m, "--t", 0.01, "--method", method,
+                   "--out", out, "--quiet") == 2
+        assert f"above the largest flow order, {MAX_ORDER}" in capsys.readouterr().err
         assert not out.exists()
 
 

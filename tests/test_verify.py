@@ -19,28 +19,24 @@ from cmvkit.verify import (
     jacobian_residual,
     random_measure,
     run_suite,
-    suite_brackets,
-    suite_canonical,
-    suite_cotangent,
-    suite_jacobian,
 )
 
 
 class TestSuites:
     def test_brackets(self):
-        report = suite_brackets(n=3, trials=3, seed=1)
+        report = run_suite("brackets", 3, 3, 1)
         assert report["pass"]
         names = [i["name"] for i in report["identities"]]
         assert "coefficient bracket reconstruction" in names
 
     def test_canonical(self):
-        assert suite_canonical(n=3, trials=2, seed=2)["pass"]
+        assert run_suite("canonical", 3, 2, 2)["pass"]
 
     def test_cotangent(self):
-        assert suite_cotangent(n=3, trials=4, seed=3)["pass"]
+        assert run_suite("cotangent", 3, 4, 3)["pass"]
 
     def test_jacobian(self):
-        assert suite_jacobian(n=2, trials=4, seed=4)["pass"]
+        assert run_suite("jacobian", 2, 4, 4)["pass"]
 
     def test_dispatch(self):
         assert run_suite("jacobian", 1, 2, 0)["suite"] == "jacobian"
@@ -48,7 +44,7 @@ class TestSuites:
             run_suite("nope", 3, 1, 0)
 
     def test_report_is_json_ready(self):
-        json.dumps(suite_jacobian(n=2, trials=2, seed=5))
+        json.dumps(run_suite("jacobian", 2, 2, 5))
 
     @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize("trials", [0, -1])
@@ -58,7 +54,7 @@ class TestSuites:
 
     def test_report_keys(self):
         # no probe is ever skipped, so the report carries no skip count
-        report = suite_jacobian(n=2, trials=3, seed=4)
+        report = run_suite("jacobian", 2, 3, 4)
         assert list(report) == ["suite", "n", "trials", "seed", "identities", "pass"]
 
 
@@ -209,7 +205,7 @@ class TestWorstProbe:
     def test_nan_residual_fails(self, monkeypatch):
         residuals = iter([1e-9, float("nan"), 1e-8])
         monkeypatch.setattr("cmvkit.verify.jacobian_residual", lambda mu: next(residuals))
-        item = suite_jacobian(n=2, trials=3, seed=4)["identities"][0]
+        item = run_suite("jacobian", 2, 3, 4)["identities"][0]
         assert item["worst_trial"] == 1 and item["pass"] is False
 
 
@@ -235,11 +231,13 @@ class TestOneSweepPerProbe:
         assert len(calls) == 3
 
     def test_cmv_builds_per_brackets_trial(self, monkeypatch):
-        # one pair of L and M factors per trial, and no CMVMatrix
-        factors = self.count_calls(monkeypatch, "lm_factors")
+        # one banded kernel call (one pair of L and M bands) per trial, and
+        # no dense factors or CMVMatrix
+        kernel = self.count_calls(monkeypatch, "_trace_gradient_blocks")
+        factors = self.count_calls(monkeypatch, "lm_factors", "cmvkit.core")
         builds = self.count_calls(monkeypatch, "build_cmv")
         run_suite("brackets", 4, 3, 0)
-        assert (len(factors), len(builds)) == (3, 0)
+        assert (len(kernel), len(factors), len(builds)) == (3, 0, 0)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_no_cmv_checks(self, suite, monkeypatch):
