@@ -65,7 +65,7 @@ from .opuc import (
 
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
 MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
-MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m^2
+MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m min(m, n)
 LAMBDA_GAP_TOL = 1e-8
 
 _PARTS = ("re", "im")
@@ -208,11 +208,16 @@ def _band_indices(n: int, m: int) -> tuple:
     factors[(n - 1) % 2, n, 1] = n - 1
     for col, shift, src in ((1, 0, k), (2, 0, 2 * n - 1 + k), (0, 1, 2 * n - 1 + k), (1, 1, n + k)):
         factors[k % 2, 1 + k + shift, col] = src
-    products = []
-    for wa, wb in ([(1, 1)] if m > 1 else []) + [(2, 2 * j) for j in range(1, m - 1)]:
-        i, p, r = np.ogrid[:size, -wa : wa + 1, -wa - wb : wa + wb + 1]
+    # widths[j] is the half-width of C^j's band.  C^(j+1) = A B, with A, B
+    # = L, M for j = 0 and C, C^j after, reads B only inside the matrix
+    # (offsets up to n - 1), so no band grows past n + 1 however large m
+    products, widths = [], [0]
+    for j in range(m - 1):
+        wa, wb = (1, 1) if j == 0 else (widths[1], widths[j])
+        widths.append(wa + min(wb, n - 1))
+        i, p, r = np.ogrid[:size, -wa : wa + 1, -widths[-1] : widths[-1] + 1]
         products.append(flat(i + p, wb + r - p, 2 * wb + 1))
-    w, p, even = 2 * (m - 1), np.arange(-1, 2), k[:, None] % 2 == 0
+    w, p, even = widths[m - 1], np.arange(-1, 2), k[:, None] % 2 == 0
     i = k[:, None] + np.array([[[0]], [[1]], [[0]], [[1]]])
     j = k[:, None] + np.array([[[0]], [[1]], [[1]], [[0]]])
     # M[i, i + p] C^(m-1)[i + p, j] for even k, C^(m-1)[i, j + p] L[j + p, j] for odd k
@@ -232,7 +237,8 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     dK_m = tr(C^(m-1) dC), and alpha_k moves only its block of L (k even)
     or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
     tr(C^(m-1) L dM) = tr(X dM) with X = C^(m-1) L.  One power chain
-    builds C^(m-1) on its band of half-width 2(m - 1) for all the degrees.
+    builds C^(m-1) on its band of half-width 2(m - 1), at most n + 1, for
+    all the degrees.
     """
     n = alpha.size
     factors, products, _, identity = _band_indices(n, max(degrees))

@@ -3,12 +3,20 @@
 Conventions: complex numbers as [re, im] pairs, matrices as row-major
 lists of pairs, floats printed with 17 significant digits so that files
 round-trip bit for bit, all files UTF-8.
+
+The writers do their per-float work inside C-level `%` operations, one
+per block of CSV rows or of JSON array values: dump_json writes the
+bytes of json.dump(obj, fh, indent=1) plus a newline, and the CSV
+writers write format(x, ".17g") for every float.  tests/oracles.py
+keeps the per-float loops they are compared with.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -17,13 +25,17 @@ from .core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
 from .errors import InvalidParams
 
 
-def _pairs(z: np.ndarray) -> list:
-    """[re, im] pairs of a complex array, as nested lists of its shape."""
-    return np.stack([z.real, z.imag], axis=-1).tolist()
+CSV_BLOCK = 4096  # rows formatted per write, so that memory stays bounded
+JSON_CHUNK = 65536  # array values formatted per JSON write, rounded up to whole arrays
+
+
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """[re, im] pairs of a complex array: a float array of its shape + (2,)."""
+    return np.stack([z.real, z.imag], axis=-1)
 
 
 def verblunsky_to_obj(v: VerblunskySet) -> dict:
-    return {"n": int(v.n), "alpha": _pairs(v.alpha)}
+    return {"n": int(v.n), "alpha": _pairs(v.alpha).tolist()}
 
 
 def _complex(pair) -> complex:
@@ -49,7 +61,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": _pairs(m.reshape(-1).astype(complex)),
+        "entries": _pairs(m.reshape(-1).astype(complex)).tolist(),
     }
 
 
@@ -92,9 +104,11 @@ def line_measure_from_obj(obj: dict) -> SpectralMeasureLine:
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:
+    """The trajectory's JSON object; times and each state's [re, im] pairs
+    are float arrays, which dump_json writes as nested lists."""
     n = int(traj.n)
     return {
-        "times": traj.times.tolist(),
+        "times": traj.times,
         "states": [{"n": n, "alpha": alpha} for alpha in _pairs(traj.alpha_matrix())],
         "diagnostics": [
             {"eig_drift": d, "unitarity": u}
@@ -115,9 +129,91 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
 
 
 def dump_json(obj, path) -> None:
+    """Write obj as json.dump(obj, fh, indent=1) does, then a newline.
+
+    Float ndarrays are written as the nested lists of their .tolist().
+    The tree is walked once into a `%` template with a %r per value of
+    its float64 arrays, which is formatted and written in pieces that end
+    after a whole array."""
+    parts, leaves = [], []
+    _template(obj, 0, parts, leaves, {})
+    flat = np.concatenate([a.ravel() for _, a in leaves] + [np.empty(0)])
+    if not np.isfinite(flat).all():
+        # %r spells NaN and Infinity as nan and inf: walk again, arrays as lists
+        parts, leaves, flat = [], [], np.empty(0)
+        _template(obj, 0, parts, leaves, None)
+    part = value = 0
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
+        for (mark, _), end in zip(leaves, np.cumsum([a.size for _, a in leaves])):
+            if end - value >= JSON_CHUNK:
+                fh.write("".join(parts[part:mark]) % tuple(flat[value:end].tolist()))
+                part, value = mark, end
+        fh.write("".join(parts[part:]) % tuple(flat[value:].tolist()))
         fh.write("\n")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _array_template(shape: tuple, depth: int) -> str:
+    """The indent=1 layout of an array of this shape whose opening bracket
+    sits at depth, with one %r per element."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    row = _array_template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([row] * shape[0]) + "\n" + " " * depth + "]"
+
+
+def _template(obj, depth: int, parts: list, leaves: list, templates: dict | None) -> None:
+    """Append obj's indent=1 JSON text at depth to parts, literal % escaped
+    as %%, with a %r for each value of a float64 array; leaves gets
+    (len(parts), array) after each array's layout.  templates caches the
+    layouts of one dump by (shape, depth); None writes arrays as lists."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj).replace("%", "%%"))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True or obj is False:
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or templates is None:
+            _template(obj.tolist(), depth, parts, leaves, templates)
+            return
+        key = (obj.shape, depth)
+        if key not in templates:
+            templates[key] = _array_template(obj.shape, depth)
+        parts.append(templates[key])
+        leaves.append((len(parts), obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            parts.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        pad = "\n" + " " * (depth + 1)
+        parts.append("{" if isinstance(obj, dict) else "[")
+        if isinstance(obj, dict):
+            for i, (key, value) in enumerate(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(("," + pad if i else pad) + encode_basestring_ascii(key).replace("%", "%%") + ": ")
+                _template(value, depth + 1, parts, leaves, templates)
+        else:
+            for i, value in enumerate(obj):
+                parts.append("," + pad if i else pad)
+                _template(value, depth + 1, parts, leaves, templates)
+        parts.append("\n" + " " * depth + ("}" if isinstance(obj, dict) else "]"))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @contextmanager
@@ -146,9 +242,16 @@ def write_samples_csv(path, rows: np.ndarray) -> None:
     """One sample per row, columns sorted, 17 significant digits."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(format(x, ".17g") for x in row))
-            fh.write("\n")
+        _write_rows(fh, rows)
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Each row of the 2-D float array as format(x, ".17g") joined by
+    commas, one %-template per block of CSV_BLOCK rows."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], CSV_BLOCK):
+        block = rows[start : start + CSV_BLOCK]
+        fh.write(template * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -156,14 +259,16 @@ def read_samples_csv(path) -> np.ndarray:
     when it cannot be read, on rows of unequal length and on tokens that
     are not finite numbers."""
     with _reading(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+        rows = [line for line in (raw.strip() for raw in fh.read().split("\n")) if line]
     if not rows:
         return np.empty((0, 0))
+    if len({line.count(",") for line in rows}) > 1:
+        raise InvalidParams(f"{path}: rows of unequal length")
     try:
-        data = np.array([[float(tok) for tok in line.split(",")] for line in rows])
+        # numpy casts each str with float(): the same tokens, the same message
+        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
     except ValueError as exc:
-        ragged = len({line.count(",") for line in rows}) > 1
-        raise InvalidParams(f"{path}: {'rows of unequal length' if ragged else exc}") from exc
+        raise InvalidParams(f"{path}: {exc}") from exc
     finite = np.isfinite(data)
     if not finite.all():
         row = finite.all(axis=1).argmin() + 1
@@ -173,8 +278,8 @@ def read_samples_csv(path) -> np.ndarray:
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
     """Rows of bin_left, bin_right, count; bins half-open, last closed."""
+    edges = np.asarray(edges, dtype=float)
+    # a count prints as its integer: counts stay far below 2^53
+    rows = np.column_stack([edges[:-1], edges[1:], np.asarray(counts, dtype=float)])
     with open(path, "w", encoding="utf-8") as fh:
-        for i, c in enumerate(counts):
-            left = format(edges[i], ".17g")
-            right = format(edges[i + 1], ".17g")
-            fh.write(f"{left},{right},{int(c)}\n")
+        _write_rows(fh, rows)

@@ -7,8 +7,10 @@ under test never checks itself against itself.  The exceptions are
 plain loop versions of package code that was vectorized or made to
 reuse intermediate results (lm_factors_loop, rk4_trajectory,
 geronimus_loop, ensemble_samples_loop, szego_loop,
-spectral_trajectory_loop, trajectory_to_obj_loop); tests require the
-package to match them bit for bit, except for the eigenvalue angles,
+spectral_trajectory_loop, trajectory_to_obj_loop, and the file writers
+and reader write_samples_csv_loop, write_histogram_csv_loop,
+read_samples_csv_loop and dump_json_loop); tests require the
+package to match them bit for bit (byte for byte, for the files), except for the eigenvalue angles,
 which rk4_trajectory takes from the general eigensolver (eigvals_angles)
 and the package from its Cayley-transform kernel.  ensemble_samples_loop
 and spectral_trajectory_loop take angles from that kernel too, one
@@ -37,6 +39,7 @@ package's exact gradients; tests hold the package to it within its
 accuracy.
 """
 
+import json
 import math
 
 import numpy as np
@@ -438,6 +441,56 @@ def trajectory_to_obj_loop(traj):
             {"eig_drift": float(d), "unitarity": float(u)} for d, u in zip(traj.eig_drift, traj.unitarity)
         ],
     }
+
+
+def write_samples_csv_loop(path, rows):
+    """The sample CSV written one float at a time with format(x, ".17g")."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(",".join(format(x, ".17g") for x in row))
+            fh.write("\n")
+
+
+def write_histogram_csv_loop(path, edges, counts):
+    """The histogram CSV written one bin at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, c in enumerate(counts):
+            left = format(edges[i], ".17g")
+            right = format(edges[i + 1], ".17g")
+            fh.write(f"{left},{right},{int(c)}\n")
+
+
+def read_samples_csv_loop(path):
+    """The sample CSV reader that parses one token at a time with float()."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [line.strip() for line in fh if line.strip()]
+    if not rows:
+        return np.empty((0, 0))
+    try:
+        data = np.array([[float(tok) for tok in line.split(",")] for line in rows])
+    except ValueError as exc:
+        ragged = len({line.count(",") for line in rows}) > 1
+        raise InvalidParams(f"{path}: {'rows of unequal length' if ragged else exc}") from exc
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = finite.all(axis=1).argmin() + 1
+        raise InvalidParams(f"{path}: row {row} holds {data[~finite][0]}, not a finite number")
+    return data
+
+
+def _ndarray_as_list(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dump_json_loop(obj, path):
+    """The JSON file as json.dump(indent=1) writes it, plus a newline; an
+    ndarray is written as its .tolist()."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, default=_ndarray_as_list)
+        fh.write("\n")
 
 
 def cdf_from_density(density, lo, hi, grid=20001):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cmvkit.alflows import (
     MAX_ORDER,
     FlowHamiltonian,
+    _band_indices,
     al_closed_form_field,
     al_vector_field,
     asymptotic_report,
@@ -168,6 +169,14 @@ class TestVectorFields:
         v = random_verblunsky(5, RngStream(2), radius=0.6)
         field = al_vector_field(v, MAX_ORDER, "im")
         assert relative_gap(field, dense_lax_field(v, MAX_ORDER, "im")) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_band_tables_stop_at_the_matrix(self, n):
+        # a product reads C^j only inside the matrix, so no band passes
+        # half-width n + 1 and the tables stop growing with m
+        products = _band_indices(n, MAX_ORDER)[1]
+        assert len(products) == MAX_ORDER - 1
+        assert max(index.shape[-1] for index in products) <= 2 * (n + 1) + 1
 
     def test_rho_guard(self):
         # modulus above the flow ceiling 1 - 1e-8 stops the integrator

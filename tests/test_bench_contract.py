@@ -5,13 +5,20 @@ table and patches `cmvkit.brackets.Observable.__call__`.  A rename in the
 package also fails `perfbench/test_selftest.py::test_smoke_traced`, which
 runs every workload under the tracer; this check names the missing
 attribute directly and takes milliseconds.
+
+The tracer's serialize spans and its serialize.bytes_written count
+cover the output files only while every command writes them through the
+serialize writers; the last test holds each subcommand to that.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from cmvkit import cli, serialize
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,3 +41,35 @@ def test_traced_name_resolves(module_name, attr):
 def test_observable_call_is_patchable():
     observable = importlib.import_module("cmvkit.brackets").Observable
     assert callable(observable.__call__)
+
+
+# the writers every output file goes through, and the argument that names it
+WRITERS = {"dump_json": 1, "write_samples_csv": 0, "write_histogram_csv": 0}
+
+
+def test_every_output_goes_through_a_serialize_writer(tmp_path, monkeypatch):
+    """The serialize spans and serialize.bytes_written see a file only when
+    a command writes it through one of WRITERS, so no command may write
+    around them."""
+    written = []
+    for name, path_arg in WRITERS.items():
+        def recorder(*args, original=getattr(serialize, name), path_arg=path_arg):
+            written.append(Path(args[path_arg]))
+            return original(*args)
+
+        monkeypatch.setattr(serialize, name, recorder)
+    (tmp_path / "in.json").write_text(json.dumps({"n": 2, "alpha": [[0.5, 0.25], [0.0, 1.0]]}))
+    commands = [
+        ["sample", "--family", "circular", "--n", "3", "--beta", "2", "--count", "4", "--seed", "1",
+         "--out", "s.csv", "--coeffs-out", "c.json"],
+        ["histogram", "--input", "s.csv", "--bins", "4", "--range", "-3.2", "3.2", "--out", "h.csv"],
+        ["flow", "--init", "in.json", "--t", "0.01", "--dt", "5e-3", "--method", "rk4", "--out", "rk4.json"],
+        ["flow", "--init", "in.json", "--t", "0.01", "--dt", "5e-3", "--method", "spectral", "--out", "sp.json"],
+        ["spectral", "--input", "in.json", "--to", "measure", "--out", "m.json"],
+        ["spectral", "--input", "m.json", "--to", "coeffs", "--out", "back.json"],
+        ["verify", "--suite", "jacobian", "--n", "2", "--trials", "1", "--report", "r.json"],
+    ]
+    for argv in commands:
+        before, written[:] = set(tmp_path.iterdir()), []
+        assert cli.main([str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv] + ["--quiet"]) == 0
+        assert sorted(set(tmp_path.iterdir()) - before) == sorted(written), argv[0]

@@ -15,8 +15,9 @@ from cmvkit import cli
 from cmvkit.alflows import MAX_ORDER
 from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
+from cmvkit.verify import MIN_N, SUITES
 
-from oracles import cmv_pattern, eigvals_angles, separated_verblunsky
+from oracles import cmv_pattern, dump_json_loop, eigvals_angles, separated_verblunsky, write_samples_csv_loop
 
 SRC = pathlib.Path(cmvkit.__file__).resolve().parents[1]
 
@@ -592,3 +593,42 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def oracle_encoding(path):
+    """The bytes of the oracle writers for the value in path: json.dump
+    with indent=1 for JSON, the per-float .17g loop for CSV."""
+    again = path.with_name("oracle-" + path.name)
+    if path.suffix == ".json":
+        dump_json_loop(serialize.load_json(path), again)
+    else:
+        write_samples_csv_loop(again, np.loadtxt(path, delimiter=",", ndmin=2))
+    return again.read_bytes()
+
+
+def test_every_output_is_its_oracle_encoding(tmp_path):
+    """Every file of every subcommand reads back to the same bytes."""
+    coeffs = tmp_path / "input-coeffs.json"
+    coeffs.write_text(json.dumps(serialize.verblunsky_to_obj(random_verblunsky(5, RngStream(8)))))
+    outputs = []
+
+    def cmd(*argv):
+        argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+        outputs.extend(path for flag, path in zip(argv, argv[1:]) if flag in ("--out", "--coeffs-out", "--report"))
+        assert run(*argv, "--quiet") == 0
+
+    for family in ("circular", "jacobi", "hermite"):
+        cmd("sample", "--family", family, "--n", 5, "--beta", 2, "--a", 0.5, "--count", 7, "--seed", 1,
+            "--out", f"{family}.csv", "--coeffs-out", f"{family}.json")
+    cmd("histogram", "--input", "circular.csv", "--bins", 8, "--range", -3.1416, 3.1416, "--out", "hist.csv")
+    for method in ("rk4", "spectral"):
+        cmd("flow", "--random", "--n", 5, "--seed", 2, "--m", 2, "--part", "im", "--t", 0.05, "--dt", 1e-2,
+            "--method", method, "--out", f"{method}.json")
+    cmd("spectral", "--input", coeffs.name, "--to", "measure", "--out", "measure.json")
+    cmd("spectral", "--input", "measure.json", "--to", "coeffs", "--out", "coeffs.json")
+    for suite in SUITES:
+        cmd("verify", "--suite", suite, "--n", max(MIN_N[suite], 3), "--trials", 2, "--seed", 4,
+            "--report", f"report-{suite}.json")
+    assert len(outputs) == 15
+    for path in outputs:
+        assert path.read_bytes() == oracle_encoding(path), path.name

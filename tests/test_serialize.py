@@ -1,13 +1,28 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmvkit import serialize
-from cmvkit.alflows import FlowHamiltonian, integrate_flow, spectral_trajectory
+from cmvkit.alflows import FlowHamiltonian, Trajectory, integrate_flow, spectral_trajectory
 from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams
 
-from oracles import trajectory_to_obj_loop
+from oracles import (
+    dump_json_loop,
+    read_samples_csv_loop,
+    trajectory_to_obj_loop,
+    write_histogram_csv_loop,
+    write_samples_csv_loop,
+)
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3,
+               123456789012345680.0, np.nan, np.inf, -np.inf]
 
 
 class TestVerblunskyJson:
@@ -102,3 +117,161 @@ class TestCsv:
         serialize.write_histogram_csv(path, np.array([0.0, 0.5, 1.0]), np.array([3, 4]))
         lines = path.read_text().strip().splitlines()
         assert lines == ["0,0.5,3", "0.5,1,4"]
+
+
+def written_by_both(write, oracle, *args):
+    """The bytes write and its oracle put in a file for the same arguments."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours", Path(tmp) / "theirs"
+        write(ours, *args)
+        oracle(theirs, *args)
+        return ours.read_bytes(), theirs.read_bytes()
+
+
+def edge_rows(shape, seed=0):
+    """Wide-range floats with every edge value in the first rows."""
+    gen = RngStream(seed).generator()
+    values = gen.normal(size=shape) * 10.0 ** gen.integers(-300, 300, size=shape)
+    flat = values.reshape(-1)
+    flat[: len(EDGE_FLOATS)] = EDGE_FLOATS[: flat.size]
+    return values
+
+
+class TestSamplesCsvWriter:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (13, 1), (4095, 2), (4096, 2), (4097, 2),
+                                       (8193, 3), (256, 64), (0, 3), (3, 0)])
+    def test_bytes_equal_the_per_float_loop(self, shape):
+        ours, theirs = written_by_both(serialize.write_samples_csv, write_samples_csv_loop, edge_rows(shape))
+        assert ours == theirs
+
+    @pytest.mark.parametrize("rows", [2.5, [0.5, -0.0, np.nan], [[1, 2], [3, 4]]])
+    def test_scalars_vectors_and_ints(self, rows):
+        ours, theirs = written_by_both(serialize.write_samples_csv, write_samples_csv_loop, rows)
+        assert ours == theirs
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9)))
+    def test_any_floats(self, rows):
+        ours, theirs = written_by_both(serialize.write_samples_csv, write_samples_csv_loop, rows)
+        assert ours == theirs
+
+
+class TestHistogramCsvWriter:
+    @pytest.mark.parametrize("edges,counts", [
+        ([0.0, 0.5, 1.0], [3, 4]),
+        ([-0.0, 5e-324, 1e308], [0, 2**52]),
+        (np.linspace(-3.1416, 3.1416, 65), RngStream(5).generator().integers(0, 10**9, 64)),
+        ([1.0], []),
+    ])
+    def test_bytes_equal_the_per_bin_loop(self, edges, counts):
+        edges, counts = np.array(edges, dtype=float), np.array(counts, dtype=np.int64)
+        ours, theirs = written_by_both(serialize.write_histogram_csv, write_histogram_csv_loop, edges, counts)
+        assert ours == theirs
+
+
+def read_both(text: str):
+    """What the reader and its oracle make of a file holding text: the
+    array, or the InvalidParams message."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for read in (serialize.read_samples_csv, read_samples_csv_loop):
+            try:
+                results.append(read(path))
+            except InvalidParams as exc:
+                results.append(str(exc))
+    return results
+
+
+def assert_same_reading(ours, theirs):
+    assert type(ours) is type(theirs)
+    if isinstance(ours, str):
+        assert ours == theirs
+    else:
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+EDGE_TOKENS = [" 2", "1_0", "\u0967\u0968", "1e400", "-1e400", "0x1p3", "", "1.5e", "abc", "nan", "-inf",
+               "Infinity", "5e-324", "-0.0", "1e-400", "+.5", "\x0c3", "1 2", "0.1"]
+
+
+class TestSamplesCsvReader:
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "  \n\t\n", "1,2\n3,4\n", "1,2\r\n3,4\r\n", "1,2\r3,4", "\n1,2\n\n 3,4 \n\n",
+        "1,2,3\n4\n5,6\n", "1,2\n3\n", "1\n2\n3", "1,2\n3,abc\n", "1,,2\n", "nan,1\n", "1,2\n-inf,0\n",
+        "5e-324,-0.0,1e308\n", "1,2\n3,4\n5,x,6\n",
+    ])
+    def test_equals_the_per_token_reader(self, text):
+        assert_same_reading(*read_both(text))
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_edge_tokens(self, token):
+        assert_same_reading(*read_both(f"0.5,{token}\n{token},1\n"))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(EDGE_TOKENS) | st.floats().map(repr)
+                             | st.text(alphabet=" 0123456789.e-+_naif\t", max_size=6),
+                             min_size=1, max_size=4), max_size=5),
+           st.sampled_from(["\n", "\r\n", "\r", "\n \n"]))
+    def test_any_token_grid(self, rows, newline):
+        text = newline.join(",".join(row) for row in rows)
+        assert_same_reading(*read_both(text))
+
+
+def non_finite_trajectory():
+    v = random_verblunsky(3, RngStream(6), radius=0.5)
+    traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.003, 1e-3)
+    return Trajectory(traj.times, traj.states, np.array([0.0, np.nan, np.inf, 1e-17]),
+                      np.array([-np.inf, 5e-324, 0.0, -0.0]))
+
+
+JSON_CASES = [
+    np.float64(0.1), [np.float64(-0.0), np.float64(np.nan), np.float64(-np.inf)], True, False, None,
+    0, -7, 2**70, [], {}, [[], {}, [[]]], {"a": [], "b": {}},
+    {"50%": "100%s", "%d": ["%", "%%r", "%(x)s"]}, "\u00e9\u2028\"\\/\x00",
+    [1.5, -0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf],
+    {"x": np.array([[1.0, -0.0], [5e-324, 1e308]]), "y": [np.array([0.25]), np.array([0.25])],
+     "z": np.array([0.75])},
+    np.array(2.5), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((2, 1, 3)),
+    {"a": np.array([1.0, np.nan, -np.inf]), "b": np.array([0.5]), "c": 0.1},
+    np.arange(4).reshape(2, 2), np.array([True, False]), np.float32([0.1, 2.0]), (1, 2.0, "t"),
+    # past serialize.JSON_CHUNK floats: one array, and many with text between them
+    [np.linspace(-1.0, 1.0, 70001)],
+    {"%": [{"a%s": np.full((2, 300, 2), 1 / 3) * k} for k in range(60)], "t": "%r"},
+]
+
+
+def dumped_by_both(obj):
+    return written_by_both(lambda path: serialize.dump_json(obj, path), lambda path: dump_json_loop(obj, path))
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize("obj", JSON_CASES)
+    def test_bytes_equal_json_dump(self, obj):
+        ours, theirs = dumped_by_both(obj)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("traj", [non_finite_trajectory(), integrate_flow(
+        random_verblunsky(6, RngStream(7), radius=0.6), 2, "im", 0.05, 1e-2)])
+    def test_trajectory_bytes_equal_json_dump(self, traj):
+        ours, theirs = dumped_by_both(serialize.trajectory_to_obj(traj))
+        assert ours == theirs == dumped_by_both(trajectory_to_obj_loop(traj))[1]
+
+    @pytest.mark.parametrize("obj", [1j, np.int64(3), {1: 2.0}, object()])
+    def test_unserializable_values_raise(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            serialize.dump_json([obj], tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+        | hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=12,
+    ))
+    def test_any_tree(self, obj):
+        ours, theirs = dumped_by_both(obj)
+        assert ours == theirs
