@@ -22,7 +22,12 @@ and one szego_rows pass over (T, n) weights.
 Both trajectories share one time grid of at most MAX_STEPS steps and read
 their diagnostics through Trajectory.from_blocks: per block of at most
 ANGLE_BLOCK matrix entries, one stacked check_cmv (the package's only run
-of the CMV invariants, on every reported state) and one angle read.
+of the CMV invariants, on every reported state).  The eigenvalue drift
+takes one dense angle read of the first state; every state's drift is
+then one Newton step on its paraorthogonal polynomial Phi_n from those
+angles, O(n^2) per state, on chunks of the stacked coefficient rows
+(eigenvalue_drift), with a dense read only for a state whose step the
+trust rule rejects.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), like the exact propagator of
@@ -51,11 +56,13 @@ from .core import (
     build_cmv,
     check_cmv,
     circle_weights,
+    circular_gaps,
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
 from .opuc import (
     ANGLE_BLOCK,
     gap_rotation,
+    newton_angle_steps,
     szego_rows,
     unitary_angles,
     unitary_eigensystem,
@@ -67,6 +74,8 @@ MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to
 MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
 MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m min(m, n)
 LAMBDA_GAP_TOL = 1e-8
+NEWTON_BLOCK = 8192           # coefficients per chunk of states in one newton_angle_steps call
+DRIFT_TRUST = 0.125           # largest Newton reach, in smallest chords of the first spectrum
 
 _PARTS = ("re", "im")
 
@@ -304,9 +313,11 @@ class Trajectory:
     """Time-stamped flow states with per-step diagnostics.
 
     All states share n and the frozen boundary coefficient.  eig_drift[i]
-    is the largest circular distance between the sorted eigenvalue angles
-    at times[i] and times[0]; unitarity[i] is the max-norm unitarity
-    residual of the matrix at times[i].
+    is the largest distance that an eigenvalue of the matrix at times[0]
+    has moved by times[i], each eigenvalue tracked from its own angle, so
+    that an angle crossing the branch cut at pi moves by nothing
+    (eigenvalue_drift); eig_drift[0] is 0.  unitarity[i] is the max-norm
+    unitarity residual of the matrix at times[i].
     """
 
     times: np.ndarray
@@ -342,25 +353,66 @@ class Trajectory:
 
         Each block is (states, entries): a run of coefficient sets and
         their CMV matrices as a (k, n, n) stack.  check_cmv runs on every
-        block, and its residuals are the unitarity diagnostic.  The flow
-        is isospectral, so after the first state every state's angles are
-        taken with the Cayley pole of unitary_angles in the largest gap of
-        the first state's spectrum, with one stacked call per block.
+        block, and its residuals are the unitarity diagnostic.  The only
+        eigensolve is one unitary_angles read of the first state; the
+        drift of every state is read from those angles by
+        eigenvalue_drift, without its matrix.
         """
-        states, drift, unit = [], [], []
-        base_angles = None
+        states, unit, theta = [], [], None
         for block, entries in blocks:
             unit.append(check_cmv(entries, np.array([s.alpha for s in block])))
-            if base_angles is None:
-                base_angles = unitary_angles(entries[0])
-                phi = float(gap_rotation(base_angles))
-                angles = np.concatenate([base_angles[None], unitary_angles(entries[1:], phi)])
-            else:
-                angles = unitary_angles(entries, phi)
+            if theta is None:
+                theta = unitary_angles(entries[0])
             states.extend(block)
-            d = np.abs(angles - base_angles)
-            drift.append(np.minimum(d, 2.0 * math.pi - d).max(axis=1))
-        return cls(times, tuple(states), np.concatenate(drift), np.concatenate(unit))
+        return cls(times, tuple(states), eigenvalue_drift(states, theta), np.concatenate(unit))
+
+
+def eigenvalue_drift(states: list[VerblunskySet], theta: np.ndarray) -> np.ndarray:
+    """How far the eigenvalues of each state's CMV matrix lie from those of
+    the first state, whose sorted angles are theta (n,).
+
+    Entry i is max_j |delta_j(i) - delta_j(0)|, with delta_j(i) the
+    newton_angle_steps step of state i from theta_j: the eigenvalue that
+    starts at theta_j is tracked, whichever branch its angle lies on.  The
+    states go through the kernel in chunks of at most NEWTON_BLOCK
+    coefficients.  A state is trusted when every Newton reach is at most
+    DRIFT_TRUST times the smallest chord |z_j - z_k| of the first spectrum
+    (2 for n = 1); then the disks of the reaches are disjoint, so each
+    holds exactly one eigenvalue, and each step is the offset of its
+    eigenvalue from theta_j within a relative error of 0.23 (shrinking in
+    proportion to the offset).  Any other state, and all of them if the
+    first state is not trusted, falls back to a dense read:
+    unitary_angles with the pole in the largest gap of theta, matched to
+    theta in circular order (_cyclic_drift).  Entry 0 is 0.
+    """
+    n = theta.size
+    limit = DRIFT_TRUST * 2.0 * math.sin(min(float(circular_gaps(theta).min()), math.pi) / 2.0)
+    per = max(NEWTON_BLOCK // n, 1)
+    drift = np.empty(len(states))
+    for s in range(0, len(states), per):
+        alpha = np.array([v.alpha for v in states[s : s + per]])
+        steps, reach = newton_angle_steps(alpha, theta)
+        ok = reach.max(axis=1) <= limit
+        if s == 0:
+            first, trusted = steps[0], bool(ok[0])
+        drift[s : s + per] = np.abs(steps - first).max(axis=1)
+        dense = np.flatnonzero(~(ok & trusted))
+        if dense.size:
+            L, M = batched_lm_factors(alpha[dense])
+            drift[s + dense] = _cyclic_drift(theta, unitary_angles(L @ M, float(gap_rotation(theta))))
+    drift[:1] = 0.0
+    return drift
+
+
+def _cyclic_drift(theta: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Largest circular distance between sorted angles theta (n,) and each
+    row of sorted angles (k, n), matched in circular order at the best of
+    the n rotations of the order, so that no angle pays for crossing the
+    branch cut of (-pi, pi]."""
+    n = theta.size
+    turns = (np.arange(n)[:, None] + np.arange(n)) % n
+    d = np.abs(angles[:, turns] - theta)
+    return np.minimum(d, 2.0 * math.pi - d).max(axis=2).min(axis=1)
 
 
 def _state_blocks(states: list[VerblunskySet], n: int):

@@ -2,9 +2,12 @@
 
 Forward direction: eigensolve a CMV or Jacobi matrix with np.linalg.eig
 or eigh and read off the spectral measure of e_1.  When only the
-eigenvalue angles of a unitary matrix are needed (ensemble draws, flow
-diagnostics), unitary_angles gets them from a Hermitian eigensolver
-through a rotated Cayley transform instead of a general complex one.
+eigenvalue angles of a unitary matrix are needed (ensemble draws, the
+first state of a flow), unitary_angles gets them from a Hermitian
+eigensolver through a rotated Cayley transform instead of a general
+complex one.  Near known angles, newton_angle_steps follows the
+eigenvalues of a stack of CMV matrices without forming them: one Newton
+step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix.
 Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
 it on a (T, n) stack of weight vectors on one support at once, as a
@@ -125,6 +128,61 @@ def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lam_max = np.where(singular, np.inf, np.abs(lam).max(axis=-1))
     theta = np.sort(principal_angle(phi[:, None] + 2.0 * np.arctan(lam)), axis=-1)
     return theta, lam_max
+
+
+def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step towards the eigenvalues of the CMV matrices of the
+    coefficient rows alpha (..., n), from each angle theta (n,).
+
+    The eigenvalues are the zeros of the paraorthogonal polynomial Phi_n.
+    Runs the orthonormal Szego recursion and its z-derivative at
+    z_j = e^{i theta_j}, all rows at once:
+        phi_{k+1}  = z phi_k / rho_k - conj(a_k / rho_k) phi*_k,
+        phi*_{k+1} = phi*_k / rho_k - (a_k / rho_k) z phi_k,
+    and ends without the division, since alpha_{n-1} is unimodular:
+    Phi_n = z phi_{n-1} - conj(a_{n-1}) phi*_{n-1}, up to a positive
+    factor that no ratio below sees.  With w = Phi_n / (z Phi_n') it
+    returns, each (..., n):
+        steps  delta = -Im(w), the angle step from theta_j to the zero;
+        reach  n |w|, the radius of a disk about z_j that holds a zero
+               (the logarithmic derivative z Phi_n'/Phi_n is a sum of n
+               terms z / (z - zeta)).
+    A point where Phi_n' vanishes gets step 0 and reach inf.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    inner = a[..., :-1]
+    inv_rho = 1.0 / np.sqrt(1.0 - (inner.real * inner.real + inner.imag * inner.imag))
+    ar = inner * inv_rho
+    cr = ar.conj()
+    shape = a.shape[:-1] + z.shape
+    p, ps = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    dp, dps = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    zp, dzp, t = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    # in place, each (phi, phi*) pair updated from its old values: half
+    # the time of the same expressions on fresh arrays
+    for k in range(a.shape[-1] - 1):
+        rk, ak, ck = inv_rho[..., k, None], ar[..., k, None], cr[..., k, None]
+        np.multiply(z, p, out=zp)
+        np.multiply(z, dp, out=dzp)
+        dzp += p
+        np.multiply(ck, ps, out=t)
+        np.multiply(zp, rk, out=p)
+        p -= t
+        np.multiply(ak, zp, out=t)
+        ps *= rk
+        ps -= t
+        np.multiply(ck, dps, out=t)
+        np.multiply(dzp, rk, out=dp)
+        dp -= t
+        np.multiply(ak, dzp, out=t)
+        dps *= rk
+        dps -= t
+    c = a[..., -1:].conj()
+    f = z * p - c * ps
+    zdf = z * (p + z * dp - c * dps)
+    w = np.divide(f, zdf, out=np.full(shape, np.inf, dtype=complex), where=zdf != 0.0)
+    return -w.imag, a.shape[-1] * np.abs(w)
 
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:

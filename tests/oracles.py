@@ -257,6 +257,44 @@ def eigvals_angles(U) -> np.ndarray:
     return np.sort(np.angle(np.linalg.eigvals(U)), axis=-1)
 
 
+def paraorthogonal_zeros_mp(alpha, theta, dps=40, steps=8):
+    """Angles of the zeros of the paraorthogonal Phi_n of the coefficients
+    alpha, each found by Newton's method in dps-digit mpmath from the
+    matching angle of theta, on the monic Szego recursion."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = [mpmath.mpc(complex(x)) for x in alpha]
+        out = []
+        for t in theta:
+            z = mpmath.expj(mpmath.mpf(float(t)))
+            for _ in range(steps):
+                p, ps, dp, dps_ = mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)
+                for ak in a[:-1]:
+                    zp, dzp = z * p, p + z * dp
+                    p, ps = zp - mpmath.conj(ak) * ps, ps - ak * zp
+                    dp, dps_ = dzp - mpmath.conj(ak) * dps_, dps_ - ak * dzp
+                c = mpmath.conj(a[-1])
+                z -= (z * p - c * ps) / (p + z * dp - c * dps_)
+            out.append(float(mpmath.arg(z)))
+    return np.array(out)
+
+
+def cyclic_drift(base, angles) -> float:
+    """Largest circular distance between two lists of n sorted angles,
+    matched in circular order at the best of the n rotations of that
+    order, one pair at a time."""
+    n = len(base)
+    best = math.inf
+    for turn in range(n):
+        worst = 0.0
+        for j in range(n):
+            d = abs(float(angles[(j + turn) % n]) - float(base[j]))
+            worst = max(worst, min(d, 2.0 * math.pi - d))
+        best = min(best, worst)
+    return best
+
+
 def schur_eigensystem(C) -> SpectralMeasureCircle:
     """Spectral measure of a CMV matrix and the vector e_1 from a complex
     Schur decomposition: for a unitary (normal) matrix its Schur vectors

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit.alflows import (
+    DRIFT_TRUST,
     MAX_ORDER,
+    NEWTON_BLOCK,
     FlowHamiltonian,
+    Trajectory,
     _band_indices,
     al_closed_form_field,
     al_vector_field,
@@ -23,10 +26,17 @@ from cmvkit.alflows import (
     trace_hamiltonian,
 )
 from cmvkit.brackets import hamiltonian_gradients
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi, circular_gaps
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
-from cmvkit.opuc import ANGLE_BLOCK, gap_rotation, unitary_eigensystem, verblunsky_from_measure
+from cmvkit.opuc import (
+    ANGLE_BLOCK,
+    gap_rotation,
+    newton_angle_steps,
+    unitary_angles,
+    unitary_eigensystem,
+    verblunsky_from_measure,
+)
 
 import oracles
 from oracles import (
@@ -189,6 +199,13 @@ def relative_gap(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def scaled_gap(a, oracle):
+    """|a - oracle| relative to max(max|oracle|, 1), as
+    tests/test_brackets.py::relative_gap scales a row: a field that
+    cancels far below 1 is held absolutely, not relative to its size."""
+    return np.abs(a - oracle).max() / max(np.abs(oracle).max(), 1.0)
+
+
 def first_flow_closed_form(v, part):
     """(1, re): i rho_j^2 (alpha_{j-1} + alpha_{j+1}); (1, im):
     -rho_j^2 (alpha_{j+1} - alpha_{j-1}); both with alpha_{-1} = -1."""
@@ -231,9 +248,7 @@ class TestLaxVelocity:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(verblunsky_sets(min_n=2, max_n=12, radius=0.6), st.integers(1, 4), st.sampled_from(["re", "im"]))
     def test_higher_flows_dense(self, v, m, part):
-        expected = dense_lax_field(v, m, part)
-        if np.abs(expected).max() > 0.0:
-            assert relative_gap(al_vector_field(v, m, part), expected) <= 1e-13
+        assert scaled_gap(al_vector_field(v, m, part), dense_lax_field(v, m, part)) <= 1e-13
 
 
 class TestToda:
@@ -281,12 +296,27 @@ class TestToda:
         assert np.abs(lam1 - lam0).max() <= 1e-10
 
 
+DRIFT_NOISE = 1e-13  # the dense angle reads and the Newton steps each err by up to about 5e-14
+
+
+def assert_drift_near_oracle(traj, oracle_drift):
+    """traj.eig_drift against a dense oracle's drift: within DRIFT_NOISE
+    plus the second-order error of one Newton step, 2 K x^2 for a drift
+    x, with K = (n - 1) / (smallest chord of the first spectrum) bounding
+    each sum over k != j of 1 / |z_j - z_k| (eigenvalue_drift)."""
+    theta = eigvals_angles(build_cmv(traj.states[0]).entries)
+    chord = 2.0 * np.sin(min(circular_gaps(theta).min(), np.pi) / 2.0)
+    bound = DRIFT_NOISE + 2.0 * (theta.size - 1) / chord * oracle_drift**2
+    assert traj.eig_drift[0] == 0.0
+    assert np.all(np.abs(traj.eig_drift - oracle_drift) <= bound)
+
+
 def assert_same_trajectory(a, oracle):
-    # the package takes eigenvalue angles from its Cayley kernel, the
-    # oracle from eigvals; everything else must match bit for bit
+    # the package takes the drift from Newton steps, the oracle from
+    # eigvals; everything else must match bit for bit
     assert np.array_equal(a.times, oracle.times)
     assert np.array_equal(a.alpha_matrix(), oracle.alpha_matrix())
-    assert np.abs(a.eig_drift - oracle.eig_drift).max() <= 1e-13
+    assert_drift_near_oracle(a, oracle.eig_drift)
     assert np.array_equal(a.unitarity, oracle.unitarity)
 
 
@@ -518,11 +548,13 @@ class TestSpectralTrajectory:
             spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, dt)
 
 
-def assert_identical_trajectory(a, b):
+def assert_matches_the_loop(a, b):
+    """Times, states and unitarity bit for bit; the Newton drift within
+    its bound of the loop's dense drift."""
     assert a.times.tobytes() == b.times.tobytes()
     assert a.alpha_matrix().tobytes() == b.alpha_matrix().tobytes()
-    assert a.eig_drift.tobytes() == b.eig_drift.tobytes()
     assert a.unitarity.tobytes() == b.unitarity.tobytes()
+    assert_drift_near_oracle(a, b.eig_drift)
 
 
 def record_calls(monkeypatch, module, name):
@@ -564,7 +596,8 @@ def assert_every_state_validated_and_checked(monkeypatch, flow):
 
 class TestStackedTimeAxis:
     """spectral_trajectory stacks its grid times; every output must equal
-    the per-time loop in tests/oracles.py bit for bit."""
+    the per-time loop in tests/oracles.py bit for bit, except the drift,
+    which the loop reads densely at every state."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
     @pytest.mark.parametrize("t_final, m, part", [(1e-3, 1, "re"), (0.1, 2, "im"), (0.1, 1, "re")])
@@ -573,7 +606,7 @@ class TestStackedTimeAxis:
         v = random_verblunsky(n, RngStream(30 + n), radius=0.6)
         ham = FlowHamiltonian.matching_lax_flow(m, part)
         traj = spectral_trajectory(v, ham, t_final, 1e-3)
-        assert_identical_trajectory(traj, oracles.spectral_trajectory_loop(v, ham, t_final, 1e-3))
+        assert_matches_the_loop(traj, oracles.spectral_trajectory_loop(v, ham, t_final, 1e-3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_matches_the_per_time_loop_on_5001_states(self, n):
@@ -583,7 +616,7 @@ class TestStackedTimeAxis:
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
         traj = spectral_trajectory(v, ham, 5.0, 1e-3)
         assert len(traj.states) == 5001
-        assert_identical_trajectory(traj, oracles.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
+        assert_matches_the_loop(traj, oracles.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
 
     def test_zero_time(self):
         v = random_verblunsky(4, RngStream(5))
@@ -600,20 +633,95 @@ class TestStackedTimeAxis:
     @pytest.mark.parametrize("n, t_final", [(3, 0.5), (6, 0.3), (64, 0.004)])
     @pytest.mark.parametrize("method", ["rk4", "spectral"])
     def test_angle_reads_stay_within_the_block(self, monkeypatch, n, t_final, method):
+        # one dense read per trajectory, of the first state; every state
+        # is trusted here, so the Newton chunks read no matrix
         import cmvkit.alflows as alflows
 
-        calls = record_calls(monkeypatch, alflows, "unitary_angles")
+        reads = record_calls(monkeypatch, alflows, "unitary_angles")
+        chunks = record_calls(monkeypatch, alflows, "newton_angle_steps")
         v = random_verblunsky(n, RngStream(41), radius=0.6)
         if method == "rk4":
             traj = integrate_flow(v, 1, "re", t_final, 1e-3)
         else:
             traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, 1e-3)
-        sizes = [np.asarray(args[0]).size for args in calls]
-        assert sum(sizes) == len(traj.states) * n * n
-        assert max(sizes) <= max(ANGLE_BLOCK, n * n)
-        # the first state alone, then full blocks of the rest
-        per = max(ANGLE_BLOCK // (n * n), 1)
-        assert len(calls) == 1 + -(-len(traj.states) // per)
+        assert len(reads) == 1 and np.asarray(reads[0][0]).shape == (n, n)
+        assert np.array_equal(reads[0][0], build_cmv(v).entries)
+        rows = [len(alpha) for alpha, _ in chunks]
+        assert sum(rows) == len(traj.states) and max(rows) == min(len(traj.states), NEWTON_BLOCK // n)
+
+    @pytest.mark.parametrize("side", [0.5, 2.0])
+    def test_both_sides_of_the_trust_rule(self, monkeypatch, side):
+        # two n = 5 spectra, the second with the angle at 2.0 moved by x and
+        # the one at -1.0 by -x (the angle sum, and so the boundary, kept):
+        # a Newton reach of about 5 x either side of the limit.  Inside, the
+        # step is the drift within the 0.23 relative error the rule
+        # guarantees and no matrix is read; outside, the state gets its own
+        # dense read, matched to the first spectrum in circular order
+        import cmvkit.alflows as alflows
+
+        base = np.array([-2.5, -1.0, 0.2, 1.0, 2.0])
+        limit = DRIFT_TRUST * 2.0 * np.sin(circular_gaps(base).min() / 2.0)
+        x = side * limit / 5
+        weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        first, moved = (
+            build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights)))
+            for t in (base, base + [0.0, -x, 0.0, 0.0, x])
+        )
+        reads = record_calls(monkeypatch, alflows, "unitary_angles")
+        traj = Trajectory.from_blocks([0.0, 1.0], [([first.source, moved.source], np.stack([first.entries, moved.entries]))])
+        reach = newton_angle_steps(moved.source.alpha, unitary_angles(first.entries))[1]
+        assert (reach.max() <= limit) == (side < 1.0)
+        assert traj.eig_drift[0] == 0.0
+        if side < 1.0:
+            assert len(reads) == 1
+            assert abs(traj.eig_drift[1] - x) <= 0.23 * x and traj.eig_drift[1] != x
+        else:
+            assert len(reads) == 2 and np.asarray(reads[1][0]).shape == (1, 5, 5)
+            assert abs(traj.eig_drift[1] - x) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in (1, 2, 3, 6, 17, 64) for r in (0.6, 0.9, 0.95, "ceiling") if n > 2 or r != "ceiling"]
+    )
+    def test_newton_drift_matches_the_dense_read(self, n, radius):
+        # each draw beside its spectrum turned by s = 1e-12: alpha_k ->
+        # e^(-i (k + 1) s) alpha_k, so every eigenvalue moves by s; the
+        # Newton drift, the dense read and s agree within the angle noise
+        # (ceiling draws need two interior coefficients)
+        if radius == "ceiling":
+            draws = list(ceiling_draws(n, 60 + n, count=5))
+        else:
+            gen = RngStream(60 + n).generator()
+            draws = [random_verblunsky(n, gen, radius=radius) for _ in range(5)]
+        s = 1e-12
+        for v in draws:
+            turned = VerblunskySet(v.alpha * np.exp(-1j * s * np.arange(1, n + 1)))
+            matrices = [build_cmv(v), build_cmv(turned)]
+            block = ([v, turned], np.stack([C.entries for C in matrices]))
+            traj = Trajectory.from_blocks([0.0, 1.0], [block])
+            dense = oracles.cyclic_drift(*(eigvals_angles(C.entries) for C in matrices))
+            assert abs(traj.eig_drift[1] - dense) <= DRIFT_NOISE
+            assert abs(traj.eig_drift[1] - s) <= DRIFT_NOISE
+
+
+class TestBranchCut:
+    """A measure with a point at pi: its eigenvalue's principal angle
+    changes branch along the flow.  Sorted principal angles compared
+    index by index reported a drift of one spectral gap (1.642)."""
+
+    THETA = [-2.0, -0.7, 0.4, 1.5, np.pi]
+    WEIGHTS = [0.1, 0.3, 0.2, 0.25, 0.15]
+
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_no_false_drift_at_the_cut(self, method):
+        v = verblunsky_from_measure(SpectralMeasureCircle(self.THETA, self.WEIGHTS))
+        if method == "rk4":
+            traj = integrate_flow(v, 1, "re", 0.05, 1e-3)
+        else:
+            traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.05, 1e-3)
+        angles = np.array([eigvals_angles(build_cmv(s).entries) for s in traj.states])
+        # the eigenvalue at pi is read on both branches along the flow
+        assert (angles[:, 0] < -3.0).any() and (angles[:, -1] > 3.0).any()
+        assert traj.eig_drift.max() <= 1e-10
 
 
 class TestGauge:

@@ -231,6 +231,18 @@ class TestFlow:
         obj = serialize.load_json(out)
         assert {"eig_drift", "unitarity"} <= set(obj["diagnostics"][0])
 
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_no_false_drift_at_the_branch_cut(self, tmp_path, method):
+        # a measure point at pi crosses the cut of (-pi, pi] along the
+        # flow; comparing sorted principal angles printed a drift of 1.642
+        measure, init, out = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "t.json"
+        points = zip([-2.0, -0.7, 0.4, 1.5, np.pi], [0.1, 0.3, 0.2, 0.25, 0.15])
+        serialize.dump_json({"points": [{"theta": t, "weight": w} for t, w in points]}, measure)
+        assert run("spectral", "--input", measure, "--to", "coeffs", "--out", init) == 0
+        assert run("flow", "--init", init, "--t", 0.05, "--method", method, "--out", out, "--quiet") == 0
+        diagnostics = serialize.load_json(out)["diagnostics"]
+        assert len(diagnostics) == 51 and max(d["eig_drift"] for d in diagnostics) <= 1e-10
+
     def test_domain_error_exit_3(self, tmp_path):
         init = tmp_path / "v.json"
         serialize.dump_json({"n": 2, "alpha": [[1.0 - 1e-9, 0.0], [1.0, 0.0]]}, init)

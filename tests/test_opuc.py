@@ -24,6 +24,7 @@ from cmvkit.opuc import (
     geronimus,
     geronimus_entries,
     jacobi_eigensystem,
+    newton_angle_steps,
     szego_coefficients,
     szego_project,
     szego_rows,
@@ -35,9 +36,11 @@ from cmvkit.opuc import (
 )
 
 from oracles import (
+    ceiling_draws,
     eigvals_angles,
     geronimus_loop,
     monic_opuc,
+    paraorthogonal_zeros_mp,
     reversed_poly,
     schur_eigensystem,
     szego_loop,
@@ -201,6 +204,39 @@ class TestUnitaryAngles:
     def test_rejects_non_square(self, shape):
         with pytest.raises(OutOfRange):
             unitary_angles(np.zeros(shape))
+
+
+class TestNewtonAngleSteps:
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in (1, 2, 5, 17) for r in (0.6, 0.95, "ceiling") if n > 2 or r != "ceiling"]
+    )
+    def test_one_step_from_the_dense_angles_reaches_the_zeros(self, n, radius):
+        # the dense angles err by up to about 5e-14; one step lands within
+        # rounding of the 40-digit zeros of Phi_n, and the disk of the
+        # reach holds the zero
+        if radius == "ceiling":
+            draws = list(ceiling_draws(n, 70 + n, count=3))
+        else:
+            gen = RngStream(70 + n).generator()
+            draws = [random_set(gen, n, radius) for _ in range(3)]
+        for v in draws:
+            theta = unitary_angles(build_cmv(v).entries)
+            steps, reach = newton_angle_steps(v.alpha, theta)
+            exact = paraorthogonal_zeros_mp(v.alpha, theta)
+            offset = np.angle(np.exp(1j * (exact - theta)))
+            assert np.abs(steps - offset).max() <= 1e-15
+            assert np.all(np.abs(offset) <= reach * (1.0 + 1e-6) + 1e-16)
+
+    def test_rows_do_not_depend_on_each_other(self):
+        gen = RngStream(77).generator()
+        alpha = np.array([random_set(gen, 9, 0.9).alpha for _ in range(7)])
+        theta = unitary_angles(build_cmv(VerblunskySet(alpha[0])).entries)
+        steps, reach = newton_angle_steps(alpha, theta)
+        for row, s, r in zip(alpha, steps, reach):
+            one = newton_angle_steps(row, theta)
+            assert np.array_equal(one[0], s) and np.array_equal(one[1], r)
+        again = newton_angle_steps(alpha.reshape(7, 1, 9), theta)
+        assert np.array_equal(again[0][:, 0], steps)
 
 
 def evaluate(c, z):
