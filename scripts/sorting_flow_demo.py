@@ -37,11 +37,11 @@ def main():
 
     traj = integrate_flow(v0, 1, "re", args.t, args.dt)
     spectral = flow_via_spectral(v0, ham, args.t)
-    err = np.abs(traj.states[-1].alpha - spectral.alpha).max()
+    err = np.abs(traj.alpha[-1] - spectral.alpha).max()
     print(f"\nrk4 vs exact spectral endpoint: {err:.3e}")
     print(f"max eigenvalue drift along rk4: {traj.eig_drift.max():.3e}")
     print(f"coefficient moduli at t={args.t:g}: "
-          + " ".join(f"{abs(a):.6f}" for a in traj.states[-1].alpha[:-1]))
+          + " ".join(f"{abs(a):.6f}" for a in traj.alpha[-1, :-1]))
 
 
 if __name__ == "__main__":

@@ -19,15 +19,14 @@ F(theta) = 2 Re[z f'(z)], and invert the spectral map;
 spectral_trajectory does so at every grid time with one diagonalization
 and one szego_rows pass over (T, n) weights.
 
-Both trajectories share one time grid of at most MAX_STEPS steps and read
-their diagnostics through Trajectory.from_blocks: per block of at most
-ANGLE_BLOCK matrix entries, one stacked check_cmv (the package's only run
-of the CMV invariants, on every reported state).  The eigenvalue drift
-takes one dense angle read of the first state; every state's drift is
-then one Newton step on its paraorthogonal polynomial Phi_n from those
-angles, O(n^2) per state, on chunks of the stacked coefficient rows
-(eigenvalue_drift), with a dense read only for a state whose step the
-trust rule rejects.
+Both trajectories share one time grid of at most MAX_STEPS steps and
+hold their states as one (T, n) coefficient array.  check_cmv_band tests
+the CMV invariants of every state in O(n) from the band of C = L M; its
+residuals are the unitarity diagnostic.  The first state's matrix is the
+only dense one: its angles are read once, and every state's drift is one
+Newton step on its paraorthogonal polynomial Phi_n from them, O(n^2) per
+state (eigenvalue_drift), with a dense read only for a state whose step
+the trust rule rejects.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), like the exact propagator of
@@ -42,25 +41,26 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    DET_TOL,
+    TRACE_TOL,
+    UNITARITY_TOL,
     CMVMatrix,
     JacobiMatrix,
     SpectralMeasureCircle,
     VerblunskySet,
     batched_lm_factors,
     build_cmv,
-    check_cmv,
+    check_coefficient_rows,
     circle_weights,
     circular_gaps,
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
 from .opuc import (
-    ANGLE_BLOCK,
     gap_rotation,
     newton_angle_steps,
     szego_rows,
@@ -74,7 +74,7 @@ MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to
 MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
 MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m min(m, n)
 LAMBDA_GAP_TOL = 1e-8
-NEWTON_BLOCK = 8192           # coefficients per chunk of states in one newton_angle_steps call
+NEWTON_BLOCK = 8192           # coefficients per chunk of states in one diagnostics call
 DRIFT_TRUST = 0.125           # largest Newton reach, in smallest chords of the first spectrum
 
 _PARTS = ("re", "im")
@@ -266,6 +266,45 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     return rho, blocks
 
 
+def check_cmv_band(alpha: np.ndarray) -> np.ndarray:
+    """The CMV invariants of the matrices C = L M of a (k, n) stack of
+    valid coefficient rows, each read from the band of C in O(n):
+    unitarity, max|C*C - I| on the upper band of half-width 4 that holds
+    every nonzero entry of the Hermitian C*C - I; the trace identity, from
+    the main diagonal; the determinant identity, det C being the product of
+    the 2x2 block determinants -(|alpha_k|^2 + rho_k^2) times
+    conj(alpha_{n-1}).  The band holds by the storage.  Raises OutOfRange
+    at the first invariant some row violates, in that order; returns the
+    unitarity residuals.  Temporaries take about 250 bytes per coefficient.
+    """
+    k, n = alpha.shape
+    a = alpha.T  # rows along the last axis: every operation is a long contiguous loop
+    inner = a[:-1]
+    mod2 = inner.real * inner.real + inner.imag * inner.imag
+    rho = np.sqrt(1.0 - mod2)
+    fixed = np.broadcast_to([[1.0], [0.0]], (2, k))
+    # [0, 1 + p, 1 + i] = L[i, i + p] and [1, 1 + p, 1 + i] = M[i, i + p]
+    L, M = np.concatenate([a.conj(), -inner, rho, fixed])[np.moveaxis(_band_indices(n, 1)[0], 2, 1)]
+    C = np.zeros((5, n + 4, k), dtype=complex)  # [2 + d, 2 + i] = C[i, i + d] = sum_p L[i, i + p] M[i + p, i + d]
+    for p in (-1, 0, 1):
+        C[p + 1 : p + 4, 2 : n + 2] += L[1 + p, 1 : n + 1] * M[:, 1 + p : n + 1 + p]
+    del L, M
+    resid = np.zeros(k)
+    for e in range(5):  # (C*C)[i, i + e] = sum_q conj(C[i + q, i]) C[i + q, i + e], one diagonal at a time
+        cc = sum(C[2 - q, 2 + q : n + 2 + q].conj() * C[2 + e - q, 2 + q : n + 2 + q] for q in range(e - 2, 3))
+        if e == 0:
+            cc -= 1.0
+        resid = np.maximum(resid, np.abs(cc).max(axis=0))
+    if resid.max() > UNITARITY_TOL:
+        raise OutOfRange(f"unitarity residual {resid.max():.3e} exceeds {UNITARITY_TOL:g}")
+    if (np.abs(C[2, 2 : n + 2].sum(axis=0) - a[0].conj() + (a[:-1] * a[1:].conj()).sum(axis=0)) > TRACE_TOL).any():
+        raise OutOfRange("trace identity violated")
+    last = a[-1].conj()
+    if (np.abs((-(mod2 + rho * rho)).prod(axis=0) * last - (-1.0) ** (n - 1) * last) > DET_TOL).any():
+        raise OutOfRange("determinant identity violated")
+    return resid
+
+
 def al_closed_form_field(v: VerblunskySet, left_boundary: complex = 1.0) -> np.ndarray:
     """Nearest-neighbor form of the first 're' flow:
     i rho_j^2 (alpha_{j-1} + alpha_{j+1}), with alpha_{-1} = left_boundary.
@@ -312,93 +351,84 @@ def toda_vector_field(J: JacobiMatrix) -> np.ndarray:
 class Trajectory:
     """Time-stamped flow states with per-step diagnostics.
 
-    All states share n and the frozen boundary coefficient.  eig_drift[i]
-    is the largest distance that an eigenvalue of the matrix at times[0]
-    has moved by times[i], each eigenvalue tracked from its own angle, so
+    Row i of the read-only (len(times), n) array alpha is the state at
+    times[i]; every row is validated as VerblunskySet validates one, and
+    all share the boundary coefficient within 1e-10.  eig_drift[i] is the
+    largest distance that an eigenvalue of the matrix at times[0] has
+    moved by times[i], each eigenvalue tracked from its own angle, so
     that an angle crossing the branch cut at pi moves by nothing
     (eigenvalue_drift); eig_drift[0] is 0.  unitarity[i] is the max-norm
     unitarity residual of the matrix at times[i].
     """
 
     times: np.ndarray
-    states: tuple
+    alpha: np.ndarray
     eig_drift: np.ndarray
     unitarity: np.ndarray
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float).reshape(-1)
-        if t.size != len(self.states):
-            raise InvalidParams("one state per time stamp required")
+        a = np.array(self.alpha, dtype=complex)
+        drift, unit = (np.array(d, dtype=float).reshape(-1) for d in (self.eig_drift, self.unitarity))
+        if a.ndim != 2 or not 0 < t.size == a.shape[0] == drift.size == unit.size:
+            raise InvalidParams("one state, one eig_drift and one unitarity per time stamp required")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise InvalidParams("times must be strictly increasing")
-        boundary = self.states[0].alpha[-1]
-        for s in self.states:
-            if s.n != self.states[0].n or abs(s.alpha[-1] - boundary) > 1e-10:
-                raise InvalidParams("states must share n and the boundary coefficient")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
+        check_coefficient_rows(a)
+        if np.abs(a[:, -1] - a[0, -1]).max() > 1e-10:
+            raise InvalidParams("states must share the boundary coefficient")
+        for name, value in (("times", t), ("alpha", a), ("eig_drift", drift), ("unitarity", unit)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.states[0].n
-
-    def alpha_matrix(self) -> np.ndarray:
-        """(len(times), n) array of coefficients along the trajectory."""
-        return np.array([s.alpha for s in self.states])
-
-    @classmethod
-    def from_blocks(cls, times, blocks: Iterable[tuple]) -> "Trajectory":
-        """Trajectory of consecutive blocks of states at times.
-
-        Each block is (states, entries): a run of coefficient sets and
-        their CMV matrices as a (k, n, n) stack.  check_cmv runs on every
-        block, and its residuals are the unitarity diagnostic.  The only
-        eigensolve is one unitary_angles read of the first state; the
-        drift of every state is read from those angles by
-        eigenvalue_drift, without its matrix.
-        """
-        states, unit, theta = [], [], None
-        for block, entries in blocks:
-            unit.append(check_cmv(entries, np.array([s.alpha for s in block])))
-            if theta is None:
-                theta = unitary_angles(entries[0])
-            states.extend(block)
-        return cls(times, tuple(states), eigenvalue_drift(states, theta), np.concatenate(unit))
+        return self.alpha.shape[1]
 
 
-def eigenvalue_drift(states: list[VerblunskySet], theta: np.ndarray) -> np.ndarray:
-    """How far the eigenvalues of each state's CMV matrix lie from those of
-    the first state, whose sorted angles are theta (n,).
+def _trajectory(times: np.ndarray, alpha: np.ndarray, first: np.ndarray) -> Trajectory:
+    """The Trajectory of coefficient rows alpha (T, n) at times and its
+    diagnostics, checked a chunk of NEWTON_BLOCK coefficients at a time;
+    first, the CMV matrix of alpha[0], is the only one eigensolved."""
+    check_coefficient_rows(alpha)  # before the diagnostics divide by rho
+    per = max(NEWTON_BLOCK // alpha.shape[1], 1)
+    unit = np.concatenate([check_cmv_band(alpha[s : s + per]) for s in range(0, len(alpha), per)])
+    return Trajectory(times, alpha, eigenvalue_drift(alpha, unitary_angles(first)), unit)
+
+
+def eigenvalue_drift(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """How far the eigenvalues of the CMV matrix of each coefficient row of
+    alpha (T, n) lie from those of the first row, whose sorted angles are
+    theta (n,).
 
     Entry i is max_j |delta_j(i) - delta_j(0)|, with delta_j(i) the
-    newton_angle_steps step of state i from theta_j: the eigenvalue that
+    newton_angle_steps step of row i from theta_j: the eigenvalue that
     starts at theta_j is tracked, whichever branch its angle lies on.  The
-    states go through the kernel in chunks of at most NEWTON_BLOCK
-    coefficients.  A state is trusted when every Newton reach is at most
+    rows go through the kernel in chunks of at most NEWTON_BLOCK
+    coefficients.  A row is trusted when every Newton reach is at most
     DRIFT_TRUST times the smallest chord |z_j - z_k| of the first spectrum
     (2 for n = 1); then the disks of the reaches are disjoint, so each
     holds exactly one eigenvalue, and each step is the offset of its
     eigenvalue from theta_j within a relative error of 0.23 (shrinking in
-    proportion to the offset).  Any other state, and all of them if the
-    first state is not trusted, falls back to a dense read:
+    proportion to the offset).  Any other row, and all of them if the
+    first row is not trusted, falls back to a dense read:
     unitary_angles with the pole in the largest gap of theta, matched to
     theta in circular order (_cyclic_drift).  Entry 0 is 0.
     """
     n = theta.size
     limit = DRIFT_TRUST * 2.0 * math.sin(min(float(circular_gaps(theta).min()), math.pi) / 2.0)
     per = max(NEWTON_BLOCK // n, 1)
-    drift = np.empty(len(states))
-    for s in range(0, len(states), per):
-        alpha = np.array([v.alpha for v in states[s : s + per]])
-        steps, reach = newton_angle_steps(alpha, theta)
+    drift = np.empty(len(alpha))
+    for s in range(0, len(alpha), per):
+        block = alpha[s : s + per]
+        steps, reach = newton_angle_steps(block, theta)
         ok = reach.max(axis=1) <= limit
         if s == 0:
             first, trusted = steps[0], bool(ok[0])
         drift[s : s + per] = np.abs(steps - first).max(axis=1)
         dense = np.flatnonzero(~(ok & trusted))
         if dense.size:
-            L, M = batched_lm_factors(alpha[dense])
+            L, M = batched_lm_factors(block[dense])
             drift[s + dense] = _cyclic_drift(theta, unitary_angles(L @ M, float(gap_rotation(theta))))
     drift[:1] = 0.0
     return drift
@@ -413,16 +443,6 @@ def _cyclic_drift(theta: np.ndarray, angles: np.ndarray) -> np.ndarray:
     turns = (np.arange(n)[:, None] + np.arange(n)) % n
     d = np.abs(angles[:, turns] - theta)
     return np.minimum(d, 2.0 * math.pi - d).max(axis=2).min(axis=1)
-
-
-def _state_blocks(states: list[VerblunskySet], n: int):
-    """Trajectory.from_blocks blocks of states whose matrices are built
-    here, at most ANGLE_BLOCK matrix entries per block."""
-    per = max(ANGLE_BLOCK // (n * n), 1)
-    for s in range(0, len(states), per):
-        block = states[s : s + per]
-        L, M = batched_lm_factors(np.array([v.alpha for v in block]))
-        yield block, L @ M
 
 
 def _flow_alpha(interior: np.ndarray, boundary: complex) -> np.ndarray:
@@ -456,28 +476,29 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """Fixed-step RK4 integration of the (m, part) flow in its bracket form.
 
     The step is dt shortened to divide t_final exactly; the boundary
-    coefficient is held fixed.  Stages are plain arrays; only reported
-    states become VerblunskySets.  Raises RhoTooSmall if any intermediate
-    coefficient modulus exceeds 1 - 1e-8.
+    coefficient is held fixed.  Stages are plain arrays, and each reported
+    state is written into its row of the trajectory's array.  Raises
+    RhoTooSmall if any intermediate coefficient modulus exceeds 1 - 1e-8.
     """
     m, part = _check_order(m), _check_part(part)
     times, h = _flow_grid(t_final, dt)
     b = v0.alpha[-1]
-    boundary = b / abs(b)  # as VerblunskySet renormalizes b in every flow state
+    boundary = b / abs(b)  # v0's boundary renormalized once more, as VerblunskySet(v0.alpha) would
 
     def field(y: np.ndarray) -> np.ndarray:
         return _bracket_velocity(_flow_alpha(y, boundary), m, part)
 
-    states = [v0]
+    alpha = np.empty((times.size, v0.n), dtype=complex)
+    alpha[0] = v0.alpha
     y = v0.interior.astype(complex)
-    for _ in range(times.size - 1):
+    for i in range(1, times.size):
         k1 = field(y)
         k2 = field(y + 0.5 * h * k1)
         k3 = field(y + 0.5 * h * k2)
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(VerblunskySet(_flow_alpha(y, b)))
-    return Trajectory.from_blocks(times, _state_blocks(states, v0.n))
+        alpha[i] = _flow_alpha(y, boundary)
+    return _trajectory(times, alpha, build_cmv(v0).entries)
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:
@@ -511,14 +532,14 @@ def spectral_trajectory(v0: VerblunskySet, ham: FlowHamiltonian, t_final: float,
     """flow_via_spectral at the times integrate_flow(v0, ..., t_final, dt) uses.
 
     v0 is diagonalized once for the whole trajectory, and the weights of
-    every later time go through one stacked Szego pass; the state at time
-    0 is v0 itself.
+    every later time go through one stacked Szego pass (verblunsky_rows);
+    the state at time 0 is v0's coefficients.
     """
     times, _ = _flow_grid(t_final, dt)
-    mu0 = unitary_eigensystem(build_cmv(v0))
+    C0 = build_cmv(v0)
+    mu0 = unitary_eigensystem(C0)
     theta, weights = circle_weights(mu0.theta, propagated_weights(mu0, ham, times[1:]))
-    states = [v0, *verblunsky_rows(theta, weights)]
-    return Trajectory.from_blocks(times, _state_blocks(states, v0.n))
+    return _trajectory(times, np.concatenate([v0.alpha[None], verblunsky_rows(theta, weights)]), C0.entries)
 
 
 def gauge_transform(traj: Trajectory) -> np.ndarray:
@@ -530,7 +551,7 @@ def gauge_transform(traj: Trajectory) -> np.ndarray:
         -i d(beta_k)/dt = rho_k^2 (beta_{k+1} + beta_{k-1}) - 2 beta_k
     with the gauge-rotated frozen boundaries.
     """
-    return traj.alpha_matrix() * np.exp(-2j * traj.times)[:, None]
+    return traj.alpha * np.exp(-2j * traj.times)[:, None]
 
 
 @dataclass(frozen=True, eq=False)

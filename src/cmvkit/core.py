@@ -6,7 +6,8 @@ n-point probability measure on the circle and to an n x n unitary
 five-diagonal matrix.  This module holds the immutable containers
 (coefficients, CMV and Jacobi matrices, finitely supported spectral
 measures) together with the structural builders.  The containers are
-validated at construction; check_cmv tests the CMV invariants on stacks.
+validated at construction (coefficient rows also in stacks, by
+check_coefficient_rows); alflows.check_cmv_band tests the CMV invariants.
 
 All types are immutable values after construction and safe to share
 between threads.
@@ -14,7 +15,6 @@ between threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 
-# Validation tolerances (UNITARITY_TOL, TRACE_TOL and DET_TOL are check_cmv's).
+# Validation tolerances (UNITARITY_TOL, TRACE_TOL and DET_TOL are alflows.check_cmv_band's).
 INTERIOR_MARGIN = 1e-12     # interior coefficients must satisfy |a| <= 1 - margin
 BOUNDARY_TOL = 1e-12        # allowed deviation of |alpha_{n-1}| from 1 before renormalizing
 UNITARITY_TOL = 1e-12
@@ -70,19 +70,8 @@ class VerblunskySet:
 
     def __post_init__(self):
         a = np.array(self.alpha, dtype=complex).reshape(-1)
-        if a.size == 0:
-            raise OutOfRange("need at least one coefficient")
-        if not np.all(np.isfinite(a)):
-            raise OutOfRange("coefficients must be finite")
-        mods = np.abs(a[:-1])
-        if mods.size and mods.max() > 1.0 - INTERIOR_MARGIN:
-            raise OutOfRange(
-                f"interior coefficient modulus {mods.max():.17g} exceeds 1 - {INTERIOR_MARGIN:g}"
-            )
-        last = abs(a[-1])
-        if abs(last - 1.0) > BOUNDARY_TOL:
-            raise OutOfRange(f"|alpha_{a.size - 1}| = {last:.17g}, expected 1 within {BOUNDARY_TOL:g}")
-        a[-1] = a[-1] / last
+        mods = check_coefficient_rows(a)
+        renormalize_boundary(a)
         rho = np.sqrt(1.0 - mods * mods)
         object.__setattr__(self, "alpha", _frozen(a))
         object.__setattr__(self, "rho", _frozen(rho))
@@ -102,6 +91,34 @@ class VerblunskySet:
         if interior.size != self.n - 1:
             raise OutOfRange(f"expected {self.n - 1} interior coefficients, got {interior.size}")
         return VerblunskySet(np.concatenate([interior, self.alpha[-1:]]))
+
+
+def check_coefficient_rows(a: np.ndarray) -> np.ndarray:
+    """Validate every row of a (..., n) complex array as VerblunskySet does
+    one, raising the same OutOfRange; returns the interior moduli."""
+    if a.shape[-1] == 0:
+        raise OutOfRange("need at least one coefficient")
+    if not np.isfinite(a).all():
+        raise OutOfRange("coefficients must be finite")
+    mods = np.abs(a[..., :-1])
+    if mods.size and mods.max() > 1.0 - INTERIOR_MARGIN:
+        raise OutOfRange(f"interior coefficient modulus {mods.max():.17g} exceeds 1 - {INTERIOR_MARGIN:g}")
+    last = np.hypot(a[..., -1].real, a[..., -1].imag)
+    off = np.abs(last - 1.0)
+    if off.max(initial=0.0) > BOUNDARY_TOL:
+        raise OutOfRange(f"|alpha_{a.shape[-1] - 1}| = {last.flat[off.argmax()]:.17g}, expected 1 within {BOUNDARY_TOL:g}")
+    return mods
+
+
+def renormalize_boundary(a: np.ndarray) -> np.ndarray:
+    """Divide the last coefficient of every row of a (..., n) complex array
+    by its modulus in place; returns a.  np.hypot gives the modulus bit for
+    bit as abs() does one complex scalar, so each row of a stack comes out
+    as it would alone (np.abs on an array moves a last bit of about a
+    third of near-unimodular values)."""
+    last = a[..., -1]
+    last /= np.hypot(last.real, last.imag)
+    return a
 
 
 def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +176,8 @@ class CMVMatrix:
     valid source, unitarity, the band and the identities
         tr C  = conj(alpha_0) - sum_{k>=1} alpha_{k-1} conj(alpha_k)
         det C = (-1)^(n-1) conj(alpha_{n-1})
-    hold by construction; check_cmv tests them on stacks of matrices.
+    hold by construction; alflows.check_cmv_band tests them from the
+    band of C, for stacks of coefficient rows.
     """
 
     source: VerblunskySet
@@ -172,37 +190,6 @@ class CMVMatrix:
     @property
     def n(self) -> int:
         return self.source.n
-
-
-def check_cmv(entries: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The CMV invariants on a (k, n, n) stack and its (k, n) coefficients.
-
-    Checks every matrix for unitarity, the five-diagonal band and the
-    trace and determinant identities, in that order, and raises OutOfRange
-    at the first invariant that some matrix violates.  Returns the
-    unitarity residuals max|C*C - I|.
-    """
-    n = alpha.shape[-1]
-    resid = np.abs(np.swapaxes(entries.conj(), 1, 2) @ entries - np.eye(n)).max(axis=(1, 2))
-    worst = resid.max()
-    if worst > UNITARITY_TOL:
-        raise OutOfRange(f"unitarity residual {worst:.3e} exceeds {UNITARITY_TOL:g}")
-    if entries[:, _outside_band(n)].any():
-        raise OutOfRange("nonzero entry outside the five-diagonal band")
-    tr_expected = alpha[:, 0].conj() - (alpha[:, :-1] * alpha[:, 1:].conj()).sum(axis=1)
-    if (np.abs(entries.trace(axis1=1, axis2=2) - tr_expected) > TRACE_TOL).any():
-        raise OutOfRange("trace identity violated")
-    det_expected = (-1.0) ** (n - 1) * alpha[:, -1].conj()
-    if (np.abs(np.linalg.det(entries) - det_expected) > DET_TOL).any():
-        raise OutOfRange("determinant identity violated")
-    return resid
-
-
-@functools.lru_cache(maxsize=None)
-def _outside_band(n: int) -> np.ndarray:
-    """Mask of the n x n entries more than two diagonals off the main one."""
-    rows, cols = np.indices((n, n))
-    return _frozen(np.abs(rows - cols) > 2)
 
 
 def build_cmv(v: VerblunskySet) -> CMVMatrix:

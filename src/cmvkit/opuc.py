@@ -12,9 +12,10 @@ Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
 it on a (T, n) stack of weight vectors on one support at once, as a
 spectral flow needs at its T grid times; szego_coefficients and
-verblunsky_from_measure are its one-row views.  The circle and the
-interval [-2, 2] are connected by the pushforward of z + 1/z and, on the
-coefficient side, by the Geronimus relations.
+verblunsky_from_measure are its one-row views, verblunsky_rows its
+stacked one.  The circle and the interval [-2, 2] are connected by the
+pushforward of z + 1/z and, on the coefficient side, by the Geronimus
+relations.
 
 All functions are pure maps of immutable inputs.
 """
@@ -33,6 +34,7 @@ from .core import (
     build_jacobi,
     circular_gaps,
     principal_angle,
+    renormalize_boundary,
 )
 from .errors import IllConditioned, InvalidBoundary, NotSymmetric, OutOfRange, SupportAtRealAxis, SupportTooSmall
 
@@ -285,23 +287,27 @@ def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
     recursion returns it further than 1e-6 from the circle the
     computation is considered lost and IllConditioned is raised.
     """
-    return _on_the_circle(szego_coefficients(mu, mu.n))
+    return VerblunskySet(_on_the_circle(szego_coefficients(mu, mu.n)))
 
 
-def verblunsky_rows(theta: np.ndarray, weights: np.ndarray) -> list[VerblunskySet]:
-    """verblunsky_from_measure for the measures with canonical angles theta
-    (n,) and weight rows weights (T, n), from one szego_rows pass."""
-    return [_on_the_circle(alphas) for alphas in szego_rows(theta, weights, theta.size)]
+def verblunsky_rows(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """verblunsky_from_measure(...).alpha, bit for bit, for the measures with
+    canonical angles theta (n,) and weight rows weights (T, n), as a (T, n)
+    array from one szego_rows pass: each boundary is divided by its modulus
+    by _on_the_circle and once more as VerblunskySet does.  The rows are
+    not validated; a Trajectory of them is."""
+    return renormalize_boundary(_on_the_circle(szego_rows(theta, weights, theta.size)))
 
 
-def _on_the_circle(alphas: np.ndarray) -> VerblunskySet:
-    """The coefficient set of a full Szego run, its last coefficient moved
-    onto the circle (in place)."""
-    last = abs(alphas[-1])
-    if abs(last - 1.0) > BOUNDARY_RECOVERY_TOL:
-        raise IllConditioned(f"recovered boundary modulus {last:.17g} is too far from 1")
-    alphas[-1] /= last
-    return VerblunskySet(alphas)
+def _on_the_circle(alphas: np.ndarray) -> np.ndarray:
+    """Coefficient rows (..., n) of full Szego runs, each last coefficient
+    moved onto the circle (in place), unless one lay too far from it."""
+    mods = np.hypot(alphas[..., -1].real, alphas[..., -1].imag)
+    off = np.abs(mods - 1.0)
+    if off.max(initial=0.0) > BOUNDARY_RECOVERY_TOL:
+        raise IllConditioned(f"recovered boundary modulus {mods.flat[off.argmax()]:.17g} is too far from 1")
+    alphas[..., -1] /= mods
+    return alphas
 
 
 def geronimus(v: VerblunskySet) -> JacobiMatrix:

@@ -7,7 +7,9 @@ round-trip bit for bit, all files UTF-8.
 The writers do their per-float work inside C-level `%` operations, one
 per block of CSV rows or of JSON array values: dump_json writes the
 bytes of json.dump(obj, fh, indent=1) plus a newline, and the CSV
-writers write format(x, ".17g") for every float.  tests/oracles.py
+writers write format(x, ".17g") for every float.  A list of objects
+that share one layout, such as a trajectory's states, is passed as
+Records, whose layout is built once and repeated.  tests/oracles.py
 keeps the per-float loops they are compared with.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -46,14 +49,24 @@ def _complex(pair) -> complex:
 
 
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
+    return VerblunskySet(_coefficients([obj])[0])
+
+
+def _coefficients(objs) -> np.ndarray:
+    """The (T, n) coefficients of T coefficient objects, read in one
+    np.asarray and kept as written; InvalidParams unless each holds an
+    integer n and n [re, im] pairs of numbers, n the same for all."""
     try:
-        n = obj["n"]
-        pairs = list(obj["alpha"])
-    except (KeyError, TypeError) as exc:
+        pairs, sizes = np.asarray([s["alpha"] for s in objs]), [s["n"] for s in objs]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed coefficient object: {exc!r}") from exc
-    if not isinstance(n, int) or len(pairs) != n:
-        raise InvalidParams(f"expected an integer n and n coefficient pairs, got n = {n!r} and {len(pairs)} pairs")
-    return VerblunskySet(np.array([_complex(p) for p in pairs]))
+    if pairs.size == 0:  # n = 0: VerblunskySet and Trajectory raise their own error
+        pairs = pairs.reshape(len(sizes), 0, 2)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise InvalidParams("expected every coefficient object to hold [re, im] pairs of numbers, as many in each")
+    if not all(isinstance(n, int) and n == pairs.shape[1] for n in sizes):
+        raise InvalidParams(f"expected n = {pairs.shape[1]}, the number of coefficient pairs, in every object")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -103,38 +116,53 @@ def line_measure_from_obj(obj: dict) -> SpectralMeasureLine:
     return SpectralMeasureLine(*_points(obj, "x"))
 
 
+@dataclass(frozen=True)
+class Records:
+    """A JSON list of objects with the keys of fields: object i holds row i
+    of every float64 array field and the value of every other field.
+    dump_json builds the layout of one object once and repeats it."""
+
+    fields: dict
+
+    def __post_init__(self):
+        arrays = [v for v in self.fields.values() if isinstance(v, np.ndarray)]
+        if not arrays or any(a.dtype != np.float64 or a.ndim == 0 or len(a) != len(arrays[0]) for a in arrays):
+            raise TypeError("Records needs float64 arrays of one shared number of rows")
+
+    def __len__(self) -> int:
+        return next(len(v) for v in self.fields.values() if isinstance(v, np.ndarray))
+
+    def tolist(self) -> list:
+        rows = {k: v.tolist() for k, v in self.fields.items() if isinstance(v, np.ndarray)}
+        return [{k: rows[k][i] if k in rows else v for k, v in self.fields.items()} for i in range(len(self))]
+
+
 def trajectory_to_obj(traj: Trajectory) -> dict:
-    """The trajectory's JSON object; times and each state's [re, im] pairs
-    are float arrays, which dump_json writes as nested lists."""
-    n = int(traj.n)
+    """The trajectory's JSON object: times, one {"n", "alpha"} and one
+    {"eig_drift", "unitarity"} object per state."""
     return {
         "times": traj.times,
-        "states": [{"n": n, "alpha": alpha} for alpha in _pairs(traj.alpha_matrix())],
-        "diagnostics": [
-            {"eig_drift": d, "unitarity": u}
-            for d, u in zip(traj.eig_drift.tolist(), traj.unitarity.tolist())
-        ],
+        "states": Records({"n": int(traj.n), "alpha": _pairs(traj.alpha)}),
+        "diagnostics": Records({"eig_drift": traj.eig_drift, "unitarity": traj.unitarity}),
     }
 
 
 def trajectory_from_obj(obj: dict) -> Trajectory:
-    states = tuple(verblunsky_from_obj(s) for s in obj["states"])
-    diag = obj["diagnostics"]
-    return Trajectory(
-        np.asarray(obj["times"], dtype=float),
-        states,
-        np.array([d["eig_drift"] for d in diag]),
-        np.array([d["unitarity"] for d in diag]),
-    )
+    try:
+        times, states = np.asarray(obj["times"], dtype=float), obj["states"]
+        diag = np.asarray([[d["eig_drift"], d["unitarity"]] for d in obj["diagnostics"]], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"malformed trajectory object: {exc!r}") from exc
+    return Trajectory(times, _coefficients(states), *diag.reshape(-1, 2).T)
 
 
 def dump_json(obj, path) -> None:
     """Write obj as json.dump(obj, fh, indent=1) does, then a newline.
 
-    Float ndarrays are written as the nested lists of their .tolist().
-    The tree is walked once into a `%` template with a %r per value of
-    its float64 arrays, which is formatted and written in pieces that end
-    after a whole array."""
+    Float ndarrays and Records are written as the nested lists of their
+    .tolist().  The tree is walked once into a `%` template with a %r per
+    value of its float64 arrays, which is formatted and written in pieces
+    that end after a whole array or block of Records objects."""
     parts, leaves = [], []
     _template(obj, 0, parts, leaves, {})
     flat = np.concatenate([a.ravel() for _, a in leaves] + [np.empty(0)])
@@ -186,6 +214,22 @@ def _template(obj, depth: int, parts: list, leaves: list, templates: dict | None
         parts.append(int.__repr__(obj))
     elif isinstance(obj, float):
         parts.append(_float_text(obj))
+    elif isinstance(obj, Records):
+        if templates is None or not len(obj):
+            _template(obj.tolist(), depth, parts, leaves, templates)
+            return
+        layout = []  # of one object, whose arrays have the row shapes
+        proto = {k: np.empty(v.shape[1:]) if isinstance(v, np.ndarray) else v for k, v in obj.fields.items()}
+        _template(proto, depth + 1, layout, [], templates)
+        record = "".join(layout)
+        values = np.concatenate([v.reshape(len(obj), -1) for v in obj.fields.values() if isinstance(v, np.ndarray)], 1)
+        pad, per = "\n" + " " * (depth + 1), max(JSON_CHUNK // max(values.shape[1], 1), 1)
+        parts.append("[")
+        for s in range(0, len(obj), per):
+            block = values[s : s + per]
+            parts.append(("," if s else "") + pad + ("," + pad).join([record] * len(block)))
+            leaves.append((len(parts), block))
+        parts.append("\n" + " " * depth + "]")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or templates is None:
             _template(obj.tolist(), depth, parts, leaves, templates)

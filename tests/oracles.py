@@ -30,6 +30,11 @@ eig and eigh replaced them: a complex Schur decomposition, whose unit
 vectors are orthonormal to rounding even in a cluster, and the
 tridiagonal symmetric solver.  Tests hold the package to them.
 
+check_cmv is the package's former dense check of the CMV invariants
+(dense C*C, band mask and determinant), the oracle of the O(n) banded
+alflows.check_cmv_band: tests hold the banded residuals to the dense
+ones within a stated bound and require the same verdict.
+
 The finite-difference bracket engine (coordinate_jacobian,
 bracket_matrix, SpectralObservables with its eigenvalue matching,
 chart_jacobian_fd, the column-by-column spectral_jacobian_loop, and the
@@ -45,7 +50,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from cmvkit import brackets
+from cmvkit import brackets, serialize
 from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation, lax_partner
 from cmvkit.brackets import (
     DEFAULT_STEP,
@@ -57,6 +62,9 @@ from cmvkit.brackets import (
     with_coordinates,
 )
 from cmvkit.core import (
+    DET_TOL,
+    TRACE_TOL,
+    UNITARITY_TOL,
     SpectralMeasureCircle,
     SpectralMeasureLine,
     VerblunskySet,
@@ -65,7 +73,7 @@ from cmvkit.core import (
     lm_factors,
 )
 from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
-from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, SupportTooSmall
+from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, OutOfRange, SupportTooSmall
 from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
 from cmvkit.verify import random_measure
 
@@ -316,6 +324,38 @@ def tridiagonal_eigensystem(J) -> SpectralMeasureLine:
     return SpectralMeasureLine(lam, vec[0, :] ** 2)
 
 
+# How far alflows.check_cmv_band's unitarity residual may lie from
+# check_cmv's: each computes every entry of C*C - I, a sum of at most
+# five products of entries of unit columns, within about 3 eps in its own
+# summation order.  Measured: 3.9e-16 (1.7 eps) over n <= 64, radii 0.3
+# to 0.999 and ceiling draws.
+UNITARITY_AGREEMENT = 1e-15
+
+
+def check_cmv(entries, alpha):
+    """The CMV invariants on a dense (k, n, n) stack of matrices and its
+    (k, n) coefficients, the package's former check, unchanged: dense
+    unitarity max|C*C - I|, the five-diagonal band, and the trace and
+    determinant identities (np.linalg.det), in that order; raises
+    OutOfRange at the first invariant some matrix violates and returns
+    the unitarity residuals."""
+    n = alpha.shape[-1]
+    resid = np.abs(np.swapaxes(entries.conj(), 1, 2) @ entries - np.eye(n)).max(axis=(1, 2))
+    worst = resid.max()
+    if worst > UNITARITY_TOL:
+        raise OutOfRange(f"unitarity residual {worst:.3e} exceeds {UNITARITY_TOL:g}")
+    rows, cols = np.indices((n, n))
+    if entries[:, np.abs(rows - cols) > 2].any():
+        raise OutOfRange("nonzero entry outside the five-diagonal band")
+    tr_expected = alpha[:, 0].conj() - (alpha[:, :-1] * alpha[:, 1:].conj()).sum(axis=1)
+    if (np.abs(entries.trace(axis1=1, axis2=2) - tr_expected) > TRACE_TOL).any():
+        raise OutOfRange("trace identity violated")
+    det_expected = (-1.0) ** (n - 1) * alpha[:, -1].conj()
+    if (np.abs(np.linalg.det(entries) - det_expected) > DET_TOL).any():
+        raise OutOfRange("determinant identity violated")
+    return resid
+
+
 def rk4_trajectory(v0, m, part, t_final, dt):
     """Plain RK4 over al_vector_field, building a fresh matrix for every
     field evaluation and every diagnostic."""
@@ -347,7 +387,7 @@ def rk4_trajectory(v0, m, part, t_final, dt):
         d = np.abs(angles - base_angles)
         drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
         unit.append(u)
-    return Trajectory(np.linspace(0.0, t_final, steps + 1), tuple(states), np.asarray(drift), np.asarray(unit))
+    return Trajectory(np.linspace(0.0, t_final, steps + 1), [v.alpha for v in states], drift, unit)
 
 
 def dense_lax_field(v, m, part):
@@ -463,7 +503,7 @@ def spectral_trajectory_loop(v0, ham, t_final, dt):
         d = np.abs(angles - base)
         drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
         unit.append(float(np.abs(c.conj().T @ c - np.eye(v.n)).max()))
-    return Trajectory(times, tuple(states), np.asarray(drift), np.asarray(unit))
+    return Trajectory(times, [v.alpha for v in states], drift, unit)
 
 
 def trajectory_to_obj_loop(traj):
@@ -474,7 +514,7 @@ def trajectory_to_obj_loop(traj):
 
     return {
         "times": [float(t) for t in traj.times],
-        "states": [{"n": int(s.n), "alpha": [pair(a) for a in s.alpha]} for s in traj.states],
+        "states": [{"n": int(traj.n), "alpha": [pair(a) for a in row]} for row in traj.alpha],
         "diagnostics": [
             {"eig_drift": float(d), "unitarity": float(u)} for d, u in zip(traj.eig_drift, traj.unitarity)
         ],
@@ -518,14 +558,14 @@ def read_samples_csv_loop(path):
 
 
 def _ndarray_as_list(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, serialize.Records)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json_loop(obj, path):
     """The JSON file as json.dump(indent=1) writes it, plus a newline; an
-    ndarray is written as its .tolist()."""
+    ndarray or serialize.Records is written as its .tolist()."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1, default=_ndarray_as_list)
         fh.write("\n")

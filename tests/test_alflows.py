@@ -10,6 +10,7 @@ from cmvkit.alflows import (
     FlowHamiltonian,
     Trajectory,
     _band_indices,
+    _trajectory,
     al_closed_form_field,
     al_vector_field,
     asymptotic_report,
@@ -30,7 +31,6 @@ from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_j
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import (
-    ANGLE_BLOCK,
     gap_rotation,
     newton_angle_steps,
     unitary_angles,
@@ -40,6 +40,7 @@ from cmvkit.opuc import (
 
 import oracles
 from oracles import (
+    UNITARITY_AGREEMENT,
     ceiling_draws,
     dense_lax_field,
     dense_rk4_endpoint,
@@ -304,7 +305,7 @@ def assert_drift_near_oracle(traj, oracle_drift):
     plus the second-order error of one Newton step, 2 K x^2 for a drift
     x, with K = (n - 1) / (smallest chord of the first spectrum) bounding
     each sum over k != j of 1 / |z_j - z_k| (eigenvalue_drift)."""
-    theta = eigvals_angles(build_cmv(traj.states[0]).entries)
+    theta = eigvals_angles(build_cmv(VerblunskySet(traj.alpha[0])).entries)
     chord = 2.0 * np.sin(min(circular_gaps(theta).min(), np.pi) / 2.0)
     bound = DRIFT_NOISE + 2.0 * (theta.size - 1) / chord * oracle_drift**2
     assert traj.eig_drift[0] == 0.0
@@ -312,12 +313,13 @@ def assert_drift_near_oracle(traj, oracle_drift):
 
 
 def assert_same_trajectory(a, oracle):
-    # the package takes the drift from Newton steps, the oracle from
-    # eigvals; everything else must match bit for bit
+    # the package takes the drift from Newton steps and the unitarity
+    # from the band of C, the oracle both from the dense matrix; times
+    # and states must match bit for bit
     assert np.array_equal(a.times, oracle.times)
-    assert np.array_equal(a.alpha_matrix(), oracle.alpha_matrix())
+    assert np.array_equal(a.alpha, oracle.alpha)
     assert_drift_near_oracle(a, oracle.eig_drift)
-    assert np.array_equal(a.unitarity, oracle.unitarity)
+    assert np.abs(a.unitarity - oracle.unitarity).max() <= UNITARITY_AGREEMENT
 
 
 def count_eigensolves(monkeypatch):
@@ -355,11 +357,10 @@ class TestIntegrateFlow:
     @pytest.mark.parametrize("m, part", [(1, "re"), (2, "im")])
     def test_agrees_with_rk4_over_the_dense_field(self, n, t_final, m, part):
         v = random_verblunsky(n, RngStream(50 + n), radius=0.6)
-        endpoint = integrate_flow(v, m, part, t_final, 1e-3).states[-1]
-        assert np.abs(endpoint.alpha - dense_rk4_endpoint(v, m, part, t_final, 1e-3).alpha).max() <= 1e-12
+        endpoint = integrate_flow(v, m, part, t_final, 1e-3).alpha[-1]
+        assert np.abs(endpoint - dense_rk4_endpoint(v, m, part, t_final, 1e-3).alpha).max() <= 1e-12
 
-    def test_builds_no_matrix_and_one_coefficient_set_per_state(self, monkeypatch):
-        import cmvkit.alflows as alflows
+    def test_stages_build_no_matrix_and_no_coefficient_set(self, monkeypatch):
         import cmvkit.core as core
 
         created = []
@@ -371,12 +372,10 @@ class TestIntegrateFlow:
 
         v = random_verblunsky(6, RngStream(42), radius=0.6)
         monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
-        builds = record_calls(monkeypatch, alflows, "build_cmv")
-        factors = record_calls(monkeypatch, core, "lm_factors")
+        factors = record_factor_builds(monkeypatch)
         traj = integrate_flow(v, 2, "re", 0.1, 1e-3)
-        assert not builds and not factors
-        assert len(traj.states) == 101 and traj.states[0] is v
-        assert len(created) == 100 and all(a is b for a, b in zip(created, traj.states[1:]))
+        assert not created and [a.shape for a in factors] == [(6,)]
+        assert traj.alpha.shape == (101, 6) and traj.alpha[0].tobytes() == v.alpha.tobytes()
 
     @pytest.mark.parametrize(
         "t_final, dt",
@@ -390,30 +389,28 @@ class TestIntegrateFlow:
     def test_zero_time(self):
         v = random_verblunsky(4, RngStream(5))
         traj = integrate_flow(v, 1, "re", 0.0, 1e-2)
-        assert len(traj.states) == 1 and traj.times[0] == 0.0
+        assert traj.alpha.shape == (1, 4) and traj.times[0] == 0.0
 
     def test_trajectory_rejects_mixed_boundaries(self):
-        from cmvkit.alflows import Trajectory
-
-        a = VerblunskySet([0.1, 1.0])
-        b = VerblunskySet([0.1, -1.0])
         with pytest.raises(InvalidParams):
-            Trajectory(np.array([0.0, 1.0]), (a, b), np.zeros(2), np.zeros(2))
+            Trajectory(np.array([0.0, 1.0]), [[0.1, 1.0], [0.1, -1.0]], np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("times, rows, drift, unit", [(2, 1, 2, 2), (2, 2, 1, 2), (2, 2, 2, 3), (0, 0, 0, 0)])
+    def test_trajectory_needs_one_state_and_diagnostic_per_time(self, times, rows, drift, unit):
+        with pytest.raises(InvalidParams, match="per time stamp"):
+            Trajectory(np.arange(float(times)), np.tile([0.1, 1.0], (rows, 1)), np.zeros(drift), np.zeros(unit))
 
     def test_trajectory_reports_drift_between_spectra(self):
         # the second spectrum moves one angle onto the Cayley pole that the
         # first spectrum's largest gap fixes, keeping the angle sum (and so
         # the boundary coefficient)
-        from cmvkit.alflows import Trajectory
-
         base = np.array([-2.5, -1.0, 0.2, 1.0, 2.0])
         moved = base.copy()
         moved[-1] = float(gap_rotation(base)) + np.pi
         moved[1] -= moved[-1] - base[-1]
         weights = np.full(5, 0.2)
         matrices = [build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights))) for t in (base, moved)]
-        block = ([C.source for C in matrices], np.stack([C.entries for C in matrices]))
-        traj = Trajectory.from_blocks([0.0, 1.0], [block])
+        traj = _trajectory(np.array([0.0, 1.0]), np.stack([C.source.alpha for C in matrices]), matrices[0].entries)
         a, b = (eigvals_angles(C.entries) for C in matrices)
         d = np.abs(b - a)
         expected = np.minimum(d, 2.0 * np.pi - d).max()
@@ -423,17 +420,17 @@ class TestIntegrateFlow:
     def test_single_site_constant(self):
         v = VerblunskySet([np.exp(0.3j)])
         traj = integrate_flow(v, 1, "re", 0.5, 1e-2)
-        assert all(abs(s.alpha[0] - v.alpha[0]) < 1e-15 for s in traj.states)
+        assert np.abs(traj.alpha[:, 0] - v.alpha[0]).max() < 1e-15
 
     def test_boundary_exactly_fixed(self):
         v = random_verblunsky(5, RngStream(6))
         traj = integrate_flow(v, 2, "im", 0.5, 1e-2)
-        assert all(s.alpha[-1] == v.alpha[-1] for s in traj.states)
+        assert np.all(traj.alpha[:, -1] == v.alpha[-1])
 
     def test_reality_preserved_under_im_flows(self):
         v = VerblunskySet(np.array([0.2, -0.4, 0.3, 0.15, -1.0], dtype=complex))
         traj = integrate_flow(v, 1, "im", 1.0, 1e-2)
-        worst = max(np.abs(s.alpha.imag).max() for s in traj.states)
+        worst = np.abs(traj.alpha.imag).max()
         assert worst <= 1e-12
 
     def test_isospectral_diagnostics(self):
@@ -445,8 +442,7 @@ class TestIntegrateFlow:
     def test_det_invariant(self):
         v = random_verblunsky(5, RngStream(8), radius=0.6)
         traj = integrate_flow(v, 2, "re", 1.0, 1e-2)
-        d0 = np.linalg.det(np.asarray(build_cmv(traj.states[0]).entries))
-        d1 = np.linalg.det(np.asarray(build_cmv(traj.states[-1]).entries))
+        d0, d1 = (np.linalg.det(build_cmv(VerblunskySet(a)).entries) for a in traj.alpha[[0, -1]])
         assert abs(d1 - d0) <= 1e-10
 
     def test_matches_spectral_endpoint(self):
@@ -454,19 +450,19 @@ class TestIntegrateFlow:
         traj = integrate_flow(v, 1, "re", 1.0, 1e-3)
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
         spectral = flow_via_spectral(v, ham, 1.0)
-        assert np.abs(traj.states[-1].alpha - spectral.alpha).max() <= 1e-8
+        assert np.abs(traj.alpha[-1] - spectral.alpha).max() <= 1e-8
 
     def test_flows_commute(self):
         v = random_verblunsky(5, RngStream(10), radius=0.55)
         s = 0.1
 
         def chain(first, then):
-            mid = integrate_flow(v, *first, s, 1e-3).states[-1]
-            return integrate_flow(mid, *then, s, 1e-3).states[-1]
+            mid = VerblunskySet(integrate_flow(v, *first, s, 1e-3).alpha[-1])
+            return integrate_flow(mid, *then, s, 1e-3).alpha[-1]
 
         ab = chain((1, "re"), (2, "re"))
         ba = chain((2, "re"), (1, "re"))
-        assert np.abs(ab.alpha - ba.alpha).max() <= 1e-6
+        assert np.abs(ab - ba).max() <= 1e-6
 
 
 class TestExactPropagation:
@@ -523,9 +519,9 @@ class TestSpectralTrajectory:
         v = random_verblunsky(6, RngStream(17), radius=0.6)
         ham = FlowHamiltonian.matching_lax_flow(2, "re")
         traj = spectral_trajectory(v, ham, 0.05, 1e-2)
-        assert traj.states[0] is v
-        for t, state in zip(traj.times[1:], traj.states[1:]):
-            assert np.array_equal(state.alpha, flow_via_spectral(v, ham, t).alpha)
+        assert traj.alpha[0].tobytes() == v.alpha.tobytes()
+        for t, state in zip(traj.times[1:], traj.alpha[1:]):
+            assert state.tobytes() == flow_via_spectral(v, ham, t).alpha.tobytes()
 
     def test_one_eigensolve_per_trajectory(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
@@ -549,11 +545,12 @@ class TestSpectralTrajectory:
 
 
 def assert_matches_the_loop(a, b):
-    """Times, states and unitarity bit for bit; the Newton drift within
-    its bound of the loop's dense drift."""
+    """Times and states bit for bit; the banded unitarity within
+    UNITARITY_AGREEMENT of the loop's dense residuals and the Newton drift
+    within its bound of the loop's dense drift."""
     assert a.times.tobytes() == b.times.tobytes()
-    assert a.alpha_matrix().tobytes() == b.alpha_matrix().tobytes()
-    assert a.unitarity.tobytes() == b.unitarity.tobytes()
+    assert a.alpha.tobytes() == b.alpha.tobytes()
+    assert np.abs(a.unitarity - b.unitarity).max() <= UNITARITY_AGREEMENT
     assert_drift_near_oracle(a, b.eig_drift)
 
 
@@ -570,28 +567,47 @@ def record_calls(monkeypatch, module, name):
     return calls
 
 
-def assert_every_state_validated_and_checked(monkeypatch, flow):
-    """flow(v) on a 301-state n = 6 grid: check_cmv runs once per
-    trajectory block, on reported states only, and covers all of them."""
+def record_factor_builds(monkeypatch):
+    """Record the coefficient argument of every batched_lm_factors call,
+    each the build of the L and M factors of dense CMV matrices."""
     import cmvkit.alflows as alflows
     import cmvkit.core as core
 
-    validated, checked = set(), set()
+    calls = []
+    original = core.batched_lm_factors
+
+    def recorded(alpha):
+        calls.append(np.asarray(alpha))
+        return original(alpha)
+
+    monkeypatch.setattr(core, "batched_lm_factors", recorded)
+    monkeypatch.setattr(alflows, "batched_lm_factors", recorded)
+    return calls
+
+
+def assert_every_state_validated_and_checked(monkeypatch, flow):
+    """flow(v) on a 301-state n = 6 grid: its rows are validated as one
+    array before the diagnostics and again by Trajectory, check_cmv_band
+    runs once (one chunk of NEWTON_BLOCK coefficients) on exactly the
+    reported states, and no state becomes a VerblunskySet."""
+    import cmvkit.alflows as alflows
+    import cmvkit.core as core
+
+    created = []
     post_init = core.VerblunskySet.__post_init__
 
     def counted_post_init(self):
         post_init(self)
-        validated.add(self.alpha.tobytes())
+        created.append(self)
 
+    v = random_verblunsky(6, RngStream(40), radius=0.6)
     monkeypatch.setattr(core.VerblunskySet, "__post_init__", counted_post_init)
-    checks = record_calls(monkeypatch, alflows, "check_cmv")
-    traj = flow(random_verblunsky(6, RngStream(40), radius=0.6))
-    for entries, alpha in checks:
-        checked.update(a.tobytes() for a in alpha)
-    assert len(traj.states) == 301 and len(validated) >= 301
-    assert len(checks) == -(-301 // (ANGLE_BLOCK // 36)) == 3
-    assert sum(len(alpha) for _, alpha in checks) == 301
-    assert all(s.alpha.tobytes() in validated and s.alpha.tobytes() in checked for s in traj.states)
+    validated = record_calls(monkeypatch, alflows, "check_coefficient_rows")
+    checks = record_calls(monkeypatch, alflows, "check_cmv_band")
+    traj = flow(v)
+    assert traj.alpha.shape == (301, 6) and not created
+    assert len(validated) == 2 and all(a.tobytes() == traj.alpha.tobytes() for (a,) in validated)
+    assert len(checks) == 1 and checks[0][0].tobytes() == traj.alpha.tobytes()
 
 
 class TestStackedTimeAxis:
@@ -615,13 +631,13 @@ class TestStackedTimeAxis:
         v = random_verblunsky(n, RngStream(3), radius=0.6)
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
         traj = spectral_trajectory(v, ham, 5.0, 1e-3)
-        assert len(traj.states) == 5001
+        assert len(traj.alpha) == 5001
         assert_matches_the_loop(traj, oracles.spectral_trajectory_loop(v, ham, 5.0, 1e-3))
 
     def test_zero_time(self):
         v = random_verblunsky(4, RngStream(5))
         traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.0, 1e-2)
-        assert traj.states == (v,) and traj.eig_drift.tolist() == [0.0]
+        assert traj.alpha.tobytes() == v.alpha.tobytes() and traj.eig_drift.tolist() == [0.0]
 
     def test_every_state_validated_and_checked(self, monkeypatch):
         ham = FlowHamiltonian.matching_lax_flow(1, "re")
@@ -629,6 +645,19 @@ class TestStackedTimeAxis:
 
     def test_every_rk4_state_validated_and_checked(self, monkeypatch):
         assert_every_state_validated_and_checked(monkeypatch, lambda v: integrate_flow(v, 1, "re", 0.3, 1e-3))
+
+    @pytest.mark.parametrize("n, t_final", [(3, 0.5), (6, 0.3), (64, 0.004)])
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_one_dense_matrix_per_trajectory(self, monkeypatch, n, t_final, method):
+        # every state is trusted here: the first state's matrix is the
+        # only one built, for its eigensystem (spectral) and its angles
+        factors = record_factor_builds(monkeypatch)
+        v = random_verblunsky(n, RngStream(41), radius=0.6)
+        if method == "rk4":
+            integrate_flow(v, 1, "re", t_final, 1e-3)
+        else:
+            spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, 1e-3)
+        assert len(factors) == 1 and factors[0].tobytes() == v.alpha.tobytes()
 
     @pytest.mark.parametrize("n, t_final", [(3, 0.5), (6, 0.3), (64, 0.004)])
     @pytest.mark.parametrize("method", ["rk4", "spectral"])
@@ -647,7 +676,7 @@ class TestStackedTimeAxis:
         assert len(reads) == 1 and np.asarray(reads[0][0]).shape == (n, n)
         assert np.array_equal(reads[0][0], build_cmv(v).entries)
         rows = [len(alpha) for alpha, _ in chunks]
-        assert sum(rows) == len(traj.states) and max(rows) == min(len(traj.states), NEWTON_BLOCK // n)
+        assert sum(rows) == len(traj.alpha) and max(rows) == min(len(traj.alpha), NEWTON_BLOCK // n)
 
     @pytest.mark.parametrize("side", [0.5, 2.0])
     def test_both_sides_of_the_trust_rule(self, monkeypatch, side):
@@ -668,7 +697,7 @@ class TestStackedTimeAxis:
             for t in (base, base + [0.0, -x, 0.0, 0.0, x])
         )
         reads = record_calls(monkeypatch, alflows, "unitary_angles")
-        traj = Trajectory.from_blocks([0.0, 1.0], [([first.source, moved.source], np.stack([first.entries, moved.entries]))])
+        traj = _trajectory(np.array([0.0, 1.0]), np.stack([first.source.alpha, moved.source.alpha]), first.entries)
         reach = newton_angle_steps(moved.source.alpha, unitary_angles(first.entries))[1]
         assert (reach.max() <= limit) == (side < 1.0)
         assert traj.eig_drift[0] == 0.0
@@ -696,8 +725,7 @@ class TestStackedTimeAxis:
         for v in draws:
             turned = VerblunskySet(v.alpha * np.exp(-1j * s * np.arange(1, n + 1)))
             matrices = [build_cmv(v), build_cmv(turned)]
-            block = ([v, turned], np.stack([C.entries for C in matrices]))
-            traj = Trajectory.from_blocks([0.0, 1.0], [block])
+            traj = _trajectory(np.array([0.0, 1.0]), np.stack([v.alpha, turned.alpha]), matrices[0].entries)
             dense = oracles.cyclic_drift(*(eigvals_angles(C.entries) for C in matrices))
             assert abs(traj.eig_drift[1] - dense) <= DRIFT_NOISE
             assert abs(traj.eig_drift[1] - s) <= DRIFT_NOISE
@@ -718,7 +746,7 @@ class TestBranchCut:
             traj = integrate_flow(v, 1, "re", 0.05, 1e-3)
         else:
             traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.05, 1e-3)
-        angles = np.array([eigvals_angles(build_cmv(s).entries) for s in traj.states])
+        angles = np.array([eigvals_angles(build_cmv(VerblunskySet(a)).entries) for a in traj.alpha])
         # the eigenvalue at pi is read on both branches along the flow
         assert (angles[:, 0] < -3.0).any() and (angles[:, -1] > 3.0).any()
         assert traj.eig_drift.max() <= 1e-10
@@ -735,7 +763,7 @@ class TestGauge:
         v = random_verblunsky(4, RngStream(18), radius=0.5)
         traj = integrate_flow(v, 1, "re", 0.3, 1e-3)
         beta = gauge_transform(traj)
-        assert np.abs(np.abs(beta) - np.abs(traj.alpha_matrix())).max() < 1e-14
+        assert np.abs(np.abs(beta) - np.abs(traj.alpha)).max() < 1e-14
 
     def test_stationary_frame_equation(self):
         # -i d(beta_k)/dt = rho_k^2 (beta_{k+1} + beta_{k-1}) - 2 beta_k,

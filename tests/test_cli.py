@@ -209,7 +209,7 @@ class TestFlow:
         code = run("flow", "--random", "--n", 4, "--seed", 3, "--t", 0, "--out", out, "--quiet")
         assert code == 0
         traj = serialize.trajectory_from_obj(serialize.load_json(out))
-        assert len(traj.states) == 1
+        assert traj.alpha.shape == (1, 4)
 
     def test_methods_agree(self, tmp_path):
         init = tmp_path / "v.json"
@@ -222,7 +222,7 @@ class TestFlow:
                    "--method", "spectral", "--out", spectral, "--quiet") == 0
         t1 = serialize.trajectory_from_obj(serialize.load_json(rk4))
         t2 = serialize.trajectory_from_obj(serialize.load_json(spectral))
-        assert np.abs(t1.states[-1].alpha - t2.states[-1].alpha).max() <= 1e-6
+        assert np.abs(t1.alpha[-1] - t2.alpha[-1]).max() <= 1e-6
 
     def test_diagnostics_present(self, tmp_path):
         out = tmp_path / "t.json"

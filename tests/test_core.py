@@ -10,15 +10,19 @@ from cmvkit.core import (
     batched_lm_factors,
     build_cmv,
     build_jacobi,
-    check_cmv,
+    check_coefficient_rows,
     circle_weights,
     circular_gaps,
     lm_factors,
     principal_angle,
+    renormalize_boundary,
 )
-from cmvkit.errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
+from cmvkit.alflows import Trajectory, check_cmv_band
+from cmvkit.ensembles import RngStream, random_verblunsky
+from cmvkit.errors import DegenerateSpectrum, InvalidParams, NonPositiveOffDiagonal, OutOfRange
 
-from oracles import cmv_pattern, lm_factors_loop
+import oracles
+from oracles import UNITARITY_AGREEMENT, ceiling_draws, check_cmv, cmv_pattern, lm_factors_loop
 from strategies import verblunsky_sets
 
 
@@ -199,10 +203,12 @@ def grid_sets():
 
 
 def assert_cmv_invariants(v):
-    """build_cmv(v) passes check_cmv, whose residual is the dense one."""
+    """build_cmv(v) passes the dense check, whose residual is the dense one,
+    and the banded check agrees with it."""
     c = build_cmv(v).entries
     resid = check_cmv(c[None], v.alpha[None])
     assert resid[0] == np.abs(c.conj().T @ c - np.eye(v.n)).max() <= 1e-12
+    assert abs(check_cmv_band(v.alpha[None])[0] - resid[0]) <= UNITARITY_AGREEMENT
 
 
 class TestInvariants:
@@ -219,7 +225,17 @@ class TestInvariants:
         assert_cmv_invariants(v)
 
 
+def draw_stack(n, radius, k=8):
+    if radius == "ceiling":
+        return np.array([v.alpha for v in ceiling_draws(n, 70 + n, count=k)])
+    gen = RngStream(70 + n).generator()
+    return np.array([random_verblunsky(n, gen, radius=radius).alpha for _ in range(k)])
+
+
 class TestStackedCheck:
+    """The dense oracle check_cmv on stacks: its residuals are the dense
+    ones, and a stack raises at its bad matrix as that matrix alone does."""
+
     @staticmethod
     def stack(n=6, k=5):
         rng = np.random.default_rng(n)
@@ -263,6 +279,101 @@ class TestStackedCheck:
         with pytest.raises(OutOfRange) as single:
             check_cmv(entries[j][None], alpha[j][None])
         assert message in str(stacked.value) and str(stacked.value) == str(single.value)
+
+
+class TestBandCheck:
+    """alflows.check_cmv_band, the O(n) check every flow state gets, held
+    to the dense oracle check_cmv: residuals within UNITARITY_AGREEMENT
+    and the same verdict, on stacks as on single rows."""
+
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in (1, 2, 3, 6, 17, 64) for r in (0.6, 0.9, 0.95, "ceiling") if n > 2 or r != "ceiling"]
+    )
+    def test_residuals_match_the_dense_check(self, n, radius):
+        alpha = draw_stack(n, radius)
+        L, M = batched_lm_factors(alpha)
+        band = check_cmv_band(alpha)
+        dense = check_cmv(L @ M, alpha)
+        assert np.abs(band - dense).max() <= UNITARITY_AGREEMENT
+        assert band.max() <= 1e-12
+        for a, u in zip(alpha, band):
+            assert u.tobytes() == check_cmv_band(a[None]).tobytes()
+
+    @pytest.mark.parametrize("invariant, message", [
+        ("UNITARITY_TOL", "unitarity residual"),
+        ("TRACE_TOL", "trace identity"),
+        ("DET_TOL", "determinant identity"),
+    ])
+    def test_each_invariant_raises_as_the_dense_check_does(self, monkeypatch, invariant, message):
+        # a negative tolerance fails that invariant on every matrix; the
+        # ones checked before it still pass
+        alpha = draw_stack(6, 0.9)
+        L, M = batched_lm_factors(alpha)
+        monkeypatch.setattr(f"cmvkit.alflows.{invariant}", -1.0)
+        monkeypatch.setattr(f"oracles.{invariant}", -1.0)
+        with pytest.raises(OutOfRange, match=message):
+            check_cmv_band(alpha)
+        with pytest.raises(OutOfRange, match=message):
+            check_cmv(L @ M, alpha)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_a_boundary_off_the_circle_fails_both(self, scale):
+        # the only way rows can break the identities: C's last column
+        # (or row) loses its unit norm
+        alpha = draw_stack(6, 0.6)
+        alpha[3, -1] *= scale
+        L, M = batched_lm_factors(alpha)
+        with pytest.raises(OutOfRange, match="unitarity residual") as banded:
+            check_cmv_band(alpha)
+        with pytest.raises(OutOfRange, match="unitarity residual") as dense:
+            check_cmv(L @ M, alpha)
+        assert str(banded.value) == str(dense.value)
+
+
+def valid_rows(k=4, n=5):
+    gen = RngStream(80).generator()
+    return np.array([random_verblunsky(n, gen, radius=0.6).alpha for _ in range(k)])
+
+
+class TestCoefficientRows:
+    """check_coefficient_rows validates a stack of rows as VerblunskySet
+    validates each one: the same error type and message."""
+
+    @pytest.mark.parametrize("corrupt", ["nan", "interior", "boundary"])
+    def test_rejects_as_the_constructor_does(self, corrupt):
+        alpha = valid_rows()
+        if corrupt == "nan":
+            alpha[2, 1] = complex(np.nan, 0.0)
+        elif corrupt == "interior":
+            alpha[2, 1] = (1.0 - 5e-13) * np.exp(0.4j)
+        else:
+            alpha[2, -1] *= 1.0 + 5e-12
+        with pytest.raises(OutOfRange) as single:
+            VerblunskySet(alpha[2])
+        with pytest.raises(OutOfRange) as stacked:
+            check_coefficient_rows(alpha)
+        with pytest.raises(OutOfRange) as trajectory:
+            Trajectory(np.arange(4.0), alpha, np.zeros(4), np.zeros(4))
+        assert str(single.value) == str(stacked.value) == str(trajectory.value)
+
+    def test_stacked_renormalization_is_the_scalar_one(self):
+        # 2000 boundaries within 1e-13 of the circle: the stack divides
+        # each by np.hypot, bit for bit b / abs(b) on one complex scalar,
+        # the constructor's former rule; np.abs on the stack would move a
+        # last bit
+        gen = RngStream(81).generator()
+        alpha = np.zeros((2000, 2), dtype=complex)
+        alpha[:, 1] = (1.0 + gen.uniform(-1e-13, 1e-13, 2000)) * np.exp(1j * gen.uniform(-np.pi, np.pi, 2000))
+        expected = np.array([b / abs(b) for b in alpha[:, 1]])
+        assert renormalize_boundary(alpha.copy())[:, 1].tobytes() == expected.tobytes()
+        assert all(VerblunskySet(a).alpha[1] == b for a, b in zip(alpha, expected))
+        assert (alpha[:, 1] / np.abs(alpha[:, 1]) != expected).any()
+
+    def test_trajectory_rejects_rows_with_different_boundaries(self):
+        alpha = valid_rows()
+        alpha[3, -1] *= np.exp(1e-9j)
+        with pytest.raises(InvalidParams, match="share the boundary"):
+            Trajectory(np.arange(4.0), alpha, np.zeros(4), np.zeros(4))
 
 
 class TestJacobi:

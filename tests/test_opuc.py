@@ -387,11 +387,12 @@ class TestStackedSzego:
         t, rows = circle_weights(theta, w)
         alphas = szego_rows(t, rows, n)
         states = verblunsky_rows(t, rows)
+        assert states.shape == (w.shape[0], n)
         for i in range(w.shape[0]):
             mu = SpectralMeasureCircle(theta, w[i])
             assert alphas[i].tobytes() == szego_loop(mu, n).tobytes()
             assert alphas[i].tobytes() == szego_coefficients(mu, n).tobytes()
-            assert states[i].alpha.tobytes() == verblunsky_from_measure(mu).alpha.tobytes()
+            assert states[i].tobytes() == verblunsky_from_measure(mu).alpha.tobytes()
 
     def test_partial_rows(self):
         t, rows = circle_weights(*self.weight_stack(6))

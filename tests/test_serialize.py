@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cmvkit import serialize
+from cmvkit import cli, serialize
 from cmvkit.alflows import FlowHamiltonian, Trajectory, integrate_flow, spectral_trajectory
 from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
 from cmvkit.ensembles import RngStream, random_verblunsky
@@ -89,9 +89,38 @@ class TestTrajectoryJson:
         path = tmp_path / "traj.json"
         serialize.dump_json(serialize.trajectory_to_obj(traj), path)
         again = serialize.trajectory_from_obj(serialize.load_json(path))
-        assert np.array_equal(traj.times, again.times)
-        assert np.array_equal(traj.alpha_matrix(), again.alpha_matrix())
-        assert np.array_equal(traj.eig_drift, again.eig_drift)
+        for name in ("times", "alpha", "eig_drift", "unitarity"):
+            assert getattr(traj, name).tobytes() == getattr(again, name).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, 64])
+    @pytest.mark.parametrize("method", ["rk4", "spectral"])
+    def test_flow_file_read_back_and_rewritten_is_byte_identical(self, tmp_path, n, method):
+        # the rows are kept as written: no boundary is renormalized again
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert cli.main(["flow", "--random", "--n", str(n), "--seed", "5", "--t", "0.02", "--dt", "1e-3",
+                         "--method", method, "--out", str(first), "--quiet"]) == 0
+        serialize.dump_json(serialize.trajectory_to_obj(serialize.trajectory_from_obj(serialize.load_json(first))),
+                            second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.pop("states"),
+        lambda o: o["states"][1]["alpha"].pop(),
+        lambda o: o["states"][1]["alpha"][0].append(0.0),
+        lambda o: o["states"][1]["alpha"][0].__setitem__(0, "0.5"),
+        lambda o: o["states"][1].__setitem__("n", 2.0),
+        lambda o: o["states"][1].__setitem__("n", 3),
+        lambda o: o["diagnostics"][0].pop("unitarity"),
+        lambda o: o["diagnostics"].pop(),
+        lambda o: o["times"].pop(),
+        lambda o: o.__setitem__("states", []),
+    ])
+    def test_malformed_trajectory_object_rejected(self, edit):
+        traj = integrate_flow(random_verblunsky(2, RngStream(4), radius=0.5), 1, "re", 0.02, 1e-2)
+        obj = trajectory_to_obj_loop(traj)
+        edit(obj)
+        with pytest.raises(InvalidParams):
+            serialize.trajectory_from_obj(obj)
 
 
     @pytest.mark.parametrize("n", [1, 6, 64])
@@ -223,7 +252,7 @@ class TestSamplesCsvReader:
 def non_finite_trajectory():
     v = random_verblunsky(3, RngStream(6), radius=0.5)
     traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), 0.003, 1e-3)
-    return Trajectory(traj.times, traj.states, np.array([0.0, np.nan, np.inf, 1e-17]),
+    return Trajectory(traj.times, traj.alpha, np.array([0.0, np.nan, np.inf, 1e-17]),
                       np.array([-np.inf, 5e-324, 0.0, -0.0]))
 
 
@@ -240,6 +269,10 @@ JSON_CASES = [
     # past serialize.JSON_CHUNK floats: one array, and many with text between them
     [np.linspace(-1.0, 1.0, 70001)],
     {"%": [{"a%s": np.full((2, 300, 2), 1 / 3) * k} for k in range(60)], "t": "%r"},
+    # objects of one layout, in one block and past JSON_CHUNK values in many
+    serialize.Records({"n": 3, "%s": "%r", "alpha": np.arange(24.0).reshape(4, 3, 2), "u": np.zeros(4)}),
+    {"r": serialize.Records({"a": np.zeros((0, 2))}), "s": [serialize.Records({"x": np.array([np.nan, -0.0])})]},
+    serialize.Records({"x": np.linspace(0.0, 1.0, 40001), "y": np.full((40001, 1), -1e-300), "z": None}),
 ]
 
 
@@ -258,6 +291,24 @@ class TestDumpJson:
     def test_trajectory_bytes_equal_json_dump(self, traj):
         ours, theirs = dumped_by_both(serialize.trajectory_to_obj(traj))
         assert ours == theirs == dumped_by_both(trajectory_to_obj_loop(traj))[1]
+        assert dumped_by_both(trajectory_to_obj_loop(traj))[0] == ours
+
+    @pytest.mark.parametrize("fields", [{}, {"n": 1}, {"a": np.zeros(2), "b": np.zeros(3)},
+                                        {"a": np.zeros(2, dtype=int)}, {"a": np.float64(1.0)}])
+    def test_records_need_float_rows(self, fields):
+        with pytest.raises(TypeError):
+            serialize.Records(fields)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 4).flatmap(lambda rows: st.dictionaries(
+        st.text(max_size=3),
+        hnp.arrays(np.float64, st.tuples(st.just(rows)) | st.tuples(st.just(rows), st.integers(0, 3)))
+        | st.none() | st.integers() | st.floats() | st.text(max_size=3),
+        min_size=1, max_size=4,
+    ).filter(lambda d: any(isinstance(v, np.ndarray) for v in d.values()))))
+    def test_any_records(self, fields):
+        ours, theirs = dumped_by_both(serialize.Records(fields))
+        assert ours == theirs
 
     @pytest.mark.parametrize("obj", [1j, np.int64(3), {1: 2.0}, object()])
     def test_unserializable_values_raise(self, tmp_path, obj):
