@@ -22,11 +22,12 @@ and one szego_rows pass over (T, n) weights.
 Both trajectories share one time grid of at most MAX_STEPS steps and
 hold their states as one (T, n) coefficient array.  check_cmv_band tests
 the CMV invariants of every state in O(n) from the band of C = L M; its
-residuals are the unitarity diagnostic.  The first state's matrix is the
-only dense one: its angles are read once, and every state's drift is one
-Newton step on its paraorthogonal polynomial Phi_n from them, O(n^2) per
-state (eigenvalue_drift), with a dense read only for a state whose step
-the trust rule rejects.
+residuals are the unitarity diagnostic.  It and the bracket field gather
+L and M by core's one layout, core.lm_band_indices.  The first state's
+matrix is the only dense one: its angles are read once, and every
+state's drift is one Newton step on its paraorthogonal polynomial Phi_n
+from them, O(n^2) per state (eigenvalue_drift), with a dense read only
+for a state whose step the trust rule rejects.
 
 Direction convention: the commutator flow of the Hamiltonian Im tr f(C)
 transports spectral weights like exp(-F t), like the exact propagator of
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,9 @@ from .core import (
     check_coefficient_rows,
     circle_weights,
     circular_gaps,
+    factor_entries,
+    lm_band_indices,
+    renormalize_boundary,
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
 from .opuc import (
@@ -186,7 +191,7 @@ def _bracket_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
     g of hamiltonian_gradients, with rho^2 multiplied through so that
     nothing is divided; pick takes H's part (Re or Im) of each term."""
     rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,))
-    pick = np.real if part == "re" else np.imag
+    pick = operator.attrgetter("real" if part == "re" else "imag")
     return rho * rho * (pick(-1j * (x00 + x11)) - 1j * pick(x00 - x11)) + 1j * rho * pick(o) * alpha[:-1]
 
 
@@ -197,14 +202,14 @@ def _bracket_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _band_indices(n: int, m: int) -> tuple:
-    """Flat gather indices of _trace_gradient_blocks up to order m; one
+    """Flat gather indices of _trace_gradient_blocks up to order m into the
+    bands of L and M (core.lm_band_indices) and of the powers of C; one
     that leaves a band reads flat index 0.
 
-    factors: L and M, blocks as in batched_lm_factors, from [conj(alpha),
-    -alpha[:-1], rho, 1, 0]; products: B in (AB)[i, i + r] = sum_p
-    A[i, i + p] B[i + p, i + r], for L M and C C^j, 0 < j < m - 1; blocks:
-    the three factor and C^(m-1) entries summed into each of X[k, k],
-    X[k + 1, k + 1], X[k, k + 1] and X[k + 1, k]; identity: C^0."""
+    products: B in (AB)[i, i + r] = sum_p A[i, i + p] B[i + p, i + r], for
+    L M and C C^j, 0 < j < m - 1; blocks: the three factor and C^(m-1)
+    entries summed into each of X[k, k], X[k + 1, k + 1], X[k, k + 1] and
+    X[k + 1, k]; identity: C^0."""
     size = n + 2
 
     def flat(rows, cols, width):
@@ -212,11 +217,6 @@ def _band_indices(n: int, m: int) -> tuple:
         return np.where(ok, rows * width + cols, 0)
 
     k = np.arange(n - 1)
-    factors = np.full((2, size, 3), 3 * n - 1)
-    factors[1, 1, 1] = 3 * n - 2
-    factors[(n - 1) % 2, n, 1] = n - 1
-    for col, shift, src in ((1, 0, k), (2, 0, 2 * n - 1 + k), (0, 1, 2 * n - 1 + k), (1, 1, n + k)):
-        factors[k % 2, 1 + k + shift, col] = src
     # widths[j] is the half-width of C^j's band.  C^(j+1) = A B, with A, B
     # = L, M for j = 0 and C, C^j after, reads B only inside the matrix
     # (offsets up to n - 1), so no band grows past n + 1 however large m
@@ -234,14 +234,14 @@ def _band_indices(n: int, m: int) -> tuple:
     d_blocks = np.where(even, flat(1 + i + p, w + j - i - p, 2 * w + 1), flat(1 + i, w + j + p - i, 2 * w + 1))
     identity = np.zeros((size, 1))
     identity[1 : n + 1] = 1.0
-    return factors, products, (f_blocks, d_blocks), identity
+    return products, (f_blocks, d_blocks), identity
 
 
 def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     """The package's one derivative of the trace Hamiltonians K_m: rho_k,
     and for each m in degrees the arrays x00 = X[k, k], x11 = X[k+1, k+1]
     and o = X[k, k+1] + X[k+1, k] over the interior k, from the raw
-    coefficients alpha (n,).
+    coefficients alpha (n,), L and M gathered by core.lm_band_indices.
 
     dK_m = tr(C^(m-1) dC), and alpha_k moves only its block of L (k even)
     or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
@@ -250,20 +250,19 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     all the degrees.
     """
     n = alpha.size
-    factors, products, _, identity = _band_indices(n, max(degrees))
-    inner = alpha[:-1]
-    rho = np.sqrt(1.0 - (inner.real * inner.real + inner.imag * inner.imag))
-    F = np.concatenate([alpha.conj(), -inner, rho, [1.0, 0.0]])[factors]
+    products, _, identity = _band_indices(n, max(degrees))
+    entries = factor_entries(alpha)
+    F = entries[lm_band_indices(n)]
     powers = [identity]
     for index in products:
         A, B = F if len(powers) == 1 else (powers[1], powers[-1])  # L M, then C C^j
         powers.append((A[:, None, :] @ B.ravel()[index])[:, 0])
     blocks = []
     for m in degrees:
-        f_blocks, d_blocks = _band_indices(n, m)[2]
+        f_blocks, d_blocks = _band_indices(n, m)[1]
         x = (F.ravel()[f_blocks] * powers[m - 1].ravel()[d_blocks]).sum(axis=-1)
         blocks.append((x[0], x[1], x[2] + x[3]))
-    return rho, blocks
+    return entries[2 * n - 1 : 3 * n - 2].real, blocks
 
 
 def check_cmv_band(alpha: np.ndarray) -> np.ndarray:
@@ -279,12 +278,9 @@ def check_cmv_band(alpha: np.ndarray) -> np.ndarray:
     """
     k, n = alpha.shape
     a = alpha.T  # rows along the last axis: every operation is a long contiguous loop
-    inner = a[:-1]
-    mod2 = inner.real * inner.real + inner.imag * inner.imag
-    rho = np.sqrt(1.0 - mod2)
-    fixed = np.broadcast_to([[1.0], [0.0]], (2, k))
+    entries = factor_entries(alpha).T
     # [0, 1 + p, 1 + i] = L[i, i + p] and [1, 1 + p, 1 + i] = M[i, i + p]
-    L, M = np.concatenate([a.conj(), -inner, rho, fixed])[np.moveaxis(_band_indices(n, 1)[0], 2, 1)]
+    L, M = entries[np.moveaxis(lm_band_indices(n), 2, 1)]
     C = np.zeros((5, n + 4, k), dtype=complex)  # [2 + d, 2 + i] = C[i, i + d] = sum_p L[i, i + p] M[i + p, i + d]
     for p in (-1, 0, 1):
         C[p + 1 : p + 4, 2 : n + 2] += L[1 + p, 1 : n + 1] * M[:, 1 + p : n + 1 + p]
@@ -299,6 +295,9 @@ def check_cmv_band(alpha: np.ndarray) -> np.ndarray:
         raise OutOfRange(f"unitarity residual {resid.max():.3e} exceeds {UNITARITY_TOL:g}")
     if (np.abs(C[2, 2 : n + 2].sum(axis=0) - a[0].conj() + (a[:-1] * a[1:].conj()).sum(axis=0)) > TRACE_TOL).any():
         raise OutOfRange("trace identity violated")
+    # |alpha_k|^2 from the coefficients: 1 - rho^2 would make the check a tautology
+    inner, rho = a[:-1], entries[2 * n - 1 : 3 * n - 2].real
+    mod2 = inner.real * inner.real + inner.imag * inner.imag
     last = a[-1].conj()
     if (np.abs((-(mod2 + rho * rho)).prod(axis=0) * last - (-1.0) ** (n - 1) * last) > DET_TOL).any():
         raise OutOfRange("determinant identity violated")
@@ -445,12 +444,12 @@ def _cyclic_drift(theta: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.minimum(d, 2.0 * math.pi - d).max(axis=2).min(axis=1)
 
 
-def _flow_alpha(interior: np.ndarray, boundary: complex) -> np.ndarray:
-    """A flow state's or RK4 stage's coefficients, past the modulus ceiling."""
+def _flow_alpha(interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Interior (past the modulus ceiling) and boundary (1,) of a flow state or RK4 stage."""
     mods = np.abs(interior)
     if mods.size and mods.max() > MODULUS_CEILING:
         raise RhoTooSmall(f"coefficient modulus {mods.max():.12g} reached the circle")
-    return np.concatenate([interior, [boundary]])
+    return np.concatenate([interior, boundary])
 
 
 def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
@@ -482,8 +481,7 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """
     m, part = _check_order(m), _check_part(part)
     times, h = _flow_grid(t_final, dt)
-    b = v0.alpha[-1]
-    boundary = b / abs(b)  # v0's boundary renormalized once more, as VerblunskySet(v0.alpha) would
+    boundary = renormalize_boundary(v0.alpha[-1:].copy())  # once more, as VerblunskySet(v0.alpha) would
 
     def field(y: np.ndarray) -> np.ndarray:
         return _bracket_velocity(_flow_alpha(y, boundary), m, part)

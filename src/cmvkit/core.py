@@ -9,12 +9,17 @@ measures) together with the structural builders.  The containers are
 validated at construction (coefficient rows also in stacks, by
 check_coefficient_rows); alflows.check_cmv_band tests the CMV invariants.
 
+The layout of C = L M is decided here only: lm_band_indices places the
+factor_entries of L and M, which batched_lm_factors scatters and the
+alflows kernels gather, all with the one rho of coefficient_rho.
+
 All types are immutable values after construction and safe to share
 between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,8 +66,8 @@ class VerblunskySet:
 
     The interior entries must satisfy |alpha_k| <= 1 - 1e-12; the last is
     renormalized to exact unit modulus provided it starts within 1e-12 of
-    the circle.  rho_k = sqrt(1 - |alpha_k|^2) is cached for the n-1
-    interior coefficients.
+    the circle.  rho_k = sqrt(1 - |alpha_k|^2) (coefficient_rho, the
+    kernels' rho bit for bit) is cached for the n-1 interior coefficients.
     """
 
     alpha: np.ndarray
@@ -70,11 +75,10 @@ class VerblunskySet:
 
     def __post_init__(self):
         a = np.array(self.alpha, dtype=complex).reshape(-1)
-        mods = check_coefficient_rows(a)
+        check_coefficient_rows(a)
         renormalize_boundary(a)
-        rho = np.sqrt(1.0 - mods * mods)
         object.__setattr__(self, "alpha", _frozen(a))
-        object.__setattr__(self, "rho", _frozen(rho))
+        object.__setattr__(self, "rho", _frozen(coefficient_rho(a[:-1])))
 
     @property
     def n(self) -> int:
@@ -93,9 +97,9 @@ class VerblunskySet:
         return VerblunskySet(np.concatenate([interior, self.alpha[-1:]]))
 
 
-def check_coefficient_rows(a: np.ndarray) -> np.ndarray:
+def check_coefficient_rows(a: np.ndarray) -> None:
     """Validate every row of a (..., n) complex array as VerblunskySet does
-    one, raising the same OutOfRange; returns the interior moduli."""
+    one, raising the same OutOfRange."""
     if a.shape[-1] == 0:
         raise OutOfRange("need at least one coefficient")
     if not np.isfinite(a).all():
@@ -107,7 +111,6 @@ def check_coefficient_rows(a: np.ndarray) -> np.ndarray:
     off = np.abs(last - 1.0)
     if off.max(initial=0.0) > BOUNDARY_TOL:
         raise OutOfRange(f"|alpha_{a.shape[-1] - 1}| = {last.flat[off.argmax()]:.17g}, expected 1 within {BOUNDARY_TOL:g}")
-    return mods
 
 
 def renormalize_boundary(a: np.ndarray) -> np.ndarray:
@@ -121,50 +124,77 @@ def renormalize_boundary(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """L and M factors of every coefficient vector in a (..., n) array.
+def coefficient_rho(interior) -> np.ndarray:
+    """rho_k = sqrt(1 - |alpha_k|^2) of an array of coefficients in the
+    closed disk, |alpha_k|^2 summed as re^2 + im^2.  The one rho of the
+    package: the factors, the bracket kernels and VerblunskySet.rho."""
+    return np.sqrt(1.0 - (interior.real * interior.real + interior.imag * interior.imag))
 
-    Returns two (..., n, n) arrays laid out as in lm_factors: each 2x2
-    block is [[conj(a), rho], [rho, -a]] with rho = sqrt(1 - |a|^2).  The
-    last coefficient of each vector is taken as given, not renormalized.
-    """
+
+def factor_entries(alpha) -> np.ndarray:
+    """The (..., 3n) values of L and M for coefficient rows alpha (..., n):
+    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n)."""
+    a = np.asarray(alpha, dtype=complex)
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (3 * n,), dtype=complex)
+    np.conjugate(a, out=out[..., :n])
+    np.negative(a[..., :-1], out=out[..., n : 2 * n - 1])
+    out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1])
+    out[..., 3 * n - 2] = 1.0
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def lm_band_indices(n: int) -> np.ndarray:
+    """The layout of L and M: a read-only (2, n + 2, 3) table of indices
+    into factor_entries, [f, 1 + i, 1 + p] for entry [i, i + p] of L
+    (f = 0) or M (f = 1); padding rows and zero entries read index 3n - 1.
+    L holds the blocks [[conj(a_k), rho_k], [rho_k, -a_k]] at even k, M a
+    leading 1 and those at odd k, and the factor the parity of n - 1 picks
+    ends in the 1x1 block [conj(alpha_{n-1})] (for n = 1, L is that)."""
+    k = np.arange(n - 1)
+    table = np.full((2, n + 2, 3), 3 * n - 1)
+    table[1, 1, 1] = 3 * n - 2
+    table[(n - 1) % 2, n, 1] = n - 1
+    for col, shift, src in ((1, 0, k), (2, 0, 2 * n - 1 + k), (0, 1, 2 * n - 1 + k), (1, 1, n + k)):
+        table[k % 2, 1 + k + shift, col] = src
+    return _frozen(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_lm_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of lm_band_indices(n): their indices into
+    factor_entries and their flat positions in the (2, n, n) pair [L, M]."""
+    f, r, c = np.nonzero(lm_band_indices(n) != 3 * n - 1)
+    return lm_band_indices(n)[f, r, c], (f * n + r - 1) * n + r + c - 2
+
+
+def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Dense L and M factors, (..., n, n) each, of every coefficient row of
+    alpha (..., n), laid out by lm_band_indices.  The last coefficient of
+    each row is taken as given, not renormalized; interior moduli up to
+    1 + 1e-12 are admitted, with rho = 0 past 1."""
     a = np.asarray(alpha, dtype=complex)
     n = a.shape[-1]
     inner = a[..., :-1]
     mod2 = inner.real * inner.real + inner.imag * inner.imag
-    if mod2.size and mod2.max() > 1.0 + 1e-12:
-        raise OutOfRange(f"|alpha| = {math.sqrt(mod2.max()):.17g} exceeds 1")
-    rho = np.sqrt(np.maximum(1.0 - mod2, 0.0))
-    conj, neg = a.conj(), -inner
-    LM = np.zeros(a.shape[:-1] + (2, n * n), dtype=complex)
-    L, M = LM[..., 0, :], LM[..., 1, :]
-    M[..., 0] = 1.0
-    # In a flattened n x n matrix, entry (k + i, k + j) sits at
-    # k (n + 1) + i n + j, so a stride of 2 (n + 1) visits the same entry
-    # of every other 2x2 block: those at even k in L, odd k in M.  Each
-    # stride runs past the end of the matrix exactly where the blocks
-    # stop, and the diagonal strides also reach the boundary 1x1 block
-    # [conj(alpha_{n-1})] in the factor it belongs to.
-    step = 2 * (n + 1)
-    L[..., ::step] = conj[..., ::2]
-    L[..., 1::step] = L[..., n::step] = rho[..., ::2]
-    L[..., n + 1 :: step] = neg[..., ::2]
-    M[..., n + 1 :: step] = conj[..., 1::2]
-    M[..., n + 2 :: step] = M[..., 2 * n + 1 :: step] = rho[..., 1::2]
-    M[..., 2 * n + 2 :: step] = neg[..., 1::2]
-    shape = a.shape + (n,)
-    return L.reshape(shape), M.reshape(shape)
+    top = mod2.max(initial=0.0)
+    if top > 1.0 + 1e-12:
+        raise OutOfRange(f"|alpha| = {math.sqrt(top):.17g} exceeds 1")
+    if top <= 1.0:
+        entries = factor_entries(a)
+    else:  # the root of 1 - |a|^2 < 0 is NaN; rho is 0 there
+        with np.errstate(invalid="ignore"):
+            entries = factor_entries(a)
+        entries[..., 2 * n - 1 : 3 * n - 2][mod2 > 1.0] = 0.0
+    src, dst = _dense_lm_positions(n)
+    LM = np.zeros(a.shape[:-1] + (2, n, n), dtype=complex)
+    LM.reshape(a.shape[:-1] + (2 * n * n,))[..., dst] = entries[..., src]
+    return LM[..., 0, :, :], LM[..., 1, :, :]
 
 
 def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal unitary factors of the CMV matrix.
-
-    L carries the 2x2 blocks at even coefficient indices, M a leading 1x1
-    identity block and the blocks at odd indices.  The boundary
-    coefficient contributes a 1x1 block [conj(alpha_{n-1})] to whichever
-    factor the parity of n-1 assigns it (including n = 1, where L itself
-    degenerates to that block).
-    """
+    """Block-diagonal unitary factors of the CMV matrix (lm_band_indices)."""
     return batched_lm_factors(v.alpha)
 
 
@@ -221,10 +251,19 @@ class JacobiMatrix:
         return self.b.size
 
     def to_dense(self) -> np.ndarray:
-        m = np.diag(self.b)
-        if self.a.size:
-            m += np.diag(self.a, 1) + np.diag(self.a, -1)
-        return m
+        return tridiagonal(self.b, self.a)
+
+
+def tridiagonal(b, a) -> np.ndarray:
+    """Dense symmetric tridiagonal matrices (..., n, n) with diagonals b
+    (..., n) and off-diagonals a (..., n - 1)."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[-1]
+    m = np.zeros(b.shape + (n,))
+    i = np.arange(n)
+    m[..., i, i] = b
+    m[..., i[:-1], i[1:]] = m[..., i[1:], i[:-1]] = a
+    return m
 
 
 def build_jacobi(b, a) -> JacobiMatrix:

@@ -25,10 +25,12 @@ import numpy as np
 
 from .core import (
     INTERIOR_MARGIN,
+    TWO_PI,
     JacobiMatrix,
     VerblunskySet,
     batched_lm_factors,
     build_jacobi,
+    tridiagonal,
 )
 from .errors import (
     DomainViolation,
@@ -38,7 +40,6 @@ from .errors import (
 )
 from .opuc import geronimus_entries, unitary_angles
 
-TWO_PI = 2.0 * math.pi
 MAX_DRAWS = 256           # draws a rejection loop may make before it gives up
 JACOBI_EXPONENT_MAX = 1e12  # larger a or b put the interval draws within rounding of -1 or 1
 BETA_MAX = 1e12           # likewise for beta, whose shapes also overflow near 1e308
@@ -284,18 +285,6 @@ def ks_statistic(samples, cdf) -> float:
 # --- batched eigenvalue draws (used by the CLI and the statistical tests) ---
 
 
-def _batched_tridiagonal(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    count, n = b.shape
-    m = np.zeros((count, n, n))
-    idx = np.arange(n)
-    m[:, idx, idx] = b
-    if n > 1:
-        j = np.arange(n - 1)
-        m[:, j, j + 1] = a
-        m[:, j + 1, j] = a
-    return m
-
-
 def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
     """(count, n) array of sorted eigenvalue draws for the given ensemble.
 
@@ -315,7 +304,7 @@ def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
             out[s : s + per] = unitary_angles(L @ M)
         else:
             b, a = (c[s : s + per] for c in coeffs)
-            out[s : s + per] = np.linalg.eigvalsh(_batched_tridiagonal(b, a))
+            out[s : s + per] = np.linalg.eigvalsh(tridiagonal(b, a))
     return out
 
 

@@ -7,7 +7,8 @@ first state of a flow), unitary_angles gets them from a Hermitian
 eigensolver through a rotated Cayley transform instead of a general
 complex one.  Near known angles, newton_angle_steps follows the
 eigenvalues of a stack of CMV matrices without forming them: one Newton
-step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix.
+step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix, with the
+matrices' own rho (core.coefficient_rho).
 Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
 it on a (T, n) stack of weight vectors on one support at once, as a
@@ -33,6 +34,7 @@ from .core import (
     VerblunskySet,
     build_jacobi,
     circular_gaps,
+    coefficient_rho,
     principal_angle,
     renormalize_boundary,
 )
@@ -154,7 +156,7 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     a = np.asarray(alpha, dtype=complex)
     z = np.exp(1j * np.asarray(theta, dtype=float))
     inner = a[..., :-1]
-    inv_rho = 1.0 / np.sqrt(1.0 - (inner.real * inner.real + inner.imag * inner.imag))
+    inv_rho = 1.0 / coefficient_rho(inner)
     ar = inner * inv_rho
     cr = ar.conj()
     shape = a.shape[:-1] + z.shape

@@ -1,8 +1,7 @@
 """JSON and CSV schemas for the package's value types.
 
-Conventions: complex numbers as [re, im] pairs, matrices as row-major
-lists of pairs, floats printed with 17 significant digits so that files
-round-trip bit for bit, all files UTF-8.
+Conventions: complex numbers as [re, im] pairs, floats printed with 17
+significant digits so that files round-trip bit for bit, all files UTF-8.
 
 The writers do their per-float work inside C-level `%` operations, one
 per block of CSV rows or of JSON array values: dump_json writes the
@@ -24,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .alflows import Trajectory
-from .core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
+from .core import SpectralMeasureCircle, VerblunskySet
 from .errors import InvalidParams
 
 
@@ -39,13 +38,6 @@ def _pairs(z: np.ndarray) -> np.ndarray:
 
 def verblunsky_to_obj(v: VerblunskySet) -> dict:
     return {"n": int(v.n), "alpha": _pairs(v.alpha).tolist()}
-
-
-def _complex(pair) -> complex:
-    """The complex number of an [re, im] pair of exactly two numbers."""
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)):
-        raise InvalidParams(f"expected an [re, im] pair of two numbers, got {pair!r}")
-    return complex(pair[0], pair[1])
 
 
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
@@ -69,24 +61,6 @@ def _coefficients(objs) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def matrix_to_obj(m: np.ndarray) -> dict:
-    m = np.asarray(m)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": _pairs(m.reshape(-1).astype(complex)).tolist(),
-    }
-
-
-def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise InvalidParams("matrix entry count does not match its shape")
-    flat = np.array([_complex(p) for p in entries])
-    return flat.reshape(rows, cols)
-
-
 def circle_measure_to_obj(mu: SpectralMeasureCircle) -> dict:
     return {
         "points": [
@@ -106,14 +80,6 @@ def _points(obj: dict, key: str) -> tuple[list, list]:
 
 def circle_measure_from_obj(obj: dict) -> SpectralMeasureCircle:
     return SpectralMeasureCircle(*_points(obj, "theta"))
-
-
-def line_measure_to_obj(nu: SpectralMeasureLine) -> dict:
-    return {"points": [{"x": float(x), "weight": float(w)} for x, w in zip(nu.x, nu.weights)]}
-
-
-def line_measure_from_obj(obj: dict) -> SpectralMeasureLine:
-    return SpectralMeasureLine(*_points(obj, "x"))
 
 
 @dataclass(frozen=True)
@@ -160,24 +126,26 @@ def dump_json(obj, path) -> None:
     """Write obj as json.dump(obj, fh, indent=1) does, then a newline.
 
     Float ndarrays and Records are written as the nested lists of their
-    .tolist().  The tree is walked once into a `%` template with a %r per
+    .tolist().  The tree is walked once into a `%` template with a %s per
     value of its float64 arrays, which is formatted and written in pieces
     that end after a whole array or block of Records objects."""
     parts, leaves = [], []
     _template(obj, 0, parts, leaves, {})
     flat = np.concatenate([a.ravel() for _, a in leaves] + [np.empty(0)])
-    if not np.isfinite(flat).all():
-        # %r spells NaN and Infinity as nan and inf: walk again, arrays as lists
-        parts, leaves, flat = [], [], np.empty(0)
-        _template(obj, 0, parts, leaves, None)
     part = value = 0
     with open(path, "w", encoding="utf-8") as fh:
         for (mark, _), end in zip(leaves, np.cumsum([a.size for _, a in leaves])):
             if end - value >= JSON_CHUNK:
-                fh.write("".join(parts[part:mark]) % tuple(flat[value:end].tolist()))
+                fh.write("".join(parts[part:mark]) % _texts(flat[value:end]))
                 part, value = mark, end
-        fh.write("".join(parts[part:]) % tuple(flat[value:].tolist()))
+        fh.write("".join(parts[part:]) % _texts(flat[value:]))
         fh.write("\n")
+
+
+def _texts(values: np.ndarray) -> tuple:
+    """The %s arguments of a piece: its floats (str is repr), or if one is
+    NaN or infinite, the _float_text of each."""
+    return tuple(values.tolist() if np.isfinite(values).all() else map(_float_text, values.tolist()))
 
 
 def _float_text(x: float) -> str:
@@ -189,9 +157,9 @@ def _float_text(x: float) -> str:
 
 def _array_template(shape: tuple, depth: int) -> str:
     """The indent=1 layout of an array of this shape whose opening bracket
-    sits at depth, with one %r per element."""
+    sits at depth, with one %s per element."""
     if not shape:
-        return "%r"
+        return "%s"
     if shape[0] == 0:
         return "[]"
     pad = "\n" + " " * (depth + 1)
@@ -199,11 +167,11 @@ def _array_template(shape: tuple, depth: int) -> str:
     return "[" + pad + ("," + pad).join([row] * shape[0]) + "\n" + " " * depth + "]"
 
 
-def _template(obj, depth: int, parts: list, leaves: list, templates: dict | None) -> None:
+def _template(obj, depth: int, parts: list, leaves: list, templates: dict) -> None:
     """Append obj's indent=1 JSON text at depth to parts, literal % escaped
-    as %%, with a %r for each value of a float64 array; leaves gets
+    as %%, with a %s for each value of a float64 array; leaves gets
     (len(parts), array) after each array's layout.  templates caches the
-    layouts of one dump by (shape, depth); None writes arrays as lists."""
+    layouts of one dump by (shape, depth)."""
     if isinstance(obj, str):
         parts.append(encode_basestring_ascii(obj).replace("%", "%%"))
     elif obj is None:
@@ -215,7 +183,7 @@ def _template(obj, depth: int, parts: list, leaves: list, templates: dict | None
     elif isinstance(obj, float):
         parts.append(_float_text(obj))
     elif isinstance(obj, Records):
-        if templates is None or not len(obj):
+        if not len(obj):
             _template(obj.tolist(), depth, parts, leaves, templates)
             return
         layout = []  # of one object, whose arrays have the row shapes
@@ -231,7 +199,7 @@ def _template(obj, depth: int, parts: list, leaves: list, templates: dict | None
             leaves.append((len(parts), block))
         parts.append("\n" + " " * depth + "]")
     elif isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or templates is None:
+        if obj.dtype != np.float64:
             _template(obj.tolist(), depth, parts, leaves, templates)
             return
         key = (obj.shape, depth)

@@ -185,7 +185,7 @@ class TestVectorFields:
     def test_band_tables_stop_at_the_matrix(self, n):
         # a product reads C^j only inside the matrix, so no band passes
         # half-width n + 1 and the tables stop growing with m
-        products = _band_indices(n, MAX_ORDER)[1]
+        products = _band_indices(n, MAX_ORDER)[0]
         assert len(products) == MAX_ORDER - 1
         assert max(index.shape[-1] for index in products) <= 2 * (n + 1) + 1
 

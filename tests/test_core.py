@@ -13,11 +13,15 @@ from cmvkit.core import (
     check_coefficient_rows,
     circle_weights,
     circular_gaps,
+    coefficient_rho,
+    factor_entries,
+    lm_band_indices,
     lm_factors,
     principal_angle,
     renormalize_boundary,
+    tridiagonal,
 )
-from cmvkit.alflows import Trajectory, check_cmv_band
+from cmvkit.alflows import Trajectory, _trace_gradient_blocks, check_cmv_band
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import DegenerateSpectrum, InvalidParams, NonPositiveOffDiagonal, OutOfRange
 
@@ -61,6 +65,16 @@ class TestVerblunskySet:
         w = v.replace_interior([0.3j, 0.0])
         assert w.alpha[-1] == v.alpha[-1]
         assert w.alpha[0] == 0.3j
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(verblunsky_sets(min_n=2))
+    def test_rho_is_the_kernels_rho(self, v):
+        # bit for bit the rho of the factors and of the bracket kernel
+        n, (L, M) = v.n, lm_factors(v)
+        factors = np.array([(L if k % 2 == 0 else M)[k, k + 1] for k in range(n - 1)])
+        kernel = _trace_gradient_blocks(v.alpha, (1,))[0]
+        assert v.rho.tobytes() == factors.real.tobytes() == np.ascontiguousarray(kernel).tobytes()
+        assert v.rho.tobytes() == coefficient_rho(v.interior).tobytes()
 
 
 def first_block(a):
@@ -131,12 +145,66 @@ class TestLMFactors:
         with pytest.raises(OutOfRange):
             batched_lm_factors(np.array([[0.1, 1.0], [1.1j, 1.0]]))
 
+    @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.7j)])
+    def test_rho_is_zero_just_past_the_circle(self, phase):
+        # |a|^2 = 1 + 5e-13 is admitted and gets rho = 0, not a NaN (which
+        # would also raise a RuntimeWarning)
+        a = np.sqrt(1.0 + 5e-13) * phase
+        assert 1.0 < abs(a) ** 2 < 1.0 + 1e-12
+        L, _ = batched_lm_factors([a, 1.0])
+        assert L[0, 1] == L[1, 0] == 0.0 and L[0, 0] == np.conj(a)
+        L, M = batched_lm_factors([[0.5, a, 0.25j, 1.0], [a, 0.3, 1j * a, 1.0]])
+        # in a stack, rho is 0 only where the modulus passes 1
+        assert (L[0, 0, 1], M[0, 1, 2], L[0, 2, 3]) == (np.sqrt(0.75), 0.0, np.sqrt(1.0 - 0.0625))
+        assert (L[1, 0, 1], M[1, 1, 2], L[1, 2, 3]) == (0.0, np.sqrt(1.0 - 0.3 * 0.3), 0.0)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(verblunsky_sets(max_n=9))
     def test_factors_unitary_and_symmetric(self, v):
         for f in lm_factors(v):
             assert np.abs(f.conj().T @ f - np.eye(v.n)).max() <= 1e-12
             assert np.abs(f - f.T).max() <= 1e-12
+
+
+def band_view_as_dense(alpha):
+    """The dense L and M of rows alpha (..., n), written entry by entry
+    from the band view factor_entries(alpha)[..., lm_band_indices(n)]."""
+    n = alpha.shape[-1]
+    band = factor_entries(alpha)[..., lm_band_indices(n)]
+    dense = np.zeros(alpha.shape[:-1] + (2, n, n), dtype=complex)
+    for f in range(2):
+        for i in range(n):
+            for p in (-1, 0, 1):
+                if 0 <= i + p < n:
+                    dense[..., f, i, i + p] = band[..., f, 1 + i, 1 + p]
+                else:
+                    assert (band[..., f, 1 + i, 1 + p] == 0.0).all()
+    assert (band[..., :, [0, n + 1], :] == 0.0).all()
+    return dense[..., 0, :, :], dense[..., 1, :, :]
+
+
+class TestSharedTable:
+    """lm_band_indices is the one layout of L and M: the band view the
+    kernels gather and the dense factors agree entry for entry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_band_view_is_the_dense_factors(self, n, stacked):
+        alpha = draw_stack(n, 0.95, k=5 if stacked else 1)
+        if not stacked:
+            alpha = alpha[0]
+        L, M = batched_lm_factors(alpha)
+        Lb, Mb = band_view_as_dense(alpha)
+        assert L.tobytes() == Lb.tobytes() and M.tobytes() == Mb.tobytes()
+        for row, (l0, m0) in zip(np.atleast_2d(alpha), zip(np.reshape(L, (-1, n, n)), np.reshape(M, (-1, n, n)))):
+            Lo, Mo = lm_factors_loop(row)
+            assert l0.tobytes() == Lo.tobytes() and m0.tobytes() == Mo.tobytes()
+
+    def test_table_is_read_only_and_cached(self):
+        table = lm_band_indices(6)
+        assert table is lm_band_indices(6) and table.shape == (2, 8, 3)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
 
 
 class TestBuildCMV:
@@ -377,6 +445,13 @@ class TestCoefficientRows:
 
 
 class TestJacobi:
+    def test_tridiagonal_stack_is_each_to_dense(self):
+        gen = np.random.default_rng(5)
+        b, a = gen.normal(size=(4, 5)), gen.random((4, 4)) + 0.1
+        for m, bi, ai in zip(tridiagonal(b, a), b, a):
+            assert m.tobytes() == build_jacobi(bi, ai).to_dense().tobytes()
+            assert np.array_equal(m, np.diag(bi) + np.diag(ai, 1) + np.diag(ai, -1))
+
     def test_single_entry(self):
         j = build_jacobi([0.0], [])
         assert j.to_dense().shape == (1, 1)

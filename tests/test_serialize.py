@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cmvkit import cli, serialize
 from cmvkit.alflows import FlowHamiltonian, Trajectory, integrate_flow, spectral_trajectory
-from cmvkit.core import SpectralMeasureCircle, SpectralMeasureLine, VerblunskySet
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams
 
@@ -50,17 +50,6 @@ class TestVerblunskyJson:
         assert np.array_equal(v.alpha, again.alpha)
 
 
-class TestMatrixJson:
-    def test_round_trip(self):
-        m = np.array([[1 + 2j, 0.5], [-1j, 3.0]])
-        again = serialize.matrix_from_obj(serialize.matrix_to_obj(m))
-        assert np.array_equal(m, again)
-
-    def test_bad_entry_count(self):
-        with pytest.raises(InvalidParams):
-            serialize.matrix_from_obj({"rows": 2, "cols": 2, "entries": [[0.0, 0.0]]})
-
-
 class TestMeasureJson:
     def test_circle_round_trip(self):
         mu = SpectralMeasureCircle([-0.4, 1.3], [0.7, 0.3])
@@ -68,18 +57,12 @@ class TestMeasureJson:
         assert np.array_equal(mu.theta, again.theta)
         assert np.array_equal(mu.weights, again.weights)
 
-    def test_line_round_trip(self):
-        nu = SpectralMeasureLine([-1.0, 0.3, 2.0], [0.2, 0.3, 0.5])
-        again = serialize.line_measure_from_obj(serialize.line_measure_to_obj(nu))
-        assert np.array_equal(nu.x, again.x)
-        assert np.array_equal(nu.weights, again.weights)
-
     @pytest.mark.parametrize("obj", [{}, {"points": 3}, {"points": [{"weight": 1.0}]},
-                                     {"points": [{"x": [], "weight": 1.0}]}])
-    def test_malformed_line_object_rejected(self, obj):
-        # the circle reader shares this parser; tests/test_cli.py covers it through `cmv spectral`
+                                     {"points": [{"theta": [], "weight": 1.0}]}])
+    def test_malformed_circle_object_rejected(self, obj):
+        # tests/test_cli.py also covers the parser through `cmv spectral`
         with pytest.raises(InvalidParams, match="malformed measure object"):
-            serialize.line_measure_from_obj(obj)
+            serialize.circle_measure_from_obj(obj)
 
 
 class TestTrajectoryJson:
@@ -273,6 +256,11 @@ JSON_CASES = [
     serialize.Records({"n": 3, "%s": "%r", "alpha": np.arange(24.0).reshape(4, 3, 2), "u": np.zeros(4)}),
     {"r": serialize.Records({"a": np.zeros((0, 2))}), "s": [serialize.Records({"x": np.array([np.nan, -0.0])})]},
     serialize.Records({"x": np.linspace(0.0, 1.0, 40001), "y": np.full((40001, 1), -1e-300), "z": None}),
+    # NaN and infinities past the first JSON_CHUNK values: in a later piece
+    # only, and inside a first piece that runs past JSON_CHUNK
+    [np.linspace(-1.0, 1.0, 70001), np.array([np.nan, 1.0, -np.inf]), np.array([np.inf])],
+    {"a": np.where(np.arange(70001) == 66000, np.nan, 0.5), "b": np.array([1e-300])},
+    serialize.Records({"x": np.where(np.arange(40001) % 9999 == 0, np.inf, 0.25), "y": np.full((40001, 1), np.nan)}),
 ]
 
 
