@@ -11,8 +11,8 @@ Every gradient is exact to rounding; nothing is differenced:
   from one forward-mode Szego pass (`opuc.szego_tangents`).
   `spectral_to_verblunsky_jacobian` is its determinant, and
   `spectral_gradients` reads d(theta, log mu)/d(u, v) from one solve of
-  it at the spectral measure of a coefficient set: one eigensolve per
-  probe.
+  it at the spectral measure of a coefficient set: one eigensolved
+  matrix per probe.
 * `hamiltonian_gradients` gives dK_m = tr(C^(m-1) dC) from the
   closed-form derivative of each 2x2 block of L and M, reading the
   banded kernel `alflows._trace_gradient_blocks`.  That kernel is the
@@ -20,6 +20,16 @@ Every gradient is exact to rounding; nothing is differenced:
   field `alflows.al_vector_field` is the bracket {alpha_k, Re K_m} or
   {alpha_k, Im K_m} read from the same blocks.
 * `bracket_matrix` turns gradient rows into B[a, b] = {f_a, f_b}.
+
+Each of these also takes a stack of probes: a VerblunskySet or
+SpectralMeasureCircle whose arrays carry leading axes (..., n).  A stack
+of coefficient sets is one batched CMV build (batched_lm_factors, then
+L @ M) and one batched eig; a stack of measures is one stacked Szego
+tangent pass; solves and determinants are batched, and the closed-form
+Jacobian reads one Szego pass.  Only the banded K_m kernel runs once per
+probe.  Row t of every result equals the result for probe t alone, bit
+for bit, so `cmv verify` evaluates its probes in blocks and a one-probe
+call reproduces any of them.
 
 `Observable` and the central-difference `coordinate_gradient` are the
 finite-difference view kept for the benchmark's tracer; the identity
@@ -122,40 +132,52 @@ def coordinate_gradient(obs: Observable, v: VerblunskySet, h: float = DEFAULT_ST
     return (4.0 * g2 - g1) / 3.0, g1, g2
 
 
+def _value(x):
+    """A result for one probe as a float; for a stack of probes, the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def bracket_matrix(rows: np.ndarray, v: VerblunskySet) -> np.ndarray:
     """Brackets B[a, b] = {f_a, f_b} of every pair of observables, from
-    their gradient rows (k, 2(n-1)) in the interior coordinates of v.
+    their gradient rows (k, 2(n-1)) in the interior coordinates of v; for
+    a stack of sets v, rows (..., k, 2(n-1)) give B (..., k, k).
 
     B is antisymmetric, with a zero diagonal, exactly: entry (b, a) is
     computed from the negated products of entry (a, b).
     """
-    du, dv = rows[:, 0::2], rows[:, 1::2]
-    return np.sum(v.rho * v.rho * (du[:, None] * dv[None] - dv[:, None] * du[None]), axis=-1)
+    du, dv = rows[..., 0::2], rows[..., 1::2]
+    du_a, dv_a = du[..., :, None, :], dv[..., :, None, :]
+    du_b, dv_b = du[..., None, :, :], dv[..., None, :, :]
+    return np.sum((v.rho * v.rho)[..., None, None, :] * (du_a * dv_b - dv_a * du_b), axis=-1)
 
 
 def hamiltonian_gradients(v: VerblunskySet, degrees) -> np.ndarray:
     """Complex gradients of K_m = tr(C^m) / m, one row (2(n-1),) in the
     interior coordinates for each m in `degrees`, in that order; the real
-    and imaginary parts are the gradients of Re K_m and Im K_m.
+    and imaginary parts are the gradients of Re K_m and Im K_m.  A stack
+    of sets v gives (..., len(degrees), 2(n-1)).
 
     Each row reads the entries x00, x11, o of the banded kernel
-    `alflows._trace_gradient_blocks` (dK_m = tr(X dTheta_k) for the block
-    Theta_k = [[conj(a), rho], [rho, -a]] that alpha_k moves).  Along u_k,
-    dTheta_k = [[1, r], [r, -1]], along v_k [[-i, r], [r, -i]], with r the
-    derivative of rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho:
+    `alflows._trace_gradient_blocks`, called once per coefficient set
+    (dK_m = tr(X dTheta_k) for the block Theta_k = [[conj(a), rho],
+    [rho, -a]] that alpha_k moves).  Along u_k, dTheta_k = [[1, r], [r, -1]],
+    along v_k [[-i, r], [r, -i]], with r the derivative of
+    rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho:
         d/du_k = x00 - x11 - o Re(a) / rho,  d/dv_k = -i (x00 + x11) - o Im(a) / rho.
     """
-    _, blocks = _trace_gradient_blocks(v.alpha, [_check_order(m) for m in degrees])
-    a, rho = v.interior, v.rho
-    rows = np.empty((len(blocks), 2 * (v.n - 1)), dtype=complex)
-    for row, (x00, x11, off) in zip(rows, blocks):
-        row[0::2] = x00 - x11 - off * a.real / rho
-        row[1::2] = -1j * (x00 + x11) - off * a.imag / rho
+    degrees = [_check_order(m) for m in degrees]
+    blocks = [_trace_gradient_blocks(row, degrees)[1] for row in v.alpha.reshape(-1, v.n)]
+    x00, x11, off = np.moveaxis(np.array(blocks).reshape(v.alpha.shape[:-1] + (len(degrees), 3, v.n - 1)), -2, 0)
+    a, rho = v.interior[..., None, :], v.rho[..., None, :]
+    rows = np.empty(x00.shape[:-1] + (2 * (v.n - 1),), dtype=complex)
+    rows[..., 0::2] = x00 - x11 - off * a.real / rho
+    rows[..., 1::2] = -1j * (x00 + x11) - off * a.imag / rho
     return rows
 
 
 def chart_jacobian(mu: SpectralMeasureCircle) -> np.ndarray:
-    """Exact Jacobian (2n-1, 2n-1) of the spectral-to-coefficient map.
+    """Exact Jacobian (2n-1, 2n-1) of the spectral-to-coefficient map, or
+    (..., 2n-1, 2n-1) for a stack of measures.
 
     Columns are the chart directions (theta_1, mu_1, ..., theta_{n-1},
     mu_{n-1}, theta_n) of `szego_tangents`, mu_n absorbing the weight
@@ -165,23 +187,26 @@ def chart_jacobian(mu: SpectralMeasureCircle) -> np.ndarray:
     boundary coefficient onto the circle.
     """
     alpha, dalpha = szego_tangents(mu.theta, mu.weights)
-    jac = np.empty((dalpha.shape[1], dalpha.shape[1]))
-    jac[0:-1:2] = dalpha[:-1].real
-    jac[1:-1:2] = dalpha[:-1].imag
-    jac[-1] = (dalpha[-1] / alpha[-1]).imag
+    dim = dalpha.shape[-1]
+    jac = np.empty(dalpha.shape[:-2] + (dim, dim))
+    jac[..., 0:-1:2, :] = dalpha[..., :-1, :].real
+    jac[..., 1:-1:2, :] = dalpha[..., :-1, :].imag
+    jac[..., -1, :] = (dalpha[..., -1, :] / alpha[..., -1:]).imag
     return jac
 
 
-def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle) -> float:
+def spectral_to_verblunsky_jacobian(mu: SpectralMeasureCircle):
     """Jacobian determinant of the spectral-to-coefficient map in the
-    coordinates of `chart_jacobian`."""
-    return float(np.linalg.det(chart_jacobian(mu)))
+    coordinates of `chart_jacobian`: a float, or an array for a stack of
+    measures, from one batched LU."""
+    return _value(np.linalg.det(chart_jacobian(mu)))
 
 
 def spectral_gradients(v: VerblunskySet) -> tuple[SpectralMeasureCircle, np.ndarray, np.ndarray]:
     """The spectral measure of v, and the gradients (n, 2(n-1)) of its
     angles theta_j and log weights log mu_j in the interior coordinates,
-    boundary frozen.
+    boundary frozen.  A stack of sets v gives the stack of measures and
+    gradients (..., n, 2(n-1)), from one batched CMV build, eig and solve.
 
     Labels are those of the measure, sorted by angle.  The gradients are
     the interior columns of the inverse chart Jacobian at that measure,
@@ -190,36 +215,40 @@ def spectral_gradients(v: VerblunskySet) -> tuple[SpectralMeasureCircle, np.ndar
     mu = unitary_eigensystem(build_cmv(v))
     dim = 2 * mu.n - 1
     inverse = np.linalg.solve(chart_jacobian(mu), np.eye(dim)[:, : dim - 1])
-    dmu = inverse[1::2]
-    dlog = np.vstack([dmu, -dmu.sum(axis=0, keepdims=True)]) / mu.weights[:, None]
-    return mu, inverse[0::2], dlog
+    dmu = inverse[..., 1::2, :]
+    dlog = np.concatenate([dmu, -dmu.sum(axis=-2, keepdims=True)], axis=-2) / mu.weights[..., :, None]
+    return mu, inverse[..., 0::2, :], dlog
 
 
-def cotangent_residual(v: VerblunskySet, labels: tuple[int, int, int] = (0, 1, 2)) -> float:
+def cotangent_residual(v: VerblunskySet, labels=(0, 1, 2)):
     """Defect of the mass-ratio bracket against the cotangent sum.
 
     For any three labels (i, j, k) of the eigenvalues:
         {log(mu_j/mu_i), log(mu_k/mu_i)}
           - [2 cot((th_i - th_j)/2) + 2 cot((th_j - th_k)/2) + 2 cot((th_k - th_i)/2)]
-    which should vanish; the returned residual is that difference.
+    which should vanish; the returned residual is that difference, a
+    float, or an array for a stack of sets v with one row of labels
+    (..., 3) each.
     """
     if v.n < 3:
         raise InvalidParams("need n >= 3")
-    i, j, k = labels
     mu, _, dlog = spectral_gradients(v)
-    numeric = bracket_matrix(dlog[[j, k]] - dlog[i], v)[0, 1]
-    th = mu.theta
+    labels = np.broadcast_to(np.asarray(labels), v.alpha.shape[:-1] + (3,))
+    picked = np.take_along_axis(dlog, labels[..., None], axis=-2)  # rows i, j, k
+    numeric = bracket_matrix(picked[..., 1:, :] - picked[..., :1, :], v)[..., 0, 1]
+    th_i, th_j, th_k = np.moveaxis(np.take_along_axis(mu.theta, labels, axis=-1), -1, 0)
     predicted = (
-        2.0 / np.tan(0.5 * (th[i] - th[j]))
-        + 2.0 / np.tan(0.5 * (th[j] - th[k]))
-        + 2.0 / np.tan(0.5 * (th[k] - th[i]))
+        2.0 / np.tan(0.5 * (th_i - th_j))
+        + 2.0 / np.tan(0.5 * (th_j - th_k))
+        + 2.0 / np.tan(0.5 * (th_k - th_i))
     )
-    return float(numeric - predicted)
+    return _value(numeric - predicted)
 
 
-def jacobian_prediction(mu: SpectralMeasureCircle) -> float:
+def jacobian_prediction(mu: SpectralMeasureCircle):
     """Closed-form value -2^(1-n) prod(rho_j^2) / prod(mu_j) of the spectral
-    Jacobian at the given measure."""
+    Jacobian at the given measure: a float, or an array for a stack of
+    measures, whose coefficients come from one Szego pass."""
     v = verblunsky_from_measure(mu)
-    rho2 = np.prod(v.rho * v.rho) if v.n > 1 else 1.0
-    return float(-(2.0 ** (1 - mu.n)) * rho2 / np.prod(mu.weights))
+    rho2 = np.prod(v.rho * v.rho, axis=-1)
+    return _value(-(2.0 ** (1 - mu.n)) * rho2 / np.prod(mu.weights, axis=-1))

@@ -60,6 +60,12 @@ def circular_gaps(theta) -> np.ndarray:
     return np.diff(t, axis=-1, append=t[..., :1] + TWO_PI)
 
 
+def _rows(values, dtype) -> np.ndarray:
+    """A fresh array of values: one flat row, or a stack (..., n) as given."""
+    a = np.array(values, dtype=dtype)
+    return a if a.ndim > 1 else a.reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class VerblunskySet:
     """Coefficients alpha_0..alpha_{n-1}; the last one is unimodular.
@@ -68,29 +74,34 @@ class VerblunskySet:
     renormalized to exact unit modulus provided it starts within 1e-12 of
     the circle.  rho_k = sqrt(1 - |alpha_k|^2) (coefficient_rho, the
     kernels' rho bit for bit) is cached for the n-1 interior coefficients.
+
+    alpha may also be a stack (..., n) of independent coefficient sets, as
+    the identity suites evaluate them; each row is validated and stored as
+    it would be alone, and rho and interior carry the same leading axes.
     """
 
     alpha: np.ndarray
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.array(self.alpha, dtype=complex).reshape(-1)
+        a = _rows(self.alpha, complex)
         check_coefficient_rows(a)
         renormalize_boundary(a)
         object.__setattr__(self, "alpha", _frozen(a))
-        object.__setattr__(self, "rho", _frozen(coefficient_rho(a[:-1])))
+        object.__setattr__(self, "rho", _frozen(coefficient_rho(a[..., :-1])))
 
     @property
     def n(self) -> int:
-        return self.alpha.size
+        return self.alpha.shape[-1]
 
     @property
     def interior(self) -> np.ndarray:
         """The n-1 coefficients strictly inside the disk."""
-        return self.alpha[:-1]
+        return self.alpha[..., :-1]
 
     def replace_interior(self, interior) -> "VerblunskySet":
-        """New coefficient set with the same boundary coefficient."""
+        """New coefficient set with the same boundary coefficient (one set,
+        not a stack)."""
         interior = np.asarray(interior, dtype=complex).reshape(-1)
         if interior.size != self.n - 1:
             raise OutOfRange(f"expected {self.n - 1} interior coefficients, got {interior.size}")
@@ -124,22 +135,26 @@ def renormalize_boundary(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def coefficient_rho(interior) -> np.ndarray:
+def coefficient_rho(interior, mod2=None) -> np.ndarray:
     """rho_k = sqrt(1 - |alpha_k|^2) of an array of coefficients in the
-    closed disk, |alpha_k|^2 summed as re^2 + im^2.  The one rho of the
-    package: the factors, the bracket kernels and VerblunskySet.rho."""
-    return np.sqrt(1.0 - (interior.real * interior.real + interior.imag * interior.imag))
+    closed disk, |alpha_k|^2 summed as re^2 + im^2 (or mod2, when the
+    caller already holds it so summed).  The one rho of the package: the
+    factors, the bracket kernels and VerblunskySet.rho."""
+    if mod2 is None:
+        mod2 = interior.real * interior.real + interior.imag * interior.imag
+    return np.sqrt(1.0 - mod2)
 
 
-def factor_entries(alpha) -> np.ndarray:
+def factor_entries(alpha, mod2=None) -> np.ndarray:
     """The (..., 3n) values of L and M for coefficient rows alpha (..., n):
-    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n)."""
+    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n);
+    mod2 is passed on to coefficient_rho."""
     a = np.asarray(alpha, dtype=complex)
     n = a.shape[-1]
     out = np.zeros(a.shape[:-1] + (3 * n,), dtype=complex)
     np.conjugate(a, out=out[..., :n])
     np.negative(a[..., :-1], out=out[..., n : 2 * n - 1])
-    out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1])
+    out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1], mod2)
     out[..., 3 * n - 2] = 1.0
     return out
 
@@ -182,10 +197,10 @@ def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
     if top > 1.0 + 1e-12:
         raise OutOfRange(f"|alpha| = {math.sqrt(top):.17g} exceeds 1")
     if top <= 1.0:
-        entries = factor_entries(a)
+        entries = factor_entries(a, mod2)
     else:  # the root of 1 - |a|^2 < 0 is NaN; rho is 0 there
         with np.errstate(invalid="ignore"):
-            entries = factor_entries(a)
+            entries = factor_entries(a, mod2)
         entries[..., 2 * n - 1 : 3 * n - 2][mod2 > 1.0] = 0.0
     src, dst = _dense_lm_positions(n)
     LM = np.zeros(a.shape[:-1] + (2, n, n), dtype=complex)
@@ -286,26 +301,30 @@ def _check_weights(w: np.ndarray) -> np.ndarray:
 
 def circle_weights(theta, weights) -> tuple[np.ndarray, np.ndarray]:
     """The canonical form SpectralMeasureCircle stores, for a (..., n) stack
-    of weight vectors on the same n angles.
+    of weight vectors on the same n angles theta (n,), or each on its own
+    row of a (..., n) theta.
 
-    Returns the sorted principal angles (n,) and the weights, each vector
-    checked and renormalized to sum 1 and reordered with the angles, as a
-    C-contiguous array.  Row i equals SpectralMeasureCircle(theta,
-    weights[i]).weights bit for bit.
+    Returns the sorted principal angles, (n,) or one row per weight row,
+    and the weights, each vector checked and renormalized to sum 1 and
+    reordered with its angles, as a C-contiguous array.  Row i equals
+    SpectralMeasureCircle(theta or theta[i], weights[i]) bit for bit.
     """
-    t = np.array(theta, dtype=float).reshape(-1)
+    t = _rows(theta, float)
     if not np.all(np.isfinite(t)):
         raise OutOfRange("angles must be finite")
     t = principal_angle(t)
     w = np.asarray(weights, dtype=float)
-    if w.shape[-1:] != t.shape:
+    if w.shape[-1:] != t.shape[-1:]:
         raise OutOfRange("points and weights must have equal length")
     w = _check_weights(w)
-    order = np.argsort(t)
+    order = np.argsort(t, axis=-1)
     # take copies into a new C-contiguous array; w[..., order] need not be
     # one, and products on a strided row round differently in the last bit
-    t, w = t[order], w.take(order, axis=-1)
-    if t.size > 1 and circular_gaps(t).min() <= SEPARATION_TOL:
+    if t.ndim == 1:
+        t, w = t[order], w.take(order, axis=-1)
+    else:
+        t, w = np.take_along_axis(t, order, axis=-1), np.take_along_axis(w, order, axis=-1)
+    if t.shape[-1] > 1 and circular_gaps(t).min() <= SEPARATION_TOL:
         raise DegenerateSpectrum("two support angles closer than 1e-10")
     return t, w
 
@@ -316,20 +335,25 @@ class SpectralMeasureCircle:
 
     Stored canonically: angles on the principal branch (-pi, pi], sorted
     ascending, pairwise angular separation > 1e-10, weights positive and
-    renormalized to sum exactly 1.
+    renormalized to sum exactly 1.  theta and weights may also be stacks
+    (..., n) of independent measures, each row stored as it would be alone
+    (circle_weights).
     """
 
     theta: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        t, w = circle_weights(self.theta, np.asarray(self.weights, dtype=float).reshape(-1))
+        t, w = _rows(self.theta, float), _rows(self.weights, float)
+        if t.shape != w.shape:
+            raise OutOfRange("points and weights must have equal length")
+        t, w = circle_weights(t, w)
         object.__setattr__(self, "theta", _frozen(t))
         object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
 
     @property
     def points(self) -> np.ndarray:

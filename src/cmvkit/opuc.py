@@ -1,20 +1,22 @@
 """Spectral transforms for orthogonal polynomials on the unit circle.
 
-Forward direction: eigensolve a CMV or Jacobi matrix with np.linalg.eig
-or eigh and read off the spectral measure of e_1.  When only the
-eigenvalue angles of a unitary matrix are needed (ensemble draws, the
-first state of a flow), unitary_angles gets them from a Hermitian
-eigensolver through a rotated Cayley transform instead of a general
-complex one.  Near known angles, newton_angle_steps follows the
-eigenvalues of a stack of CMV matrices without forming them: one Newton
-step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix, with the
-matrices' own rho (core.coefficient_rho).
+Forward direction: eigensolve a CMV or Jacobi matrix (or a stack of CMV
+matrices) with np.linalg.eig or eigh and read off the spectral measure of
+e_1.  When only the eigenvalue angles of a unitary matrix are needed
+(ensemble draws, the first state of a flow), unitary_angles gets them
+from a Hermitian eigensolver through a rotated Cayley transform instead
+of a general complex one.  Near known angles, newton_angle_steps follows
+the eigenvalues of a stack of CMV matrices without forming them: one
+Newton step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix,
+with the matrices' own rho (core.coefficient_rho).
 Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
-it on a (T, n) stack of weight vectors on one support at once, as a
-spectral flow needs at its T grid times; szego_coefficients and
-verblunsky_from_measure are its one-row views, verblunsky_rows its
-stacked one.  The circle and the interval [-2, 2] are connected by the
+it on a (T, n) stack of weight vectors at once, on one support, as a
+spectral flow needs at its T grid times, or on one support per row, as a
+stack of measures has; szego_coefficients and verblunsky_from_measure
+are its views on a measure or a stack of them, verblunsky_rows its view
+on arrays.  szego_tangents is its forward-mode derivative, on the same
+stacks.  The circle and the interval [-2, 2] are connected by the
 pushforward of z + 1/z and, on the coefficient side, by the Geronimus
 relations.
 
@@ -50,7 +52,8 @@ ANGLE_BLOCK = 4096          # complex entries per block of a stacked unitary_ang
 
 
 def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
-    """Spectral measure of a CMV matrix and the vector e_1.
+    """Spectral measure of a CMV matrix and the vector e_1; for a stack of
+    CMV matrices, the stack of their measures, from one batched eig.
 
     The weights are the squared first components |q[0, j]|^2 of the unit
     eigenvectors from np.linalg.eig, renormalized to sum 1: in a cluster
@@ -58,8 +61,8 @@ def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
     eps / gap.  Eigenvector phases do not enter.
     """
     lam, q = np.linalg.eig(C.entries)
-    weights = np.abs(q[0, :]) ** 2
-    return SpectralMeasureCircle(np.angle(lam), weights / weights.sum())
+    weights = np.abs(q[..., 0, :]) ** 2
+    return SpectralMeasureCircle(np.angle(lam), weights / weights.sum(axis=-1, keepdims=True))
 
 
 def unitary_angles(U, phi: float = 0.0) -> np.ndarray:
@@ -196,14 +199,16 @@ def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:
 
 
 def szego_coefficients(mu: SpectralMeasureCircle, count: int) -> np.ndarray:
-    """First `count` Verblunsky coefficients of the measure; szego_rows on
-    its one row of weights."""
+    """First `count` Verblunsky coefficients of the measure (..., count for a
+    stack of measures); szego_rows on its rows of angles and weights."""
     return szego_rows(mu.theta, mu.weights, count)
 
 
 def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """First `count` Verblunsky coefficients of each of the measures with
-    canonical angles theta (n,) and weight rows weights (..., n).
+    canonical angles theta and weight rows weights (..., n); theta is one
+    support (n,), as a spectral flow has, or one row of angles per weight
+    row, broadcast against weights.
 
     Runs the Szego recursion on point values, all rows at once:
         p_{k+1} = z p_k - conj(a_k) q_k,   q_{k+1} = q_k - a_k z p_k,
@@ -213,7 +218,7 @@ def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray
     whose rows do not depend on each other.  Raises IllConditioned when an
     intermediate squared norm of any row falls below 1e-13.
     """
-    n = theta.size
+    n = theta.shape[-1]
     if count > n:
         raise SupportTooSmall(f"cannot produce {count} coefficients from {n} support points")
     z = np.exp(1j * theta)
@@ -234,56 +239,65 @@ def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray
 
 
 def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All n Verblunsky coefficients of the measure with canonical angles
-    theta (n,) and weights (n,), and their derivatives along the 2n - 1
-    chart directions (theta_1, mu_1, ..., theta_{n-1}, mu_{n-1}, theta_n),
-    where a step in mu_j adds to weight j and takes as much from weight n.
+    """All n Verblunsky coefficients of each measure with canonical angles
+    theta (..., n) and weights (..., n), and their derivatives along the
+    2n - 1 chart directions (theta_1, mu_1, ..., theta_{n-1}, mu_{n-1},
+    theta_n), where a step in mu_j adds to weight j and takes as much from
+    weight n.
 
     Forward-mode szego_rows: next to p_k and q_k it carries their
     tangents along every direction, differentiating
         conj(a_k) = <z p_k, q_k> / ||p_k||^2
-    by the quotient rule.  Returns alpha (n,), from the expressions of
+    by the quotient rule.  Returns alpha (..., n), from the expressions of
     szego_rows and so equal to szego_coefficients bit for bit, and
-    dalpha (n, 2n - 1), entry [k, d] the derivative of alpha_k along
-    direction d.  Raises IllConditioned as szego_rows does.
+    dalpha (..., n, 2n - 1), entry [k, d] the derivative of alpha_k along
+    direction d.  Each measure's rows equal those of a call on it alone.
+    Raises IllConditioned as szego_rows does.
     """
-    n = theta.size
+    n = theta.shape[-1]
     z = np.exp(1j * theta)
     wz = weights * z
     points = np.arange(n)
-    dz = np.zeros((2 * n - 1, n), dtype=complex)
-    dz[2 * points, points] = 1j * z
+    dz = np.zeros(z.shape[:-1] + (2 * n - 1, n), dtype=complex)
+    dz[..., 2 * points, points] = 1j * z
     dw = np.zeros((2 * n - 1, n))
     dw[2 * points[:-1] + 1, points[:-1]] = 1.0
     dw[2 * points[:-1] + 1, -1] = -1.0
-    dwz = dw * z + weights * dz
-    p = np.ones(weights.shape, dtype=complex)
-    q = np.ones(weights.shape, dtype=complex)
+    # the (..., n) arrays, broadcast along the directions
+    zd, wd, wzd = z[..., None, :], weights[..., None, :], wz[..., None, :]
+    dwz = dw * zd + wd * dz
+    p = np.ones(z.shape, dtype=complex)
+    q = np.ones(z.shape, dtype=complex)
     dp = np.zeros_like(dz)
     dq = np.zeros_like(dz)
-    alphas = [np.empty(0, dtype=complex)]
+    alphas = [np.empty(z.shape[:-1] + (0,), dtype=complex)]
     dalphas = []
     for k in range(n):
-        norm2 = (weights * (p.real * p.real + p.imag * p.imag)).sum(axis=-1, keepdims=True)
+        mod2 = p.real * p.real + p.imag * p.imag
+        norm2 = (weights * mod2).sum(axis=-1, keepdims=True)
         if norm2.min(initial=np.inf) < NORM_FLOOR:
             raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
         ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
-        dnorm2 = (dw * (p.real * p.real + p.imag * p.imag) + 2.0 * weights * (p.conj() * dp).real).sum(axis=-1)
-        dinner = (dwz * p * q.conj() + wz * dp * q.conj() + wz * p * dq.conj()).sum(axis=-1)
+        pd, qd = p[..., None, :], q[..., None, :]
+        qc = qd.conj()
+        dnorm2 = (dw * mod2[..., None, :] + 2.0 * wd * (pd.conj() * dp).real).sum(axis=-1)
+        dinner = (dwz * pd * qc + wzd * dp * qc + wzd * pd * dq.conj()).sum(axis=-1)
         dak = (dinner.conj() - ak * dnorm2) / norm2
         alphas.append(ak)
         dalphas.append(dak)
         zp = z * p
-        dzp = dz * p + z * dp
+        dzp = dz * pd + zd * dp
+        akd = ak[..., None]
         p = zp - ak.conj() * q
-        dp = dzp - dak.conj()[:, None] * q - ak.conj() * dq
+        dp = dzp - dak.conj()[..., None] * qd - akd.conj() * dq
         q = q - ak * zp
-        dq = dq - dak[:, None] * zp - ak * dzp
-    return np.concatenate(alphas), np.stack(dalphas)
+        dq = dq - dak[..., None] * zp[..., None, :] - akd * dzp
+    return np.concatenate(alphas, axis=-1), np.stack(dalphas, axis=-2)
 
 
 def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
-    """Recover the full coefficient set of an n-point circle measure.
+    """Recover the full coefficient set of an n-point circle measure, or the
+    stack of sets of a stack of measures.
 
     The final coefficient is renormalized onto the unit circle; if the
     recursion returns it further than 1e-6 from the circle the

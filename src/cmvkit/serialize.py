@@ -37,11 +37,22 @@ def _pairs(z: np.ndarray) -> np.ndarray:
 
 
 def verblunsky_to_obj(v: VerblunskySet) -> dict:
-    return {"n": int(v.n), "alpha": _pairs(v.alpha).tolist()}
+    return verblunsky_to_objs(v)[0]
+
+
+def verblunsky_to_objs(v: VerblunskySet) -> list[dict]:
+    """One coefficient object per set of v, one set or a stack (T, n)."""
+    return [{"n": int(v.n), "alpha": pairs} for pairs in _pairs(v.alpha.reshape(-1, v.n)).tolist()]
 
 
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
     return VerblunskySet(_coefficients([obj])[0])
+
+
+def verblunsky_from_objs(objs) -> VerblunskySet:
+    """The stack (T, n) of T coefficient objects of one size, row t equal to
+    verblunsky_from_obj(objs[t]).alpha bit for bit."""
+    return VerblunskySet(_coefficients(objs))
 
 
 def _coefficients(objs) -> np.ndarray:
@@ -80,6 +91,15 @@ def _points(obj: dict, key: str) -> tuple[list, list]:
 
 def circle_measure_from_obj(obj: dict) -> SpectralMeasureCircle:
     return SpectralMeasureCircle(*_points(obj, "theta"))
+
+
+def circle_measure_from_objs(objs) -> SpectralMeasureCircle:
+    """The stack (T, n) of T measure objects of one size, row t equal to
+    circle_measure_from_obj(objs[t]) bit for bit."""
+    theta, weights = zip(*(_points(obj, "theta") for obj in objs))
+    if len({len(t) for t in theta}) != 1:
+        raise InvalidParams("expected measure objects of one size")
+    return SpectralMeasureCircle(np.array(theta), np.array(weights))
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,27 @@
 Each suite sweeps seeded random probe points, evaluates a family of
 bracket/Jacobian identities numerically, and reports the worst residual
 against its tolerance.  One table, `_SUITES`, gives each suite its probe
-draw (a probe record, in the serialize schemas), its per-probe residual
-function (evaluated on the probe that record loads) and its (identity,
-tolerance) list, and `run_suite` runs the one trial loop over it; a
-comment at each entry lists the suite's identities.  Suites return a
-plain dict ready for JSON.  A suite needs at least one trial and
-n >= MIN_N[suite].
+draw (probe records, in the serialize schemas), its residual function
+(evaluated on the stack of probes those records load) and its
+(identity, tolerance) list; a comment at each entry lists the suite's
+identities.  `run_suite` draws the probes in trial order, with the
+generator calls of one probe at a time, and evaluates them in blocks of
+about SUITE_BLOCK entries: each block is one stack of coefficient sets or
+measures, so one batched CMV build, eig, Szego tangent pass, solve and
+determinant serve all its probes.  Suites return a plain dict ready for
+JSON.  A suite needs at least one trial and n >= MIN_N[suite].
 
 No probe is redrawn: canonical, cotangent and jacobian draw a stratified
 measure (`random_measure`), the first two through the Szego recursion to
 its coefficients, and brackets draws coefficients in a disk.
 
-The per-probe residual functions (`brackets_residuals`,
-`canonical_residuals`, `cotangent_residual`, `jacobian_residual`) read
-their defects from one bracket matrix of exact gradients, or one exact
-Jacobian, per probe.  Each identity records the trial and the probe
-(coefficients or measure, in the serialize schemas) of its worst
-residual, so that probe alone reproduces `max_residual` bit for bit.
+The residual functions (`brackets_residuals`, `canonical_residuals`,
+`brackets.cotangent_residual`, `jacobian_residual`) take one probe or a
+stack of them, and read their defects from one bracket matrix of exact
+gradients, or one exact Jacobian, per probe; no probe of a stack depends
+on another.  Each identity records the trial and the probe (coefficients
+or measure, in the serialize schemas) of its worst residual, so that
+probe alone reproduces `max_residual` bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .brackets import (
+    _value,
     bracket_matrix,
     cotangent_residual,
     hamiltonian_gradients,
@@ -38,7 +43,13 @@ from .core import SpectralMeasureCircle, VerblunskySet
 from .ensembles import RngStream, random_verblunsky
 from .errors import InvalidParams
 from .opuc import verblunsky_from_measure
-from .serialize import circle_measure_from_obj, circle_measure_to_obj, verblunsky_from_obj, verblunsky_to_obj
+from .serialize import (
+    circle_measure_from_objs,
+    circle_measure_to_obj,
+    verblunsky_from_objs,
+    verblunsky_to_obj,
+    verblunsky_to_objs,
+)
 
 SUITES = ("brackets", "canonical", "cotangent", "jacobian")
 # smallest n each suite can evaluate: brackets and canonical need an
@@ -54,10 +65,15 @@ JACOBIAN_TOL = 1e-6
 HAMILTONIAN_DEGREES = (1, 2, 3)
 
 W_LO = 1e-2  # smallest weight of a random_measure probe before normalization
+# entries n (2n - 1) of a probe's tangent arrays per block of probes, at
+# least one probe: stacks of small probes share their numpy calls, while
+# large ones (n = 64) run faster one at a time
+SUITE_BLOCK = 4096
 
 
-def _rank(residual: float) -> float:
-    return np.inf if np.isnan(residual) else residual
+def _rank(residual):
+    """Residuals as ranked: NaN above everything, so that it fails."""
+    return np.where(np.isnan(residual), np.inf, residual)
 
 
 def _result(name: str, worst: tuple[float, int, dict], tolerance: float) -> dict:
@@ -73,48 +89,64 @@ def _result(name: str, worst: tuple[float, int, dict], tolerance: float) -> dict
     }
 
 
-def brackets_residuals(v: VerblunskySet) -> tuple[float, float, float]:
-    """Worst defects at one probe of the coefficient bracket reconstruction,
-    of antisymmetry, and of the trace Hamiltonians' involution.
+def brackets_residuals(v: VerblunskySet) -> tuple:
+    """Worst defects at one probe, or at each probe of a stack v (T, n), of
+    the coefficient bracket reconstruction, of antisymmetry, and of the
+    trace Hamiltonians' involution: floats, or (T,) arrays.
 
-    One bracket matrix covers every interior coordinate (rows 2j, 2j+1
-    are u_j, v_j, whose gradients are the unit rows) and Re/Im K_m for
-    m = 1..3.  The reconstruction and antisymmetry defects are 0 exactly,
-    from the unit rows and since `bracket_matrix` is antisymmetric by
-    construction; they guard that assembly and its rho^2 weights only.
+    One bracket matrix per probe covers every interior coordinate (rows
+    2j, 2j+1 are u_j, v_j, whose gradients are the unit rows) and Re/Im
+    K_m for m = 1..3.  The reconstruction and antisymmetry defects are 0
+    exactly, from the unit rows and since `bracket_matrix` is
+    antisymmetric by construction; they guard that assembly and its rho^2
+    weights only.
     """
-    d = 2 * (v.n - 1)
+    lead, m = v.alpha.shape[:-1], v.n - 1
+    d = 2 * m
     ham = hamiltonian_gradients(v, HAMILTONIAN_DEGREES)
-    rows = np.vstack([np.eye(d), np.stack([ham.real, ham.imag], axis=1).reshape(-1, d)])
-    B = bracket_matrix(rows, v)
+    ham_rows = np.stack([ham.real, ham.imag], axis=-2).reshape(lead + (-1, d))
+    B = bracket_matrix(np.concatenate([np.broadcast_to(np.eye(d), lead + (d, d)), ham_rows], axis=-2), v)
     # [k, l] entries: {u_k, u_l}, {u_k, v_l}, {v_k, u_l}, {v_k, v_l}
-    uu, uv = B[0:d:2, 0:d:2], B[0:d:2, 1:d:2]
-    vu, vv = B[1:d:2, 0:d:2], B[1:d:2, 1:d:2]
+    uu, uv = B[..., 0:d:2, 0:d:2], B[..., 0:d:2, 1:d:2]
+    vu, vv = B[..., 1:d:2, 0:d:2], B[..., 1:d:2, 1:d:2]
+    diag = np.zeros(lead + (m, m))
+    diag[..., np.arange(m), np.arange(m)] = 2.0 * v.rho**2
     # {a_k, conj(a_l)} = {u_k,u_l} + {v_k,v_l} + i({v_k,u_l} - {u_k,v_l}) = -2i delta_kl rho_k^2
-    same = np.hypot(uu + vv, (vu - uv) + np.diag(2.0 * v.rho**2))
+    same = np.hypot(uu + vv, (vu - uv) + diag)
     # {a_k, a_l} = {u_k,u_l} - {v_k,v_l} + i({u_k,v_l} + {v_k,u_l}) = 0
     cross = np.hypot(uu - vv, uv + vu)
-    worst_pair = np.maximum(same.max(), cross.max())
-    worst_anti = np.abs(uv + vu.T).max()
+    worst_pair = np.maximum(same.max(axis=(-2, -1)), cross.max(axis=(-2, -1)))
+    worst_anti = np.abs(uv + np.swapaxes(vu, -2, -1)).max(axis=(-2, -1))
     # {K_m parts, Re K_l}: rows Re/Im K_1..K_3, columns Re K_1..K_3
-    worst_ham = np.abs(B[d:, d::2]).max()
-    return float(worst_pair), float(worst_anti), float(worst_ham)
+    worst_ham = np.abs(B[..., d:, d::2]).max(axis=(-2, -1))
+    return _value(worst_pair), _value(worst_anti), _value(worst_ham)
 
 
-def canonical_residuals(v: VerblunskySet) -> tuple[float, float]:
-    """Worst defects at one probe of {theta_j, theta_k} = 0 and of the
-    pairing matrix {theta_l, (1/2) log(mu_j / mu_n)} = identity.
+def canonical_residuals(v: VerblunskySet) -> tuple:
+    """Worst defects at one probe, or at each probe of a stack v (T, n), of
+    {theta_j, theta_k} = 0 and of the pairing matrix
+    {theta_l, (1/2) log(mu_j / mu_n)} = identity: floats, or (T,) arrays.
 
-    One bracket matrix covers theta_0..theta_{n-1} (rows 0..n-1) and
-    log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one
+    One bracket matrix per probe covers theta_0..theta_{n-1} (rows
+    0..n-1) and log(mu_j / mu_{n-1}), j < n-1 (rows n..2n-2), all from one
     eigensolve and one Jacobian solve.
     """
     n = v.n
     _, dtheta, dlog = spectral_gradients(v)
-    B = bracket_matrix(np.vstack([dtheta, dlog[: n - 1] - dlog[n - 1]]), v)
-    worst_theta = np.abs(B[:n, :n][np.triu_indices(n, 1)]).max()
-    pairing = 0.5 * B[: n - 1, n:]
-    return float(worst_theta), float(np.abs(pairing - np.eye(n - 1)).max())
+    B = bracket_matrix(np.concatenate([dtheta, dlog[..., : n - 1, :] - dlog[..., n - 1 :, :]], axis=-2), v)
+    upper = np.triu_indices(n, 1)
+    worst_theta = np.abs(B[..., upper[0], upper[1]]).max(axis=-1)
+    pairing = 0.5 * B[..., : n - 1, n:]
+    return _value(worst_theta), _value(np.abs(pairing - np.eye(n - 1)).max(axis=(-2, -1)))
+
+
+def _measure_variates(n: int, gen) -> tuple[np.ndarray, np.ndarray]:
+    """The angles and normalized weights of one random_measure, from its
+    2n + 1 variates."""
+    arcs = np.arange(n) + 0.5 + gen.uniform(-0.25, 0.25, n)
+    theta = gen.uniform(-np.pi, np.pi) + arcs * (2.0 * np.pi / n)
+    weights = W_LO ** gen.random(n)
+    return theta, weights / weights.sum()
 
 
 def random_measure(n: int, gen) -> SpectralMeasureCircle:
@@ -124,29 +156,39 @@ def random_measure(n: int, gen) -> SpectralMeasureCircle:
     (pi / (2n)) and all rotated by one uniform angle, so every circular
     gap is at least pi / n; weights log-uniform on [W_LO, 1], normalized.
     """
-    arcs = np.arange(n) + 0.5 + gen.uniform(-0.25, 0.25, n)
-    theta = gen.uniform(-np.pi, np.pi) + arcs * (2.0 * np.pi / n)
-    weights = W_LO ** gen.random(n)
-    return SpectralMeasureCircle(theta, weights / weights.sum())
+    return SpectralMeasureCircle(*_measure_variates(n, gen))
 
 
-def jacobian_residual(mu: SpectralMeasureCircle) -> float:
+def jacobian_residual(mu: SpectralMeasureCircle):
     """Relative defect of the exact spectral Jacobian against its closed
-    form at one measure."""
+    form at one measure, or at each measure of a stack (an array)."""
     numeric = spectral_to_verblunsky_jacobian(mu)
     predicted = jacobian_prediction(mu)
-    return abs(numeric - predicted) / max(abs(predicted), 1e-12)
+    return _value(np.abs(numeric - predicted) / np.maximum(np.abs(predicted), 1e-12))
 
 
-def _spectral_coefficients(n: int, gen) -> dict:
-    """Record of the coefficients of a random_measure probe, through the
-    Szego recursion."""
-    return verblunsky_to_obj(verblunsky_from_measure(random_measure(n, gen)))
+def _spectral_coefficients(n: int, gen, count: int, labels: bool = False) -> list[dict]:
+    """Records of the coefficients of `count` random_measure probes, through
+    one Szego pass on their stack (each row as random_measure draws it);
+    with labels, each record also holds three eigenvalue labels, drawn
+    after its measure."""
+    draws, drawn = [], []
+    for _ in range(count):
+        draws.append(_measure_variates(n, gen))
+        if labels:
+            drawn.append(gen.permutation(n)[:3].tolist())
+    theta, weights = zip(*draws)
+    records = verblunsky_to_objs(verblunsky_from_measure(SpectralMeasureCircle(np.array(theta), np.array(weights))))
+    for record, chosen in zip(records, drawn):
+        record["labels"] = chosen
+    return records
 
 
-# suite -> (draw(n, gen) -> probe record, residuals(probe record), [(identity, tolerance)]).
-# Residuals read the probe the record loads, so the record reproduces them bit
-# for bit.  The lambdas look the package functions up at call time.
+# suite -> (draw(n, gen, count) -> probe records, residuals(probe records) ->
+# one (count,) array per identity, [(identity, tolerance)]).  Residuals read
+# the stack of probes the records load, so each record alone reproduces its
+# residuals bit for bit.  The lambdas look the package functions up at call
+# time.
 _SUITES = {
     # Coefficient brackets and the involution of the trace Hamiltonians:
     #   * the complex reconstruction {alpha_k, conj(alpha_l)} = -2i delta_kl rho_k^2
@@ -154,8 +196,8 @@ _SUITES = {
     #   * antisymmetry of the numeric bracket (0 by construction);
     #   * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
     "brackets": (
-        lambda n, gen: verblunsky_to_obj(random_verblunsky(n, gen, radius=0.65)),
-        lambda probe: brackets_residuals(verblunsky_from_obj(probe)),
+        lambda n, gen, count: [verblunsky_to_obj(random_verblunsky(n, gen, radius=0.65)) for _ in range(count)],
+        lambda probes: brackets_residuals(verblunsky_from_objs(probes)),
         [
             ("coefficient bracket reconstruction", BRACKET_TOL),
             ("antisymmetry", BRACKET_TOL),
@@ -166,29 +208,31 @@ _SUITES = {
     # {theta_j, theta_k} should vanish and the matrix
     # {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
     "canonical": (
-        lambda n, gen: _spectral_coefficients(n, gen),
-        lambda probe: canonical_residuals(verblunsky_from_obj(probe)),
+        lambda n, gen, count: _spectral_coefficients(n, gen, count),
+        lambda probes: canonical_residuals(verblunsky_from_objs(probes)),
         [("eigenvalue angles commute", THETA_COMMUTE_TOL), ("canonical pairing matrix", CANONICAL_TOL)],
     ),
     # Mass-ratio bracket against the cotangent sum on well separated spectra.
     "cotangent": (
-        # the labels are drawn after the measure
-        lambda n, gen: dict(_spectral_coefficients(n, gen), labels=gen.permutation(n)[:3].tolist()),
-        lambda probe: (abs(cotangent_residual(verblunsky_from_obj(probe), tuple(probe["labels"]))),),
+        # the labels are drawn after each measure
+        lambda n, gen, count: _spectral_coefficients(n, gen, count, labels=True),
+        lambda probes: (np.abs(cotangent_residual(verblunsky_from_objs(probes), [p["labels"] for p in probes])),),
         [("cotangent identity", COTANGENT_TOL)],
     ),
     # Exact spectral-to-coefficient Jacobian against its closed form.
     "jacobian": (
-        lambda n, gen: circle_measure_to_obj(random_measure(n, gen)),
-        lambda probe: (jacobian_residual(circle_measure_from_obj(probe)),),
+        lambda n, gen, count: [circle_measure_to_obj(random_measure(n, gen)) for _ in range(count)],
+        lambda probes: (jacobian_residual(circle_measure_from_objs(probes)),),
         [("spectral jacobian determinant", JACOBIAN_TOL)],
     ),
 }
 
 
 def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
-    """Run one suite: `trials` seeded probes and the worst residual of each
-    identity.  A NaN residual ranks as the worst, so it fails.
+    """Run one suite: `trials` seeded probes, drawn in trial order and
+    evaluated in blocks, and the worst residual of each identity.  A NaN
+    residual ranks as the worst, so it fails; of equal ranks the first
+    trial wins.
 
     Rejects an unknown suite, a size below MIN_N[suite] or fewer than one
     trial before anything is drawn.
@@ -201,12 +245,15 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
         raise InvalidParams(f"need at least one trial, got {trials}")
     draw, residuals, identities = _SUITES[suite]
     gen = RngStream(seed).generator()
+    per = max(SUITE_BLOCK // (n * (2 * n - 1)), 1)
     worst = [None] * len(identities)
-    for trial in range(trials):
-        probe = draw(n, gen)
-        for index, residual in enumerate(residuals(probe)):
-            if worst[index] is None or _rank(residual) > _rank(worst[index][0]):
-                worst[index] = (residual, trial, probe)
+    for start in range(0, trials, per):
+        probes = draw(n, gen, min(per, trials - start))
+        block = np.stack(residuals(probes), axis=-1)
+        # first occurrence of the worst rank, within the block and across blocks
+        for index, row in enumerate(_rank(block).argmax(axis=0)):
+            if worst[index] is None or _rank(block[row, index]) > _rank(worst[index][0]):
+                worst[index] = (block[row, index], start + int(row), probes[row])
     results = [_result(name, item, tol) for (name, tol), item in zip(identities, worst)]
     return {
         "suite": suite,

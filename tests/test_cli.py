@@ -424,8 +424,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("quiet", [False, True])
     def test_quiet_prints_only_failures(self, tmp_path, monkeypatch, capsys, quiet):
-        # reconstruction and antisymmetry pass, the involution is forced to fail
-        monkeypatch.setattr("cmvkit.verify.brackets_residuals", lambda v: (0.0, 0.0, 1.0))
+        # reconstruction and antisymmetry pass, the involution is forced to
+        # fail, at every probe of the stack
+        monkeypatch.setattr("cmvkit.verify.brackets_residuals",
+                            lambda v: tuple(np.full(v.alpha.shape[:-1], x) for x in (0.0, 0.0, 1.0)))
         report = tmp_path / "r.json"
         flags = ["--quiet"] if quiet else []
         assert run("verify", "--suite", "brackets", "--n", 3, "--trials", 2, "--report", report, *flags) == 4

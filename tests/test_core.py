@@ -122,6 +122,21 @@ class TestLMFactors:
         assert np.array_equal(L, expected_L)
         assert np.array_equal(M, expected_M)
 
+    def test_squared_moduli_computed_once(self, monkeypatch):
+        # the range check's |alpha|^2 is the one rho reads
+        import cmvkit.core as core
+
+        seen, original = [], core.coefficient_rho
+
+        def recorded(interior, mod2=None):
+            seen.append(mod2)
+            return original(interior, mod2)
+
+        alpha = np.array([random_set(np.random.default_rng(t), 5).alpha for t in range(3)])
+        monkeypatch.setattr(core, "coefficient_rho", recorded)
+        batched_lm_factors(alpha)
+        assert len(seen) == 1 and seen[0] is not None and seen[0].shape == (3, 4)
+
     @pytest.mark.parametrize("n", [*range(1, 10), 64])
     def test_bit_identical_to_block_loop(self, n):
         v = random_set(np.random.default_rng(n), n)

@@ -27,13 +27,16 @@ def test_ensemble_spectra(tmp_path):
 
 
 def test_identity_report(tmp_path):
+    # three trials, so every suite evaluates a stack of probes
     out = tmp_path / "report.json"
-    proc = run_script("identity_report.py", "--trials", 1, "--out", out, cwd=tmp_path)
+    proc = run_script("identity_report.py", "--trials", 3, "--out", out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "worst trial 0" in proc.stdout
+    assert proc.stdout.count("[pass]") == 7 and "FAIL" not in proc.stdout
     for report in json.loads(out.read_text()):
+        assert report["trials"] == 3 and report["pass"]
         for item in report["identities"]:
-            assert item["worst_trial"] == 0 and item["worst_probe"]
+            assert 0 <= item["worst_trial"] < 3 and item["worst_probe"]
+            assert f"(worst trial {item['worst_trial']})" in proc.stdout
 
 
 def test_sorting_flow_demo(tmp_path):

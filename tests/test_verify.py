@@ -67,6 +67,7 @@ class TestDomain:
 
         monkeypatch.setattr("cmvkit.verify.random_verblunsky", no_draw)
         monkeypatch.setattr("cmvkit.verify.random_measure", no_draw)
+        monkeypatch.setattr("cmvkit.verify._measure_variates", no_draw)
         with pytest.raises(InvalidParams, match=f"{suite} suite needs n >= {MIN_N[suite]}"):
             run_suite(suite, MIN_N[suite] - below, 1, 0)
 
@@ -155,14 +156,27 @@ class TestWorstProbe:
                 assert self.reevaluate(suite, index, item["worst_probe"]) == item["max_residual"], seed
 
     def test_worst_trial_is_the_argmax(self, monkeypatch):
+        self.check_worst_trial_is_the_argmax(None, monkeypatch)
+
+    @pytest.mark.parametrize("probes_per_block", [1, 3])
+    def test_worst_trial_is_the_argmax_across_blocks(self, probes_per_block, monkeypatch):
+        self.check_worst_trial_is_the_argmax(probes_per_block, monkeypatch)
+
+    @staticmethod
+    def check_worst_trial_is_the_argmax(probes_per_block, monkeypatch):
+        # the stacked residuals of every block, one tuple per trial in order
         seen = []
 
         def recorded(v):
-            seen.append(canonical_residuals(v))
-            return seen[-1]
+            out = canonical_residuals(v)
+            seen.extend(zip(*out))
+            return out
 
         monkeypatch.setattr("cmvkit.verify.canonical_residuals", recorded)
+        if probes_per_block:
+            monkeypatch.setattr("cmvkit.verify.SUITE_BLOCK", probes_per_block * 3 * 5)
         report = run_suite("canonical", 3, 5, 5)
+        assert len(seen) == 5
         for index, item in enumerate(report["identities"]):
             per_trial = [res[index] for res in seen]
             assert item["worst_trial"] == int(np.argmax(per_trial))
@@ -174,7 +188,7 @@ class TestWorstProbe:
 
         def nan_im_k3(v, degrees):
             rows = hamiltonian_gradients(v, degrees)
-            rows[-1] = rows[-1].real + 1j * np.nan
+            rows[..., -1, :] = rows[..., -1, :].real + 1j * np.nan
             return rows
 
         monkeypatch.setattr("cmvkit.verify.hamiltonian_gradients", nan_im_k3)
@@ -184,8 +198,9 @@ class TestWorstProbe:
 
     @pytest.mark.parametrize("suite,row,failing", [("brackets", -1, [2]), ("canonical", 0, [0, 1])])
     def test_nan_bracket_reaches_the_report(self, suite, row, failing, monkeypatch):
-        # a NaN gradient row (K_3 for brackets, theta_0 for canonical) must
-        # surface in the worst residual of every identity that reads it
+        # a NaN gradient row (K_3 for brackets, theta_0 for canonical) of
+        # every probe of the stack must surface in the worst residual of
+        # every identity that reads it
         import cmvkit.brackets as brackets
 
         name = {"brackets": "hamiltonian_gradients", "canonical": "spectral_gradients"}[suite]
@@ -194,7 +209,7 @@ class TestWorstProbe:
         def nan_row(*args):
             out = original(*args)
             rows = out if suite == "brackets" else out[1]
-            rows[row, 0] = np.nan
+            rows[..., row, 0] = np.nan
             return out
 
         monkeypatch.setattr(f"cmvkit.verify.{name}", nan_row)
@@ -203,10 +218,60 @@ class TestWorstProbe:
         assert report["pass"] is False
 
     def test_nan_residual_fails(self, monkeypatch):
+        self.check_nan_residual_fails(None, monkeypatch)
+
+    @pytest.mark.parametrize("probes_per_block", [1, 2])
+    def test_nan_residual_fails_across_blocks(self, probes_per_block, monkeypatch):
+        self.check_nan_residual_fails(probes_per_block, monkeypatch)
+
+    @staticmethod
+    def check_nan_residual_fails(probes_per_block, monkeypatch):
+        # the NaN of trial 1 ranks above both finite residuals, in its
+        # block and across blocks
         residuals = iter([1e-9, float("nan"), 1e-8])
-        monkeypatch.setattr("cmvkit.verify.jacobian_residual", lambda mu: next(residuals))
+        monkeypatch.setattr("cmvkit.verify.jacobian_residual",
+                            lambda mu: np.array([next(residuals) for _ in range(mu.theta.shape[0])]))
+        if probes_per_block:
+            monkeypatch.setattr("cmvkit.verify.SUITE_BLOCK", probes_per_block * 2 * 3)
         item = run_suite("jacobian", 2, 3, 4)["identities"][0]
         assert item["worst_trial"] == 1 and item["pass"] is False
+
+
+class TestBlocks:
+    CASES = [(suite, n) for suite in SUITES for n in (1, 2, 3, 4, 6) if n >= MIN_N[suite]]
+
+    @pytest.mark.parametrize("suite,n", CASES)
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_report_does_not_depend_on_the_block(self, suite, n, block, monkeypatch):
+        # the block bounds memory only: a report is byte-identical whether
+        # the probes run one at a time, three at a time (a SUITE_BLOCK of 1,
+        # or 3 probes' entries) or in the default blocks
+        default = json.dumps(run_suite(suite, n, 7, 3))
+        entries = 1 if block == 1 else block * n * (2 * n - 1)
+        monkeypatch.setattr("cmvkit.verify.SUITE_BLOCK", entries)
+        assert json.dumps(run_suite(suite, n, 7, 3)) == default
+
+    def test_block_size(self):
+        # the benchmark's sizes run in one block, n = 64 one probe at a time
+        from cmvkit import verify
+
+        assert max(verify.SUITE_BLOCK // (4 * 7), 1) >= 4
+        assert max(verify.SUITE_BLOCK // (64 * 127), 1) == 1
+
+    def test_memory_is_bounded_by_the_block(self):
+        # n = 64 runs one probe per block, so 12 trials peak as 2 do
+        import tracemalloc
+
+        def peak(trials):
+            run_suite("jacobian", 64, 1, 0)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                run_suite("jacobian", 64, trials, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(12) <= 1.5 * peak(2)
 
 
 class TestOneSweepPerProbe:
@@ -225,14 +290,34 @@ class TestOneSweepPerProbe:
 
     @pytest.mark.parametrize("suite", ["canonical", "cotangent"])
     def test_eigensolves_per_trial(self, suite, monkeypatch):
-        # one eigensolve gives the probe's measure; its tangents need none
-        calls = self.count_calls(monkeypatch, "unitary_eigensystem")
+        self.check_eigensolves(suite, None, monkeypatch)
+
+    @pytest.mark.parametrize("suite", ["canonical", "cotangent"])
+    def test_eigensolves_one_probe_per_block(self, suite, monkeypatch):
+        self.check_eigensolves(suite, 1, monkeypatch)
+
+    @staticmethod
+    def check_eigensolves(suite, probes_per_block, monkeypatch):
+        # one eigensolved matrix gives each probe's measure, its tangents
+        # need none; one batched eig per block
+        import cmvkit.brackets as brackets
+
+        matrices, original = [], brackets.unitary_eigensystem
+
+        def counted(C):
+            matrices.append(int(np.prod(C.entries.shape[:-2])))
+            return original(C)
+
+        monkeypatch.setattr(brackets, "unitary_eigensystem", counted)
+        if probes_per_block:
+            monkeypatch.setattr("cmvkit.verify.SUITE_BLOCK", probes_per_block * 4 * 7)
         run_suite(suite, 4, 3, 0)
-        assert len(calls) == 3
+        assert sum(matrices) == 3
+        assert len(matrices) == (3 if probes_per_block else 1)
 
     def test_cmv_builds_per_brackets_trial(self, monkeypatch):
-        # one banded kernel call (one pair of L and M bands) per trial, and
-        # no dense factors or CMVMatrix
+        # one banded kernel call (one pair of L and M bands) per trial, all
+        # in one block, and no dense factors or CMVMatrix
         kernel = self.count_calls(monkeypatch, "_trace_gradient_blocks")
         factors = self.count_calls(monkeypatch, "lm_factors", "cmvkit.core")
         builds = self.count_calls(monkeypatch, "build_cmv")
