@@ -13,18 +13,21 @@ alpha_{n-1} frozen.  Every flow order m lies in 1..MAX_ORDER.
 
 Two propagators cross-validate each other.  integrate_flow is fixed-step
 RK4 whose stages run the banded, division-free bracket field on plain
-arrays.  flow_via_spectral and exact_propagate diagonalize once, evolve
-the spectral weights exactly as mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with
-F(theta) = 2 Re[z f'(z)], and invert the spectral map;
-spectral_trajectory does so at every grid time with one diagonalization
-and one szego_rows pass over (T, n) weights.
+arrays.  flow_via_spectral reads the spectral measure once with
+opuc.christoffel_measure, whose weights keep a small relative error
+(that is what exact propagation carries), evolves the weights exactly as
+mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with F(theta) = 2 Re[z f'(z)]
+(exact_propagate), and inverts the spectral map; spectral_trajectory
+does so at every grid time with one such read and one szego_rows pass
+over (T, n) weights.  No flow calls np.linalg.eig.
 
 Both trajectories share one time grid of at most MAX_STEPS steps and
 hold their states as one (T, n) coefficient array.  check_cmv_band tests
 the CMV invariants of every state in O(n) from the band of C = L M; its
 residuals are the unitarity diagnostic.  It and the bracket field gather
 L and M by core's one layout, core.lm_band_indices.  The first state's
-matrix is the only dense one: its angles are read once, and every
+matrix is the only dense one: its angles are read once (for the
+spectral method, the forward map's Newton-refined angles), and every
 state's drift is one Newton step on its paraorthogonal polynomial Phi_n
 from them, O(n^2) per state (eigenvalue_drift), with a dense read only
 for a state whose step the trust rule rejects.
@@ -66,11 +69,11 @@ from .core import (
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
 from .opuc import (
+    christoffel_measure,
     gap_rotation,
     newton_angle_steps,
     szego_rows,
     unitary_angles,
-    unitary_eigensystem,
     verblunsky_from_measure,
     verblunsky_rows,
 )
@@ -209,7 +212,8 @@ def _band_indices(n: int, m: int) -> tuple:
     products: B in (AB)[i, i + r] = sum_p A[i, i + p] B[i + p, i + r], for
     L M and C C^j, 0 < j < m - 1; blocks: the three factor and C^(m-1)
     entries summed into each of X[k, k], X[k + 1, k + 1], X[k, k + 1] and
-    X[k + 1, k]; identity: C^0."""
+    X[k + 1, k], or for m = 1, where X is a factor, the one factor entry
+    and None."""
     size = n + 2
 
     def flat(rows, cols, width):
@@ -229,12 +233,12 @@ def _band_indices(n: int, m: int) -> tuple:
     w, p, even = widths[m - 1], np.arange(-1, 2), k[:, None] % 2 == 0
     i = k[:, None] + np.array([[[0]], [[1]], [[0]], [[1]]])
     j = k[:, None] + np.array([[[0]], [[1]], [[1]], [[0]]])
+    if m == 1:  # M[i, j] for even k, L[i, j] for odd k
+        return products, (np.where(even, size + 1 + i, 1 + i)[..., 0] * 3 + 1 + (j - i)[..., 0], None)
     # M[i, i + p] C^(m-1)[i + p, j] for even k, C^(m-1)[i, j + p] L[j + p, j] for odd k
     f_blocks = np.where(even, (size + 1 + i) * 3 + 1 + p, (1 + j + p) * 3 + 1 - p)
     d_blocks = np.where(even, flat(1 + i + p, w + j - i - p, 2 * w + 1), flat(1 + i, w + j + p - i, 2 * w + 1))
-    identity = np.zeros((size, 1))
-    identity[1 : n + 1] = 1.0
-    return products, (f_blocks, d_blocks), identity
+    return products, (f_blocks, d_blocks)
 
 
 def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
@@ -250,17 +254,19 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     all the degrees.
     """
     n = alpha.size
-    products, _, identity = _band_indices(n, max(degrees))
+    products = _band_indices(n, max(degrees))[0]
     entries = factor_entries(alpha)
     F = entries[lm_band_indices(n)]
-    powers = [identity]
+    powers = []  # C^j at powers[j - 1]
     for index in products:
-        A, B = F if len(powers) == 1 else (powers[1], powers[-1])  # L M, then C C^j
+        A, B = (powers[0], powers[-1]) if powers else F  # L M, then C C^j
         powers.append((A[:, None, :] @ B.ravel()[index])[:, 0])
     blocks = []
     for m in degrees:
         f_blocks, d_blocks = _band_indices(n, m)[1]
-        x = (F.ravel()[f_blocks] * powers[m - 1].ravel()[d_blocks]).sum(axis=-1)
+        x = F.ravel()[f_blocks]
+        if d_blocks is not None:
+            x = (x * powers[m - 2].ravel()[d_blocks]).sum(axis=-1)
         blocks.append((x[0], x[1], x[2] + x[3]))
     return entries[2 * n - 1 : 3 * n - 2].real, blocks
 
@@ -385,14 +391,15 @@ class Trajectory:
         return self.alpha.shape[1]
 
 
-def _trajectory(times: np.ndarray, alpha: np.ndarray, first: np.ndarray) -> Trajectory:
+def _trajectory(times: np.ndarray, alpha: np.ndarray, theta: np.ndarray) -> Trajectory:
     """The Trajectory of coefficient rows alpha (T, n) at times and its
     diagnostics, checked a chunk of NEWTON_BLOCK coefficients at a time;
-    first, the CMV matrix of alpha[0], is the only one eigensolved."""
+    theta, the sorted eigenvalue angles of alpha[0], is the drift's
+    reference (eigenvalue_drift)."""
     check_coefficient_rows(alpha)  # before the diagnostics divide by rho
     per = max(NEWTON_BLOCK // alpha.shape[1], 1)
     unit = np.concatenate([check_cmv_band(alpha[s : s + per]) for s in range(0, len(alpha), per)])
-    return Trajectory(times, alpha, eigenvalue_drift(alpha, unitary_angles(first)), unit)
+    return Trajectory(times, alpha, eigenvalue_drift(alpha, theta), unit)
 
 
 def eigenvalue_drift(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -420,7 +427,7 @@ def eigenvalue_drift(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
     drift = np.empty(len(alpha))
     for s in range(0, len(alpha), per):
         block = alpha[s : s + per]
-        steps, reach = newton_angle_steps(block, theta)
+        steps, reach, _ = newton_angle_steps(block, theta)
         ok = reach.max(axis=1) <= limit
         if s == 0:
             first, trusted = steps[0], bool(ok[0])
@@ -496,7 +503,7 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         alpha[i] = _flow_alpha(y, boundary)
-    return _trajectory(times, alpha, build_cmv(v0).entries)
+    return _trajectory(times, alpha, unitary_angles(build_cmv(v0).entries))
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:
@@ -521,23 +528,24 @@ def propagated_weights(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, times) 
 
 
 def flow_via_spectral(v0: VerblunskySet, ham: FlowHamiltonian, t: float) -> VerblunskySet:
-    """Propagate coefficients by diagonalizing, evolving weights, inverting."""
-    mu = exact_propagate(unitary_eigensystem(build_cmv(v0)), ham, t)
+    """Propagate coefficients by the forward map christoffel_measure,
+    exact weight evolution and the inverse map."""
+    mu = exact_propagate(christoffel_measure(build_cmv(v0)), ham, t)
     return verblunsky_from_measure(mu)
 
 
 def spectral_trajectory(v0: VerblunskySet, ham: FlowHamiltonian, t_final: float, dt: float) -> Trajectory:
     """flow_via_spectral at the times integrate_flow(v0, ..., t_final, dt) uses.
 
-    v0 is diagonalized once for the whole trajectory, and the weights of
-    every later time go through one stacked Szego pass (verblunsky_rows);
-    the state at time 0 is v0's coefficients.
+    v0's measure comes from one christoffel_measure call for the whole
+    trajectory, whose refined angles are also the drift's reference, and
+    the weights of every later time go through one stacked Szego pass
+    (verblunsky_rows); the state at time 0 is v0's coefficients.
     """
     times, _ = _flow_grid(t_final, dt)
-    C0 = build_cmv(v0)
-    mu0 = unitary_eigensystem(C0)
+    mu0 = christoffel_measure(build_cmv(v0))
     theta, weights = circle_weights(mu0.theta, propagated_weights(mu0, ham, times[1:]))
-    return _trajectory(times, np.concatenate([v0.alpha[None], verblunsky_rows(theta, weights)]), C0.entries)
+    return _trajectory(times, np.concatenate([v0.alpha[None], verblunsky_rows(theta, weights)]), mu0.theta)
 
 
 def gauge_transform(traj: Trajectory) -> np.ndarray:
@@ -584,7 +592,7 @@ def _ordered_spectrum(mu: SpectralMeasureCircle, ham: FlowHamiltonian):
 
 def predicted_asymptotics(v0: VerblunskySet, ham: FlowHamiltonian, k: int):
     """(limit, rate, xi) for coefficient k-1 under the flow of ham, k in 1..n-1."""
-    return _predicted_asymptotics(unitary_eigensystem(build_cmv(v0)), ham, k)
+    return _predicted_asymptotics(christoffel_measure(build_cmv(v0)), ham, k)
 
 
 def _predicted_asymptotics(mu: SpectralMeasureCircle, ham: FlowHamiltonian, k: int):
@@ -619,7 +627,7 @@ def asymptotic_report(
         raise InvalidParams("need at least four grid times")
     if np.any(np.diff(t) <= 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
-    mu0 = unitary_eigensystem(build_cmv(v0))
+    mu0 = christoffel_measure(build_cmv(v0))
     limit, rate, xi = _predicted_asymptotics(mu0, ham, k)
     alpha_t = szego_rows(*circle_weights(mu0.theta, propagated_weights(mu0, ham, t)), k)[:, k - 1]
 

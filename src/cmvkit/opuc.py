@@ -2,13 +2,19 @@
 
 Forward direction: eigensolve a CMV or Jacobi matrix (or a stack of CMV
 matrices) with np.linalg.eig or eigh and read off the spectral measure of
-e_1.  When only the eigenvalue angles of a unitary matrix are needed
-(ensemble draws, the first state of a flow), unitary_angles gets them
-from a Hermitian eigensolver through a rotated Cayley transform instead
-of a general complex one.  Near known angles, newton_angle_steps follows
-the eigenvalues of a stack of CMV matrices without forming them: one
-Newton step on the paraorthogonal polynomial Phi_n, O(n^2) per matrix,
-with the matrices' own rho (core.coefficient_rho).
+e_1, each weight to a small absolute error (unitary_eigensystem, for
+`cmv spectral` and the identity suites).  When only the eigenvalue
+angles of a unitary matrix are needed (ensemble draws, the first state
+of a flow), unitary_angles gets them from a Hermitian eigensolver
+through a rotated Cayley transform instead of a general complex one.
+Near known angles, newton_angle_steps follows the eigenvalues of a stack
+of CMV matrices without forming them: one Newton step on the
+paraorthogonal polynomial Phi_n, O(n^2) per matrix, with the matrices'
+own rho (core.coefficient_rho), and the Christoffel kernel
+sum_{k<n} |phi_k|^2 at each point.  christoffel_measure chains the two
+into the flows' forward map, each weight to a small relative error: the
+Cayley angles, one Newton step, and the weights 1 / K at the refined
+angles.
 Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
 it on a (T, n) stack of weight vectors at once, on one support, as a
@@ -63,6 +69,27 @@ def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
     lam, q = np.linalg.eig(C.entries)
     weights = np.abs(q[..., 0, :]) ** 2
     return SpectralMeasureCircle(np.angle(lam), weights / weights.sum(axis=-1, keepdims=True))
+
+
+def christoffel_measure(C: CMVMatrix) -> SpectralMeasureCircle:
+    """Spectral measure of a CMV matrix and the vector e_1, each weight to
+    a small relative error, from one dense read and two O(n^2) passes.
+
+    The unitary_angles of C take one newton_angle_steps step onto the
+    zeros of Phi_n; a second pass at those refined angles gives the
+    Christoffel weights 1 / K(z_j), renormalized to sum 1.  An eig weight
+    errs by about eps in absolute terms, so a tiny one loses its relative
+    accuracy, which is what a spectral flow's exact propagation
+    mu_j(t) ~ exp(F(theta_j) t) mu_j(0) carries to its endpoint; a
+    Christoffel weight keeps it, but its absolute error grows with the
+    largest K (unitary_eigensystem stays the map where absolute accuracy
+    counts).
+    """
+    alpha = C.source.alpha
+    theta = unitary_angles(C.entries)
+    theta = theta + newton_angle_steps(alpha, theta)[0]
+    weights = 1.0 / newton_angle_steps(alpha, theta)[2]
+    return SpectralMeasureCircle(theta, weights / weights.sum())
 
 
 def unitary_angles(U, phi: float = 0.0) -> np.ndarray:
@@ -137,9 +164,10 @@ def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return theta, lam_max
 
 
-def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Newton step towards the eigenvalues of the CMV matrices of the
-    coefficient rows alpha (..., n), from each angle theta (n,).
+    coefficient rows alpha (..., n), from each angle theta (n,), and the
+    Christoffel kernel at each theta.
 
     The eigenvalues are the zeros of the paraorthogonal polynomial Phi_n.
     Runs the orthonormal Szego recursion and its z-derivative at
@@ -153,8 +181,18 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
         steps  delta = -Im(w), the angle step from theta_j to the zero;
         reach  n |w|, the radius of a disk about z_j that holds a zero
                (the logarithmic derivative z Phi_n'/Phi_n is a sum of n
-               terms z / (z - zeta)).
+               terms z / (z - zeta));
+        kernel K(z_j) = sum_{k<n} |phi_k(z_j)|^2, summed along the
+               recursion.  At a zero of Phi_n, 1 / K is its Christoffel
+               weight, the mass the spectral measure puts there.
     A point where Phi_n' vanishes gets step 0 and reach inf.
+
+    The Christoffel-Darboux form of K (Simon, OPUC I, Thm 2.2.7), read off
+    the loop's last values, holds only while rho_k^2 + |a_k|^2 = 1
+    exactly.  With a coefficient 1e-8 from the circle the rounded rho_k
+    breaks that by about 5e-9 relative, and the form put 2e-9 of absolute
+    error into the weights, where the sum keeps 5e-15.  The sum costs
+    three in-place operations per step.
     """
     a = np.asarray(alpha, dtype=complex)
     z = np.exp(1j * np.asarray(theta, dtype=float))
@@ -166,6 +204,7 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     p, ps = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
     dp, dps = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
     zp, dzp, t = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    kernel = np.ones(shape)
     # in place, each (phi, phi*) pair updated from its old values: half
     # the time of the same expressions on fresh arrays
     for k in range(a.shape[-1] - 1):
@@ -185,11 +224,14 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
         np.multiply(ak, dzp, out=t)
         dps *= rk
         dps -= t
+        np.conjugate(p, out=t)
+        t *= p
+        kernel += t.real
     c = a[..., -1:].conj()
     f = z * p - c * ps
     zdf = z * (p + z * dp - c * dps)
     w = np.divide(f, zdf, out=np.full(shape, np.inf, dtype=complex), where=zdf != 0.0)
-    return -w.imag, a.shape[-1] * np.abs(w)
+    return -w.imag, a.shape[-1] * np.abs(w), kernel
 
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:

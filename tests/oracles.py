@@ -14,7 +14,13 @@ package to match them bit for bit (byte for byte, for the files), except for the
 which rk4_trajectory takes from the general eigensolver (eigvals_angles)
 and the package from its Cayley-transform kernel.  ensemble_samples_loop
 and spectral_trajectory_loop take angles from that kernel too, one
-matrix at a time.  dense_lax_field is the Lax form of the flow field
+matrix at a time; spectral_trajectory_loop takes its initial measure
+from the flows' forward map (christoffel_measure) and runs its own
+per-time Szego loop from there.  paraorthogonal_zeros_mp,
+christoffel_measure_mp and christoffel_kernel_mp work in mpmath: the
+zeros of Phi_n by Newton's method on the monic recursion, their
+Christoffel weights at full precision, and sum_{k<n} |phi_k|^2 summed
+term by term.  dense_lax_field is the Lax form of the flow field
 (the full lax_partner and commutator, read by the rho_dot recurrence),
 independent of the package's bracket form; dense_hamiltonian_gradients
 is the package's former dense trace formula for dK_m.  Tests hold the
@@ -74,7 +80,7 @@ from cmvkit.core import (
 )
 from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
 from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, OutOfRange, SupportTooSmall
-from cmvkit.opuc import unitary_angles, unitary_eigensystem, verblunsky_from_measure
+from cmvkit.opuc import christoffel_measure, unitary_angles, unitary_eigensystem, verblunsky_from_measure
 from cmvkit.verify import random_measure
 
 
@@ -272,20 +278,71 @@ def paraorthogonal_zeros_mp(alpha, theta, dps=40, steps=8):
     import mpmath
 
     with mpmath.workdps(dps):
-        a = [mpmath.mpc(complex(x)) for x in alpha]
-        out = []
-        for t in theta:
-            z = mpmath.expj(mpmath.mpf(float(t)))
-            for _ in range(steps):
-                p, ps, dp, dps_ = mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)
-                for ak in a[:-1]:
-                    zp, dzp = z * p, p + z * dp
-                    p, ps = zp - mpmath.conj(ak) * ps, ps - ak * zp
-                    dp, dps_ = dzp - mpmath.conj(ak) * dps_, dps_ - ak * dzp
-                c = mpmath.conj(a[-1])
-                z -= (z * p - c * ps) / (p + z * dp - c * dps_)
-            out.append(float(mpmath.arg(z)))
-    return np.array(out)
+        return np.array([float(mpmath.arg(z)) for z in _zeros_mp(_coefficients_mp(alpha), theta, steps)])
+
+
+def christoffel_measure_mp(alpha, theta, dps=50, steps=4):
+    """Angles and Christoffel weights of the zeros of the paraorthogonal
+    Phi_n: each zero found by Newton's method in dps-digit mpmath from the
+    matching angle of theta and kept at that precision, its weight
+    1 / sum_{k<n} |phi_k|^2 summed there term by term and the weights
+    normalized to sum 1 before they are rounded to double."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = _coefficients_mp(alpha)
+        zeros = _zeros_mp(a, theta, steps)
+        inverse = [1 / _kernel_sum_mp(a, z) for z in zeros]
+        total = mpmath.fsum(inverse)
+        return np.array([float(mpmath.arg(z)) for z in zeros]), np.array([float(w / total) for w in inverse])
+
+
+def christoffel_kernel_mp(alpha, theta, dps=50):
+    """sum_{k<n} |phi_k(z)|^2 at each z = e^{i theta}, theta read exactly,
+    summed term by term over the dps-digit orthonormal Szego recursion."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = _coefficients_mp(alpha)
+        return np.array([float(_kernel_sum_mp(a, mpmath.expj(mpmath.mpf(float(t))))) for t in theta])
+
+
+def _coefficients_mp(alpha):
+    import mpmath
+
+    return [mpmath.mpc(complex(x)) for x in alpha]
+
+
+def _zeros_mp(a, theta, steps):
+    """Zeros of the paraorthogonal Phi_n of the mpmath coefficients a by
+    Newton's method on the monic recursion, one from each angle of theta."""
+    import mpmath
+
+    out = []
+    for t in theta:
+        z = mpmath.expj(mpmath.mpf(float(t)))
+        for _ in range(steps):
+            p, ps, dp, dps_ = mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)
+            for ak in a[:-1]:
+                zp, dzp = z * p, p + z * dp
+                p, ps = zp - mpmath.conj(ak) * ps, ps - ak * zp
+                dp, dps_ = dzp - mpmath.conj(ak) * dps_, dps_ - ak * dzp
+            c = mpmath.conj(a[-1])
+            z -= (z * p - c * ps) / (p + z * dp - c * dps_)
+        out.append(z)
+    return out
+
+
+def _kernel_sum_mp(a, z):
+    """sum_{k<n} |phi_k(z)|^2 over the orthonormal recursion, term by term."""
+    import mpmath
+
+    p, ps, total = mpmath.mpc(1), mpmath.mpc(1), mpmath.mpf(1)
+    for ak in a[:-1]:
+        rho = mpmath.sqrt(1 - abs(ak) ** 2)
+        p, ps = (z * p - mpmath.conj(ak) * ps) / rho, (ps - ak * z * p) / rho
+        total += abs(p) ** 2
+    return total
 
 
 def cyclic_drift(base, angles) -> float:
@@ -478,12 +535,13 @@ def szego_loop(mu, count):
 
 
 def spectral_trajectory_loop(v0, ham, t_final, dt):
-    """The spectral flow one grid time at a time: exact weights, a
-    SpectralMeasureCircle, szego_loop, a boundary renormalization, a
-    checked CMV matrix and one angle read per time."""
+    """The spectral flow one grid time at a time from the flows' forward
+    map (christoffel_measure): exact weights, a SpectralMeasureCircle,
+    szego_loop, a boundary renormalization, a checked CMV matrix and one
+    angle read per time."""
     steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
     times = np.linspace(0.0, t_final, steps + 1)
-    mu0 = unitary_eigensystem(build_cmv(v0))
+    mu0 = christoffel_measure(build_cmv(v0))
     states = [v0]
     for t in times[1:]:
         logw = np.log(mu0.weights) + ham.growth_rate(mu0.theta) * float(t)

@@ -10,7 +10,7 @@ from cmvkit.core import (
     build_jacobi,
     circle_weights,
 )
-from cmvkit.ensembles import RngStream, sample_circular_beta
+from cmvkit.ensembles import RngStream, random_verblunsky, sample_circular_beta
 from cmvkit.errors import (
     CmvError,
     IllConditioned,
@@ -21,6 +21,7 @@ from cmvkit.errors import (
     SupportTooSmall,
 )
 from cmvkit.opuc import (
+    christoffel_measure,
     geronimus,
     geronimus_entries,
     jacobi_eigensystem,
@@ -37,6 +38,8 @@ from cmvkit.opuc import (
 
 from oracles import (
     ceiling_draws,
+    christoffel_kernel_mp,
+    christoffel_measure_mp,
     eigvals_angles,
     geronimus_loop,
     monic_opuc,
@@ -221,7 +224,7 @@ class TestNewtonAngleSteps:
             draws = [random_set(gen, n, radius) for _ in range(3)]
         for v in draws:
             theta = unitary_angles(build_cmv(v).entries)
-            steps, reach = newton_angle_steps(v.alpha, theta)
+            steps, reach, _ = newton_angle_steps(v.alpha, theta)
             exact = paraorthogonal_zeros_mp(v.alpha, theta)
             offset = np.angle(np.exp(1j * (exact - theta)))
             assert np.abs(steps - offset).max() <= 1e-15
@@ -231,12 +234,92 @@ class TestNewtonAngleSteps:
         gen = RngStream(77).generator()
         alpha = np.array([random_set(gen, 9, 0.9).alpha for _ in range(7)])
         theta = unitary_angles(build_cmv(VerblunskySet(alpha[0])).entries)
-        steps, reach = newton_angle_steps(alpha, theta)
-        for row, s, r in zip(alpha, steps, reach):
+        stacked = newton_angle_steps(alpha, theta)
+        for i, row in enumerate(alpha):
             one = newton_angle_steps(row, theta)
-            assert np.array_equal(one[0], s) and np.array_equal(one[1], r)
+            assert all(np.array_equal(a, b[i]) for a, b in zip(one, stacked))
         again = newton_angle_steps(alpha.reshape(7, 1, 9), theta)
-        assert np.array_equal(again[0][:, 0], steps)
+        assert all(np.array_equal(a[:, 0], b) for a, b in zip(again, stacked))
+
+
+# The flows' forward map against 50-digit Christoffel weights at 50-digit
+# zeros of Phi_n: largest relative weight error allowed, by (n, radius) of
+# the test_core.random_set draws; measured values were at most a tenth of
+# these.  At n = 64 and radius 0.9 or more the smallest weights lie below
+# 1e-20 and the forward recursion loses part of their relative accuracy
+# (7e-12, 6e-7 and 3e-2 measured at 0.9, 0.95 and the ceiling), but the
+# inverse map raises IllConditioned there, so no flow reads them.  A
+# coefficient at 1 - 1e-8 fixes rho only to about eps / 2e-8 relative,
+# which no map of the double coefficients recovers: eig weights err as
+# much (3.7e-9 measured).
+CHRISTOFFEL_REL = 1e-14  # n <= 6, every radius
+CHRISTOFFEL_REL_17 = 1e-13
+CHRISTOFFEL_REL_64 = {0.6: 1e-12, 0.9: 1e-10, 0.95: 1e-5}
+CEILING_REL, CEILING_ABS = 2e-8, 1e-14
+# perfbench flow draws (--random --n 64, radius 0.6) whose spectral endpoint
+# missed the rk4 one by 7.9e-9 and 1.2e-9 when the weights came from eig
+MISS_SEEDS = (1611952284, 833461670)
+
+
+def christoffel_draws(n, radius, count):
+    if radius == "ceiling":
+        return list(ceiling_draws(n, 110 + n, count=count))
+    gen = RngStream(110 + n).generator()
+    return [random_set(gen, n, radius) for _ in range(count)]
+
+
+class TestChristoffelMeasure:
+    """christoffel_measure: Cayley angles, one Newton step, then the
+    Christoffel weights 1 / K at the refined angles."""
+
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in (1, 2, 3, 6, 17) for r in (0.6, 0.9, 0.95, "ceiling") if n > 2 or r != "ceiling"]
+    )
+    def test_matches_mpmath(self, n, radius):
+        for v in christoffel_draws(n, radius, 3):
+            mu = christoffel_measure(build_cmv(v))
+            theta, weights = christoffel_measure_mp(v.alpha, mu.theta)
+            assert np.abs(mu.theta - theta).max() <= 1e-15
+            rel = np.abs(mu.weights / weights - 1.0).max()
+            if radius == "ceiling":
+                assert rel <= CEILING_REL and np.abs(mu.weights - weights).max() <= CEILING_ABS
+            else:
+                assert rel <= (CHRISTOFFEL_REL_17 if n == 17 else CHRISTOFFEL_REL)
+
+    @pytest.mark.parametrize("radius", [0.6, 0.9, 0.95, "ceiling"])
+    def test_matches_mpmath_at_64(self, radius):
+        (v,) = christoffel_draws(64, radius, 1)
+        mu = christoffel_measure(build_cmv(v))
+        theta, weights = christoffel_measure_mp(v.alpha, mu.theta)
+        assert np.abs(mu.theta - theta).max() <= 1e-15
+        if radius != 0.6:
+            with pytest.raises(IllConditioned):
+                verblunsky_from_measure(mu)
+        if radius != "ceiling":
+            assert np.abs(mu.weights / weights - 1.0).max() <= CHRISTOFFEL_REL_64[radius]
+
+    @pytest.mark.parametrize("seed", MISS_SEEDS)
+    def test_benchmark_misses_match_mpmath(self, seed):
+        # smallest weights 3.2e-16 and 3.8e-14; one step from the Cayley
+        # angles reaches the zeros within rounding
+        v = random_verblunsky(64, RngStream(seed), radius=0.6)
+        mu = christoffel_measure(build_cmv(v))
+        theta, weights = christoffel_measure_mp(v.alpha, mu.theta)
+        assert np.abs(mu.theta - theta).max() <= 1e-15
+        assert np.abs(mu.weights / weights - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in (1, 2, 6, 17, 64) for r in (0.6, 0.9, "ceiling") if n > 2 or r != "ceiling"]
+    )
+    def test_kernel_matches_the_summed_oracle(self, n, radius):
+        # anywhere on the circle, not only at zeros; measured at most
+        # 4e-14 relative (5e-9 at the ceiling, rho's own error)
+        gen = RngStream(120 + n).generator()
+        for v in christoffel_draws(n, radius, 2):
+            theta = gen.uniform(-np.pi, np.pi, 8)
+            kernel = newton_angle_steps(v.alpha, theta)[2]
+            bound = CEILING_REL if radius == "ceiling" else 1e-12
+            assert np.abs(kernel / christoffel_kernel_mp(v.alpha, theta) - 1.0).max() <= bound
 
 
 def evaluate(c, z):
