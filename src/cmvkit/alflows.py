@@ -58,14 +58,12 @@ from .core import (
     JacobiMatrix,
     SpectralMeasureCircle,
     VerblunskySet,
-    batched_lm_factors,
     build_cmv,
     check_coefficient_rows,
     circle_weights,
     circular_gaps,
     factor_entries,
     lm_band_indices,
-    renormalize_boundary,
 )
 from .errors import InvalidParams, NonDistinctLambda, OutOfRange, RhoTooSmall
 from .opuc import (
@@ -434,8 +432,8 @@ def eigenvalue_drift(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
         drift[s : s + per] = np.abs(steps - first).max(axis=1)
         dense = np.flatnonzero(~(ok & trusted))
         if dense.size:
-            L, M = batched_lm_factors(block[dense])
-            drift[s + dense] = _cyclic_drift(theta, unitary_angles(L @ M, float(gap_rotation(theta))))
+            C = build_cmv(VerblunskySet(block[dense]))
+            drift[s + dense] = _cyclic_drift(theta, unitary_angles(C.entries, float(gap_rotation(theta))))
     drift[:1] = 0.0
     return drift
 
@@ -488,7 +486,7 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """
     m, part = _check_order(m), _check_part(part)
     times, h = _flow_grid(t_final, dt)
-    boundary = renormalize_boundary(v0.alpha[-1:].copy())  # once more, as VerblunskySet(v0.alpha) would
+    boundary = v0.alpha[-1:]
 
     def field(y: np.ndarray) -> np.ndarray:
         return _bracket_velocity(_flow_alpha(y, boundary), m, part)

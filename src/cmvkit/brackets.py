@@ -23,13 +23,16 @@ Every gradient is exact to rounding; nothing is differenced:
 
 Each of these also takes a stack of probes: a VerblunskySet or
 SpectralMeasureCircle whose arrays carry leading axes (..., n).  A stack
-of coefficient sets is one batched CMV build (batched_lm_factors, then
+of coefficient sets is one batched CMV build (core.lm_factors, then
 L @ M) and one batched eig; a stack of measures is one stacked Szego
 tangent pass; solves and determinants are batched, and the closed-form
 Jacobian reads one Szego pass.  Only the banded K_m kernel runs once per
 probe.  Row t of every result equals the result for probe t alone, bit
 for bit, so `cmv verify` evaluates its probes in blocks and a one-probe
-call reproduces any of them.
+call reproduces any of them.  A coefficient probe rebuilt from its
+record is the same probe: the boundary rule of VerblunskySet
+(core.renormalize_boundary, |alpha_{n-1}| kept within one ulp of 1) is a
+fixed point.
 
 `Observable` and the central-difference `coordinate_gradient` are the
 finite-difference view kept for the benchmark's tracer; the identity

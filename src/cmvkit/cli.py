@@ -39,9 +39,11 @@ def _progress(quiet: bool, msg: str) -> None:
 
 
 def _coefficient_objs(spec: EnsembleSpec, coeffs) -> list[dict]:
-    """JSON objects of coefficient_samples output, one per draw."""
+    """JSON objects of coefficient_samples output, one per draw; circular
+    draws pass through one stacked VerblunskySet, as eigenvalue_samples
+    builds their matrices."""
     if spec.family == "circular":
-        return [serialize.verblunsky_to_obj(VerblunskySet(alpha)) for alpha in coeffs]
+        return serialize.verblunsky_to_objs(VerblunskySet(coeffs))
     return [{"b": b.tolist(), "a": a.tolist()} for b, a in zip(*coeffs)]
 
 

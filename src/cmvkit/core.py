@@ -10,8 +10,11 @@ validated at construction (coefficient rows also in stacks, by
 check_coefficient_rows); alflows.check_cmv_band tests the CMV invariants.
 
 The layout of C = L M is decided here only: lm_band_indices places the
-factor_entries of L and M, which batched_lm_factors scatters and the
-alflows kernels gather, all with the one rho of coefficient_rho.
+factor_entries of L and M, which lm_factors scatters and the alflows
+kernels gather, all with the one rho of coefficient_rho.  Every dense
+CMV matrix comes from a VerblunskySet through lm_factors, and every
+boundary coefficient is put on the circle by renormalize_boundary, whose
+rule is a fixed point: a modulus within one ulp of 1 is kept.
 
 All types are immutable values after construction and safe to share
 between threads.
@@ -30,6 +33,7 @@ from .errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 # Validation tolerances (UNITARITY_TOL, TRACE_TOL and DET_TOL are alflows.check_cmv_band's).
 INTERIOR_MARGIN = 1e-12     # interior coefficients must satisfy |a| <= 1 - margin
 BOUNDARY_TOL = 1e-12        # allowed deviation of |alpha_{n-1}| from 1 before renormalizing
+BOUNDARY_ULP = float(np.finfo(float).eps)  # a boundary modulus this close to 1 is kept as it is
 UNITARITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 DET_TOL = 1e-10
@@ -70,10 +74,12 @@ def _rows(values, dtype) -> np.ndarray:
 class VerblunskySet:
     """Coefficients alpha_0..alpha_{n-1}; the last one is unimodular.
 
-    The interior entries must satisfy |alpha_k| <= 1 - 1e-12; the last is
-    renormalized to exact unit modulus provided it starts within 1e-12 of
-    the circle.  rho_k = sqrt(1 - |alpha_k|^2) (coefficient_rho, the
-    kernels' rho bit for bit) is cached for the n-1 interior coefficients.
+    The interior entries must satisfy |alpha_k| <= 1 - 1e-12; the last
+    must start within 1e-12 of the circle and is put on it by
+    renormalize_boundary, so that its modulus lies within one ulp of 1 and
+    VerblunskySet(v.alpha) is v bit for bit.  rho_k = sqrt(1 - |alpha_k|^2)
+    (coefficient_rho, the kernels' rho bit for bit) is cached for the n-1
+    interior coefficients.
 
     alpha may also be a stack (..., n) of independent coefficient sets, as
     the identity suites evaluate them; each row is validated and stored as
@@ -125,36 +131,36 @@ def check_coefficient_rows(a: np.ndarray) -> None:
 
 
 def renormalize_boundary(a: np.ndarray) -> np.ndarray:
-    """Divide the last coefficient of every row of a (..., n) complex array
-    by its modulus in place; returns a.  np.hypot gives the modulus bit for
-    bit as abs() does one complex scalar, so each row of a stack comes out
-    as it would alone (np.abs on an array moves a last bit of about a
-    third of near-unimodular values)."""
+    """The package's one boundary rule: divide the last coefficient of
+    every row of a (..., n) complex array by its np.hypot modulus, in
+    place, unless that modulus already lies within one ulp (BOUNDARY_ULP)
+    of 1; returns a.  One division lands within one ulp (so it did on all
+    of 5e7 boundaries drawn within 1e-12 of the circle), so the rule is a
+    fixed point: applied twice it moves nothing more.  np.hypot gives the
+    modulus bit for bit as abs() does one complex scalar, so each row of a
+    stack comes out as it would alone."""
     last = a[..., -1]
-    last /= np.hypot(last.real, last.imag)
+    mods = np.hypot(last.real, last.imag)
+    np.divide(last, mods, out=last, where=np.abs(mods - 1.0) > BOUNDARY_ULP)
     return a
 
 
-def coefficient_rho(interior, mod2=None) -> np.ndarray:
+def coefficient_rho(interior) -> np.ndarray:
     """rho_k = sqrt(1 - |alpha_k|^2) of an array of coefficients in the
-    closed disk, |alpha_k|^2 summed as re^2 + im^2 (or mod2, when the
-    caller already holds it so summed).  The one rho of the package: the
-    factors, the bracket kernels and VerblunskySet.rho."""
-    if mod2 is None:
-        mod2 = interior.real * interior.real + interior.imag * interior.imag
-    return np.sqrt(1.0 - mod2)
+    closed disk, |alpha_k|^2 summed as re^2 + im^2.  The one rho of the
+    package: the factors, the bracket kernels and VerblunskySet.rho."""
+    return np.sqrt(1.0 - (interior.real * interior.real + interior.imag * interior.imag))
 
 
-def factor_entries(alpha, mod2=None) -> np.ndarray:
+def factor_entries(alpha) -> np.ndarray:
     """The (..., 3n) values of L and M for coefficient rows alpha (..., n):
-    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n);
-    mod2 is passed on to coefficient_rho."""
+    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n)."""
     a = np.asarray(alpha, dtype=complex)
     n = a.shape[-1]
     out = np.zeros(a.shape[:-1] + (3 * n,), dtype=complex)
     np.conjugate(a, out=out[..., :n])
     np.negative(a[..., :-1], out=out[..., n : 2 * n - 1])
-    out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1], mod2)
+    out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1])
     out[..., 3 * n - 2] = 1.0
     return out
 
@@ -184,33 +190,15 @@ def _dense_lm_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lm_band_indices(n)[f, r, c], (f * n + r - 1) * n + r + c - 2
 
 
-def batched_lm_factors(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Dense L and M factors, (..., n, n) each, of every coefficient row of
-    alpha (..., n), laid out by lm_band_indices.  The last coefficient of
-    each row is taken as given, not renormalized; interior moduli up to
-    1 + 1e-12 are admitted, with rho = 0 past 1."""
-    a = np.asarray(alpha, dtype=complex)
-    n = a.shape[-1]
-    inner = a[..., :-1]
-    mod2 = inner.real * inner.real + inner.imag * inner.imag
-    top = mod2.max(initial=0.0)
-    if top > 1.0 + 1e-12:
-        raise OutOfRange(f"|alpha| = {math.sqrt(top):.17g} exceeds 1")
-    if top <= 1.0:
-        entries = factor_entries(a, mod2)
-    else:  # the root of 1 - |a|^2 < 0 is NaN; rho is 0 there
-        with np.errstate(invalid="ignore"):
-            entries = factor_entries(a, mod2)
-        entries[..., 2 * n - 1 : 3 * n - 2][mod2 > 1.0] = 0.0
+def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
+    """Dense block-diagonal unitary factors L and M, (..., n, n) each, of a
+    coefficient set or stack: the factor_entries of v.alpha scattered by
+    lm_band_indices.  The package's only dense factor builder."""
+    a, n = v.alpha, v.n
     src, dst = _dense_lm_positions(n)
     LM = np.zeros(a.shape[:-1] + (2, n, n), dtype=complex)
-    LM.reshape(a.shape[:-1] + (2 * n * n,))[..., dst] = entries[..., src]
+    LM.reshape(a.shape[:-1] + (2 * n * n,))[..., dst] = factor_entries(a)[..., src]
     return LM[..., 0, :, :], LM[..., 1, :, :]
-
-
-def lm_factors(v: VerblunskySet) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal unitary factors of the CMV matrix (lm_band_indices)."""
-    return batched_lm_factors(v.alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,7 @@ from .core import (
     TWO_PI,
     JacobiMatrix,
     VerblunskySet,
-    batched_lm_factors,
+    build_cmv,
     build_jacobi,
     tridiagonal,
 )
@@ -300,8 +300,7 @@ def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
     per = max(SPECTRA_BLOCK // (n * n), 1)
     for s in range(0, count, per):
         if spec.family == "circular":
-            L, M = batched_lm_factors(coeffs[s : s + per])
-            out[s : s + per] = unitary_angles(L @ M)
+            out[s : s + per] = unitary_angles(build_cmv(VerblunskySet(coeffs[s : s + per])).entries)
         else:
             b, a = (c[s : s + per] for c in coeffs)
             out[s : s + per] = np.linalg.eigvalsh(tridiagonal(b, a))

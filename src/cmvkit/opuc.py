@@ -252,32 +252,42 @@ def szego_rows(theta: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray
     support (n,), as a spectral flow has, or one row of angles per weight
     row, broadcast against weights.
 
-    Runs the Szego recursion on point values, all rows at once:
-        p_{k+1} = z p_k - conj(a_k) q_k,   q_{k+1} = q_k - a_k z p_k,
-    where p_k, q_k are the monic polynomial and its reversal evaluated on
-    the support, and a_k is fixed by orthogonality,
-    conj(a_k) = <z p_k, q_k> / ||p_k||^2.  Returns a (..., count) array
-    whose rows do not depend on each other.  Raises IllConditioned when an
-    intermediate squared norm of any row falls below 1e-13.
+    Runs the Szego recursion of _szego_steps on point values, all rows at
+    once.  Returns a (..., count) array whose rows do not depend on each
+    other.  Raises IllConditioned when an intermediate squared norm of any
+    row falls below 1e-13.
     """
     n = theta.shape[-1]
     if count > n:
         raise SupportTooSmall(f"cannot produce {count} coefficients from {n} support points")
-    z = np.exp(1j * theta)
+    alphas = [step[-1] for step in _szego_steps(np.exp(1j * theta), weights, count)]
+    return np.concatenate([np.empty(weights.shape[:-1] + (0,), dtype=complex), *alphas], axis=-1)
+
+
+def _szego_steps(z: np.ndarray, weights: np.ndarray, count: int):
+    """The Szego recursion on point values z and weights (..., n), one step
+    at a time: the one loop of szego_rows and szego_tangents.
+
+        p_{k+1} = z p_k - conj(a_k) q_k,   q_{k+1} = q_k - a_k z p_k,
+    where p_k, q_k are the monic polynomial and its reversal evaluated on
+    the support, and a_k is fixed by orthogonality,
+    conj(a_k) = <z p_k, q_k> / ||p_k||^2.  For k < count it yields
+    (p_k, q_k, z p_k, |p_k|^2, ||p_k||^2, a_k), a_k and the norm (..., 1),
+    and raises IllConditioned when a squared norm falls below NORM_FLOOR.
+    """
     wz = weights * z
-    p = np.ones(weights.shape, dtype=complex)
-    q = np.ones(weights.shape, dtype=complex)
-    alphas = [np.empty(weights.shape[:-1] + (0,), dtype=complex)]
+    p = np.ones(wz.shape, dtype=complex)
+    q = np.ones(wz.shape, dtype=complex)
     for k in range(count):
-        norm2 = (weights * (p.real * p.real + p.imag * p.imag)).sum(axis=-1, keepdims=True)
+        mod2 = p.real * p.real + p.imag * p.imag
+        norm2 = (weights * mod2).sum(axis=-1, keepdims=True)
         if norm2.min(initial=np.inf) < NORM_FLOOR:
             raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
         ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
-        alphas.append(ak)
         zp = z * p
+        yield p, q, zp, mod2, norm2, ak
         p = zp - ak.conj() * q
         q = q - ak * zp
-    return np.concatenate(alphas, axis=-1)
 
 
 def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +297,12 @@ def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     theta_n), where a step in mu_j adds to weight j and takes as much from
     weight n.
 
-    Forward-mode szego_rows: next to p_k and q_k it carries their
-    tangents along every direction, differentiating
+    Forward-mode szego_rows: next to each step of _szego_steps it carries
+    the tangents of p_k and q_k along every direction, differentiating
         conj(a_k) = <z p_k, q_k> / ||p_k||^2
-    by the quotient rule.  Returns alpha (..., n), from the expressions of
-    szego_rows and so equal to szego_coefficients bit for bit, and
-    dalpha (..., n, 2n - 1), entry [k, d] the derivative of alpha_k along
+    by the quotient rule.  Returns alpha (..., n), the coefficients of the
+    same steps and so szego_coefficients bit for bit, and dalpha
+    (..., n, 2n - 1), entry [k, d] the derivative of alpha_k along
     direction d.  Each measure's rows equal those of a call on it alone.
     Raises IllConditioned as szego_rows does.
     """
@@ -308,18 +318,11 @@ def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
     # the (..., n) arrays, broadcast along the directions
     zd, wd, wzd = z[..., None, :], weights[..., None, :], wz[..., None, :]
     dwz = dw * zd + wd * dz
-    p = np.ones(z.shape, dtype=complex)
-    q = np.ones(z.shape, dtype=complex)
     dp = np.zeros_like(dz)
     dq = np.zeros_like(dz)
     alphas = [np.empty(z.shape[:-1] + (0,), dtype=complex)]
     dalphas = []
-    for k in range(n):
-        mod2 = p.real * p.real + p.imag * p.imag
-        norm2 = (weights * mod2).sum(axis=-1, keepdims=True)
-        if norm2.min(initial=np.inf) < NORM_FLOOR:
-            raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
-        ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
+    for p, q, zp, mod2, norm2, ak in _szego_steps(z, weights, n):
         pd, qd = p[..., None, :], q[..., None, :]
         qc = qd.conj()
         dnorm2 = (dw * mod2[..., None, :] + 2.0 * wd * (pd.conj() * dp).real).sum(axis=-1)
@@ -327,12 +330,9 @@ def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
         dak = (dinner.conj() - ak * dnorm2) / norm2
         alphas.append(ak)
         dalphas.append(dak)
-        zp = z * p
         dzp = dz * pd + zd * dp
         akd = ak[..., None]
-        p = zp - ak.conj() * q
         dp = dzp - dak.conj()[..., None] * qd - akd.conj() * dq
-        q = q - ak * zp
         dq = dq - dak[..., None] * zp[..., None, :] - akd * dzp
     return np.concatenate(alphas, axis=-1), np.stack(dalphas, axis=-2)
 
@@ -351,21 +351,21 @@ def verblunsky_from_measure(mu: SpectralMeasureCircle) -> VerblunskySet:
 def verblunsky_rows(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """verblunsky_from_measure(...).alpha, bit for bit, for the measures with
     canonical angles theta (n,) and weight rows weights (T, n), as a (T, n)
-    array from one szego_rows pass: each boundary is divided by its modulus
-    by _on_the_circle and once more as VerblunskySet does.  The rows are
-    not validated; a Trajectory of them is."""
-    return renormalize_boundary(_on_the_circle(szego_rows(theta, weights, theta.size)))
+    array from one szego_rows pass, each boundary put on the circle by
+    core.renormalize_boundary (a fixed point, so VerblunskySet keeps it).
+    The rows are not validated; a Trajectory of them is."""
+    return _on_the_circle(szego_rows(theta, weights, theta.size))
 
 
 def _on_the_circle(alphas: np.ndarray) -> np.ndarray:
     """Coefficient rows (..., n) of full Szego runs, each last coefficient
-    moved onto the circle (in place), unless one lay too far from it."""
+    moved onto the circle in place by renormalize_boundary, unless one lay
+    too far from it."""
     mods = np.hypot(alphas[..., -1].real, alphas[..., -1].imag)
     off = np.abs(mods - 1.0)
     if off.max(initial=0.0) > BOUNDARY_RECOVERY_TOL:
         raise IllConditioned(f"recovered boundary modulus {mods.flat[off.argmax()]:.17g} is too far from 1")
-    alphas[..., -1] /= mods
-    return alphas
+    return renormalize_boundary(alphas)
 
 
 def geronimus(v: VerblunskySet) -> JacobiMatrix:

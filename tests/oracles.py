@@ -77,6 +77,7 @@ from cmvkit.core import (
     build_cmv,
     circular_gaps,
     lm_factors,
+    renormalize_boundary,
 )
 from cmvkit.ensembles import MAX_DRAWS, RngStream, as_generator, random_verblunsky
 from cmvkit.errors import CmvError, DegenerateSpectrum, InvalidParams, NonDifferentiable, OutOfRange, SupportTooSmall
@@ -537,8 +538,8 @@ def szego_loop(mu, count):
 def spectral_trajectory_loop(v0, ham, t_final, dt):
     """The spectral flow one grid time at a time from the flows' forward
     map (christoffel_measure): exact weights, a SpectralMeasureCircle,
-    szego_loop, a boundary renormalization, a checked CMV matrix and one
-    angle read per time."""
+    szego_loop, the package's one boundary rule, a checked CMV matrix and
+    one angle read per time."""
     steps = max(int(math.ceil(t_final / dt - 1e-12)), 0)
     times = np.linspace(0.0, t_final, steps + 1)
     mu0 = christoffel_measure(build_cmv(v0))
@@ -548,9 +549,7 @@ def spectral_trajectory_loop(v0, ham, t_final, dt):
         logw -= logw.max()
         w = np.exp(logw)
         mu = SpectralMeasureCircle(mu0.theta.copy(), w / w.sum())
-        alphas = szego_loop(mu, mu.n)
-        alphas[-1] /= abs(alphas[-1])
-        states.append(VerblunskySet(alphas))
+        states.append(VerblunskySet(renormalize_boundary(szego_loop(mu, mu.n))))
     drift, unit = [], []
     for v in states:
         c = np.asarray(build_cmv(v).entries)

@@ -338,18 +338,17 @@ class TestIntegrateFlow:
         traj = integrate_flow(v, m, part, t_final, 1e-3)
         assert_same_trajectory(traj, rk4_trajectory(v, m, part, t_final, 1e-3))
 
-    def test_bit_identical_when_boundary_renormalization_moves(self):
-        # flow states renormalize v0's boundary once more; find a v0 where
-        # that moves the last bit, so the first step cannot reuse v0's
-        # matrix.  Long steps let a last-bit change in k1 reach the states.
+    def test_every_state_keeps_v0s_boundary(self):
+        # the boundary rule is a fixed point, so the states carry v0's
+        # boundary as it is, and v0 rebuilt from its alpha is v0; long
+        # steps let any last-bit change of the boundary reach the states
         gen = RngStream(20).generator()
-        for _ in range(200):
+        for _ in range(20):
             v = random_verblunsky(6, gen, radius=0.6)
-            if VerblunskySet(v.alpha).alpha[-1] != v.alpha[-1]:
-                break
-        else:
-            pytest.fail("no coefficient set with a moving boundary bit found")
-        assert_same_trajectory(integrate_flow(v, 2, "re", 0.5, 0.25), rk4_trajectory(v, 2, "re", 0.5, 0.25))
+            assert VerblunskySet(v.alpha).alpha.tobytes() == v.alpha.tobytes()
+            traj = integrate_flow(v, 2, "re", 0.5, 0.25)
+            assert (traj.alpha[:, -1] == v.alpha[-1]).all()
+            assert_same_trajectory(traj, rk4_trajectory(v, 2, "re", 0.5, 0.25))
 
     @pytest.mark.parametrize("n, t_final", [(6, 0.3), (64, 0.01)])
     @pytest.mark.parametrize("m, part", [(1, "re"), (2, "im")])
@@ -581,20 +580,18 @@ def record_calls(monkeypatch, module, name):
 
 
 def record_factor_builds(monkeypatch):
-    """Record the coefficient argument of every batched_lm_factors call,
-    each the build of the L and M factors of dense CMV matrices."""
-    import cmvkit.alflows as alflows
+    """Record the coefficients of every core.lm_factors call, each the
+    build of the L and M factors of dense CMV matrices."""
     import cmvkit.core as core
 
     calls = []
-    original = core.batched_lm_factors
+    original = core.lm_factors
 
-    def recorded(alpha):
-        calls.append(np.asarray(alpha))
-        return original(alpha)
+    def recorded(v):
+        calls.append(v.alpha)
+        return original(v)
 
-    monkeypatch.setattr(core, "batched_lm_factors", recorded)
-    monkeypatch.setattr(alflows, "batched_lm_factors", recorded)
+    monkeypatch.setattr(core, "lm_factors", recorded)
     return calls
 
 

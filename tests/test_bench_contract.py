@@ -8,7 +8,9 @@ attribute directly and takes milliseconds.
 
 The tracer's serialize spans and its serialize.bytes_written count
 cover the output files only while every command writes them through the
-serialize writers; the last test holds each subcommand to that.
+serialize writers, and its core spans see every dense CMV build only
+while each goes through core.lm_factors; the last two tests hold the
+subcommands to that.
 """
 
 import importlib
@@ -16,9 +18,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cmvkit import cli, serialize
+from cmvkit import alflows, cli, core, ensembles, opuc, serialize
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -73,3 +76,57 @@ def test_every_output_goes_through_a_serialize_writer(tmp_path, monkeypatch):
         before, written[:] = set(tmp_path.iterdir()), []
         assert cli.main([str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv] + ["--quiet"]) == 0
         assert sorted(set(tmp_path.iterdir()) - before) == sorted(written), argv[0]
+
+
+def test_every_dense_cmv_matrix_is_built_by_lm_factors(tmp_path, monkeypatch):
+    """Every matrix that a command's dense eigen-reads (unitary_angles and
+    np.linalg.eig) see is the product of an lm_factors build, so the core
+    spans time every dense CMV build the CLI makes."""
+    built, read = set(), []
+    original_factors, original_eig = core.lm_factors, np.linalg.eig
+
+    def as_matrices(a):
+        a = np.asarray(a)
+        return [m.tobytes() for m in a.reshape((-1,) + a.shape[-2:])]
+
+    def factors(v):
+        L, M = original_factors(v)
+        built.update(as_matrices(L @ M))
+        return L, M
+
+    def angles(U, *args, original=opuc.unitary_angles):
+        read.extend(as_matrices(U))
+        return original(U, *args)
+
+    def eig(a):
+        read.extend(as_matrices(a))
+        return original_eig(a)
+
+    monkeypatch.setattr(core, "lm_factors", factors)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for module in (opuc, alflows, ensembles):
+        monkeypatch.setattr(module, "unitary_angles", angles)
+    (tmp_path / "in.json").write_text(json.dumps({"n": 3, "alpha": [[0.5, 0.25], [0.1, -0.3], [0.0, 1.0]]}))
+    flow = ["flow", "--init", "in.json", "--t", "0.01", "--dt", "5e-3"]
+    commands = [
+        ["sample", "--family", "circular", "--n", "3", "--beta", "2", "--count", "4", "--seed", "1", "--out", "s.csv"],
+        [*flow, "--method", "rk4", "--out", "rk4.json"],
+        [*flow, "--method", "spectral", "--out", "sp.json"],
+        [*flow, "--method", "rk4", "--out", "dense.json"],
+        ["spectral", "--input", "in.json", "--to", "measure", "--out", "m.json"],
+        *(["verify", "--suite", suite, "--n", "3", "--trials", "2"] for suite in cli.SUITES),
+    ]
+    verify_reads = 0  # some suites read no spectrum
+    for argv in commands:
+        built.clear()
+        read.clear()
+        if argv[-1] == "dense.json":  # no Newton drift trusted: every state gets a dense read
+            monkeypatch.setattr(alflows, "DRIFT_TRUST", -1.0)
+        assert cli.main([str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv] + ["--quiet"]) == 0
+        assert set(read) <= built, argv
+        verify_reads += len(read) if argv[0] == "verify" else 0
+        assert read or argv[0] == "verify", argv
+        if argv[-1] == "dense.json":
+            # the first state's angles, then the fallback read of all 3 states
+            assert len(read) == 4
+    assert verify_reads

@@ -14,7 +14,9 @@ from cmvkit import serialize
 from cmvkit import cli
 from cmvkit.alflows import MAX_ORDER
 from cmvkit.cli import SAMPLE_CHUNK, main
+from cmvkit.core import build_cmv
 from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
+from cmvkit.opuc import unitary_angles
 from cmvkit.verify import MIN_N, SUITES
 
 from oracles import cmv_pattern, dump_json_loop, eigvals_angles, separated_verblunsky, write_samples_csv_loop
@@ -108,6 +110,19 @@ class TestSample:
             if family == "circular":
                 d = np.minimum(d, 2.0 * np.pi - d)
             assert d.max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_circular_coefficient_json_reproduces_rows_bit_for_bit(self, tmp_path, seed):
+        # each JSON set, read alone, rebuilds its CSV row exactly; a second
+        # boundary division in the writer used to move a last bit on 129 of
+        # these 10000 draws
+        out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
+        assert run("sample", "--family", "circular", "--n", 4, "--beta", 2, "--count", 2000, "--seed", seed,
+                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 0
+        rows, objs = serialize.read_samples_csv(out), serialize.load_json(coeffs)
+        assert len(objs) == len(rows) == 2000
+        for row, obj in zip(rows, objs):
+            assert unitary_angles(build_cmv(serialize.verblunsky_from_obj(obj)).entries).tobytes() == row.tobytes()
 
     def test_jacobi_small_beta_coefficient_json(self, tmp_path):
         # interval draws within 1e-12 of 1 used to fail the JSON with exit 3

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvkit.core import (
     CMVMatrix,
     SpectralMeasureCircle,
     SpectralMeasureLine,
     VerblunskySet,
-    batched_lm_factors,
     build_cmv,
     build_jacobi,
     check_coefficient_rows,
@@ -24,6 +24,8 @@ from cmvkit.core import (
 from cmvkit.alflows import Trajectory, _trace_gradient_blocks, check_cmv_band
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import DegenerateSpectrum, InvalidParams, NonPositiveOffDiagonal, OutOfRange
+from cmvkit.opuc import verblunsky_from_measure
+from cmvkit.verify import random_measure
 
 import oracles
 from oracles import UNITARITY_AGREEMENT, ceiling_draws, check_cmv, cmv_pattern, lm_factors_loop
@@ -79,7 +81,7 @@ class TestVerblunskySet:
 
 def first_block(a):
     """The 2x2 block of coefficient a: the L factor of [a, 1] is that block alone."""
-    return batched_lm_factors([a, 1.0])[0]
+    return lm_factors(VerblunskySet([a, 1.0]))[0]
 
 
 class TestBlocks:
@@ -87,7 +89,10 @@ class TestBlocks:
         assert np.array_equal(first_block(0.0), np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_unimodular_coefficient(self):
-        assert np.array_equal(first_block(1.0), np.array([[1, 0], [0, -1]], dtype=complex))
+        # no interior coefficient of a VerblunskySet reaches the circle; the
+        # layout's block there is diag(conj(a), -a), with rho = 0
+        L = band_view_as_dense(np.array([1.0, 1.0], dtype=complex))[0]
+        assert np.array_equal(L, np.array([[1, 0], [0, -1]], dtype=complex))
 
     def test_hand_value(self):
         # rho = sqrt(1 - 0.36) = 0.8
@@ -122,21 +127,6 @@ class TestLMFactors:
         assert np.array_equal(L, expected_L)
         assert np.array_equal(M, expected_M)
 
-    def test_squared_moduli_computed_once(self, monkeypatch):
-        # the range check's |alpha|^2 is the one rho reads
-        import cmvkit.core as core
-
-        seen, original = [], core.coefficient_rho
-
-        def recorded(interior, mod2=None):
-            seen.append(mod2)
-            return original(interior, mod2)
-
-        alpha = np.array([random_set(np.random.default_rng(t), 5).alpha for t in range(3)])
-        monkeypatch.setattr(core, "coefficient_rho", recorded)
-        batched_lm_factors(alpha)
-        assert len(seen) == 1 and seen[0] is not None and seen[0].shape == (3, 4)
-
     @pytest.mark.parametrize("n", [*range(1, 10), 64])
     def test_bit_identical_to_block_loop(self, n):
         v = random_set(np.random.default_rng(n), n)
@@ -150,7 +140,7 @@ class TestLMFactors:
     def test_stack_matches_block_loop(self, n):
         rng = np.random.default_rng(100 + n)
         sets = [random_set(rng, n) for _ in range(7)]
-        L, M = batched_lm_factors(np.array([v.alpha for v in sets]))
+        L, M = lm_factors(VerblunskySet(np.array([v.alpha for v in sets])))
         assert L.shape == M.shape == (7, n, n)
         for i, v in enumerate(sets):
             L0, M0 = lm_factors_loop(v.alpha)
@@ -158,20 +148,7 @@ class TestLMFactors:
 
     def test_stack_rejects_coefficient_outside_disk(self):
         with pytest.raises(OutOfRange):
-            batched_lm_factors(np.array([[0.1, 1.0], [1.1j, 1.0]]))
-
-    @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.7j)])
-    def test_rho_is_zero_just_past_the_circle(self, phase):
-        # |a|^2 = 1 + 5e-13 is admitted and gets rho = 0, not a NaN (which
-        # would also raise a RuntimeWarning)
-        a = np.sqrt(1.0 + 5e-13) * phase
-        assert 1.0 < abs(a) ** 2 < 1.0 + 1e-12
-        L, _ = batched_lm_factors([a, 1.0])
-        assert L[0, 1] == L[1, 0] == 0.0 and L[0, 0] == np.conj(a)
-        L, M = batched_lm_factors([[0.5, a, 0.25j, 1.0], [a, 0.3, 1j * a, 1.0]])
-        # in a stack, rho is 0 only where the modulus passes 1
-        assert (L[0, 0, 1], M[0, 1, 2], L[0, 2, 3]) == (np.sqrt(0.75), 0.0, np.sqrt(1.0 - 0.0625))
-        assert (L[1, 0, 1], M[1, 1, 2], L[1, 2, 3]) == (0.0, np.sqrt(1.0 - 0.3 * 0.3), 0.0)
+            lm_factors(VerblunskySet(np.array([[0.1, 1.0], [1.1j, 1.0]])))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(verblunsky_sets(max_n=9))
@@ -208,7 +185,7 @@ class TestSharedTable:
         alpha = draw_stack(n, 0.95, k=5 if stacked else 1)
         if not stacked:
             alpha = alpha[0]
-        L, M = batched_lm_factors(alpha)
+        L, M = lm_factors(VerblunskySet(alpha))
         Lb, Mb = band_view_as_dense(alpha)
         assert L.tobytes() == Lb.tobytes() and M.tobytes() == Mb.tobytes()
         for row, (l0, m0) in zip(np.atleast_2d(alpha), zip(np.reshape(L, (-1, n, n)), np.reshape(M, (-1, n, n)))):
@@ -332,7 +309,7 @@ class TestStackedCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
     def test_stack_equals_cmv_matrices(self, n):
         entries, alpha = self.stack(n)
-        L, M = batched_lm_factors(alpha)
+        L, M = lm_factors(VerblunskySet(alpha))
         assert (L @ M).tobytes() == entries.tobytes()
         unitarity = check_cmv(entries, alpha)
         for e, a, u in zip(entries, alpha, unitarity):
@@ -374,7 +351,7 @@ class TestBandCheck:
     )
     def test_residuals_match_the_dense_check(self, n, radius):
         alpha = draw_stack(n, radius)
-        L, M = batched_lm_factors(alpha)
+        L, M = lm_factors(VerblunskySet(alpha))
         band = check_cmv_band(alpha)
         dense = check_cmv(L @ M, alpha)
         assert np.abs(band - dense).max() <= UNITARITY_AGREEMENT
@@ -391,7 +368,7 @@ class TestBandCheck:
         # a negative tolerance fails that invariant on every matrix; the
         # ones checked before it still pass
         alpha = draw_stack(6, 0.9)
-        L, M = batched_lm_factors(alpha)
+        L, M = lm_factors(VerblunskySet(alpha))
         monkeypatch.setattr(f"cmvkit.alflows.{invariant}", -1.0)
         monkeypatch.setattr(f"oracles.{invariant}", -1.0)
         with pytest.raises(OutOfRange, match=message):
@@ -405,12 +382,55 @@ class TestBandCheck:
         # (or row) loses its unit norm
         alpha = draw_stack(6, 0.6)
         alpha[3, -1] *= scale
-        L, M = batched_lm_factors(alpha)
+        L, M = np.array([lm_factors_loop(a) for a in alpha]).swapaxes(0, 1)
         with pytest.raises(OutOfRange, match="unitarity residual") as banded:
             check_cmv_band(alpha)
         with pytest.raises(OutOfRange, match="unitarity residual") as dense:
             check_cmv(L @ M, alpha)
         assert str(banded.value) == str(dense.value)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestBoundaryRule:
+    """renormalize_boundary is the package's one boundary rule, and a fixed
+    point: a rebuilt VerblunskySet is the set it was rebuilt from, bit for
+    bit, on single rows and stacks alike."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-0.999e-12, 0.999e-12), st.floats(-np.pi, np.pi)), min_size=1, max_size=6),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rebuild_is_a_fixed_point(self, boundaries, n, seed):
+        # boundaries anywhere within 1e-12 of the circle
+        gen = np.random.default_rng(seed)
+        alpha = np.array([random_set(gen, n).alpha for _ in boundaries])
+        alpha[:, -1] = [(1.0 + off) * np.exp(1j * phase) for off, phase in boundaries]
+        v = VerblunskySet(alpha)
+        last = v.alpha[:, -1]
+        assert (np.abs(np.hypot(last.real, last.imag) - 1.0) <= EPS).all()
+        assert VerblunskySet(v.alpha).alpha.tobytes() == v.alpha.tobytes()
+        assert renormalize_boundary(v.alpha.copy()).tobytes() == v.alpha.tobytes()
+        for row, a in zip(v.alpha, alpha):
+            single = VerblunskySet(a)
+            assert single.alpha.tobytes() == row.tobytes()
+            assert VerblunskySet(single.alpha).alpha.tobytes() == single.alpha.tobytes()
+            assert renormalize_boundary(single.alpha.copy()).tobytes() == single.alpha.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_recovered_sets_are_fixed_points(self, n, seed):
+        gen = np.random.default_rng(seed)
+        mus = [random_measure(n, gen) for _ in range(8)]
+        stack = verblunsky_from_measure(SpectralMeasureCircle([m.theta for m in mus], [m.weights for m in mus]))
+        assert VerblunskySet(stack.alpha).alpha.tobytes() == stack.alpha.tobytes()
+        for mu, row in zip(mus, stack.alpha):
+            assert VerblunskySet(row).alpha.tobytes() == row.tobytes()
+            v = verblunsky_from_measure(mu)
+            assert VerblunskySet(v.alpha).alpha.tobytes() == v.alpha.tobytes()
 
 
 def valid_rows(k=4, n=5):
@@ -440,14 +460,14 @@ class TestCoefficientRows:
         assert str(single.value) == str(stacked.value) == str(trajectory.value)
 
     def test_stacked_renormalization_is_the_scalar_one(self):
-        # 2000 boundaries within 1e-13 of the circle: the stack divides
-        # each by np.hypot, bit for bit b / abs(b) on one complex scalar,
-        # the constructor's former rule; np.abs on the stack would move a
-        # last bit
+        # 2000 boundaries within 1e-13 of the circle: the stack keeps each
+        # within one ulp of it and divides the others by np.hypot, bit for
+        # bit b / abs(b) on one complex scalar; np.abs on the stack would
+        # move a last bit
         gen = RngStream(81).generator()
         alpha = np.zeros((2000, 2), dtype=complex)
         alpha[:, 1] = (1.0 + gen.uniform(-1e-13, 1e-13, 2000)) * np.exp(1j * gen.uniform(-np.pi, np.pi, 2000))
-        expected = np.array([b / abs(b) for b in alpha[:, 1]])
+        expected = np.array([b if abs(abs(b) - 1.0) <= EPS else b / abs(b) for b in alpha[:, 1]])
         assert renormalize_boundary(alpha.copy())[:, 1].tobytes() == expected.tobytes()
         assert all(VerblunskySet(a).alpha[1] == b for a, b in zip(alpha, expected))
         assert (alpha[:, 1] / np.abs(alpha[:, 1]) != expected).any()

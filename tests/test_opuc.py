@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from cmvkit.core import (
     SpectralMeasureCircle,
     VerblunskySet,
-    batched_lm_factors,
     build_cmv,
     build_jacobi,
     circle_weights,
@@ -153,8 +152,7 @@ class TestAgainstScipyOracles:
 def circular_stack(n, beta, count, seed):
     gen = RngStream(seed).generator()
     alpha = np.array([sample_circular_beta(n, beta, gen).alpha for _ in range(count)])
-    L, M = batched_lm_factors(alpha)
-    return L @ M
+    return build_cmv(VerblunskySet(alpha)).entries
 
 
 def circular_distance(a, b):
