@@ -19,7 +19,8 @@ opuc.christoffel_measure, whose weights keep a small relative error
 mu_j(t) ~ exp(F(theta_j) t) mu_j(0) with F(theta) = 2 Re[z f'(z)]
 (exact_propagate), and inverts the spectral map; spectral_trajectory
 does so at every grid time with one such read and one szego_rows pass
-over (T, n) weights.  No flow calls np.linalg.eig.
+over the (T, n) propagated weights, canonical on the measure's angles as
+they are.  No flow calls np.linalg.eig.
 
 Both trajectories share one time grid of at most MAX_STEPS steps and
 hold their states as one (T, n) coefficient array.  check_cmv_band tests
@@ -60,7 +61,7 @@ from .core import (
     VerblunskySet,
     build_cmv,
     check_coefficient_rows,
-    circle_weights,
+    check_weight_rows,
     circular_gaps,
     factor_entries,
     lm_band_indices,
@@ -507,22 +508,25 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:
     """Exact weight evolution: points fixed, weights scaled by exp(F t);
     the one-time view of propagated_weights."""
-    return SpectralMeasureCircle(mu0.theta.copy(), propagated_weights(mu0, ham, [float(t)])[0])
+    return SpectralMeasureCircle(mu0.theta, propagated_weights(mu0, ham, [float(t)])[0])
 
 
 def propagated_weights(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, times) -> np.ndarray:
     """(T, n) weights of mu0 evolved exactly to each of the times.
 
-    Evaluated in log space and renormalized for stability, so arbitrarily
-    long times never overflow.  Rows are in the order of mu0.weights and
-    sum to 1; SpectralMeasureCircle (or circle_weights for all rows at
-    once) renormalizes them once more.
+    Evaluated in log space and normalized once to sum 1, so arbitrarily
+    long times never overflow.  Rows are in the order of mu0.weights, so
+    with mu0.theta each row is a canonical measure as it is; every row is
+    checked as SpectralMeasureCircle checks its weights, so a weight that
+    underflows to 0 raises OutOfRange.
     """
     rates = ham.growth_rate(mu0.theta)
     logw = np.log(mu0.weights) + np.multiply.outer(np.asarray(times, dtype=float), rates)
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=1, keepdims=True)
+    check_weight_rows(w)
+    return w
 
 
 def flow_via_spectral(v0: VerblunskySet, ham: FlowHamiltonian, t: float) -> VerblunskySet:
@@ -542,8 +546,8 @@ def spectral_trajectory(v0: VerblunskySet, ham: FlowHamiltonian, t_final: float,
     """
     times, _ = _flow_grid(t_final, dt)
     mu0 = christoffel_measure(build_cmv(v0))
-    theta, weights = circle_weights(mu0.theta, propagated_weights(mu0, ham, times[1:]))
-    return _trajectory(times, np.concatenate([v0.alpha[None], verblunsky_rows(theta, weights)]), mu0.theta)
+    weights = propagated_weights(mu0, ham, times[1:])
+    return _trajectory(times, np.concatenate([v0.alpha[None], verblunsky_rows(mu0.theta, weights)]), mu0.theta)
 
 
 def gauge_transform(traj: Trajectory) -> np.ndarray:
@@ -627,7 +631,7 @@ def asymptotic_report(
         raise InvalidParams("t_grid must be strictly increasing")
     mu0 = christoffel_measure(build_cmv(v0))
     limit, rate, xi = _predicted_asymptotics(mu0, ham, k)
-    alpha_t = szego_rows(*circle_weights(mu0.theta, propagated_weights(mu0, ham, t)), k)[:, k - 1]
+    alpha_t = szego_rows(mu0.theta, propagated_weights(mu0, ham, t), k)[:, k - 1]
 
     lo = t[0] + fit_window[0] * (t[-1] - t[0])
     hi = t[0] + fit_window[1] * (t[-1] - t[0])

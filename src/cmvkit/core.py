@@ -14,7 +14,9 @@ factor_entries of L and M, which lm_factors scatters and the alflows
 kernels gather, all with the one rho of coefficient_rho.  Every dense
 CMV matrix comes from a VerblunskySet through lm_factors, and every
 boundary coefficient is put on the circle by renormalize_boundary, whose
-rule is a fixed point: a modulus within one ulp of 1 is kept.
+rule is a fixed point: a modulus within one ulp of 1 is kept.  So is
+SpectralMeasureCircle, the only code that canonicalizes a circle
+measure: it keeps angles already in (-pi, pi] and weights as given.
 
 All types are immutable values after construction and safe to share
 between threads.
@@ -49,11 +51,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def principal_angle(theta):
-    """Map angles to the principal branch (-pi, pi]."""
-    t = np.angle(np.exp(1j * np.asarray(theta, dtype=float)))
+    """Map angles to the principal branch (-pi, pi], as a fixed point: an
+    angle already in it is returned as it is (-0.0 as 0.0), any other is
+    folded by angle(exp(i theta)), with -pi mapped to pi."""
+    t = np.asarray(theta, dtype=float)
+    folded = np.angle(np.exp(1j * t))
     # np.angle returns -pi for a point on the negative real axis with a
     # negative zero or tiny negative imaginary part
-    return np.where(t == -math.pi, math.pi, t) + 0.0  # + 0.0 normalizes -0.0
+    folded = np.where(folded == -math.pi, math.pi, folded)
+    return np.where((t > -math.pi) & (t <= math.pi), t, folded) + 0.0  # + 0.0 normalizes -0.0
 
 
 def circular_gaps(theta) -> np.ndarray:
@@ -274,47 +280,19 @@ def build_jacobi(b, a) -> JacobiMatrix:
     return JacobiMatrix(np.asarray(b, dtype=float), np.asarray(a, dtype=float))
 
 
-def _check_weights(w: np.ndarray) -> np.ndarray:
-    """Weights renormalized to sum 1 along the last axis, each row checked."""
+def check_weight_rows(w: np.ndarray) -> None:
+    """Validate every row of a (..., n) weight array as a measure does its
+    weights (nonempty, finite, positive, summing to 1 within
+    WEIGHT_SUM_TOL), raising OutOfRange.  It divides nothing: weights are
+    normalized once, by the code that produces them."""
     if w.shape[-1] == 0:
         raise OutOfRange("measure needs at least one point")
     if not (w.min(initial=np.inf) > 0.0 and w.max(initial=0.0) < np.inf):
         raise OutOfRange("weights must be finite and positive")
-    total = w.sum(axis=-1, keepdims=True)
+    total = w.sum(axis=-1)
     off = np.abs(total - 1.0)
     if off.max(initial=0.0) > WEIGHT_SUM_TOL:
         raise OutOfRange(f"weights sum to {total.flat[off.argmax()]:.17g}, expected 1 within {WEIGHT_SUM_TOL:g}")
-    return w / total
-
-
-def circle_weights(theta, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical form SpectralMeasureCircle stores, for a (..., n) stack
-    of weight vectors on the same n angles theta (n,), or each on its own
-    row of a (..., n) theta.
-
-    Returns the sorted principal angles, (n,) or one row per weight row,
-    and the weights, each vector checked and renormalized to sum 1 and
-    reordered with its angles, as a C-contiguous array.  Row i equals
-    SpectralMeasureCircle(theta or theta[i], weights[i]) bit for bit.
-    """
-    t = _rows(theta, float)
-    if not np.all(np.isfinite(t)):
-        raise OutOfRange("angles must be finite")
-    t = principal_angle(t)
-    w = np.asarray(weights, dtype=float)
-    if w.shape[-1:] != t.shape[-1:]:
-        raise OutOfRange("points and weights must have equal length")
-    w = _check_weights(w)
-    order = np.argsort(t, axis=-1)
-    # take copies into a new C-contiguous array; w[..., order] need not be
-    # one, and products on a strided row round differently in the last bit
-    if t.ndim == 1:
-        t, w = t[order], w.take(order, axis=-1)
-    else:
-        t, w = np.take_along_axis(t, order, axis=-1), np.take_along_axis(w, order, axis=-1)
-    if t.shape[-1] > 1 and circular_gaps(t).min() <= SEPARATION_TOL:
-        raise DegenerateSpectrum("two support angles closer than 1e-10")
-    return t, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +301,11 @@ class SpectralMeasureCircle:
 
     Stored canonically: angles on the principal branch (-pi, pi], sorted
     ascending, pairwise angular separation > 1e-10, weights positive and
-    renormalized to sum exactly 1.  theta and weights may also be stacks
-    (..., n) of independent measures, each row stored as it would be alone
-    (circle_weights).
+    summing to 1 within 1e-12, kept as given and reordered with their
+    angles.  The package's one canonical rule for circle measures, and a
+    fixed point: SpectralMeasureCircle(mu.theta, mu.weights) is mu bit for
+    bit.  theta and weights may also be stacks (..., n) of independent
+    measures, each row stored as it would be alone.
     """
 
     theta: np.ndarray
@@ -335,7 +315,16 @@ class SpectralMeasureCircle:
         t, w = _rows(self.theta, float), _rows(self.weights, float)
         if t.shape != w.shape:
             raise OutOfRange("points and weights must have equal length")
-        t, w = circle_weights(t, w)
+        if not np.all(np.isfinite(t)):
+            raise OutOfRange("angles must be finite")
+        check_weight_rows(w)
+        t = principal_angle(t)
+        order = np.argsort(t, axis=-1)
+        # copies into new C-contiguous arrays: products on a strided row
+        # round differently in the last bit
+        t, w = np.take_along_axis(t, order, axis=-1), np.take_along_axis(w, order, axis=-1)
+        if t.shape[-1] > 1 and circular_gaps(t).min() <= SEPARATION_TOL:
+            raise DegenerateSpectrum("two support angles closer than 1e-10")
         object.__setattr__(self, "theta", _frozen(t))
         object.__setattr__(self, "weights", _frozen(w))
 
@@ -351,7 +340,9 @@ class SpectralMeasureCircle:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasureLine:
-    """Finitely supported probability measure on the real line."""
+    """Finitely supported probability measure on the real line, stored as
+    SpectralMeasureCircle stores one (points sorted and separated by more
+    than 1e-10, weights kept as given), and so a fixed point of its fields."""
 
     x: np.ndarray
     weights: np.ndarray
@@ -363,7 +354,7 @@ class SpectralMeasureLine:
             raise OutOfRange("points and weights must have equal length")
         if not np.all(np.isfinite(x)):
             raise OutOfRange("points must be finite")
-        w = _check_weights(w)
+        check_weight_rows(w)
         order = np.argsort(x)
         x, w = x[order], w[order]
         if x.size > 1 and np.diff(x).min() <= SEPARATION_TOL:

@@ -62,7 +62,7 @@ def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
     CMV matrices, the stack of their measures, from one batched eig.
 
     The weights are the squared first components |q[0, j]|^2 of the unit
-    eigenvectors from np.linalg.eig, renormalized to sum 1: in a cluster
+    eigenvectors from np.linalg.eig, normalized to sum 1: in a cluster
     of close eigenvalues those vectors are orthogonal only to about
     eps / gap.  Eigenvector phases do not enter.
     """
@@ -77,7 +77,7 @@ def christoffel_measure(C: CMVMatrix) -> SpectralMeasureCircle:
 
     The unitary_angles of C take one newton_angle_steps step onto the
     zeros of Phi_n; a second pass at those refined angles gives the
-    Christoffel weights 1 / K(z_j), renormalized to sum 1.  An eig weight
+    Christoffel weights 1 / K(z_j), normalized to sum 1.  An eig weight
     errs by about eps in absolute terms, so a tiny one loses its relative
     accuracy, which is what a spectral flow's exact propagation
     mu_j(t) ~ exp(F(theta_j) t) mu_j(0) carries to its endpoint; a
@@ -235,9 +235,11 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
 
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:
-    """Spectral measure of a Jacobi matrix and the vector e_1."""
+    """Spectral measure of a Jacobi matrix and the vector e_1: the squared
+    first components of np.linalg.eigh's eigenvectors, normalized to sum 1."""
     lam, vec = np.linalg.eigh(J.to_dense())
-    return SpectralMeasureLine(lam, vec[0, :] ** 2)
+    weights = vec[0, :] ** 2
+    return SpectralMeasureLine(lam, weights / weights.sum())
 
 
 def szego_coefficients(mu: SpectralMeasureCircle, count: int) -> np.ndarray:
@@ -353,7 +355,9 @@ def verblunsky_rows(theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     canonical angles theta (n,) and weight rows weights (T, n), as a (T, n)
     array from one szego_rows pass, each boundary put on the circle by
     core.renormalize_boundary (a fixed point, so VerblunskySet keeps it).
-    The rows are not validated; a Trajectory of them is."""
+    Canonical is as a SpectralMeasureCircle stores them, such as a
+    measure's theta and its propagated_weights rows.  The rows are not
+    validated; a Trajectory of them is."""
     return _on_the_circle(szego_rows(theta, weights, theta.size))
 
 

@@ -16,7 +16,7 @@ from cmvkit.alflows import MAX_ORDER
 from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.core import build_cmv
 from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
-from cmvkit.opuc import unitary_angles
+from cmvkit.opuc import unitary_angles, unitary_eigensystem
 from cmvkit.verify import MIN_N, SUITES
 
 from oracles import cmv_pattern, dump_json_loop, eigvals_angles, separated_verblunsky, write_samples_csv_loop
@@ -268,6 +268,14 @@ class TestFlow:
         diagnostics = serialize.load_json(out)["diagnostics"]
         assert len(diagnostics) == 51 and max(d["eig_drift"] for d in diagnostics) <= 1e-10
 
+    def test_underflowed_weight_exit_3(self, tmp_path, capsys):
+        # by t = 400 the smallest propagated weight is below the smallest double
+        out = tmp_path / "t.json"
+        assert run("flow", "--random", "--n", 4, "--seed", 3, "--t", 400, "--dt", 0.5,
+                   "--method", "spectral", "--out", out, "--quiet") == 3
+        assert capsys.readouterr().err == "error: weights must be finite and positive\n"
+        assert not out.exists()
+
     def test_domain_error_exit_3(self, tmp_path):
         init = tmp_path / "v.json"
         serialize.dump_json({"n": 2, "alpha": [[1.0 - 1e-9, 0.0], [1.0, 0.0]]}, init)
@@ -421,6 +429,16 @@ class TestSpectral:
         assert run("spectral", "--input", mfile, "--to", "coeffs", "--out", back, "--quiet") == 0
         again = serialize.verblunsky_from_obj(serialize.load_json(back))
         assert np.abs(again.alpha - v.alpha).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [1, 6, 64])
+    def test_measure_file_loads_back_as_the_measure(self, tmp_path, n):
+        v = random_verblunsky(n, RngStream(n), radius=0.8)
+        cfile, mfile = tmp_path / "c.json", tmp_path / "m.json"
+        serialize.dump_json(serialize.verblunsky_to_obj(v), cfile)
+        assert run("spectral", "--input", cfile, "--to", "measure", "--out", mfile, "--quiet") == 0
+        loaded = serialize.circle_measure_from_obj(serialize.load_json(mfile))
+        mu = unitary_eigensystem(build_cmv(v))
+        assert loaded.theta.tobytes() == mu.theta.tobytes() and loaded.weights.tobytes() == mu.weights.tobytes()
 
 
     @pytest.mark.parametrize("to,obj", [

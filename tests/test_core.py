@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmvkit.core import (
@@ -11,7 +11,6 @@ from cmvkit.core import (
     build_cmv,
     build_jacobi,
     check_coefficient_rows,
-    circle_weights,
     circular_gaps,
     coefficient_rho,
     factor_entries,
@@ -21,10 +20,10 @@ from cmvkit.core import (
     renormalize_boundary,
     tridiagonal,
 )
-from cmvkit.alflows import Trajectory, _trace_gradient_blocks, check_cmv_band
+from cmvkit.alflows import FlowHamiltonian, Trajectory, _trace_gradient_blocks, check_cmv_band, propagated_weights
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import DegenerateSpectrum, InvalidParams, NonPositiveOffDiagonal, OutOfRange
-from cmvkit.opuc import verblunsky_from_measure
+from cmvkit.opuc import christoffel_measure, jacobi_eigensystem, unitary_eigensystem, verblunsky_from_measure
 from cmvkit.verify import random_measure
 
 import oracles
@@ -433,6 +432,68 @@ class TestBoundaryRule:
             assert VerblunskySet(v.alpha).alpha.tobytes() == v.alpha.tobytes()
 
 
+def assert_rebuilds(mu):
+    """SpectralMeasureCircle(mu.theta, mu.weights) holds mu's bits."""
+    again = SpectralMeasureCircle(mu.theta, mu.weights)
+    assert again.theta.tobytes() == mu.theta.tobytes() and again.weights.tobytes() == mu.weights.tobytes()
+
+
+class TestMeasureFixedPoint:
+    """SpectralMeasureCircle is the package's one canonical rule for circle
+    measures, and a fixed point: a measure rebuilt from its own fields is
+    the measure, bit for bit, single or stacked, whatever produced it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_raw_angles(self, n, rows, seed, data):
+        angle = st.floats(-4.0 * np.pi, 4.0 * np.pi)
+        theta = np.array(data.draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+        w = np.random.default_rng(seed).uniform(0.1, 1.0, theta.shape)
+        w /= w.sum(axis=1, keepdims=True)
+        try:
+            stack = SpectralMeasureCircle(theta, w)
+        except DegenerateSpectrum:
+            assume(False)
+        assert_rebuilds(stack)
+        assert stack.theta.flags.c_contiguous and stack.weights.flags.c_contiguous
+        for i in range(rows):
+            mu = SpectralMeasureCircle(theta[i], w[i])
+            assert mu.theta.tobytes() == stack.theta[i].tobytes() and mu.weights.tobytes() == stack.weights[i].tobytes()
+            assert_rebuilds(mu)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_produced_measures(self, n, seed):
+        gen = np.random.default_rng(seed)
+        sets = VerblunskySet(np.array([random_set(gen, n, radius=0.8).alpha for _ in range(4)]))
+        produced = [random_measure(n, gen) for _ in range(8)]
+        produced.append(unitary_eigensystem(build_cmv(sets)))
+        produced += [unitary_eigensystem(build_cmv(VerblunskySet(a))) for a in sets.alpha]
+        produced += [christoffel_measure(build_cmv(VerblunskySet(a))) for a in sets.alpha]
+        for mu in produced:
+            assert_rebuilds(mu)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_line_measures(self, n, seed):
+        gen = np.random.default_rng(seed)
+        nu = jacobi_eigensystem(build_jacobi(gen.normal(size=n), gen.uniform(0.2, 2.0, n - 1)))
+        again = SpectralMeasureLine(nu.x, nu.weights)
+        assert again.x.tobytes() == nu.x.tobytes() and again.weights.tobytes() == nu.weights.tobytes()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    def test_principal_angle_is_idempotent(self, angles):
+        t = np.array(angles)
+        p = principal_angle(t)
+        assert ((p > -np.pi) & (p <= np.pi)).all()
+        assert principal_angle(p).tobytes() == p.tobytes()
+        # an angle already on the branch comes back as it is, -0.0 as 0.0
+        inside = (t > -np.pi) & (t <= np.pi)
+        assert p[inside].tobytes() == (t[inside] + 0.0).tobytes()
+        assert not np.signbit(p[p == 0.0]).any()
+
+
 def valid_rows(k=4, n=5):
     gen = RngStream(80).generator()
     return np.array([random_verblunsky(n, gen, radius=0.6).alpha for _ in range(k)])
@@ -505,23 +566,20 @@ class TestJacobi:
             build_jacobi([0.0, 0.0], [1.0, 1.0])
 
 
-class TestCircleWeights:
-    def test_rows_equal_measures(self):
-        rng = np.random.default_rng(3)
-        theta = rng.permutation(np.linspace(-3.0, 3.0, 7))
-        w = rng.uniform(0.5, 1.5, (9, 7))
-        w /= w.sum(axis=1, keepdims=True)
-        t, rows = circle_weights(theta, w)
-        assert rows.flags.c_contiguous
-        for row, wi in zip(rows, w):
-            mu = SpectralMeasureCircle(theta, wi)
-            assert t.tobytes() == mu.theta.tobytes() and row.tobytes() == mu.weights.tobytes()
-
+class TestWeightRows:
     def test_any_bad_row_rejected(self):
         w = np.full((3, 4), 0.25)
         w[1, 0] = 0.5
         with pytest.raises(OutOfRange, match="sum to 1.25"):
-            circle_weights([0.0, 1.0, 2.0, 3.0], w)
+            SpectralMeasureCircle(np.tile([0.0, 1.0, 2.0, 3.0], (3, 1)), w)
+
+    def test_any_underflowed_propagated_row_rejected(self):
+        # the middle time sends a weight below the smallest double
+        mu = SpectralMeasureCircle([-2.0, 0.0, 2.0], [0.2, 0.3, 0.5])
+        ham = FlowHamiltonian.matching_lax_flow(1, "re")
+        assert propagated_weights(mu, ham, [0.0, 1.0]).shape == (2, 3)
+        with pytest.raises(OutOfRange, match="finite and positive"):
+            propagated_weights(mu, ham, [0.0, 1e3, 1.0])
 
 
 class TestCircularGaps:

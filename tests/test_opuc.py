@@ -7,7 +7,6 @@ from cmvkit.core import (
     VerblunskySet,
     build_cmv,
     build_jacobi,
-    circle_weights,
 )
 from cmvkit.ensembles import RngStream, random_verblunsky, sample_circular_beta
 from cmvkit.errors import (
@@ -464,10 +463,10 @@ class TestStackedSzego:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64])
     def test_rows_equal_single_measures(self, n):
+        # a measure's angles and weight rows in its order are canonical as they are
         theta, w = self.weight_stack(n)
-        t, rows = circle_weights(theta, w)
-        alphas = szego_rows(t, rows, n)
-        states = verblunsky_rows(t, rows)
+        alphas = szego_rows(theta, w, n)
+        states = verblunsky_rows(theta, w)
         assert states.shape == (w.shape[0], n)
         for i in range(w.shape[0]):
             mu = SpectralMeasureCircle(theta, w[i])
@@ -476,11 +475,11 @@ class TestStackedSzego:
             assert states[i].tobytes() == verblunsky_from_measure(mu).alpha.tobytes()
 
     def test_partial_rows(self):
-        t, rows = circle_weights(*self.weight_stack(6))
+        t, rows = self.weight_stack(6)
         assert np.array_equal(szego_rows(t, rows, 3), szego_rows(t, rows, 6)[:, :3])
 
     def test_one_collapsed_row_raises(self):
-        t, rows = circle_weights([0.0, 1.0, 2.0], [[0.2, 0.3, 0.5], [1.0 - 2e-14, 1e-14, 1e-14]])
+        t, rows = np.array([0.0, 1.0, 2.0]), np.array([[0.2, 0.3, 0.5], [1.0 - 2e-14, 1e-14, 1e-14]])
         with pytest.raises(IllConditioned):
             szego_rows(t, rows, 3)
         with pytest.raises(SupportTooSmall):
@@ -500,7 +499,7 @@ class TestSzegoTangents:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
     def test_tangents_match_central_differences(self, n):
         # direction 2j moves theta_j, direction 2j + 1 moves weight j against weight n
-        t, rows = circle_weights(*TestStackedSzego.weight_stack(n, rows=1))
+        t, rows = TestStackedSzego.weight_stack(n, rows=1)
         w = rows[0]
         h = 1e-6
         fd = np.empty((n, 2 * n - 1), dtype=complex)
@@ -517,9 +516,8 @@ class TestSzegoTangents:
         assert np.abs(dalpha - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
     def test_collapsed_measure_raises(self):
-        t, rows = circle_weights([0.0, 1.0, 2.0], [[1.0 - 2e-14, 1e-14, 1e-14]])
         with pytest.raises(IllConditioned):
-            szego_tangents(t, rows[0])
+            szego_tangents(np.array([0.0, 1.0, 2.0]), np.array([1.0 - 2e-14, 1e-14, 1e-14]))
 
 
 class TestGeronimus:

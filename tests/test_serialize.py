@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 from cmvkit import cli, serialize
 from cmvkit.alflows import FlowHamiltonian, Trajectory, integrate_flow, spectral_trajectory
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams
+from cmvkit.opuc import christoffel_measure, unitary_eigensystem
+from cmvkit.verify import _measure_variates, random_measure
 
 from oracles import (
     dump_json_loop,
@@ -51,11 +53,32 @@ class TestVerblunskyJson:
 
 
 class TestMeasureJson:
-    def test_circle_round_trip(self):
-        mu = SpectralMeasureCircle([-0.4, 1.3], [0.7, 0.3])
-        again = serialize.circle_measure_from_obj(serialize.circle_measure_to_obj(mu))
-        assert np.array_equal(mu.theta, again.theta)
-        assert np.array_equal(mu.weights, again.weights)
+    def test_circle_round_trip(self, tmp_path):
+        # a measure file loads back as the measure that was written, bit for
+        # bit: the fields are a fixed point of SpectralMeasureCircle
+        path = tmp_path / "m.json"
+        for n in (1, 4, 16, 64):
+            gen = np.random.default_rng(n)
+            sets = [random_verblunsky(n, RngStream(s), radius=0.8) for s in range(4)]
+            raw = np.array([_measure_variates(n, gen) for _ in range(4)])
+            raw[:, 0] += 2.0 * np.pi * gen.integers(-1, 2, (4, n))
+            families = [
+                [SpectralMeasureCircle([-0.4, 1.3], [0.7, 0.3])],
+                [random_measure(n, gen) for _ in range(4)],
+                [SpectralMeasureCircle(t, w) for t, w in raw],
+                [unitary_eigensystem(build_cmv(v)) for v in sets],
+                [christoffel_measure(build_cmv(v)) for v in sets],
+            ]
+            for mus in families:
+                serialize.dump_json([serialize.circle_measure_to_obj(mu) for mu in mus], path)
+                objs = serialize.load_json(path)
+                for mu, obj in zip(mus, objs):
+                    again = serialize.circle_measure_from_obj(obj)
+                    assert again.theta.tobytes() == mu.theta.tobytes()
+                    assert again.weights.tobytes() == mu.weights.tobytes()
+                stack = serialize.circle_measure_from_objs(objs)
+                assert stack.theta.tobytes() == np.array([mu.theta for mu in mus]).tobytes()
+                assert stack.weights.tobytes() == np.array([mu.weights for mu in mus]).tobytes()
 
     @pytest.mark.parametrize("obj", [{}, {"points": 3}, {"points": [{"weight": 1.0}]},
                                      {"points": [{"theta": [], "weight": 1.0}]}])

@@ -21,7 +21,7 @@ from cmvkit.brackets import (
     spectral_gradients,
     spectral_to_verblunsky_jacobian,
 )
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, circle_weights
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, OutOfRange
 from cmvkit.opuc import szego_coefficients, szego_rows, szego_tangents, unitary_eigensystem, verblunsky_from_measure
@@ -51,12 +51,11 @@ def same(stacked, rows):
 
 def measures(n, count, seed):
     """count random_measure probes, and the same probes as one stack, both
-    built from the same raw angles and weights (a measure rebuilt from its
-    own canonical arrays can move a last bit)."""
+    built from the same raw angles and weights."""
     gen = RngStream(seed).generator()
     raw = [_measure_variates(n, gen) for _ in range(count)]
     theta, weights = (np.array(x) for x in zip(*raw))
-    return [SpectralMeasureCircle(*r) for r in raw], SpectralMeasureCircle(theta, weights), (theta, weights)
+    return [SpectralMeasureCircle(*r) for r in raw], SpectralMeasureCircle(theta, weights)
 
 
 def coefficient_sets(n, count, seed):
@@ -72,13 +71,10 @@ def coefficient_sets(n, count, seed):
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(seed=SEEDS)
 def test_measure_kernels(n, count, seed):
-    mus, stack, raw = measures(n, count, seed)
+    mus, stack = measures(n, count, seed)
     # the stacked measure stores each row as it would alone
     same(stack.theta, [mu.theta for mu in mus])
     same(stack.weights, [mu.weights for mu in mus])
-    theta, weights = circle_weights(*raw)
-    same(theta, [mu.theta for mu in mus])
-    same(weights, [mu.weights for mu in mus])
     gen = RngStream(seed).generator()
     same([random_measure(n, gen).weights for _ in range(count)], [mu.weights for mu in mus])
     # the Szego recursion, its tangents and the spectral Jacobian
