@@ -52,9 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DET_TOL,
-    TRACE_TOL,
-    UNITARITY_TOL,
     CMVMatrix,
     JacobiMatrix,
     SpectralMeasureCircle,
@@ -270,6 +267,12 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     return entries[2 * n - 1 : 3 * n - 2].real, blocks
 
 
+# the invariants check_cmv_band holds every row to
+UNITARITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+DET_TOL = 1e-10
+
+
 def check_cmv_band(alpha: np.ndarray) -> np.ndarray:
     """The CMV invariants of the matrices C = L M of a (k, n) stack of
     valid coefficient rows, each read from the band of C in O(n):
@@ -356,8 +359,9 @@ class Trajectory:
     """Time-stamped flow states with per-step diagnostics.
 
     Row i of the read-only (len(times), n) array alpha is the state at
-    times[i]; every row is validated as VerblunskySet validates one, and
-    all share the boundary coefficient within 1e-10.  eig_drift[i] is the
+    times[i], the times finite and strictly increasing; every row is
+    validated as VerblunskySet validates one, and all share the boundary
+    coefficient within 1e-10.  eig_drift[i] is the
     largest distance that an eigenvalue of the matrix at times[0] has
     moved by times[i], each eigenvalue tracked from its own angle, so
     that an angle crossing the branch cut at pi moves by nothing
@@ -376,7 +380,9 @@ class Trajectory:
         drift, unit = (np.array(d, dtype=float).reshape(-1) for d in (self.eig_drift, self.unitarity))
         if a.ndim != 2 or not 0 < t.size == a.shape[0] == drift.size == unit.size:
             raise InvalidParams("one state, one eig_drift and one unitarity per time stamp required")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        if not np.isfinite(t).all():
+            raise InvalidParams("times must be finite")
+        if not (np.diff(t) > 0.0).all():
             raise InvalidParams("times must be strictly increasing")
         check_coefficient_rows(a)
         if np.abs(a[:, -1] - a[0, -1]).max() > 1e-10:

@@ -29,8 +29,8 @@ tangent pass; solves and determinants are batched, and the closed-form
 Jacobian reads one Szego pass.  Only the banded K_m kernel runs once per
 probe.  Row t of every result equals the result for probe t alone, bit
 for bit, so `cmv verify` evaluates its probes in blocks and a one-probe
-call reproduces any of them.  A coefficient probe rebuilt from its
-record is the same probe: the boundary rule of VerblunskySet
+call reproduces any of them.  The record `cmv verify` writes of a
+coefficient probe loads as that probe: the boundary rule of VerblunskySet
 (core.renormalize_boundary, |alpha_{n-1}| kept within one ulp of 1) is a
 fixed point.
 

@@ -38,13 +38,14 @@ def _progress(quiet: bool, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _coefficient_objs(spec: EnsembleSpec, coeffs) -> list[dict]:
-    """JSON objects of coefficient_samples output, one per draw; circular
-    draws pass through one stacked VerblunskySet, as eigenvalue_samples
-    builds their matrices."""
+def _coefficient_records(spec: EnsembleSpec, pieces: list) -> serialize.Records:
+    """The coefficient_samples outputs of every stream as one list of JSON
+    objects, one per draw; circular draws pass through one stacked
+    VerblunskySet, as eigenvalue_samples builds their matrices."""
     if spec.family == "circular":
-        return serialize.verblunsky_to_objs(VerblunskySet(coeffs))
-    return [{"b": b.tolist(), "a": a.tolist()} for b, a in zip(*coeffs)]
+        return serialize.coefficient_records(VerblunskySet(np.concatenate(pieces)).alpha)
+    b, a = (np.concatenate(parts) for parts in zip(*pieces))
+    return serialize.Records({"b": b, "a": a})
 
 
 def cmd_sample(args) -> int:
@@ -60,15 +61,13 @@ def cmd_sample(args) -> int:
         pieces.append(eigenvalue_samples(spec, size, stream))
         _progress(args.quiet, f"sampled {sum(len(p) for p in pieces)}/{args.count}")
     rows = np.vstack(pieces)
-    objs = []
     if args.coeffs_out:
         # the same streams again give the coefficients the rows came from
-        for stream, size in chunks:
-            objs += _coefficient_objs(spec, coefficient_samples(spec, size, stream))
+        records = _coefficient_records(spec, [coefficient_samples(spec, size, stream) for stream, size in chunks])
     serialize.write_samples_csv(args.out, rows)
     _progress(args.quiet, f"wrote {rows.shape[0]} rows to {args.out}")
     if args.coeffs_out:
-        serialize.dump_json(objs, args.coeffs_out)
+        serialize.dump_json(records, args.coeffs_out)
     return 0
 
 

@@ -32,13 +32,10 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NonPositiveOffDiagonal, OutOfRange
 
-# Validation tolerances (UNITARITY_TOL, TRACE_TOL and DET_TOL are alflows.check_cmv_band's).
+# Validation tolerances
 INTERIOR_MARGIN = 1e-12     # interior coefficients must satisfy |a| <= 1 - margin
 BOUNDARY_TOL = 1e-12        # allowed deviation of |alpha_{n-1}| from 1 before renormalizing
 BOUNDARY_ULP = float(np.finfo(float).eps)  # a boundary modulus this close to 1 is kept as it is
-UNITARITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-DET_TOL = 1e-10
 SEPARATION_TOL = 1e-10      # minimal distance between spectral points
 WEIGHT_SUM_TOL = 1e-12
 

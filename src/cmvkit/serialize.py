@@ -7,9 +7,11 @@ The writers do their per-float work inside C-level `%` operations, one
 per block of CSV rows or of JSON array values: dump_json writes the
 bytes of json.dump(obj, fh, indent=1) plus a newline, and the CSV
 writers write format(x, ".17g") for every float.  A list of objects
-that share one layout, such as a trajectory's states, is passed as
-Records, whose layout is built once and repeated.  tests/oracles.py
-keeps the per-float loops they are compared with.
+that share one layout, such as a trajectory's states or the coefficient
+draws of `cmv sample --coeffs-out`, is passed as Records, whose layout
+is built once and repeated; coefficient_records gives the {"n", "alpha"}
+objects of coefficient rows.  tests/oracles.py keeps the per-float loops
+they are compared with.
 """
 
 from __future__ import annotations
@@ -37,22 +39,11 @@ def _pairs(z: np.ndarray) -> np.ndarray:
 
 
 def verblunsky_to_obj(v: VerblunskySet) -> dict:
-    return verblunsky_to_objs(v)[0]
-
-
-def verblunsky_to_objs(v: VerblunskySet) -> list[dict]:
-    """One coefficient object per set of v, one set or a stack (T, n)."""
-    return [{"n": int(v.n), "alpha": pairs} for pairs in _pairs(v.alpha.reshape(-1, v.n)).tolist()]
+    return {"n": int(v.n), "alpha": _pairs(v.alpha).tolist()}
 
 
 def verblunsky_from_obj(obj: dict) -> VerblunskySet:
     return VerblunskySet(_coefficients([obj])[0])
-
-
-def verblunsky_from_objs(objs) -> VerblunskySet:
-    """The stack (T, n) of T coefficient objects of one size, row t equal to
-    verblunsky_from_obj(objs[t]).alpha bit for bit."""
-    return VerblunskySet(_coefficients(objs))
 
 
 def _coefficients(objs) -> np.ndarray:
@@ -80,26 +71,13 @@ def circle_measure_to_obj(mu: SpectralMeasureCircle) -> dict:
     }
 
 
-def _points(obj: dict, key: str) -> tuple[list, list]:
-    """The (key, weight) values of a measure object's points, as floats."""
+def circle_measure_from_obj(obj: dict) -> SpectralMeasureCircle:
     try:
         pts = obj["points"]
-        return [float(p[key]) for p in pts], [float(p["weight"]) for p in pts]
+        theta, weights = [float(p["theta"]) for p in pts], [float(p["weight"]) for p in pts]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed measure object: {exc!r}") from exc
-
-
-def circle_measure_from_obj(obj: dict) -> SpectralMeasureCircle:
-    return SpectralMeasureCircle(*_points(obj, "theta"))
-
-
-def circle_measure_from_objs(objs) -> SpectralMeasureCircle:
-    """The stack (T, n) of T measure objects of one size, row t equal to
-    circle_measure_from_obj(objs[t]) bit for bit."""
-    theta, weights = zip(*(_points(obj, "theta") for obj in objs))
-    if len({len(t) for t in theta}) != 1:
-        raise InvalidParams("expected measure objects of one size")
-    return SpectralMeasureCircle(np.array(theta), np.array(weights))
+    return SpectralMeasureCircle(theta, weights)
 
 
 @dataclass(frozen=True)
@@ -123,12 +101,17 @@ class Records:
         return [{k: rows[k][i] if k in rows else v for k, v in self.fields.items()} for i in range(len(self))]
 
 
+def coefficient_records(alpha: np.ndarray) -> Records:
+    """One {"n", "alpha"} coefficient object per row of alpha (T, n)."""
+    return Records({"n": alpha.shape[-1], "alpha": _pairs(alpha)})
+
+
 def trajectory_to_obj(traj: Trajectory) -> dict:
     """The trajectory's JSON object: times, one {"n", "alpha"} and one
     {"eig_drift", "unitarity"} object per state."""
     return {
         "times": traj.times,
-        "states": Records({"n": int(traj.n), "alpha": _pairs(traj.alpha)}),
+        "states": coefficient_records(traj.alpha),
         "diagnostics": Records({"eig_drift": traj.eig_drift, "unitarity": traj.unitarity}),
     }
 

@@ -3,15 +3,16 @@
 Each suite sweeps seeded random probe points, evaluates a family of
 bracket/Jacobian identities numerically, and reports the worst residual
 against its tolerance.  One table, `_SUITES`, gives each suite its probe
-draw (probe records, in the serialize schemas), its residual function
-(evaluated on the stack of probes those records load) and its
-(identity, tolerance) list; a comment at each entry lists the suite's
-identities.  `run_suite` draws the probes in trial order, with the
-generator calls of one probe at a time, and evaluates them in blocks of
-about SUITE_BLOCK entries: each block is one stack of coefficient sets or
-measures, so one batched CMV build, eig, Szego tangent pass, solve and
-determinant serve all its probes.  Suites return a plain dict ready for
-JSON.  A suite needs at least one trial and n >= MIN_N[suite].
+draw (a stack of probes), its residual function (evaluated on that
+stack), the JSON record of one probe of the stack (in the serialize
+schemas) and its (identity, tolerance) list; a comment at each entry
+lists the suite's identities.  `run_suite` draws the probes in trial
+order, with the generator calls of one probe at a time, and evaluates
+them in blocks of about SUITE_BLOCK entries: each block is one stack of
+coefficient sets or measures, so one batched CMV build, eig, Szego
+tangent pass, solve and determinant serve all its probes.  Suites
+return a plain dict ready for JSON.  A suite needs at least one trial and
+n >= MIN_N[suite].
 
 No probe is redrawn: canonical, cotangent and jacobian draw a stratified
 measure (`random_measure`), the first two through the Szego recursion to
@@ -22,8 +23,10 @@ The residual functions (`brackets_residuals`, `canonical_residuals`,
 stack of them, and read their defects from one bracket matrix of exact
 gradients, or one exact Jacobian, per probe; no probe of a stack depends
 on another.  Each identity records the trial and the probe (coefficients
-or measure, in the serialize schemas) of its worst residual, so that
-probe alone reproduces `max_residual` bit for bit.
+or measure) of its worst residual; only those probes get a record, built
+from their rows of the stack.  Both value types are fixed points of their
+fields, so a record loads as the probe that was evaluated, and that probe
+alone reproduces `max_residual` bit for bit.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ from .core import SpectralMeasureCircle, VerblunskySet
 from .ensembles import RngStream, random_verblunsky
 from .errors import InvalidParams
 from .opuc import verblunsky_from_measure
-from .serialize import (
-    circle_measure_from_objs,
-    circle_measure_to_obj,
-    verblunsky_from_objs,
-    verblunsky_to_obj,
-    verblunsky_to_objs,
-)
+from .serialize import circle_measure_to_obj, verblunsky_to_obj
 
 SUITES = ("brackets", "canonical", "cotangent", "jacobian")
 # smallest n each suite can evaluate: brackets and canonical need an
@@ -167,28 +164,36 @@ def jacobian_residual(mu: SpectralMeasureCircle):
     return _value(np.abs(numeric - predicted) / np.maximum(np.abs(predicted), 1e-12))
 
 
-def _spectral_coefficients(n: int, gen, count: int, labels: bool = False) -> list[dict]:
-    """Records of the coefficients of `count` random_measure probes, through
-    one Szego pass on their stack (each row as random_measure draws it);
-    with labels, each record also holds three eigenvalue labels, drawn
-    after its measure."""
+def _measure_stack(n: int, gen, count: int, labels: bool = False):
+    """`count` random_measure probes as one stack, each row as
+    random_measure draws it, and with labels a (count, 3) array of
+    eigenvalue labels, each row drawn after its measure (else None)."""
     draws, drawn = [], []
     for _ in range(count):
         draws.append(_measure_variates(n, gen))
         if labels:
-            drawn.append(gen.permutation(n)[:3].tolist())
+            drawn.append(gen.permutation(n)[:3])
     theta, weights = zip(*draws)
-    records = verblunsky_to_objs(verblunsky_from_measure(SpectralMeasureCircle(np.array(theta), np.array(weights))))
-    for record, chosen in zip(records, drawn):
-        record["labels"] = chosen
-    return records
+    return SpectralMeasureCircle(np.array(theta), np.array(weights)), np.array(drawn) if labels else None
 
 
-# suite -> (draw(n, gen, count) -> probe records, residuals(probe records) ->
-# one (count,) array per identity, [(identity, tolerance)]).  Residuals read
-# the stack of probes the records load, so each record alone reproduces its
-# residuals bit for bit.  The lambdas look the package functions up at call
-# time.
+def _labelled_coefficients(n: int, gen, count: int) -> tuple[VerblunskySet, np.ndarray]:
+    """The coefficients of `count` labelled random_measure probes, through
+    one Szego pass on their stack, and their (count, 3) labels."""
+    mu, labels = _measure_stack(n, gen, count, labels=True)
+    return verblunsky_from_measure(mu), labels
+
+
+def _coefficient_record(v: VerblunskySet, t: int) -> dict:
+    """The record of row t of a coefficient stack, which loads as that row."""
+    return verblunsky_to_obj(VerblunskySet(v.alpha[t]))
+
+
+# suite -> (draw(n, gen, count) -> a stack of probes, residuals(stack) -> one
+# (count,) array per identity, record(stack, t) -> the JSON record of probe
+# t, [(identity, tolerance)]).  Both value types are fixed points of their
+# fields, so a record loads as the probe it was built from.  The lambdas
+# look the package functions up at call time.
 _SUITES = {
     # Coefficient brackets and the involution of the trace Hamiltonians:
     #   * the complex reconstruction {alpha_k, conj(alpha_l)} = -2i delta_kl rho_k^2
@@ -196,8 +201,11 @@ _SUITES = {
     #   * antisymmetry of the numeric bracket (0 by construction);
     #   * {Re K_m, Re K_l} = 0 and {Im K_m, Re K_l} = 0 for m, l <= 3.
     "brackets": (
-        lambda n, gen, count: [verblunsky_to_obj(random_verblunsky(n, gen, radius=0.65)) for _ in range(count)],
-        lambda probes: brackets_residuals(verblunsky_from_objs(probes)),
+        lambda n, gen, count: VerblunskySet(
+            np.array([random_verblunsky(n, gen, radius=0.65).alpha for _ in range(count)])
+        ),
+        lambda v: brackets_residuals(v),
+        _coefficient_record,
         [
             ("coefficient bracket reconstruction", BRACKET_TOL),
             ("antisymmetry", BRACKET_TOL),
@@ -208,21 +216,23 @@ _SUITES = {
     # {theta_j, theta_k} should vanish and the matrix
     # {theta_l, (1/2) log(mu_j / mu_n)} over j, l < n should be the identity.
     "canonical": (
-        lambda n, gen, count: _spectral_coefficients(n, gen, count),
-        lambda probes: canonical_residuals(verblunsky_from_objs(probes)),
+        lambda n, gen, count: verblunsky_from_measure(_measure_stack(n, gen, count)[0]),
+        lambda v: canonical_residuals(v),
+        _coefficient_record,
         [("eigenvalue angles commute", THETA_COMMUTE_TOL), ("canonical pairing matrix", CANONICAL_TOL)],
     ),
     # Mass-ratio bracket against the cotangent sum on well separated spectra.
     "cotangent": (
-        # the labels are drawn after each measure
-        lambda n, gen, count: _spectral_coefficients(n, gen, count, labels=True),
-        lambda probes: (np.abs(cotangent_residual(verblunsky_from_objs(probes), [p["labels"] for p in probes])),),
+        _labelled_coefficients,
+        lambda probes: (np.abs(cotangent_residual(*probes)),),
+        lambda probes, t: {**_coefficient_record(probes[0], t), "labels": probes[1][t].tolist()},
         [("cotangent identity", COTANGENT_TOL)],
     ),
     # Exact spectral-to-coefficient Jacobian against its closed form.
     "jacobian": (
-        lambda n, gen, count: [circle_measure_to_obj(random_measure(n, gen)) for _ in range(count)],
-        lambda probes: (jacobian_residual(circle_measure_from_objs(probes)),),
+        lambda n, gen, count: _measure_stack(n, gen, count)[0],
+        lambda mu: (jacobian_residual(mu),),
+        lambda mu, t: circle_measure_to_obj(SpectralMeasureCircle(mu.theta[t], mu.weights[t])),
         [("spectral jacobian determinant", JACOBIAN_TOL)],
     ),
 }
@@ -243,7 +253,7 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
         raise InvalidParams(f"{suite} suite needs n >= {MIN_N[suite]}, got {n}")
     if trials < 1:
         raise InvalidParams(f"need at least one trial, got {trials}")
-    draw, residuals, identities = _SUITES[suite]
+    draw, residuals, record, identities = _SUITES[suite]
     gen = RngStream(seed).generator()
     per = max(SUITE_BLOCK // (n * (2 * n - 1)), 1)
     worst = [None] * len(identities)
@@ -253,7 +263,7 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
         # first occurrence of the worst rank, within the block and across blocks
         for index, row in enumerate(_rank(block).argmax(axis=0)):
             if worst[index] is None or _rank(block[row, index]) > _rank(worst[index][0]):
-                worst[index] = (block[row, index], start + int(row), probes[row])
+                worst[index] = (block[row, index], start + int(row), record(probes, row))
     results = [_result(name, item, tol) for (name, tol), item in zip(identities, worst)]
     return {
         "suite": suite,

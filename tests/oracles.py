@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg
 
 from cmvkit import brackets, serialize
-from cmvkit.alflows import Trajectory, al_vector_field, gap_rotation, lax_partner
+from cmvkit.alflows import DET_TOL, TRACE_TOL, UNITARITY_TOL, Trajectory, al_vector_field, gap_rotation, lax_partner
 from cmvkit.brackets import (
     DEFAULT_STEP,
     GRADIENT_AGREEMENT,
@@ -68,9 +68,6 @@ from cmvkit.brackets import (
     with_coordinates,
 )
 from cmvkit.core import (
-    DET_TOL,
-    TRACE_TOL,
-    UNITARITY_TOL,
     SpectralMeasureCircle,
     SpectralMeasureLine,
     VerblunskySet,

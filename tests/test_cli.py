@@ -702,6 +702,9 @@ def test_every_output_is_its_oracle_encoding(tmp_path):
     for family in ("circular", "jacobi", "hermite"):
         cmd("sample", "--family", family, "--n", 5, "--beta", 2, "--a", 0.5, "--count", 7, "--seed", 1,
             "--out", f"{family}.csv", "--coeffs-out", f"{family}.json")
+    for family in ("jacobi", "hermite"):  # n = 1: every "a" row is empty
+        cmd("sample", "--family", family, "--n", 1, "--beta", 2, "--count", 3, "--seed", 1,
+            "--out", f"{family}-1.csv", "--coeffs-out", f"{family}-1.json")
     cmd("histogram", "--input", "circular.csv", "--bins", 8, "--range", -3.1416, 3.1416, "--out", "hist.csv")
     for method in ("rk4", "spectral"):
         cmd("flow", "--random", "--n", 5, "--seed", 2, "--m", 2, "--part", "im", "--t", 0.05, "--dt", 1e-2,
@@ -711,6 +714,6 @@ def test_every_output_is_its_oracle_encoding(tmp_path):
     for suite in SUITES:
         cmd("verify", "--suite", suite, "--n", max(MIN_N[suite], 3), "--trials", 2, "--seed", 4,
             "--report", f"report-{suite}.json")
-    assert len(outputs) == 15
+    assert len(outputs) == 19
     for path in outputs:
         assert path.read_bytes() == oracle_encoding(path), path.name

@@ -1,4 +1,6 @@
-"""The README's "Removed API" table names only what the package no longer has."""
+"""The package's public names: the README's "Removed API" table names only
+what the package no longer has, and `cmvkit.__all__` lists exactly what
+`__init__.py` imports."""
 
 import ast
 import importlib
@@ -47,6 +49,7 @@ def top_level_bindings(module) -> set[str]:
 def test_table_is_read():
     names = removed_names()
     assert "circle_weights" in names and "verify.probe_separation" in names and len(names) >= 20
+    assert {"verblunsky_to_objs", "verblunsky_from_objs", "circle_measure_from_objs", "core.DET_TOL"} <= set(names)
 
 
 @pytest.mark.parametrize("entry", removed_names())
@@ -63,3 +66,11 @@ def test_removed_name_is_absent(entry):
     else:
         # Class.attribute of a public class
         assert not hasattr(getattr(cmvkit, prefix), name)
+
+
+def test_all_lists_each_import_once():
+    tree = ast.parse(pathlib.Path(cmvkit.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(cmvkit.__all__) == len(set(cmvkit.__all__))
+    assert set(cmvkit.__all__) == imported

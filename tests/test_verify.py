@@ -147,9 +147,9 @@ class TestWorstProbe:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_record_reproduces_its_residual(self, suite):
-        # a coefficient set or measure need not survive its own record
-        # bit for bit (the boundary or weight normalization can move a last
-        # bit), so the suites evaluate each probe as its record loads it
+        # the suites evaluate the probes they draw and record only the
+        # worst; a coefficient set and a measure are fixed points of their
+        # fields, so each record loads as the probe that was evaluated
         for seed in range(20):
             report = json.loads(json.dumps(run_suite(suite, 5, 3, seed)))
             for index, item in enumerate(report["identities"]):
@@ -250,6 +250,23 @@ class TestBlocks:
         entries = 1 if block == 1 else block * n * (2 * n - 1)
         monkeypatch.setattr("cmvkit.verify.SUITE_BLOCK", entries)
         assert json.dumps(run_suite(suite, n, 7, 3)) == default
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("probes_per_block", [None, 4])
+    def test_records_only_for_worst_probes(self, suite, probes_per_block, monkeypatch):
+        # the stack a suite draws is what it evaluates; a JSON record is
+        # built only for the worst probe of each identity in each block
+        from cmvkit import verify
+
+        built = []
+        for name in ("verblunsky_to_obj", "circle_measure_to_obj"):
+            monkeypatch.setattr(verify, name, lambda probe, build=getattr(verify, name): built.append(1) or build(probe))
+        blocks = 1
+        if probes_per_block:
+            monkeypatch.setattr(verify, "SUITE_BLOCK", probes_per_block * 3 * 5)
+            blocks = 20 // probes_per_block
+        report = run_suite(suite, 3, 20, 0)
+        assert 0 < len(built) <= len(report["identities"]) * blocks
 
     def test_block_size(self):
         # the benchmark's sizes run in one block, n = 64 one probe at a time
