@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 
 from cmvkit import serialize
-from cmvkit.ensembles import EnsembleSpec, RngStream, eigenvalue_samples
+from cmvkit.ensembles import EnsembleSpec, RngStream, coefficient_samples, eigenvalue_samples
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
         "hermite": (EnsembleSpec("hermite", args.n, args.beta), (-6.0, 6.0)),
     }
     for name, (spec, rng_range) in specs.items():
-        rows = eigenvalue_samples(spec, args.count, RngStream(args.seed))
+        rows = eigenvalue_samples(spec, coefficient_samples(spec, args.count, RngStream(args.seed)))
         sample_path = outdir / f"{name}_samples.csv"
         serialize.write_samples_csv(sample_path, rows)
         counts, edges = np.histogram(rows.reshape(-1), bins=args.bins, range=rng_range)

@@ -59,7 +59,6 @@ from .core import (
     build_cmv,
     check_coefficient_rows,
     check_weight_rows,
-    circular_gaps,
     factor_entries,
     lm_band_indices,
 )
@@ -68,6 +67,7 @@ from .opuc import (
     christoffel_measure,
     gap_rotation,
     newton_angle_steps,
+    newton_trusted,
     szego_rows,
     unitary_angles,
     verblunsky_from_measure,
@@ -79,7 +79,6 @@ MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
 MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m min(m, n)
 LAMBDA_GAP_TOL = 1e-8
 NEWTON_BLOCK = 8192           # coefficients per chunk of states in one diagnostics call
-DRIFT_TRUST = 0.125           # largest Newton reach, in smallest chords of the first spectrum
 
 _PARTS = ("re", "im")
 
@@ -416,31 +415,26 @@ def eigenvalue_drift(alpha: np.ndarray, theta: np.ndarray) -> np.ndarray:
     newton_angle_steps step of row i from theta_j: the eigenvalue that
     starts at theta_j is tracked, whichever branch its angle lies on.  The
     rows go through the kernel in chunks of at most NEWTON_BLOCK
-    coefficients.  A row is trusted when every Newton reach is at most
-    DRIFT_TRUST times the smallest chord |z_j - z_k| of the first spectrum
-    (2 for n = 1); then the disks of the reaches are disjoint, so each
-    holds exactly one eigenvalue, and each step is the offset of its
-    eigenvalue from theta_j within a relative error of 0.23 (shrinking in
-    proportion to the offset).  Any other row, and all of them if the
-    first row is not trusted, falls back to a dense read:
-    unitary_angles with the pole in the largest gap of theta, matched to
-    theta in circular order (_cyclic_drift).  Entry 0 is 0.
+    coefficients.  A row whose steps opuc.newton_trusted trusts has them
+    as the offsets of its eigenvalues from theta within a relative error
+    of 0.23.  Any other row, and all of them if the first row is not
+    trusted, falls back to a dense read: unitary_angles with the pole in
+    the largest gap of theta, matched to theta in circular order
+    (_cyclic_drift).  Entry 0 is 0.
     """
-    n = theta.size
-    limit = DRIFT_TRUST * 2.0 * math.sin(min(float(circular_gaps(theta).min()), math.pi) / 2.0)
-    per = max(NEWTON_BLOCK // n, 1)
+    per = max(NEWTON_BLOCK // theta.size, 1)
     drift = np.empty(len(alpha))
     for s in range(0, len(alpha), per):
         block = alpha[s : s + per]
         steps, reach, _ = newton_angle_steps(block, theta)
-        ok = reach.max(axis=1) <= limit
+        ok = newton_trusted(reach, theta)
         if s == 0:
             first, trusted = steps[0], bool(ok[0])
         drift[s : s + per] = np.abs(steps - first).max(axis=1)
         dense = np.flatnonzero(~(ok & trusted))
         if dense.size:
             C = build_cmv(VerblunskySet(block[dense]))
-            drift[s + dense] = _cyclic_drift(theta, unitary_angles(C.entries, float(gap_rotation(theta))))
+            drift[s + dense] = _cyclic_drift(theta, unitary_angles(C, float(gap_rotation(theta))))
     drift[:1] = 0.0
     return drift
 
@@ -508,7 +502,7 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         alpha[i] = _flow_alpha(y, boundary)
-    return _trajectory(times, alpha, unitary_angles(build_cmv(v0).entries))
+    return _trajectory(times, alpha, unitary_angles(build_cmv(v0)))
 
 
 def exact_propagate(mu0: SpectralMeasureCircle, ham: FlowHamiltonian, t: float) -> SpectralMeasureCircle:

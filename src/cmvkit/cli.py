@@ -56,14 +56,16 @@ def cmd_sample(args) -> int:
         (RngStream(args.seed, i), min(SAMPLE_CHUNK, args.count - i * SAMPLE_CHUNK))
         for i in range((args.count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
     ]
-    pieces = []
+    pieces, drawn = [], []
     for stream, size in chunks:
-        pieces.append(eigenvalue_samples(spec, size, stream))
+        coeffs = coefficient_samples(spec, size, stream)
+        pieces.append(eigenvalue_samples(spec, coeffs))
+        if args.coeffs_out:
+            drawn.append(coeffs)
         _progress(args.quiet, f"sampled {sum(len(p) for p in pieces)}/{args.count}")
     rows = np.vstack(pieces)
     if args.coeffs_out:
-        # the same streams again give the coefficients the rows came from
-        records = _coefficient_records(spec, [coefficient_samples(spec, size, stream) for stream, size in chunks])
+        records = _coefficient_records(spec, drawn)
     serialize.write_samples_csv(args.out, rows)
     _progress(args.quiet, f"wrote {rows.shape[0]} rows to {args.out}")
     if args.coeffs_out:

@@ -12,8 +12,9 @@ Coefficient distributions:
   beta*(n-k) degrees of freedom (the bottom row gets beta).
 
 coefficient_samples is the one place that draws these coefficients; the
-per-draw samplers and eigenvalue_samples are views of it.  Samplers are
-pure given a generator, and (seed, stream_id) pins a stream.
+per-draw samplers are views of it, and eigenvalue_samples gives the
+spectra of its draws.  Samplers are pure given a generator, and
+(seed, stream_id) pins a stream.
 """
 
 from __future__ import annotations
@@ -285,22 +286,23 @@ def ks_statistic(samples, cdf) -> float:
 # --- batched eigenvalue draws (used by the CLI and the statistical tests) ---
 
 
-def eigenvalue_samples(spec: EnsembleSpec, count: int, rng) -> np.ndarray:
-    """(count, n) array of sorted eigenvalue draws for the given ensemble.
+def eigenvalue_samples(spec: EnsembleSpec, coeffs) -> np.ndarray:
+    """(count, n) array of the sorted spectra of the coefficient draws
+    coeffs = coefficient_samples(spec, count, rng), row by row.
 
-    The spectra of coefficient_samples(spec, count, rng), row by row.
     Circular draws are angles in (-pi, pi]; the real-line families return
-    plain reals.  Each row is one independent matrix draw, columns sorted
+    plain reals.  Each row is the spectrum of one draw, columns sorted
     ascending.  The dense matrices are built SPECTRA_BLOCK entries at a
     time, and no row depends on the block it falls in.
     """
-    coeffs = coefficient_samples(spec, count, rng)
     n = spec.n
+    circular = spec.family == "circular"
+    count = len(coeffs if circular else coeffs[0])
     out = np.empty((count, n))
     per = max(SPECTRA_BLOCK // (n * n), 1)
     for s in range(0, count, per):
-        if spec.family == "circular":
-            out[s : s + per] = unitary_angles(build_cmv(VerblunskySet(coeffs[s : s + per])).entries)
+        if circular:
+            out[s : s + per] = unitary_angles(build_cmv(VerblunskySet(coeffs[s : s + per])))
         else:
             b, a = (c[s : s + per] for c in coeffs)
             out[s : s + per] = np.linalg.eigvalsh(tridiagonal(b, a))

@@ -3,18 +3,19 @@
 Forward direction: eigensolve a CMV or Jacobi matrix (or a stack of CMV
 matrices) with np.linalg.eig or eigh and read off the spectral measure of
 e_1, each weight to a small absolute error (unitary_eigensystem, for
-`cmv spectral` and the identity suites).  When only the eigenvalue
-angles of a unitary matrix are needed (ensemble draws, the first state
-of a flow), unitary_angles gets them from a Hermitian eigensolver
-through a rotated Cayley transform instead of a general complex one.
-Near known angles, newton_angle_steps follows the eigenvalues of a stack
-of CMV matrices without forming them: one Newton step on the
-paraorthogonal polynomial Phi_n, O(n^2) per matrix, with the matrices'
-own rho (core.coefficient_rho), and the Christoffel kernel
-sum_{k<n} |phi_k|^2 at each point.  christoffel_measure chains the two
-into the flows' forward map, each weight to a small relative error: the
-Cayley angles, one Newton step, and the weights 1 / K at the refined
-angles.
+`cmv spectral` and the identity suites).  Near known angles,
+newton_angle_steps follows the eigenvalues of a stack of CMV matrices
+without forming them: one Newton step on the paraorthogonal polynomial
+Phi_n, O(n^2) per matrix, with the matrices' own rho
+(core.coefficient_rho), and the Christoffel kernel sum_{k<n} |phi_k|^2
+at each point; newton_trusted says which steps land on the zeros.  When
+only the eigenvalue angles of a CMV matrix are needed (ensemble draws,
+the first state of a flow), unitary_angles gets them from one Hermitian
+eigensolve of a rotated Cayley transform instead of a general complex
+one, and a Newton step where that pass is coarse.
+christoffel_measure chains the two into the flows' forward map, each
+weight to a small relative error: the angles, one Newton step, and the
+weights 1 / K at the refined angles.
 Inverse direction: run the Szego recursion on a finitely supported
 circle measure to recover the Verblunsky coefficients.  szego_rows runs
 it on a (T, n) stack of weight vectors at once, on one support, as a
@@ -46,15 +47,24 @@ from .core import (
     principal_angle,
     renormalize_boundary,
 )
-from .errors import IllConditioned, InvalidBoundary, NotSymmetric, OutOfRange, SupportAtRealAxis, SupportTooSmall
+from .errors import (
+    IllConditioned,
+    InvalidBoundary,
+    InvalidParams,
+    NotSymmetric,
+    SupportAtRealAxis,
+    SupportTooSmall,
+)
 
 NORM_FLOOR = 1e-13          # squared-norm floor for the Szego recursion
 BOUNDARY_RECOVERY_TOL = 1e-6  # how far the recovered boundary coefficient may sit off the circle
 AXIS_TOL = 1e-8             # support this close to angle 0 or pi blocks the circle->interval map
 PAIR_TOL = 1e-10            # conjugate pairs must match within this angular tolerance
-POLE_LIMIT = 64.0           # a Cayley pass with max|eig H| above this is redone with the pole in a gap
+POLE_LIMIT = 64.0           # a Cayley pass with max|eig H| above this is refined by a Newton step
 GAP_TRUST = 1e8             # above this max|eig H|, a pass's angles are too coarse to locate a gap
 ANGLE_BLOCK = 4096          # complex entries per block of a stacked unitary_angles call
+DRIFT_TRUST = 0.125         # largest trusted Newton reach, in smallest chords of the starting angles
+STEP_ROUNDING = 2.0**-52    # largest error a Newton step of unitary_angles may leave, in smallest chords
 
 
 def unitary_eigensystem(C: CMVMatrix) -> SpectralMeasureCircle:
@@ -75,8 +85,9 @@ def christoffel_measure(C: CMVMatrix) -> SpectralMeasureCircle:
     """Spectral measure of a CMV matrix and the vector e_1, each weight to
     a small relative error, from one dense read and two O(n^2) passes.
 
-    The unitary_angles of C take one newton_angle_steps step onto the
-    zeros of Phi_n; a second pass at those refined angles gives the
+    The unitary_angles of C (already refined by a Newton step where their
+    Cayley pass was coarse) take one newton_angle_steps step onto the
+    zeros of Phi_n; a second recursion at those refined angles gives the
     Christoffel weights 1 / K(z_j), normalized to sum 1.  An eig weight
     errs by about eps in absolute terms, so a tiny one loses its relative
     accuracy, which is what a spectral flow's exact propagation
@@ -86,39 +97,64 @@ def christoffel_measure(C: CMVMatrix) -> SpectralMeasureCircle:
     counts).
     """
     alpha = C.source.alpha
-    theta = unitary_angles(C.entries)
+    theta = unitary_angles(C)
     theta = theta + newton_angle_steps(alpha, theta)[0]
     weights = 1.0 / newton_angle_steps(alpha, theta)[2]
     return SpectralMeasureCircle(theta, weights / weights.sum())
 
 
-def unitary_angles(U, phi: float = 0.0) -> np.ndarray:
-    """Sorted eigenvalue angles in (-pi, pi] of a unitary matrix or (..., n, n) stack.
+def unitary_angles(C: CMVMatrix, phi: float = 0.0) -> np.ndarray:
+    """Sorted eigenvalue angles in (-pi, pi] of a CMV matrix or a stack of them.
 
-    Eigendecomposes the Hermitian Cayley transform of the rotated matrix
-    R = e^{-i phi} U,
+    One pass eigendecomposes the Hermitian Cayley transform of the rotated
+    matrix R = e^{-i phi} C,
         H = i (I - R)(I + R)^{-1} = i (2 (I + R)^{-1} - I),
     whose eigenvalues lambda give the angles phi + 2 arctan(lambda).  The
     error grows with max|lambda|, that is as an eigenvalue nears the pole
-    -e^{i phi}.  A matrix with max|lambda| > 64 is redone once with the
-    pole in the middle of the largest gap of its first-pass angles, where
-    max|lambda| <= cot(pi / 2n).  A first pass too coarse to locate that
-    gap (max|lambda| > 1e8, or I + R exactly singular) is redone instead at
-    the best of n evenly spaced further poles; with the first one they are
-    n + 1 poles, so one of them lies pi / (n + 1) from every eigenvalue.
-    Stacks are processed in blocks of about 4096 entries, and each
-    matrix's angles do not depend on the rest of the stack.
+    -e^{i phi}.  The angles of every matrix with 64 < max|lambda| <= 1e8
+    take one newton_angle_steps step onto the zeros of Phi_n, from the
+    matrices' own coefficients, in one call for all of them.  A step is
+    kept when newton_trusted trusts it and the error it leaves, about
+    (n / smallest chord) delta^2 for steps delta, is below rounding: the
+    first pass errs by about 1e-3 to 1e-2 eps max|lambda|^2, so this
+    holds up to max|lambda| of about 1e4.  Any other coarse matrix gets a
+    second pass with the pole in the middle of the largest gap of its
+    first-pass angles, where max|lambda| <= cot(pi / 2n).  A first pass
+    too coarse to locate that gap (max|lambda| > 1e8, or I + R exactly
+    singular) is redone instead at the best of n evenly spaced further
+    poles; with the first one they are n + 1 poles, so one of them lies
+    pi / (n + 1) from every eigenvalue.
+    The passes run in blocks of about 4096 entries, and each matrix's
+    angles do not depend on the rest of the stack.
     """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim < 2 or U.shape[-1] != U.shape[-2] or U.shape[-1] < 1:
-        raise OutOfRange(f"expected a nonempty square matrix or stack, got shape {U.shape}")
-    n = U.shape[-1]
-    stack = U.reshape(-1, n, n)
-    out = np.empty(stack.shape[:2])
+    if not isinstance(C, CMVMatrix):
+        raise InvalidParams(f"expected a CMVMatrix, got {type(C).__name__}")
+    n = C.n
+    stack = C.entries.reshape(-1, n, n)
+    theta, lam_max = np.empty(stack.shape[:2]), np.empty(stack.shape[0])
     per = max(ANGLE_BLOCK // (n * n), 1)
     for s in range(0, stack.shape[0], per):
-        out[s : s + per] = _block_angles(stack[s : s + per], float(phi))
-    return out.reshape(U.shape[:-1])
+        block = stack[s : s + per]
+        theta[s : s + per], lam_max[s : s + per] = _cayley_pass(block, np.full(block.shape[0], float(phi)))
+    coarse = np.flatnonzero((lam_max > POLE_LIMIT) & (lam_max <= GAP_TRUST))
+    if coarse.size:
+        start = theta[coarse]
+        steps, reach, _ = newton_angle_steps(C.source.alpha.reshape(-1, n)[coarse], start)
+        # a trusted step from angles off by e leaves them off by about
+        # (n / smallest chord) e^2, and e <= delta / 0.77 for the step
+        # delta: keep the step only where twice that bound is rounding
+        converged = 2.0 * n * np.abs(steps).max(axis=-1) ** 2 <= STEP_ROUNDING * _smallest_chord(start)
+        ok = newton_trusted(reach, start) & converged
+        theta[coarse[ok]] = np.sort(principal_angle(start[ok] + steps[ok]), axis=-1)
+        rerun = coarse[~ok]
+        for s in range(0, rerun.size, per):
+            rows = rerun[s : s + per]
+            theta[rows] = _cayley_pass(stack[rows], gap_rotation(theta[rows]))[0]
+    for i in np.flatnonzero(lam_max > GAP_TRUST):
+        poles = phi + TWO_PI * np.arange(1, n + 1) / (n + 1)
+        sweep, sweep_max = _cayley_pass(np.broadcast_to(stack[i], (n, n, n)), poles)
+        theta[i] = sweep[np.argmin(sweep_max)]
+    return theta.reshape(C.entries.shape[:-1])
 
 
 def gap_rotation(theta) -> np.ndarray:
@@ -128,19 +164,6 @@ def gap_rotation(theta) -> np.ndarray:
     gaps = circular_gaps(t)
     k = np.argmax(gaps, axis=-1)[..., None]
     return np.take_along_axis(t + 0.5 * gaps, k, axis=-1)[..., 0] - np.pi
-
-
-def _block_angles(U: np.ndarray, phi: float) -> np.ndarray:
-    n = U.shape[-1]
-    theta, lam_max = _cayley_pass(U, np.full(U.shape[0], phi))
-    fine = np.flatnonzero((lam_max > POLE_LIMIT) & (lam_max <= GAP_TRUST))
-    if fine.size:
-        theta[fine] = _cayley_pass(U[fine], gap_rotation(theta[fine]))[0]
-    for i in np.flatnonzero(lam_max > GAP_TRUST):
-        poles = phi + TWO_PI * np.arange(1, n + 1) / (n + 1)
-        sweep, sweep_max = _cayley_pass(np.broadcast_to(U[i], (n, n, n)), poles)
-        theta[i] = sweep[np.argmin(sweep_max)]
-    return theta
 
 
 def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +189,10 @@ def _cayley_pass(U: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Newton step towards the eigenvalues of the CMV matrices of the
-    coefficient rows alpha (..., n), from each angle theta (n,), and the
-    Christoffel kernel at each theta.
+    coefficient rows alpha (..., n), from each angle of theta, and the
+    Christoffel kernel at each angle.  theta is one set of angles for
+    every row, or a stack (..., n) of them broadcast against the rows,
+    such as one row of angles per coefficient row.
 
     The eigenvalues are the zeros of the paraorthogonal polynomial Phi_n.
     Runs the orthonormal Szego recursion and its z-derivative at
@@ -200,7 +225,7 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     inv_rho = 1.0 / coefficient_rho(inner)
     ar = inner * inv_rho
     cr = ar.conj()
-    shape = a.shape[:-1] + z.shape
+    shape = np.broadcast_shapes(a.shape[:-1] + (1,), z.shape)
     p, ps = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
     dp, dps = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
     zp, dzp, t = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
@@ -232,6 +257,24 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     zdf = z * (p + z * dp - c * dps)
     w = np.divide(f, zdf, out=np.full(shape, np.inf, dtype=complex), where=zdf != 0.0)
     return -w.imag, a.shape[-1] * np.abs(w), kernel
+
+
+def newton_trusted(reach: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Which newton_angle_steps steps from sorted angles theta (..., n) to
+    trust, one verdict per row of their reaches (..., n).
+
+    A row is trusted when every reach is at most DRIFT_TRUST times the
+    smallest chord |z_j - z_k| of its angles (2 for n = 1).  Then the
+    disks of the reaches are disjoint, so each holds exactly one zero of
+    Phi_n, and each step is the offset of that zero from theta_j within a
+    relative error of 0.23, shrinking in proportion to the offset.
+    """
+    return reach.max(axis=-1) <= DRIFT_TRUST * _smallest_chord(theta)
+
+
+def _smallest_chord(theta: np.ndarray) -> np.ndarray:
+    """The smallest chord |z_j - z_k| of each row of sorted angles theta (..., n); 2 for n = 1."""
+    return 2.0 * np.sin(np.minimum(circular_gaps(theta).min(axis=-1), np.pi) / 2.0)
 
 
 def jacobi_eigensystem(J: JacobiMatrix) -> SpectralMeasureLine:

@@ -193,7 +193,9 @@ def ensemble_samples_loop(spec, count, gen):
                 bad = ~(np.abs(alpha[:, k]) <= 1.0 - 1e-12)
         for row in alpha:
             L, M = lm_factors_loop(row)
-            rows.append(unitary_angles(L @ M))
+            C = build_cmv(VerblunskySet(row))
+            assert (L @ M).tobytes() == C.entries.tobytes()
+            rows.append(unitary_angles(C))
         return np.array(rows)
     if spec.family == "jacobi":
         al = np.empty((count, 2 * n))
@@ -549,11 +551,12 @@ def spectral_trajectory_loop(v0, ham, t_final, dt):
         states.append(VerblunskySet(renormalize_boundary(szego_loop(mu, mu.n))))
     drift, unit = [], []
     for v in states:
-        c = np.asarray(build_cmv(v).entries)
+        C = build_cmv(v)
+        c = np.asarray(C.entries)
         if not drift:
-            base = unitary_angles(c)
+            base = unitary_angles(C)
             phi = float(gap_rotation(base))
-        angles = unitary_angles(c, phi) if drift else base
+        angles = unitary_angles(C, phi) if drift else base
         d = np.abs(angles - base)
         drift.append(float(np.minimum(d, 2.0 * math.pi - d).max()))
         unit.append(float(np.abs(c.conj().T @ c - np.eye(v.n)).max()))
@@ -693,7 +696,7 @@ def separated_verblunsky(n, rng, radius=0.7, min_separation=0.0):
     gen = as_generator(rng)
     for _ in range(MAX_DRAWS):
         v = random_verblunsky(n, gen, radius=radius)
-        if n == 1 or circular_gaps(unitary_angles(build_cmv(v).entries)).min() > min_separation:
+        if n == 1 or circular_gaps(unitary_angles(build_cmv(v))).min() > min_separation:
             return v
     raise InvalidParams("could not find a coefficient set with the requested separation")
 

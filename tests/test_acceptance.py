@@ -19,7 +19,7 @@ from cmvkit.alflows import (
     lax_partner,
 )
 from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv
-from cmvkit.ensembles import EnsembleSpec, RngStream, eigenvalue_samples, ks_statistic
+from cmvkit.ensembles import EnsembleSpec, RngStream, coefficient_samples, eigenvalue_samples, ks_statistic
 from cmvkit.opuc import (
     geronimus,
     jacobi_eigensystem,
@@ -115,14 +115,16 @@ def test_criterion_4_circular_ensemble():
     ok = True
     for beta in (1.0, 2.0, 4.0):
         t0 = time.time()
-        angles = eigenvalue_samples(EnsembleSpec("circular", 2, beta), 100000, RngStream(104, int(beta)))
+        spec = EnsembleSpec("circular", 2, beta)
+        angles = eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(104, int(beta))))
         gaps = np.sort(circular_gap(angles))
         cdf = cdf_from_density(lambda g, b=beta: np.sin(g / 2.0) ** b, 0.0, np.pi)
         stat = ks_statistic(gaps, cdf)
         elapsed = time.time() - t0
         ok = ok and stat < 0.01 and elapsed <= 60.0
         details.append(f"beta={beta:g} KS {stat:.4f} ({elapsed:.1f}s)")
-    one = np.sort(eigenvalue_samples(EnsembleSpec("circular", 1, 2.0), 100000, RngStream(105))[:, 0])
+    spec = EnsembleSpec("circular", 1, 2.0)
+    one = np.sort(eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(105)))[:, 0])
     stat1 = ks_statistic(one, lambda s: (s + np.pi) / (2 * np.pi))
     ok = ok and stat1 < 0.01
     details.append(f"n=1 uniform KS {stat1:.4f}")
@@ -133,14 +135,16 @@ def test_criterion_5_jacobi_ensemble():
     details = []
     ok = True
     for a, b in ((0.0, 0.0), (1.0, 0.5)):
-        lam = np.sort(eigenvalue_samples(EnsembleSpec("jacobi", 1, 2.0, a, b), 100000, RngStream(106, int(10 * a)))[:, 0])
+        spec = EnsembleSpec("jacobi", 1, 2.0, a, b)
+        lam = np.sort(eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(106, int(10 * a))))[:, 0])
         cdf = cdf_from_density(lambda x, a=a, b=b: (2.0 - x) ** a * (2.0 + x) ** b, -2.0, 2.0)
         stat = ks_statistic(lam, cdf)
         ok = ok and stat < 0.01
         details.append(f"n=1 a={a:g} b={b:g} KS {stat:.4f}")
     # 2D chi-square of the n=2, beta=2, a=b=0 joint law against the
     # symmetrized pair density ~ (x - y)^2 on [-2, 2]^2
-    draws = eigenvalue_samples(EnsembleSpec("jacobi", 2, 2.0, 0.0, 0.0), 100000, RngStream(107))
+    spec = EnsembleSpec("jacobi", 2, 2.0, 0.0, 0.0)
+    draws = eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(107)))
     flip = RngStream(108).generator().random(draws.shape[0]) < 0.5
     x = np.where(flip, draws[:, 0], draws[:, 1])
     y = np.where(flip, draws[:, 1], draws[:, 0])
@@ -160,12 +164,14 @@ def test_criterion_5_jacobi_ensemble():
 
 def test_criterion_6_hermite_ensemble():
     details = []
-    one = np.sort(eigenvalue_samples(EnsembleSpec("hermite", 1, 2.0), 100000, RngStream(109))[:, 0])
+    spec = EnsembleSpec("hermite", 1, 2.0)
+    one = np.sort(eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(109)))[:, 0])
     stat1 = ks_statistic(one, scipy.stats.norm.cdf)
     ok = stat1 < 0.01
     details.append(f"n=1 normal KS {stat1:.4f}")
     for beta in (1.0, 2.0, 4.0):
-        lam = eigenvalue_samples(EnsembleSpec("hermite", 2, beta), 100000, RngStream(110, int(beta)))
+        spec = EnsembleSpec("hermite", 2, beta)
+        lam = eigenvalue_samples(spec, coefficient_samples(spec, 100000, RngStream(110, int(beta))))
         gaps = np.sort(lam[:, 1] - lam[:, 0])
         cdf = cdf_from_density(lambda g, b=beta: g**b * np.exp(-(g**2) / 4.0), 0.0, 16.0)
         stat = ks_statistic(gaps, cdf)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvkit.alflows import (
-    DRIFT_TRUST,
     MAX_ORDER,
     NEWTON_BLOCK,
     FlowHamiltonian,
@@ -31,6 +30,7 @@ from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_j
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import (
+    DRIFT_TRUST,
     gap_rotation,
     newton_angle_steps,
     unitary_angles,
@@ -407,7 +407,7 @@ class TestIntegrateFlow:
         moved[1] -= moved[-1] - base[-1]
         weights = np.full(5, 0.2)
         matrices = [build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights))) for t in (base, moved)]
-        theta = unitary_angles(matrices[0].entries)
+        theta = unitary_angles(matrices[0])
         traj = _trajectory(np.array([0.0, 1.0]), np.stack([C.source.alpha for C in matrices]), theta)
         a, b = (eigvals_angles(C.entries) for C in matrices)
         d = np.abs(b - a)
@@ -687,8 +687,8 @@ class TestStackedTimeAxis:
         else:
             traj = spectral_trajectory(v, FlowHamiltonian.matching_lax_flow(1, "re"), t_final, 1e-3)
         reads = flow_reads + map_reads
-        assert len(reads) == 1 and np.asarray(reads[0][0]).shape == (n, n)
-        assert np.array_equal(reads[0][0], build_cmv(v).entries)
+        assert len(reads) == 1 and reads[0][0].entries.shape == (n, n)
+        assert np.array_equal(reads[0][0].entries, build_cmv(v).entries)
         rows = [len(alpha) for alpha, _ in chunks]
         assert sum(rows) == len(traj.alpha) and max(rows) == min(len(traj.alpha), NEWTON_BLOCK // n)
 
@@ -710,7 +710,7 @@ class TestStackedTimeAxis:
             build_cmv(verblunsky_from_measure(SpectralMeasureCircle(t, weights)))
             for t in (base, base + [0.0, -x, 0.0, 0.0, x])
         )
-        theta = unitary_angles(first.entries)
+        theta = unitary_angles(first)
         reads = record_calls(monkeypatch, alflows, "unitary_angles")
         traj = _trajectory(np.array([0.0, 1.0]), np.stack([first.source.alpha, moved.source.alpha]), theta)
         reach = newton_angle_steps(moved.source.alpha, theta)[1]
@@ -720,7 +720,7 @@ class TestStackedTimeAxis:
             assert not reads
             assert abs(traj.eig_drift[1] - x) <= 0.23 * x and traj.eig_drift[1] != x
         else:
-            assert len(reads) == 1 and np.asarray(reads[0][0]).shape == (1, 5, 5)
+            assert len(reads) == 1 and reads[0][0].entries.shape == (1, 5, 5)
             assert abs(traj.eig_drift[1] - x) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -740,7 +740,7 @@ class TestStackedTimeAxis:
         for v in draws:
             turned = VerblunskySet(v.alpha * np.exp(-1j * s * np.arange(1, n + 1)))
             matrices = [build_cmv(v), build_cmv(turned)]
-            theta = unitary_angles(matrices[0].entries)
+            theta = unitary_angles(matrices[0])
             traj = _trajectory(np.array([0.0, 1.0]), np.stack([v.alpha, turned.alpha]), theta)
             dense = oracles.cyclic_drift(*(eigvals_angles(C.entries) for C in matrices))
             assert abs(traj.eig_drift[1] - dense) <= DRIFT_NOISE

@@ -9,8 +9,10 @@ attribute directly and takes milliseconds.
 The tracer's serialize spans and its serialize.bytes_written count
 cover the output files only while every command writes them through the
 serialize writers, and its core spans see every dense CMV build only
-while each goes through core.lm_factors; the last two tests hold the
-subcommands to that.
+while each goes through core.lm_factors; the next two tests hold the
+subcommands to that.  The last one guards the circular `sample` path
+that sets the benchmark's tail latency: one dense Cayley pass per
+matrix, and one stacked Newton step per block of draws.
 """
 
 import importlib
@@ -94,9 +96,9 @@ def test_every_dense_cmv_matrix_is_built_by_lm_factors(tmp_path, monkeypatch):
         built.update(as_matrices(L @ M))
         return L, M
 
-    def angles(U, *args, original=opuc.unitary_angles):
-        read.extend(as_matrices(U))
-        return original(U, *args)
+    def angles(C, *args, original=opuc.unitary_angles):
+        read.extend(as_matrices(C.entries))
+        return original(C, *args)
 
     def eig(a):
         read.extend(as_matrices(a))
@@ -121,7 +123,7 @@ def test_every_dense_cmv_matrix_is_built_by_lm_factors(tmp_path, monkeypatch):
         built.clear()
         read.clear()
         if argv[-1] == "dense.json":  # no Newton drift trusted: every state gets a dense read
-            monkeypatch.setattr(alflows, "DRIFT_TRUST", -1.0)
+            monkeypatch.setattr(opuc, "DRIFT_TRUST", -1.0)
         assert cli.main([str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv] + ["--quiet"]) == 0
         assert set(read) <= built, argv
         verify_reads += len(read) if argv[0] == "verify" else 0
@@ -130,3 +132,29 @@ def test_every_dense_cmv_matrix_is_built_by_lm_factors(tmp_path, monkeypatch):
             # the first state's angles, then the fallback read of all 3 states
             assert len(read) == 4
     assert verify_reads
+
+
+def test_circular_sample_inverts_each_matrix_once(tmp_path, monkeypatch):
+    """A circular n = 64 `cmv sample` of 64 draws whose coarse Cayley rows
+    all keep their Newton step inverts each matrix once, and takes the
+    step in one newton_angle_steps call per eigenvalue_samples block (two
+    blocks here), not one per unitary_angles block."""
+    inverted, verdicts = [], []
+
+    def inv(a, original=np.linalg.inv):
+        inverted.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a)
+
+    def newton(alpha, theta, original=opuc.newton_angle_steps):
+        result = original(alpha, theta)
+        verdicts.append(opuc.newton_trusted(result[1], theta))
+        return result
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(opuc, "newton_angle_steps", newton)
+    monkeypatch.setattr(ensembles, "SPECTRA_BLOCK", 32 * 64 * 64)
+    argv = ["sample", "--family", "circular", "--n", "64", "--beta", "2", "--count", "64", "--seed", "1",
+            "--out", str(tmp_path / "s.csv"), "--quiet"]
+    assert cli.main(argv) == 0
+    assert len(verdicts) == 2 and all(ok.size and ok.all() for ok in verdicts)
+    assert sum(inverted) == 64

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import cmvkit
-from cmvkit import serialize
-from cmvkit import cli
+from cmvkit import cli, ensembles, serialize
 from cmvkit.alflows import MAX_ORDER
 from cmvkit.cli import SAMPLE_CHUNK, main
 from cmvkit.core import build_cmv
-from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, eigenvalue_samples, random_verblunsky
+from cmvkit.ensembles import BETA_MAX, EnsembleSpec, RngStream, coefficient_samples, eigenvalue_samples, random_verblunsky
 from cmvkit.opuc import unitary_angles, unitary_eigensystem
 from cmvkit.verify import MIN_N, SUITES
 
@@ -97,6 +96,30 @@ class TestSample:
         assert len(objs) == 4
         assert all(o["n"] == 3 for o in objs)
 
+    @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
+    def test_one_coefficient_draw_per_stream(self, tmp_path, monkeypatch, family):
+        # the rows and the coefficient JSON come from one draw of each
+        # stream: chunk i is drawn from (seed, i), once, wherever the
+        # sampler is called from
+        calls = []
+
+        def draw(spec, count, rng, original=ensembles.coefficient_samples):
+            calls.append((rng, count))
+            return original(spec, count, rng)
+
+        for module in (cli, ensembles):
+            monkeypatch.setattr(module, "coefficient_samples", draw)
+        monkeypatch.setattr(cli, "SAMPLE_CHUNK", 3)
+        out, coeffs = tmp_path / "s.csv", tmp_path / "c.json"
+        assert run("sample", "--family", family, "--n", 4, "--beta", 2, "--count", 7, "--seed", 5,
+                   "--out", out, "--coeffs-out", coeffs, "--quiet") == 0
+        assert calls == [(RngStream(5, 0), 3), (RngStream(5, 1), 3), (RngStream(5, 2), 1)]
+        rows, objs = serialize.read_samples_csv(out), serialize.load_json(coeffs)
+        assert len(objs) == len(rows) == 7
+        for row, obj in zip(rows, objs):
+            d = np.abs(rebuilt_spectrum(family, obj) - row)
+            assert np.minimum(d, 2.0 * np.pi - d).max() <= 1e-12
+
     @pytest.mark.parametrize("n, count", [(1, 25), (6, 25), (2, SAMPLE_CHUNK + 8)])
     @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
     def test_coefficient_json_reproduces_rows(self, tmp_path, family, n, count):
@@ -122,7 +145,7 @@ class TestSample:
         rows, objs = serialize.read_samples_csv(out), serialize.load_json(coeffs)
         assert len(objs) == len(rows) == 2000
         for row, obj in zip(rows, objs):
-            assert unitary_angles(build_cmv(serialize.verblunsky_from_obj(obj)).entries).tobytes() == row.tobytes()
+            assert unitary_angles(build_cmv(serialize.verblunsky_from_obj(obj))).tobytes() == row.tobytes()
 
     def test_jacobi_small_beta_coefficient_json(self, tmp_path):
         # interval draws within 1e-12 of 1 used to fail the JSON with exit 3
@@ -583,10 +606,9 @@ class TestHistogram:
         assert not out.exists()
 
     def test_uniform_angle_bins_within_5_sigma(self, tmp_path):
-        from cmvkit.ensembles import EnsembleSpec, eigenvalue_samples
-
         count = 100000
-        angles = eigenvalue_samples(EnsembleSpec("circular", 1, 2.0), count, RngStream(12))
+        spec = EnsembleSpec("circular", 1, 2.0)
+        angles = eigenvalue_samples(spec, coefficient_samples(spec, count, RngStream(12)))
         src, out = tmp_path / "s.csv", tmp_path / "h.csv"
         serialize.write_samples_csv(src, angles)
         run("histogram", "--input", src, "--bins", 4, "--range", -np.pi, np.pi,
@@ -660,7 +682,8 @@ class TestParser:
                    "--out", second) == 0
         assert run("verify", "--suite", "jacobian", "--n", 2, "--trials", 1) == 0
         expected = tmp_path / "expected.csv"
-        serialize.write_samples_csv(expected, eigenvalue_samples(EnsembleSpec("jacobi", 3, 2.0), 2, RngStream(1)))
+        spec = EnsembleSpec("jacobi", 3, 2.0)
+        serialize.write_samples_csv(expected, eigenvalue_samples(spec, coefficient_samples(spec, 2, RngStream(1))))
         assert second.read_bytes() == expected.read_bytes() != first.read_bytes()
         captured = capsys.readouterr()
         # only the unquiet calls speak: the sample's progress and the verify line

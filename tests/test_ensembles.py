@@ -177,7 +177,7 @@ class TestCoefficientSamples:
     def test_eigenvalue_samples_pinned_to_loop(self, family, n, beta):
         spec = make_spec(family, n, beta)
         count = 5 if n == 64 else 40
-        rows = eigenvalue_samples(spec, count, RngStream(n, 3))
+        rows = eigenvalue_samples(spec, coefficient_samples(spec, count, RngStream(n, 3)))
         assert np.array_equal(rows, ensemble_samples_loop(spec, count, RngStream(n, 3).generator()))
 
     @pytest.mark.parametrize("family", ["circular", "jacobi", "hermite"])
@@ -221,33 +221,34 @@ class TestCoefficientSamples:
     @pytest.mark.parametrize("family, n", [("circular", 6), ("jacobi", 2), ("hermite", 6)])
     def test_spectra_independent_of_block(self, family, n, monkeypatch):
         spec = make_spec(family, n, 2.0)
-        whole = eigenvalue_samples(spec, 30, RngStream(8))
+        coeffs = coefficient_samples(spec, 30, RngStream(8))
+        whole = eigenvalue_samples(spec, coeffs)
         monkeypatch.setattr("cmvkit.ensembles.SPECTRA_BLOCK", 50)
-        assert np.array_equal(eigenvalue_samples(spec, 30, RngStream(8)), whole)
+        assert np.array_equal(eigenvalue_samples(spec, coeffs), whole)
 
 
 class TestEigenvalueSamples:
     def test_deterministic(self):
         spec = EnsembleSpec("hermite", 3, 2.0)
-        a = eigenvalue_samples(spec, 17, RngStream(14, 2))
-        b = eigenvalue_samples(spec, 17, RngStream(14, 2))
+        a = eigenvalue_samples(spec, coefficient_samples(spec, 17, RngStream(14, 2)))
+        b = eigenvalue_samples(spec, coefficient_samples(spec, 17, RngStream(14, 2)))
         assert np.array_equal(a, b)
 
     def test_rows_sorted(self):
         spec = EnsembleSpec("circular", 3, 1.0)
-        rows = eigenvalue_samples(spec, 64, RngStream(15))
+        rows = eigenvalue_samples(spec, coefficient_samples(spec, 64, RngStream(15)))
         assert np.all(np.diff(rows, axis=1) >= 0.0)
         assert rows.min() > -np.pi and rows.max() <= np.pi
 
     def test_circular_single_site_uniform(self):
         spec = EnsembleSpec("circular", 1, 2.0)
-        ang = np.sort(eigenvalue_samples(spec, 50000, RngStream(16))[:, 0])
+        ang = np.sort(eigenvalue_samples(spec, coefficient_samples(spec, 50000, RngStream(16)))[:, 0])
         assert ks_statistic(ang, lambda s: (s + np.pi) / (2 * np.pi)) < 0.01
 
     def test_batch_matches_per_draw_law(self):
         # same seed gives different draw orders but identical distributions
         spec = EnsembleSpec("jacobi", 2, 2.0, 0.0, 0.0)
-        batch = eigenvalue_samples(spec, 30000, RngStream(17)).reshape(-1)
+        batch = eigenvalue_samples(spec, coefficient_samples(spec, 30000, RngStream(17))).reshape(-1)
         gen = RngStream(18).generator()
         single = np.concatenate(
             [np.linalg.eigvalsh(sample_jacobi_beta(2, 2.0, 0.0, 0.0, gen).to_dense()) for _ in range(3000)]

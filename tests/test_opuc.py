@@ -8,18 +8,20 @@ from cmvkit.core import (
     build_cmv,
     build_jacobi,
 )
-from cmvkit.ensembles import RngStream, random_verblunsky, sample_circular_beta
+from cmvkit.ensembles import EnsembleSpec, RngStream, coefficient_samples, random_verblunsky, sample_circular_beta
+from cmvkit import opuc
 from cmvkit.errors import (
     CmvError,
     IllConditioned,
     InvalidBoundary,
+    InvalidParams,
     NotSymmetric,
-    OutOfRange,
     SupportAtRealAxis,
     SupportTooSmall,
 )
 from cmvkit.opuc import (
     christoffel_measure,
+    gap_rotation,
     geronimus,
     geronimus_entries,
     jacobi_eigensystem,
@@ -149,9 +151,10 @@ class TestAgainstScipyOracles:
 
 
 def circular_stack(n, beta, count, seed):
+    """The CMV matrices of count circular beta draws, as one stacked CMVMatrix."""
     gen = RngStream(seed).generator()
     alpha = np.array([sample_circular_beta(n, beta, gen).alpha for _ in range(count)])
-    return build_cmv(VerblunskySet(alpha)).entries
+    return build_cmv(VerblunskySet(alpha))
 
 
 def circular_distance(a, b):
@@ -159,50 +162,136 @@ def circular_distance(a, b):
     return np.minimum(d, 2.0 * np.pi - d).max()
 
 
+def first_pass(C, phi=0.0):
+    """The angles and max|eig H| of the first Cayley pass over the matrices of C."""
+    stack = C.entries.reshape(-1, C.n, C.n)
+    return opuc._cayley_pass(stack, np.full(len(stack), float(phi)))
+
+
+def coarse_rows(C, phi=0.0):
+    """The matrices of C whose first Cayley pass takes the Newton step."""
+    lam_max = first_pass(C, phi)[1]
+    return np.flatnonzero((lam_max > opuc.POLE_LIMIT) & (lam_max <= opuc.GAP_TRUST))
+
+
 class TestUnitaryAngles:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
     def test_agrees_with_eigvals(self, n, beta):
-        U = circular_stack(n, beta, 20 if n == 64 else 300, n + int(beta))
-        theta = unitary_angles(U)
-        assert circular_distance(theta, eigvals_angles(U)) <= 1e-12
+        C = circular_stack(n, beta, 20 if n == 64 else 300, n + int(beta))
+        theta = unitary_angles(C)
+        assert circular_distance(theta, eigvals_angles(C.entries)) <= 1e-12
         assert np.all(theta > -np.pi) and np.all(theta <= np.pi)
         assert np.all(np.diff(theta, axis=-1) >= 0.0)
 
     @pytest.mark.parametrize("n, count", [(2, 3000), (6, 400), (64, 12)])
     def test_stack_equals_single_matrices(self, n, count):
         # (2, 3000) spans several blocks; every size includes matrices
-        # that need the second pass
-        U = circular_stack(n, 2.0, count, 40 + n)
-        theta = unitary_angles(U)
-        assert np.array_equal(theta, np.array([unitary_angles(u) for u in U]))
-        assert np.array_equal(unitary_angles(U.reshape(2, count // 2, n, n)), theta.reshape(2, count // 2, n))
+        # that take the Newton step
+        C = circular_stack(n, 2.0, count, 40 + n)
+        assert coarse_rows(C).size
+        theta = unitary_angles(C)
+        alpha = C.source.alpha
+        assert np.array_equal(theta, np.array([unitary_angles(build_cmv(VerblunskySet(a))) for a in alpha]))
+        halves = build_cmv(VerblunskySet(alpha.reshape(2, count // 2, n)))
+        assert np.array_equal(unitary_angles(halves), theta.reshape(2, count // 2, n))
+
+    @pytest.mark.parametrize("n, beta", [(n, b) for n in (2, 6, 17, 64) for b in (0.5, 2.0)])
+    def test_refined_rows_reach_the_zeros(self, n, beta):
+        # the first pass errs by up to about 7e-15 on these rows, which a
+        # second dense pass only halves; one step lands within rounding of
+        # the 40-digit zeros of Phi_n
+        C = circular_stack(n, beta, 8 if n == 64 else 40, 90 + n)
+        rows = coarse_rows(C)[: 2 if n == 64 else 6]
+        assert rows.size
+        theta = unitary_angles(C)
+        for i in rows:
+            exact = paraorthogonal_zeros_mp(C.source.alpha[i], theta[i])
+            assert circular_distance(theta[i], exact) <= 1e-15
+
+    def test_refined_ceiling_draws_reach_the_zeros(self):
+        # the pole 1e-3 from the smallest eigenvalue puts every draw on the
+        # Newton step (max|eig H| about 2e3), and every step is kept
+        for v in ceiling_draws(64, 95, count=2):
+            C = build_cmv(v)
+            phi = unitary_angles(C)[0] + np.pi - 1e-3
+            assert coarse_rows(C, phi).size == 1
+            theta = unitary_angles(C, phi)
+            assert theta.tobytes() != opuc._cayley_pass(C.entries[None], gap_rotation(first_pass(C, phi)[0]))[0].tobytes()
+            assert circular_distance(theta, paraorthogonal_zeros_mp(v.alpha, theta)) <= 1e-15
+
+    @pytest.mark.parametrize("distance", [1e-2, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_coarse_rows_reach_the_zeros_or_take_the_gap_pass(self, distance):
+        # the pole `distance` from an eigenvalue: max|eig H| about 2 /
+        # distance, and a first pass off by up to about 1e-3 eps max|eig H|^2.
+        # A step that would leave more than rounding is not kept; its row
+        # gets the second dense pass, bit for bit
+        alpha = coefficient_samples(EnsembleSpec("circular", 17, 2.0), 2, RngStream(417))
+        refined = 0
+        for row in alpha:
+            C = build_cmv(VerblunskySet(row))
+            phi = unitary_angles(C)[8] + np.pi - distance
+            assert coarse_rows(C, phi).size == 1
+            theta = unitary_angles(C, phi)
+            gap_pass = opuc._cayley_pass(C.entries[None], gap_rotation(first_pass(C, phi)[0]))[0][0]
+            if theta.tobytes() != gap_pass.tobytes():
+                refined += 1
+                assert circular_distance(theta, paraorthogonal_zeros_mp(row, theta)) <= 1e-15
+            assert circular_distance(theta, eigvals_angles(C.entries)) <= 1e-12
+        # at 1e-4 the first passes are off by 2.2e-10 and 1.3e-9: one step
+        # is kept and one is not
+        assert refined == {1e-2: 2, 1e-4: 1}.get(distance, 0)
+
+    def test_untrusted_rows_take_the_gap_pass(self, monkeypatch):
+        # with no step trusted, each coarse row gets the second dense pass
+        # with the pole in its largest gap, as it did before the step
+        C = circular_stack(6, 2.0, 400, 46)
+        rows = coarse_rows(C)
+        assert rows.size
+        monkeypatch.setattr(opuc, "DRIFT_TRUST", -1.0)
+        theta = unitary_angles(C)
+        coarse = first_pass(C)[0][rows]
+        gap_pass = opuc._cayley_pass(C.entries[rows], gap_rotation(coarse))[0]
+        assert np.array_equal(theta[rows], gap_pass)
+        assert circular_distance(theta, eigvals_angles(C.entries)) <= 1e-12
+
+    def test_single_site_near_the_pole(self):
+        # the one eigenvalue conj(alpha_0), 1e-3 from the pole -1; the
+        # step is trusted, since n = 1 allows any reach up to 2 DRIFT_TRUST
+        for d in (1e-3, -1e-3):
+            v = VerblunskySet([-np.exp(1j * d)])
+            C = build_cmv(v)
+            assert coarse_rows(C).size == 1
+            assert circular_distance(unitary_angles(C), np.angle(np.conj(v.alpha))) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [[-1.0], [0.0, 0.0, 0.0, 1.0]])
     def test_eigenvalue_at_pole(self, alpha):
         # I + C is exactly singular for both
-        C = build_cmv(VerblunskySet(alpha)).entries
+        C = build_cmv(VerblunskySet(alpha))
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(np.eye(len(alpha)) + C)
+            np.linalg.inv(np.eye(len(alpha)) + C.entries)
         theta = unitary_angles(C)
-        assert circular_distance(theta, eigvals_angles(C)) <= 1e-12
+        assert circular_distance(theta, eigvals_angles(C.entries)) <= 1e-12
         assert theta[-1] == np.pi
 
     def test_never_returns_minus_pi(self):
-        # exp(-i pi) has a tiny negative imaginary part, so np.angle gives -pi
-        U = np.diag(np.exp(1j * np.array([-np.pi, 0.5])))
-        assert eigvals_angles(U)[0] == -np.pi
-        theta = unitary_angles(U)
-        assert theta[0] > -np.pi and np.abs(theta - [0.5, np.pi]).max() <= 1e-15
+        # exp(i pi) has a tiny positive imaginary part, so the matrix entry
+        # conj(alpha_0) has a tiny negative one and np.angle gives -pi
+        C = build_cmv(VerblunskySet([np.exp(1j * np.pi)]))
+        assert eigvals_angles(C.entries)[0] == -np.pi
+        theta = unitary_angles(C)
+        assert theta[0] > -np.pi and abs(theta[0] - np.pi) <= 1e-15
 
     @pytest.mark.parametrize("phi", [0.7, -2.0, np.pi, 5.0])
     def test_rotation_does_not_change_angles(self, phi):
-        U = circular_stack(6, 1.0, 50, 9)
-        assert circular_distance(unitary_angles(U, phi), eigvals_angles(U)) <= 1e-12
+        C = circular_stack(6, 1.0, 50, 9)
+        assert circular_distance(unitary_angles(C, phi), eigvals_angles(C.entries)) <= 1e-12
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 0)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 0), (3, 3)])
     def test_rejects_non_square(self, shape):
-        with pytest.raises(OutOfRange):
+        # any plain array, square or not: the Newton step needs the
+        # coefficients that only a CMVMatrix carries
+        with pytest.raises(InvalidParams, match="CMVMatrix"):
             unitary_angles(np.zeros(shape))
 
 
@@ -220,7 +309,7 @@ class TestNewtonAngleSteps:
             gen = RngStream(70 + n).generator()
             draws = [random_set(gen, n, radius) for _ in range(3)]
         for v in draws:
-            theta = unitary_angles(build_cmv(v).entries)
+            theta = unitary_angles(build_cmv(v))
             steps, reach, _ = newton_angle_steps(v.alpha, theta)
             exact = paraorthogonal_zeros_mp(v.alpha, theta)
             offset = np.angle(np.exp(1j * (exact - theta)))
@@ -230,13 +319,23 @@ class TestNewtonAngleSteps:
     def test_rows_do_not_depend_on_each_other(self):
         gen = RngStream(77).generator()
         alpha = np.array([random_set(gen, 9, 0.9).alpha for _ in range(7)])
-        theta = unitary_angles(build_cmv(VerblunskySet(alpha[0])).entries)
+        theta = unitary_angles(build_cmv(VerblunskySet(alpha[0])))
         stacked = newton_angle_steps(alpha, theta)
         for i, row in enumerate(alpha):
             one = newton_angle_steps(row, theta)
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, stacked))
         again = newton_angle_steps(alpha.reshape(7, 1, 9), theta)
         assert all(np.array_equal(a[:, 0], b) for a, b in zip(again, stacked))
+
+    def test_one_row_of_angles_per_row(self):
+        # a (7, 9) theta pairs row i of the angles with row i of alpha
+        gen = RngStream(78).generator()
+        alpha = np.array([random_set(gen, 9, 0.9).alpha for _ in range(7)])
+        theta = unitary_angles(build_cmv(VerblunskySet(alpha)))
+        paired = newton_angle_steps(alpha, theta)
+        for i, row in enumerate(alpha):
+            one = newton_angle_steps(row, theta[i])
+            assert all(np.array_equal(a, b[i]) for a, b in zip(one, paired))
 
 
 # The flows' forward map against 50-digit Christoffel weights at 50-digit
