@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,7 @@ from .core import (
     build_cmv,
     check_coefficient_rows,
     check_weight_rows,
+    coefficient_rho,
     factor_entries,
     lm_band_indices,
 )
@@ -75,6 +75,7 @@ from .opuc import (
 )
 
 MODULUS_CEILING = 1.0 - 1e-8  # flows stop when a coefficient gets this close to the circle
+RHO_FLOOR = float(coefficient_rho(np.float64(MODULUS_CEILING)))  # the rho of a coefficient at the ceiling
 MAX_STEPS = 10**7             # the largest time grid a trajectory may ask for
 MAX_ORDER = 64                # the largest flow order m; the band tables grow as n m min(m, n)
 LAMBDA_GAP_TOL = 1e-8
@@ -183,14 +184,17 @@ def al_vector_field(v: VerblunskySet, m: int = 1, part: str = "re") -> np.ndarra
     return _bracket_velocity(v.alpha, _check_order(m), _check_part(part))
 
 
-def _bracket_velocity(alpha: np.ndarray, m: int, part: str) -> np.ndarray:
+def _bracket_velocity(alpha: np.ndarray, m: int, part: str, entries=None) -> np.ndarray:
     """{alpha_k, H} for H = Re K_m (part='re') or Im K_m (part='im') at the
-    raw coefficients alpha (n,): rho^2 (g_v - i g_u) for the gradient rows
-    g of hamiltonian_gradients, with rho^2 multiplied through so that
-    nothing is divided; pick takes H's part (Re or Im) of each term."""
-    rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,))
-    pick = operator.attrgetter("real" if part == "re" else "imag")
-    return rho * rho * (pick(-1j * (x00 + x11)) - 1j * pick(x00 - x11)) + 1j * rho * pick(o) * alpha[:-1]
+    raw coefficients alpha (n,), entries as in _trace_gradient_blocks:
+    rho^2 (g_v - i g_u) for the gradient rows g of hamiltonian_gradients,
+    with rho^2 multiplied through so that nothing is divided,
+        re: -i rho^2 (x00 - conj x11) + i rho Re(o) alpha,
+        im:   -rho^2 (x00 + conj x11) + i rho Im(o) alpha."""
+    rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,), entries)
+    if part == "re":
+        return rho * rho * (-1j * (x00 - x11.conj())) + 1j * (rho * o.real) * alpha[:-1]
+    return rho * rho * ((x00 + x11.conj()) * -1) + 1j * (rho * o.imag) * alpha[:-1]
 
 
 # A banded n x n matrix of half-width w is held as an array of shape
@@ -205,11 +209,11 @@ def _band_indices(n: int, m: int) -> tuple:
     that leaves a band reads flat index 0.
 
     products: B in (AB)[i, i + r] = sum_p A[i, i + p] B[i + p, i + r], for
-    L M and C C^j, 0 < j < m - 1; blocks: the three factor and C^(m-1)
-    entries summed into each of X[k, k], X[k + 1, k + 1], X[k, k + 1] and
-    X[k + 1, k], or for m = 1, where X is a factor, the one factor entry
-    and None."""
-    size = n + 2
+    L M and C C^j, 0 < j < m - 1; blocks: the three factor_entries and
+    C^(m-1) entries summed into each of X[k, k], X[k + 1, k + 1],
+    X[k, k + 1] and X[k + 1, k], or for m = 1, where X is a factor, the one
+    factor entry and None."""
+    size, lm = n + 2, lm_band_indices(n).ravel()
 
     def flat(rows, cols, width):
         ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < width)
@@ -229,18 +233,19 @@ def _band_indices(n: int, m: int) -> tuple:
     i = k[:, None] + np.array([[[0]], [[1]], [[0]], [[1]]])
     j = k[:, None] + np.array([[[0]], [[1]], [[1]], [[0]]])
     if m == 1:  # M[i, j] for even k, L[i, j] for odd k
-        return products, (np.where(even, size + 1 + i, 1 + i)[..., 0] * 3 + 1 + (j - i)[..., 0], None)
+        return products, (lm[np.where(even, size + 1 + i, 1 + i)[..., 0] * 3 + 1 + (j - i)[..., 0]], None)
     # M[i, i + p] C^(m-1)[i + p, j] for even k, C^(m-1)[i, j + p] L[j + p, j] for odd k
-    f_blocks = np.where(even, (size + 1 + i) * 3 + 1 + p, (1 + j + p) * 3 + 1 - p)
+    f_blocks = lm[np.where(even, (size + 1 + i) * 3 + 1 + p, (1 + j + p) * 3 + 1 - p)]
     d_blocks = np.where(even, flat(1 + i + p, w + j - i - p, 2 * w + 1), flat(1 + i, w + j + p - i, 2 * w + 1))
     return products, (f_blocks, d_blocks)
 
 
-def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
+def _trace_gradient_blocks(alpha: np.ndarray, degrees, entries=None) -> tuple:
     """The package's one derivative of the trace Hamiltonians K_m: rho_k,
     and for each m in degrees the arrays x00 = X[k, k], x11 = X[k+1, k+1]
     and o = X[k, k+1] + X[k+1, k] over the interior k, from the raw
     coefficients alpha (n,), L and M gathered by core.lm_band_indices.
+    A factor_entries table given as entries is refilled and read.
 
     dK_m = tr(C^(m-1) dC), and alpha_k moves only its block of L (k even)
     or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
@@ -250,16 +255,15 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees) -> tuple:
     """
     n = alpha.size
     products = _band_indices(n, max(degrees))[0]
-    entries = factor_entries(alpha)
-    F = entries[lm_band_indices(n)]
+    entries = factor_entries(alpha, entries)
     powers = []  # C^j at powers[j - 1]
     for index in products:
-        A, B = (powers[0], powers[-1]) if powers else F  # L M, then C C^j
+        A, B = (powers[0], powers[-1]) if powers else entries[lm_band_indices(n)]  # L M, then C C^j
         powers.append((A[:, None, :] @ B.ravel()[index])[:, 0])
     blocks = []
     for m in degrees:
         f_blocks, d_blocks = _band_indices(n, m)[1]
-        x = F.ravel()[f_blocks]
+        x = entries[f_blocks]
         if d_blocks is not None:
             x = (x * powers[m - 2].ravel()[d_blocks]).sum(axis=-1)
         blocks.append((x[0], x[1], x[2] + x[3]))
@@ -450,14 +454,6 @@ def _cyclic_drift(theta: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.minimum(d, 2.0 * math.pi - d).max(axis=2).min(axis=1)
 
 
-def _flow_alpha(interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """Interior (past the modulus ceiling) and boundary (1,) of a flow state or RK4 stage."""
-    mods = np.abs(interior)
-    if mods.size and mods.max() > MODULUS_CEILING:
-        raise RhoTooSmall(f"coefficient modulus {mods.max():.12g} reached the circle")
-    return np.concatenate([interior, boundary])
-
-
 def _flow_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     """Times of both trajectory functions, and their step.
 
@@ -481,27 +477,34 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """Fixed-step RK4 integration of the (m, part) flow in its bracket form.
 
     The step is dt shortened to divide t_final exactly; the boundary
-    coefficient is held fixed.  Stages are plain arrays, and each reported
-    state is written into its row of the trajectory's array.  Raises
-    RhoTooSmall if any intermediate coefficient modulus exceeds 1 - 1e-8.
+    coefficient is held fixed.  Every stage refills one coefficient row
+    and its factor table in place, and each state is written into its row
+    of the trajectory's array.  Raises RhoTooSmall if a state or stage has
+    a coefficient modulus above 1 - 1e-8: rho below RHO_FLOOR, or nan.
     """
     m, part = _check_order(m), _check_part(part)
     times, h = _flow_grid(t_final, dt)
-    boundary = v0.alpha[-1:]
+    row = v0.alpha.copy()
+    stage, table = row[:-1], factor_entries(row)
+    rho = table[2 * v0.n - 1 : 3 * v0.n - 2].real
 
     def field(y: np.ndarray) -> np.ndarray:
-        return _bracket_velocity(_flow_alpha(y, boundary), m, part)
+        stage[...] = y
+        k = _bracket_velocity(row, m, part, table)
+        if not np.minimum.reduce(rho, initial=1.0) >= RHO_FLOOR:
+            raise RhoTooSmall(f"coefficient modulus {np.abs(stage).max():.12g} reached the circle")
+        return k
 
-    alpha = np.empty((times.size, v0.n), dtype=complex)
-    alpha[0] = v0.alpha
-    y = v0.interior.astype(complex)
-    for i in range(1, times.size):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        alpha[i] = _flow_alpha(y, boundary)
+    alpha, y = np.tile(v0.alpha, (times.size, 1)), v0.interior
+    with np.errstate(invalid="ignore"):  # a stage past the circle has rho nan
+        for i in range(1, times.size):
+            k1 = field(y)
+            k2 = field(y + 0.5 * h * k1)
+            k3 = field(y + 0.5 * h * k2)
+            k4 = field(y + h * k3)
+            y = alpha[i, :-1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if times.size > 1:  # the last state, as every earlier one was the input of a first stage
+            field(y)
     return _trajectory(times, alpha, unitary_angles(build_cmv(v0)))
 
 

@@ -44,7 +44,7 @@ from .opuc import geronimus_entries, unitary_angles
 MAX_DRAWS = 256           # draws a rejection loop may make before it gives up
 JACOBI_EXPONENT_MAX = 1e12  # larger a or b put the interval draws within rounding of -1 or 1
 BETA_MAX = 1e12           # likewise for beta, whose shapes also overflow near 1e308
-SPECTRA_BLOCK = 2**20     # matrix entries per block of eigenvalue_samples
+SPECTRA_BLOCK = 2**16     # matrix entries per block of eigenvalue_samples
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,8 @@ def eigenvalue_samples(spec: EnsembleSpec, coeffs) -> np.ndarray:
     Circular draws are angles in (-pi, pi]; the real-line families return
     plain reals.  Each row is the spectrum of one draw, columns sorted
     ascending.  The dense matrices are built SPECTRA_BLOCK entries at a
-    time, and no row depends on the block it falls in.
+    time, 16 draws at n = 64, so that a circular block's L, M and C take
+    1 MB each; no row depends on the block it falls in.
     """
     n = spec.n
     circular = spec.family == "circular"

@@ -199,7 +199,10 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     z_j = e^{i theta_j}, all rows at once:
         phi_{k+1}  = z phi_k / rho_k - conj(a_k / rho_k) phi*_k,
         phi*_{k+1} = phi*_k / rho_k - (a_k / rho_k) z phi_k,
-    and ends without the division, since alpha_{n-1} is unimodular:
+    each polynomial carried with its derivative as one stacked (2, ...)
+    pair, (phi, phi') and (phi*, phi*'), so that one step is eight
+    in-place operations on the pairs; and ends without the division,
+    since alpha_{n-1} is unimodular:
     Phi_n = z phi_{n-1} - conj(a_{n-1}) phi*_{n-1}, up to a positive
     factor that no ratio below sees.  With w = Phi_n / (z Phi_n') it
     returns, each (..., n):
@@ -226,32 +229,25 @@ def newton_angle_steps(alpha: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray
     ar = inner * inv_rho
     cr = ar.conj()
     shape = np.broadcast_shapes(a.shape[:-1] + (1,), z.shape)
-    p, ps = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
-    dp, dps = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    zp, dzp, t = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    p, ps = np.zeros((2, 2) + shape, dtype=complex)  # [phi, phi'] and [phi*, phi*']
+    p[0] = ps[0] = 1.0
+    zp, t = np.empty((2, 2) + shape, dtype=complex)  # zp: [z phi, z phi' + phi]
+    phi, dzp, t0 = p[0], zp[1], t[0]
     kernel = np.ones(shape)
-    # in place, each (phi, phi*) pair updated from its old values: half
-    # the time of the same expressions on fresh arrays
     for k in range(a.shape[-1] - 1):
         rk, ak, ck = inv_rho[..., k, None], ar[..., k, None], cr[..., k, None]
         np.multiply(z, p, out=zp)
-        np.multiply(z, dp, out=dzp)
-        dzp += p
+        dzp += phi
         np.multiply(ck, ps, out=t)
         np.multiply(zp, rk, out=p)
         p -= t
         np.multiply(ak, zp, out=t)
         ps *= rk
         ps -= t
-        np.multiply(ck, dps, out=t)
-        np.multiply(dzp, rk, out=dp)
-        dp -= t
-        np.multiply(ak, dzp, out=t)
-        dps *= rk
-        dps -= t
-        np.conjugate(p, out=t)
-        t *= p
-        kernel += t.real
+        np.conjugate(phi, out=t0)
+        t0 *= phi
+        kernel += t0.real
+    (p, dp), (ps, dps) = p, ps
     c = a[..., -1:].conj()
     f = z * p - c * ps
     zdf = z * (p + z * dp - c * dps)

@@ -136,7 +136,7 @@ def dump_json(obj, path) -> None:
     _template(obj, 0, parts, leaves, {})
     flat = np.concatenate([a.ravel() for _, a in leaves] + [np.empty(0)])
     part = value = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         for (mark, _), end in zip(leaves, np.cumsum([a.size for _, a in leaves])):
             if end - value >= JSON_CHUNK:
                 fh.write("".join(parts[part:mark]) % _texts(flat[value:end]))
@@ -244,6 +244,17 @@ def _reading(path):
         raise InvalidParams(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
+@contextmanager
+def _writing(path):
+    """path opened for UTF-8 text as open(path, "w") opens it; InvalidParams
+    naming it when it cannot be opened or written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidParams(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def load_json(path):
     """The JSON value in path; InvalidParams naming it when unreadable or invalid."""
     with _reading(path) as fh:
@@ -256,7 +267,7 @@ def load_json(path):
 def write_samples_csv(path, rows: np.ndarray) -> None:
     """One sample per row, columns sorted, 17 significant digits."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         _write_rows(fh, rows)
 
 
@@ -296,5 +307,5 @@ def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
     edges = np.asarray(edges, dtype=float)
     # a count prints as its integer: counts stay far below 2^53
     rows = np.column_stack([edges[:-1], edges[1:], np.asarray(counts, dtype=float)])
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         _write_rows(fh, rows)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmvkit.alflows import (
     MAX_ORDER,
+    MODULUS_CEILING,
     NEWTON_BLOCK,
     FlowHamiltonian,
     Trajectory,
@@ -125,6 +128,10 @@ class TestLaxPartner:
         assert al_vector_field(v, 1, "re").size == 0
 
 
+# a modulus 5e-9 inside the flow ceiling
+CEILING_START = 1.0 - 1.5e-8
+
+
 class TestVectorFields:
     def test_extraction_matches_closed_form(self):
         gen = RngStream(2).generator()
@@ -194,6 +201,25 @@ class TestVectorFields:
         v = VerblunskySet([1.0 - 1e-9, 1.0])
         with pytest.raises(RhoTooSmall):
             integrate_flow(v, 1, "re", 0.1, 1e-2)
+
+    @pytest.mark.parametrize("h", [0.2, 1.0])
+    def test_rho_guard_on_an_intermediate_stage(self, h):
+        # alpha_0 = -i r with alpha_1 = -1 moves outward at rate 2 rho^2,
+        # so one long step from inside the ceiling puts the input of k2
+        # past it (h = 0.2) or past the circle, where rho is nan (h = 1)
+        v = VerblunskySet([-1j * CEILING_START, -1.0])
+        assert abs(v.alpha[0]) < MODULUS_CEILING
+        k2_input = v.alpha[0] + 0.5 * h * al_vector_field(v, 1, "re")[0]
+        assert abs(k2_input) > MODULUS_CEILING
+        with pytest.raises(RhoTooSmall, match=re.escape(f"coefficient modulus {abs(k2_input):.12g} reached")):
+            integrate_flow(v, 1, "re", h, h)
+
+    def test_start_below_the_ceiling_completes(self):
+        v = VerblunskySet([-1j * CEILING_START, -1.0])
+        traj = integrate_flow(v, 1, "re", 0.01, 1e-3)
+        assert traj.alpha.shape == (11, 2)
+        moduli = np.abs(traj.alpha[1:, 0])
+        assert (moduli > CEILING_START).all() and (moduli <= MODULUS_CEILING).all()
 
 
 def relative_gap(a, b):
@@ -332,7 +358,10 @@ def count_spectrum_reads(monkeypatch):
 
 
 class TestIntegrateFlow:
-    @pytest.mark.parametrize("n, m, part, t_final", [(6, 1, "re", 0.05), (6, 2, "im", 0.05), (64, 1, "im", 0.004)])
+    @pytest.mark.parametrize("n, m, part, t_final", [
+        (6, 1, "re", 0.05), (6, 2, "im", 0.05), (64, 1, "im", 0.004),
+        (1, 1, "re", 0.05), (2, 3, "im", 0.05), (64, 2, "re", 0.004),
+    ])
     def test_bit_identical_to_plain_rk4(self, n, m, part, t_final):
         v = random_verblunsky(n, RngStream(n + m), radius=0.6)
         traj = integrate_flow(v, m, part, t_final, 1e-3)

@@ -305,6 +305,16 @@ class TestFlow:
         code = run("flow", "--init", init, "--t", 1, "--dt", "1e-2", "--out", tmp_path / "t.json", "--quiet")
         assert code == 3
 
+    def test_ceiling_on_an_intermediate_stage_exit_3(self, tmp_path, capsys):
+        # a start 5e-9 inside the flow ceiling whose first step's k2 input
+        # crosses it (tests/test_alflows.py::test_rho_guard_on_an_intermediate_stage)
+        init, out = tmp_path / "v.json", tmp_path / "t.json"
+        serialize.dump_json({"n": 2, "alpha": [[0.0, -(1.0 - 1.5e-8)], [-1.0, 0.0]]}, init)
+        assert run("flow", "--init", init, "--t", 0.2, "--dt", 0.2, "--out", out, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient modulus 0.99999999") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["rk4", "spectral"])
     def test_grid_shared_by_methods(self, tmp_path, method):
         out = tmp_path / "t.json"
@@ -647,6 +657,38 @@ def test_unreadable_input_exit_2(tmp_path, monkeypatch, capsys, command, source)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
     assert "Traceback" not in err and not (set(os.listdir(tmp_path)) - {"input"})
+
+
+# each command writing to the path given by its last flag, the inputs it
+# reads held in the working directory
+WRITERS = {
+    "sample --out": ["sample", "--family", "circular", "--n", 4, "--beta", 2, "--count", 3, "--seed", 1,
+                     "--quiet", "--out"],
+    "sample --coeffs-out": ["sample", "--family", "circular", "--n", 4, "--beta", 2, "--count", 3, "--seed", 1,
+                            "--out", "s.csv", "--quiet", "--coeffs-out"],
+    "flow --out": ["flow", "--random", "--n", 3, "--seed", 1, "--t", 0.01, "--quiet", "--out"],
+    "spectral --out": ["spectral", "--input", "v.json", "--to", "measure", "--out"],
+    "histogram --out": ["histogram", "--input", "s.csv", "--bins", 4, "--range", 0, 1, "--quiet", "--out"],
+    "verify --report": ["verify", "--suite", "brackets", "--n", 3, "--trials", 1, "--quiet", "--report"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_unwritable_output_exit_2(tmp_path, monkeypatch, capsys, writer, target):
+    # an output file that cannot be written is a usage error as well:
+    # exit 2, one error line naming the file and no traceback
+    monkeypatch.chdir(tmp_path)
+    serialize.dump_json({"n": 2, "alpha": [[0.1, 0.2], [1.0, 0.0]]}, "v.json")
+    serialize.write_samples_csv("s.csv", [[0.1, 0.7]])
+    path = tmp_path / "absent" / "out"
+    if target == "directory":
+        path = tmp_path / "out"
+        path.mkdir()
+    assert run(*WRITERS[writer], path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err and not (tmp_path / "absent").exists()
 
 
 class TestParser:
