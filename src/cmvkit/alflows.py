@@ -180,18 +180,22 @@ def lax_partner(C: CMVMatrix, m: int, part: str) -> np.ndarray:
 
 
 def al_vector_field(v: VerblunskySet, m: int = 1, part: str = "re") -> np.ndarray:
-    """Interior velocities of the (m, part) flow; the boundary does not move."""
+    """Interior velocities of the (m, part) flow of one coefficient set;
+    the boundary does not move."""
+    if v.alpha.ndim != 1:
+        raise InvalidParams(f"al_vector_field takes one coefficient set, got a stack of shape {v.alpha.shape}")
     return _bracket_velocity(v.alpha, _check_order(m), _check_part(part))
 
 
-def _bracket_velocity(alpha: np.ndarray, m: int, part: str, entries=None) -> np.ndarray:
+def _bracket_velocity(alpha: np.ndarray, m: int, part: str, entries=None, tables=None) -> np.ndarray:
     """{alpha_k, H} for H = Re K_m (part='re') or Im K_m (part='im') at the
-    raw coefficients alpha (n,), entries as in _trace_gradient_blocks:
+    raw coefficients alpha (n,), entries and tables as in
+    _trace_gradient_blocks:
     rho^2 (g_v - i g_u) for the gradient rows g of hamiltonian_gradients,
     with rho^2 multiplied through so that nothing is divided,
         re: -i rho^2 (x00 - conj x11) + i rho Re(o) alpha,
         im:   -rho^2 (x00 + conj x11) + i rho Im(o) alpha."""
-    rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,), entries)
+    rho, ((x00, x11, o),) = _trace_gradient_blocks(alpha, (m,), entries, tables)
     if part == "re":
         return rho * rho * (-1j * (x00 - x11.conj())) + 1j * (rho * o.real) * alpha[:-1]
     return rho * rho * ((x00 + x11.conj()) * -1) + 1j * (rho * o.imag) * alpha[:-1]
@@ -240,12 +244,22 @@ def _band_indices(n: int, m: int) -> tuple:
     return products, (f_blocks, d_blocks)
 
 
-def _trace_gradient_blocks(alpha: np.ndarray, degrees, entries=None) -> tuple:
+def _gradient_tables(n: int, degrees) -> tuple:
+    """The gather tables of _trace_gradient_blocks at n for degrees: the
+    layout of L and M, the power chain up to the largest degree and each
+    degree's blocks (_band_indices)."""
+    return lm_band_indices(n), _band_indices(n, max(degrees))[0], [_band_indices(n, m)[1] for m in degrees]
+
+
+def _trace_gradient_blocks(alpha: np.ndarray, degrees, entries=None, tables=None) -> tuple:
     """The package's one derivative of the trace Hamiltonians K_m: rho_k,
     and for each m in degrees the arrays x00 = X[k, k], x11 = X[k+1, k+1]
     and o = X[k, k+1] + X[k+1, k] over the interior k, from the raw
     coefficients alpha (n,), L and M gathered by core.lm_band_indices.
-    A factor_entries table given as entries is refilled and read.
+    entries, the factor_entries table of alpha, and tables,
+    _gradient_tables(n, degrees), are read as given, so that a caller
+    evaluating many rows of one size fills one table and looks the tables
+    up once; either is built when not given.
 
     dK_m = tr(C^(m-1) dC), and alpha_k moves only its block of L (k even)
     or M (k odd): tr(C^(m-1) dL M) = tr(X dL) with X = M C^(m-1), and
@@ -254,18 +268,17 @@ def _trace_gradient_blocks(alpha: np.ndarray, degrees, entries=None) -> tuple:
     all the degrees.
     """
     n = alpha.size
-    products = _band_indices(n, max(degrees))[0]
-    entries = factor_entries(alpha, entries)
+    lm, products, degree_blocks = _gradient_tables(n, degrees) if tables is None else tables
+    entries = factor_entries(alpha) if entries is None else entries
     powers = []  # C^j at powers[j - 1]
     for index in products:
-        A, B = (powers[0], powers[-1]) if powers else entries[lm_band_indices(n)]  # L M, then C C^j
+        A, B = (powers[0], powers[-1]) if powers else entries[lm]  # L M, then C C^j
         powers.append((A[:, None, :] @ B.ravel()[index])[:, 0])
     blocks = []
-    for m in degrees:
-        f_blocks, d_blocks = _band_indices(n, m)[1]
+    for m, (f_blocks, d_blocks) in zip(degrees, degree_blocks):
         x = entries[f_blocks]
         if d_blocks is not None:
-            x = (x * powers[m - 2].ravel()[d_blocks]).sum(axis=-1)
+            x = np.add.reduce(x * powers[m - 2].ravel()[d_blocks], axis=-1)
         blocks.append((x[0], x[1], x[2] + x[3]))
     return entries[2 * n - 1 : 3 * n - 2].real, blocks
 
@@ -477,34 +490,56 @@ def integrate_flow(v0: VerblunskySet, m: int, part: str, t_final: float, dt: flo
     """Fixed-step RK4 integration of the (m, part) flow in its bracket form.
 
     The step is dt shortened to divide t_final exactly; the boundary
-    coefficient is held fixed.  Every stage refills one coefficient row
-    and its factor table in place, and each state is written into its row
-    of the trajectory's array.  Raises RhoTooSmall if a state or stage has
-    a coefficient modulus above 1 - 1e-8: rho below RHO_FLOOR, or nan.
+    coefficient is held fixed.  Each state is written into its row of the
+    trajectory's array.  The buffers of the stages are allocated once per
+    trajectory: every stage input is written into the interior of one
+    coefficient row, its factor table refills only the entries that move
+    (conj(alpha), -alpha and rho of the interior, rho as coefficient_rho
+    sums it, re^2 + im^2, bit for bit), and the gather tables are looked
+    up once (_gradient_tables).  Raises RhoTooSmall if a state or stage
+    has a coefficient modulus above 1 - 1e-8: rho below RHO_FLOOR, or nan.
     """
     m, part = _check_order(m), _check_part(part)
     times, h = _flow_grid(t_final, dt)
-    row = v0.alpha.copy()
+    n, half, sixth = v0.n, 0.5 * h, h / 6.0
+    row, tables = v0.alpha.copy(), _gradient_tables(n, (m,))
     stage, table = row[:-1], factor_entries(row)
-    rho = table[2 * v0.n - 1 : 3 * v0.n - 2].real
+    conj, neg, rho = table[: n - 1], table[n : 2 * n - 1], table[2 * n - 1 : 3 * n - 2].real
+    parts = stage.view(float)
+    squares = np.empty_like(parts)
+    re2, im2 = squares[::2], squares[1::2]  # re^2 and im^2 of the stage's alpha_k
+    step = np.empty(n - 1, dtype=complex)
 
-    def field(y: np.ndarray) -> np.ndarray:
-        stage[...] = y
-        k = _bracket_velocity(row, m, part, table)
+    def refill() -> None:
+        np.conjugate(stage, out=conj)
+        np.negative(stage, out=neg)
+        np.square(parts, out=squares)
+        np.add(re2, im2, out=rho)
+        np.subtract(1.0, rho, out=rho)
+        np.sqrt(rho, out=rho)
         if not np.minimum.reduce(rho, initial=1.0) >= RHO_FLOOR:
             raise RhoTooSmall(f"coefficient modulus {np.abs(stage).max():.12g} reached the circle")
-        return k
 
-    alpha, y = np.tile(v0.alpha, (times.size, 1)), v0.interior
+    def field() -> np.ndarray:
+        refill()
+        return _bracket_velocity(row, m, part, table, tables)
+
+    alpha = np.tile(v0.alpha, (times.size, 1))
     with np.errstate(invalid="ignore"):  # a stage past the circle has rho nan
         for i in range(1, times.size):
-            k1 = field(y)
-            k2 = field(y + 0.5 * h * k1)
-            k3 = field(y + 0.5 * h * k2)
-            k4 = field(y + h * k3)
-            y = alpha[i, :-1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = alpha[i - 1, :-1]
+            stage[...] = y
+            k1 = field()
+            np.add(y, np.multiply(half, k1, out=step), out=stage)
+            k2 = field()
+            np.add(y, np.multiply(half, k2, out=step), out=stage)
+            k3 = field()
+            np.add(y, np.multiply(h, k3, out=step), out=stage)
+            k4 = field()
+            np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=alpha[i, :-1])
         if times.size > 1:  # the last state, as every earlier one was the input of a first stage
-            field(y)
+            stage[...] = alpha[-1, :-1]
+            refill()
     return _trajectory(times, alpha, unitary_angles(build_cmv(v0)))
 
 

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alflows import _check_order, _trace_gradient_blocks
+from .alflows import _check_order, _gradient_tables, _trace_gradient_blocks
 from .core import SpectralMeasureCircle, VerblunskySet, build_cmv
 from .errors import InvalidParams, NonDifferentiable, RhoTooSmall
 from .opuc import szego_tangents, unitary_eigensystem, verblunsky_from_measure
@@ -161,15 +161,16 @@ def hamiltonian_gradients(v: VerblunskySet, degrees) -> np.ndarray:
     of sets v gives (..., len(degrees), 2(n-1)).
 
     Each row reads the entries x00, x11, o of the banded kernel
-    `alflows._trace_gradient_blocks`, called once per coefficient set
-    (dK_m = tr(X dTheta_k) for the block Theta_k = [[conj(a), rho],
-    [rho, -a]] that alpha_k moves).  Along u_k, dTheta_k = [[1, r], [r, -1]],
-    along v_k [[-i, r], [r, -i]], with r the derivative of
-    rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho:
+    `alflows._trace_gradient_blocks`, called once per coefficient set on
+    gather tables looked up once per call (dK_m = tr(X dTheta_k) for the
+    block Theta_k = [[conj(a), rho], [rho, -a]] that alpha_k moves).
+    Along u_k, dTheta_k = [[1, r], [r, -1]], along v_k [[-i, r], [r, -i]],
+    with r the derivative of rho_k = sqrt(1 - |a|^2), drho = -Re(conj(a) da) / rho:
         d/du_k = x00 - x11 - o Re(a) / rho,  d/dv_k = -i (x00 + x11) - o Im(a) / rho.
     """
     degrees = [_check_order(m) for m in degrees]
-    blocks = [_trace_gradient_blocks(row, degrees)[1] for row in v.alpha.reshape(-1, v.n)]
+    tables = _gradient_tables(v.n, degrees)
+    blocks = [_trace_gradient_blocks(row, degrees, None, tables)[1] for row in v.alpha.reshape(-1, v.n)]
     x00, x11, off = np.moveaxis(np.array(blocks).reshape(v.alpha.shape[:-1] + (len(degrees), 3, v.n - 1)), -2, 0)
     a, rho = v.interior[..., None, :], v.rho[..., None, :]
     rows = np.empty(x00.shape[:-1] + (2 * (v.n - 1),), dtype=complex)

@@ -155,13 +155,12 @@ def coefficient_rho(interior) -> np.ndarray:
     return np.sqrt(1.0 - (interior.real * interior.real + interior.imag * interior.imag))
 
 
-def factor_entries(alpha, out=None) -> np.ndarray:
+def factor_entries(alpha) -> np.ndarray:
     """The (..., 3n) values of L and M for coefficient rows alpha (..., n):
-    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n).
-    Given out, a table it returned before for rows of this shape, refills it."""
+    [conj(alpha), -alpha[:-1], rho, 1, 0], placed by lm_band_indices(n)."""
     a = np.asarray(alpha, dtype=complex)
     n = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + (3 * n,), dtype=complex) if out is None else out
+    out = np.zeros(a.shape[:-1] + (3 * n,), dtype=complex)
     np.conjugate(a, out=out[..., :n])
     np.negative(a[..., :-1], out=out[..., n : 2 * n - 1])
     out[..., 2 * n - 1 : 3 * n - 2] = coefficient_rho(a[..., :-1])

@@ -315,20 +315,30 @@ def _szego_steps(z: np.ndarray, weights: np.ndarray, count: int):
     conj(a_k) = <z p_k, q_k> / ||p_k||^2.  For k < count it yields
     (p_k, q_k, z p_k, |p_k|^2, ||p_k||^2, a_k), a_k and the norm (..., 1),
     and raises IllConditioned when a squared norm falls below NORM_FLOOR.
+    The p, q, zp and |p_k|^2 arrays are buffers that the next step
+    overwrites, so a caller reads them within their step; a_k and the norm
+    are new arrays.  |p_k|^2 sums re^2 + im^2 as coefficient_rho does.
     """
     wz = weights * z
-    p = np.ones(wz.shape, dtype=complex)
-    q = np.ones(wz.shape, dtype=complex)
+    p, q = np.ones(wz.shape, dtype=complex), np.ones(wz.shape, dtype=complex)
+    zp, inner = np.empty_like(p), np.empty_like(p)
+    mod2, weighted = np.empty(wz.shape), np.empty(wz.shape)
+    parts = p.view(float)
+    squares = np.empty_like(parts)
+    re2, im2 = squares[..., ::2], squares[..., 1::2]  # re^2 and im^2 of p_k at each point
     for k in range(count):
-        mod2 = p.real * p.real + p.imag * p.imag
-        norm2 = (weights * mod2).sum(axis=-1, keepdims=True)
+        np.square(parts, out=squares)
+        np.add(re2, im2, out=mod2)
+        norm2 = np.add.reduce(np.multiply(weights, mod2, out=weighted), axis=-1, keepdims=True)
         if norm2.min(initial=np.inf) < NORM_FLOOR:
             raise IllConditioned(f"||Phi_{k}||^2 = {norm2.min():.3e} below {NORM_FLOOR:g}")
-        ak = (wz * p * q.conj()).sum(axis=-1, keepdims=True).conj() / norm2
-        zp = z * p
+        # zp holds conj(q) until z p is written into it
+        np.multiply(np.multiply(wz, p, out=inner), np.conjugate(q, out=zp), out=inner)
+        ak = np.add.reduce(inner, axis=-1, keepdims=True).conj() / norm2
+        np.multiply(z, p, out=zp)
         yield p, q, zp, mod2, norm2, ak
-        p = zp - ak.conj() * q
-        q = q - ak * zp
+        np.subtract(zp, np.multiply(ak.conj(), q, out=p), out=p)
+        np.subtract(q, np.multiply(ak, zp, out=zp), out=q)
 
 
 def szego_tangents(theta: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ from cmvkit.alflows import (
     MAX_ORDER,
     MODULUS_CEILING,
     NEWTON_BLOCK,
+    RHO_FLOOR,
     FlowHamiltonian,
     Trajectory,
     _band_indices,
@@ -29,7 +30,7 @@ from cmvkit.alflows import (
     trace_hamiltonian,
 )
 from cmvkit.brackets import hamiltonian_gradients
-from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi, circular_gaps
+from cmvkit.core import SpectralMeasureCircle, VerblunskySet, build_cmv, build_jacobi, circular_gaps, coefficient_rho
 from cmvkit.ensembles import RngStream, random_verblunsky
 from cmvkit.errors import InvalidParams, NonDistinctLambda, RhoTooSmall
 from cmvkit.opuc import (
@@ -133,6 +134,12 @@ CEILING_START = 1.0 - 1.5e-8
 
 
 class TestVectorFields:
+    def test_stack_rejected(self):
+        # the field is of one coefficient set; a stack is named, not indexed past
+        stack = VerblunskySet(np.stack([random_verblunsky(4, RngStream(s)).alpha for s in (1, 2)]))
+        with pytest.raises(InvalidParams, match=re.escape("one coefficient set, got a stack of shape (2, 4)")):
+            al_vector_field(stack, 2, "im")
+
     def test_extraction_matches_closed_form(self):
         gen = RngStream(2).generator()
         for _ in range(10):
@@ -357,15 +364,80 @@ def count_spectrum_reads(monkeypatch):
     return record_calls(monkeypatch, np.linalg, "eig"), record_calls(monkeypatch, opuc, "unitary_angles")
 
 
+def rk4_to_the_ceiling(v, h, steps):
+    """Plain RK4 of the (1, re) flow over al_vector_field that holds every
+    stage input to RHO_FLOOR as integrate_flow does, up to the first stage
+    input that fails: the interiors of the states that passed, and that
+    input's RhoTooSmall message."""
+
+    def field(x):
+        return al_vector_field(VerblunskySet(np.concatenate([x, v.alpha[-1:]])), 1, "re")
+
+    def failed(x):
+        return not np.minimum.reduce(coefficient_rho(x), initial=1.0) >= RHO_FLOOR
+
+    states = [v.interior]
+    for _ in range(steps):
+        y, ks = states[-1], []
+        for weight in (0.0, 0.5 * h, 0.5 * h, h):
+            stage = y + weight * ks[-1] if ks else y
+            if failed(stage):
+                return states[:-1] if not ks else states, f"coefficient modulus {np.abs(stage).max():.12g} reached the circle"
+            ks.append(field(stage))
+        k1, k2, k3, k4 = ks
+        states.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    raise AssertionError(f"no stage of {steps} steps reached the ceiling")
+
+
+# sizes, orders and parts of the in-place stages against plain RK4
+RK4_GRID = [(n, m, part, 0.05 if n < 64 else 0.004) for n in (1, 2, 6, 17, 64) for m in (1, 2, 3, 5) for part in ("re", "im")]
+
+
 class TestIntegrateFlow:
-    @pytest.mark.parametrize("n, m, part, t_final", [
-        (6, 1, "re", 0.05), (6, 2, "im", 0.05), (64, 1, "im", 0.004),
-        (1, 1, "re", 0.05), (2, 3, "im", 0.05), (64, 2, "re", 0.004),
-    ])
+    @pytest.mark.parametrize("n, m, part, t_final", RK4_GRID)
     def test_bit_identical_to_plain_rk4(self, n, m, part, t_final):
         v = random_verblunsky(n, RngStream(n + m), radius=0.6)
         traj = integrate_flow(v, m, part, t_final, 1e-3)
         assert_same_trajectory(traj, rk4_trajectory(v, m, part, t_final, 1e-3))
+
+    @pytest.mark.parametrize("n, m, part, t_final", RK4_GRID)
+    def test_bit_identical_to_plain_rk4_near_the_circle(self, n, m, part, t_final):
+        v = random_verblunsky(n, RngStream(n + m), radius=0.95)
+        traj = integrate_flow(v, m, part, t_final, 1e-3)
+        assert_same_trajectory(traj, rk4_trajectory(v, m, part, t_final, 1e-3))
+
+    def test_rho_guard_at_the_same_stage_as_plain_rk4(self):
+        # alpha_0 moves outward at rate 2 rho^2 and reaches the ceiling
+        # after many steps; the first stage input past it stops the run
+        # with its modulus, pinned as a literal, and the states before that
+        # step are those of plain RK4 (the step a power of 2, so that the
+        # shorter grids keep it)
+        v, h = VerblunskySet([-0.9j, -1.0]), 0.0625
+        states, message = rk4_to_the_ceiling(v, h, 96)
+        assert message == "coefficient modulus 0.999999990786 reached the circle"
+        with pytest.raises(RhoTooSmall, match=re.escape(message)):
+            integrate_flow(v, 1, "re", 96 * h, h)
+        traj = integrate_flow(v, 1, "re", (len(states) - 1) * h, h)
+        assert traj.alpha[:, :-1].tobytes() == np.array(states).tobytes()
+        with pytest.raises(RhoTooSmall, match=re.escape(message)):
+            integrate_flow(v, 1, "re", len(states) * h, h)
+
+    def test_gather_tables_looked_up_once_per_trajectory(self, monkeypatch):
+        # _gradient_tables reads both band tables and the layout of L and M
+        # once, the one chunk of check_cmv_band the layout once more,
+        # however many stages the grid runs
+        import cmvkit.alflows as alflows
+
+        v = random_verblunsky(6, RngStream(43), radius=0.6)
+        integrate_flow(v, 2, "re", 1e-3, 1e-3)  # the band tables are cached
+        counts = []
+        for t_final in (1e-3, 0.01, 0.1):
+            bands = record_calls(monkeypatch, alflows, "_band_indices")
+            layouts = record_calls(monkeypatch, alflows, "lm_band_indices")
+            integrate_flow(v, 2, "re", t_final, 1e-3)
+            counts.append((len(bands), len(layouts)))
+            monkeypatch.undo()
+        assert counts == [(2, 2)] * 3
 
     def test_every_state_keeps_v0s_boundary(self):
         # the boundary rule is a fixed point, so the states carry v0's
