@@ -123,13 +123,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    data = serialize.read_samples_csv(args.input)
-    if data.size == 0:
-        raise InvalidParams(f"no samples in {args.input}")
+    """Bin the input one block of rows at a time and sum the counts; the
+    whole file is read before an empty file or a bad --range is reported."""
     lo, hi = args.range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    binned = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    counts, edges = np.histogram([], bins=args.bins, range=(lo, hi)) if binned else (None, None)
+    empty = True
+    for block in serialize.sample_csv_blocks(args.input):
+        empty = False
+        if binned:
+            counts += np.histogram(block, bins=args.bins, range=(lo, hi))[0]
+    if empty:
+        raise InvalidParams(f"no samples in {args.input}")
+    if not binned:
         raise InvalidParams(f"--range must be finite with LO < HI, got {lo!r} {hi!r}")
-    counts, edges = np.histogram(data.reshape(-1), bins=args.bins, range=(lo, hi))
     serialize.write_histogram_csv(args.out, edges, counts)
     _progress(args.quiet, f"binned {int(counts.sum())} values into {args.bins} bins")
     return 0

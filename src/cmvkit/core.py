@@ -52,11 +52,16 @@ def principal_angle(theta):
     angle already in it is returned as it is (-0.0 as 0.0), any other is
     folded by angle(exp(i theta)), with -pi mapped to pi."""
     t = np.asarray(theta, dtype=float)
-    folded = np.angle(np.exp(1j * t))
+    outside = ~((t > -math.pi) & (t <= math.pi))  # NaN is outside
+    if not outside.any():
+        return t + 0.0  # + 0.0 normalizes -0.0
+    folded = np.angle(np.exp(1j * t[outside]))
     # np.angle returns -pi for a point on the negative real axis with a
     # negative zero or tiny negative imaginary part
-    folded = np.where(folded == -math.pi, math.pi, folded)
-    return np.where((t > -math.pi) & (t <= math.pi), t, folded) + 0.0  # + 0.0 normalizes -0.0
+    folded[folded == -math.pi] = math.pi
+    out = t.copy()
+    out[outside] = folded
+    return out + 0.0
 
 
 def circular_gaps(theta) -> np.ndarray:

@@ -10,12 +10,14 @@ writers write format(x, ".17g") for every float.  A list of objects
 that share one layout, such as a trajectory's states or the coefficient
 draws of `cmv sample --coeffs-out`, is passed as Records, whose layout
 is built once and repeated; coefficient_records gives the {"n", "alpha"}
-objects of coefficient rows.  tests/oracles.py keeps the per-float loops
-they are compared with.
+objects of coefficient rows.  The sample CSV reader parses CSV_BLOCK
+lines at a time.  tests/oracles.py keeps the per-float and per-token
+loops they are compared with.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -29,7 +31,7 @@ from .core import SpectralMeasureCircle, VerblunskySet
 from .errors import InvalidParams
 
 
-CSV_BLOCK = 4096  # rows formatted per write, so that memory stays bounded
+CSV_BLOCK = 4096  # rows formatted per write and lines parsed per block read, so that memory stays bounded
 JSON_CHUNK = 65536  # array values formatted per JSON write, rounded up to whole arrays
 
 
@@ -241,6 +243,11 @@ def _reading(path):
     except OSError as exc:
         raise InvalidParams(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
+        try:  # a read by lines decodes in chunks: the offset in the whole file
+            with open(path, "rb") as raw:
+                raw.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise InvalidParams(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
@@ -284,22 +291,48 @@ def read_samples_csv(path) -> np.ndarray:
     """The rows of a sample CSV as a (rows, columns) array; InvalidParams
     when it cannot be read, on rows of unequal length and on tokens that
     are not finite numbers."""
+    blocks = list(sample_csv_blocks(path))
+    return np.concatenate(blocks) if blocks else np.empty((0, 0))
+
+
+def sample_csv_blocks(path):
+    """The rows of a sample CSV as (rows, columns) float arrays, one per
+    block of CSV_BLOCK lines that holds a row, so that memory stays bounded.
+
+    Lines are stripped and blank ones skipped; the tokens of a block are
+    cast with one numpy cast, which accepts and rejects exactly the tokens
+    float() does and words its error the same.  The error is the one a
+    read of the whole file gives: rows of unequal length anywhere (raised
+    where they are seen), else the first bad token, else the first row,
+    counted from the top, that holds a value that is not finite (both
+    raised after the last block, and no block is yielded after them)."""
+    width, rows_before, bad_token, non_finite = None, 0, None, None
     with _reading(path) as fh:
-        rows = [line for line in (raw.strip() for raw in fh.read().split("\n")) if line]
-    if not rows:
-        return np.empty((0, 0))
-    if len({line.count(",") for line in rows}) > 1:
-        raise InvalidParams(f"{path}: rows of unequal length")
-    try:
-        # numpy casts each str with float(): the same tokens, the same message
-        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
-    except ValueError as exc:
-        raise InvalidParams(f"{path}: {exc}") from exc
-    finite = np.isfinite(data)
-    if not finite.all():
-        row = finite.all(axis=1).argmin() + 1
-        raise InvalidParams(f"{path}: row {row} holds {data[~finite][0]}, not a finite number")
-    return data
+        while lines := list(itertools.islice(fh, CSV_BLOCK)):
+            rows = [line for line in map(str.strip, lines) if line]
+            if not rows:
+                continue
+            width = rows[0].count(",") if width is None else width
+            if {line.count(",") for line in rows} != {width}:
+                raise InvalidParams(f"{path}: rows of unequal length")
+            if bad_token is not None:
+                continue  # only the row lengths can still change the error
+            try:
+                data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+            except ValueError as exc:
+                bad_token = exc
+                continue
+            finite = np.isfinite(data)
+            if non_finite is None and not finite.all():
+                row = rows_before + finite.all(axis=1).argmin() + 1
+                non_finite = f"row {row} holds {data[~finite][0]}, not a finite number"
+            rows_before += len(rows)
+            if non_finite is None:
+                yield data
+    if bad_token is not None:
+        raise InvalidParams(f"{path}: {bad_token}") from bad_token
+    if non_finite is not None:
+        raise InvalidParams(f"{path}: {non_finite}")
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:

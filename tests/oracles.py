@@ -7,7 +7,8 @@ under test never checks itself against itself.  The exceptions are
 plain loop versions of package code that was vectorized or made to
 reuse intermediate results (lm_factors_loop, rk4_trajectory,
 geronimus_loop, ensemble_samples_loop, szego_loop,
-spectral_trajectory_loop, trajectory_to_obj_loop, and the file writers
+spectral_trajectory_loop, trajectory_to_obj_loop, principal_angle_fold
+(which folds every angle, not only those off the branch), and the file writers
 and reader write_samples_csv_loop, write_histogram_csv_loop,
 read_samples_csv_loop and dump_json_loop); tests require the
 package to match them bit for bit (byte for byte, for the files), except for the eigenvalue angles,
@@ -263,6 +264,15 @@ def reversed_poly(c):
     """Ascending coefficients of the reversal z^k conj(p(1/conj(z))) of the
     degree-k polynomial with ascending coefficients c: c_l -> conj(c_{k-l})."""
     return np.conj(np.asarray(c)[::-1])
+
+
+def principal_angle_fold(theta):
+    """principal_angle as it was: angle(exp(i theta)) of every entry, -pi
+    mapped to pi, taken where theta lies off (-pi, pi]; then + 0.0."""
+    t = np.asarray(theta, dtype=float)
+    folded = np.angle(np.exp(1j * t))
+    folded = np.where(folded == -math.pi, math.pi, folded)
+    return np.where((t > -math.pi) & (t <= math.pi), t, folded) + 0.0
 
 
 def eigvals_angles(U) -> np.ndarray:

@@ -422,6 +422,19 @@ class TestIntegrateFlow:
         with pytest.raises(RhoTooSmall, match=re.escape(message)):
             integrate_flow(v, 1, "re", len(states) * h, h)
 
+    def test_rho_guard_on_the_last_state(self):
+        # one long step of the same flow, from the other side of the origin:
+        # the state overshoots the ceiling while all four stage inputs of
+        # its step lie inside it (plain RK4 stops at the next step's first
+        # stage input, the state itself), so on a one-step grid only the
+        # check of the last state stops the run
+        v, h = VerblunskySet([0.63189517j, -1.0]), 1.25
+        states, message = rk4_to_the_ceiling(v, h, 2)
+        assert len(states) == 1
+        assert message == "coefficient modulus 0.99999999724 reached the circle"
+        with pytest.raises(RhoTooSmall, match=re.escape(message)):
+            integrate_flow(v, 1, "re", h, h)
+
     def test_gather_tables_looked_up_once_per_trajectory(self, monkeypatch):
         # _gradient_tables reads both band tables and the layout of L and M
         # once, the one chunk of check_cmv_band the layout once more,

@@ -27,7 +27,7 @@ from cmvkit.opuc import christoffel_measure, jacobi_eigensystem, unitary_eigensy
 from cmvkit.verify import random_measure
 
 import oracles
-from oracles import UNITARITY_AGREEMENT, ceiling_draws, check_cmv, cmv_pattern, lm_factors_loop
+from oracles import UNITARITY_AGREEMENT, ceiling_draws, check_cmv, cmv_pattern, lm_factors_loop, principal_angle_fold
 from strategies import verblunsky_sets
 
 
@@ -597,6 +597,28 @@ class TestCircularGaps:
 
 
 class TestMeasures:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 4, 6), (0,)])
+    def test_principal_angle_equals_folding_every_entry(self, shape):
+        # only the entries off the branch are folded; stacks mixing -0.0,
+        # +-pi, NaN of either sign and +-inf give the bytes, shape and type
+        # of the formula that folded every entry
+        specials = [-0.0, 0.0, np.pi, -np.pi, np.nan, -np.nan, np.inf, -np.inf, 3 * np.pi, -1e300]
+        gen = RngStream(len(shape)).generator()
+        for trial in range(40):
+            t = np.array(gen.uniform(-3.5 if trial % 2 else -3.0, 3.0, shape))
+            swap = gen.random(shape) < (0.4 if trial % 4 else 0.0)
+            t[swap] = gen.choice(specials, int(swap.sum()))
+            with np.errstate(invalid="ignore"):
+                ours, theirs = principal_angle(t), principal_angle_fold(t)
+            assert type(ours) is type(theirs) and np.shape(ours) == np.shape(theirs)
+            assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+
+    @pytest.mark.parametrize("theta", [-0.0, np.pi, -np.pi, np.nan, -np.nan, np.inf, -np.inf, 7.5, 0.5])
+    def test_principal_angle_of_a_float(self, theta):
+        with np.errstate(invalid="ignore"):
+            ours, theirs = principal_angle(theta), principal_angle_fold(theta)
+        assert type(ours) is type(theirs) and np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+
     def test_circle_sorted_and_normalized(self):
         mu = SpectralMeasureCircle([2.0, -1.0], [0.25, 0.75])
         assert np.array_equal(mu.theta, [-1.0, 2.0])

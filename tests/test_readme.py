@@ -1,6 +1,7 @@
 """The package's public names: the README's "Removed API" table names only
-what the package no longer has, and `cmvkit.__all__` lists exactly what
-`__init__.py` imports."""
+what the package no longer has, `cmvkit.__all__` lists exactly what
+`__init__.py` imports, and every constant the README states with its
+value has that value in the code."""
 
 import ast
 import importlib
@@ -15,6 +16,9 @@ import cmvkit
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {m.name: importlib.import_module(f"cmvkit.{m.name}") for m in pkgutil.iter_modules(cmvkit.__path__)}
 NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)?")
+# `NAME = value`, `module.NAME = value` or `NAME` = value, value a number,
+# a power 2^k or a fraction 1/8
+STATED = re.compile(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]+)(?: = ([^`]+)`|` = ([-+.\w^/]+))")
 
 
 def removed_names() -> list[str]:
@@ -74,3 +78,32 @@ def test_all_lists_each_import_once():
                 for alias in node.names}
     assert len(cmvkit.__all__) == len(set(cmvkit.__all__))
     assert set(cmvkit.__all__) == imported
+
+
+def stated_constants() -> list[tuple[str, str, str]]:
+    """(module prefix or "", NAME, value text) of every constant the README
+    states with its value, a trailing full stop dropped."""
+    text = README.read_text(encoding="utf-8")
+    return [(prefix, name, (inline or after).rstrip(".")) for prefix, name, inline, after in STATED.findall(text)]
+
+
+def number(text: str) -> float:
+    if "^" in text:
+        base, exponent = text.split("^")
+        return float(base) ** float(exponent)
+    if "/" in text:
+        num, den = text.split("/")
+        return float(num) / float(den)
+    return float(text)
+
+
+def test_block_sizes_are_stated():
+    names = {name for _, name, _ in stated_constants()}
+    assert {"SAMPLE_CHUNK", "CSV_BLOCK", "JSON_CHUNK", "SPECTRA_BLOCK", "NEWTON_BLOCK", "SUITE_BLOCK"} <= names
+
+
+@pytest.mark.parametrize("prefix, name, value", stated_constants())
+def test_stated_constant_has_its_value(prefix, name, value):
+    modules = [MODULES[prefix]] if prefix else [m for m in MODULES.values() if name in vars(m)]
+    assert modules, f"{name} is in no module of the package"
+    assert all(number(value) == getattr(m, name) for m in modules), [getattr(m, name) for m in modules]

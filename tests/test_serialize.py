@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,100 @@ class TestSamplesCsvReader:
     def test_any_token_grid(self, rows, newline):
         text = newline.join(",".join(row) for row in rows)
         assert_same_reading(*read_both(text))
+
+
+def long_csv(rows, edits=(), width=2, newline="\n"):
+    """rows sample rows of width tokens, row i (counted from 0) replaced by
+    the text of edits where it names one; a "" edit is a blank line, which
+    is no row."""
+    lines = [",".join(f"{i}.{k}25" for k in range(width)) for i in range(rows)]
+    for i, text in dict(edits).items():
+        lines[i] = text
+    return newline.join(lines) + newline
+
+
+B = serialize.CSV_BLOCK
+# files past one CSV_BLOCK of lines whose defects lie in different blocks
+LONG_CSVS = {
+    "clean": long_csv(3 * B + 5),
+    "clean-crlf-blank-lines": long_csv(2 * B + 9, {0: "", B - 1: "", B: " ", 2 * B + 3: ""}, newline="\r\n"),
+    "clean-one-column": long_csv(B + 1, width=1),
+    "ragged-late-bad-token-early": long_csv(3 * B, {10: "1,abc", 2 * B + 7: "1,2,3"}),
+    "ragged-late-non-finite-early": long_csv(3 * B, {5: "nan,1", 3 * B - 1: "1"}),
+    "ragged-across-blocks": long_csv(B, width=2) + long_csv(B, width=3),
+    "non-finite-in-block-2": long_csv(3 * B, {B + 17: "0.5,-inf"}),
+    "non-finite-in-block-2-after-blank-lines": long_csv(3 * B, {3: "", 4: " ", B + 17: "inf,0.5"}),
+    "non-finite-in-blocks-2-and-3": long_csv(3 * B, {2 * B + 1: "nan,0", B + 2: "0,1e400"}),
+    "bad-token-late-non-finite-early": long_csv(3 * B, {1: "nan,0", 2 * B + 9: "0,x"}),
+    "bad-tokens-in-blocks-2-and-4": long_csv(4 * B, {B + 3: "0,1.5e", 3 * B: "abc,0"}),
+    "non-finite-at-block-edge": long_csv(2 * B, {B - 1: "0,nan", B: "inf,0"}),
+}
+
+
+class TestSamplesCsvBlocks:
+    @pytest.mark.parametrize("name", LONG_CSVS)
+    def test_equals_the_per_token_reader(self, name):
+        ours, theirs = read_both(LONG_CSVS[name])
+        assert_same_reading(ours, theirs)
+        assert isinstance(ours, np.ndarray) == name.startswith("clean")
+
+    @pytest.mark.parametrize("name", LONG_CSVS)
+    def test_histogram_equals_binning_the_whole_file(self, tmp_path, capsys, name):
+        src, out, expected = tmp_path / "s.csv", tmp_path / "h.csv", tmp_path / "e.csv"
+        src.write_bytes(LONG_CSVS[name].encode("utf-8"))
+        code = cli.main(["histogram", "--input", str(src), "--bins", "16", "--range", "0", "4000",
+                         "--out", str(out), "--quiet"])
+        try:
+            data = read_samples_csv_loop(src)
+        except InvalidParams as exc:
+            assert code == 2 and capsys.readouterr().err == f"error: {exc}\n" and not out.exists()
+            return
+        assert code == 0
+        write_histogram_csv_loop(expected, *np.histogram(data.reshape(-1), bins=16, range=(0, 4000))[::-1])
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("name", ["ragged-late-bad-token-early", "non-finite-in-block-2"])
+    def test_a_defect_comes_before_a_bad_range(self, tmp_path, capsys, name):
+        src = tmp_path / "s.csv"
+        src.write_bytes(LONG_CSVS[name].encode("utf-8"))
+        code = cli.main(["histogram", "--input", str(src), "--bins", "4", "--range", "1", "0",
+                         "--out", str(tmp_path / "h.csv"), "--quiet"])
+        with pytest.raises(InvalidParams) as oracle:
+            read_samples_csv_loop(src)
+        assert code == 2 and capsys.readouterr().err == f"error: {oracle.value}\n"
+
+    def test_blank_blocks_hold_no_samples(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("\n \n" * B)
+        code = cli.main(["histogram", "--input", str(src), "--bins", "4", "--range", "1", "0",
+                         "--out", str(tmp_path / "h.csv"), "--quiet"])
+        assert code == 2 and capsys.readouterr().err == f"error: no samples in {src}\n"
+
+    def test_bad_utf8_late_in_the_file_names_its_offset(self, tmp_path):
+        # lines are decoded in chunks; the message gives the byte offset in
+        # the whole file, as a read of the whole file does
+        text = long_csv(3 * B).encode("utf-8")
+        src = tmp_path / "s.csv"
+        src.write_bytes(text + b"0.5,\xff1\n")
+        with pytest.raises(InvalidParams) as err:
+            serialize.read_samples_csv(src)
+        assert str(err.value) == f"cannot read {src}: not UTF-8 text (invalid start byte at byte {len(text) + 4})"
+
+    def test_reading_50000_rows_keeps_memory_bounded(self, tmp_path):
+        # the array the reader returns is 0.8 MB; parsing a block at a time
+        # keeps the peak of traced allocations within 3 MiB of it (2.2 MB in
+        # all), where one str per line and per token of the file took 14 MB
+        rows = RngStream(8).generator().uniform(-np.pi, np.pi, size=(50000, 2))
+        src = tmp_path / "s.csv"
+        serialize.write_samples_csv(src, rows)
+        tracemalloc.start()
+        try:
+            data = serialize.read_samples_csv(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.tobytes() == rows.tobytes()
+        assert peak <= data.nbytes + 3 * 2**20, peak
 
 
 def non_finite_trajectory():
